@@ -8,13 +8,13 @@ in the quartic rate regime and blow up as T shrinks.
 
 import numpy as np
 
-from kscontrol.biorthogonal import build_family, cost_fit, family_norm
+from kscontrol.biorthogonal import build_family, cost_fit
 
 lam = np.array([float(k**4 + 2 * k**2) for k in range(1, 11)])  # a=pi, nu=0, mu_1=1
 
 for T in (0.5, 1.0):
     fam = build_family(lam, T)
-    norms = [family_norm(fam, m) for m in range(len(lam))]
+    norms = [fam.norm(m) for m in range(len(lam))]
     print(f"T={T}: Gram condition {fam.gram_condition:.3e}, "
           f"biorthogonality residual {fam.residual_max:.1e}")
     print("   norms:", " ".join(f"{n:.3g}" for n in norms))
@@ -31,5 +31,5 @@ s = 2.0
 f1 = build_family(lam[:4], 0.8)
 f2 = build_family(s * lam[:4], 0.8 / s)
 print("\nscale covariance at s=2:",
-      [f"{family_norm(f2, m)**2 / family_norm(f1, m)**2:.6f}" for m in range(4)])
+      [f"{f2.norm(m)**2 / f1.norm(m)**2:.6f}" for m in range(4)])
 print("(each ratio equals s)")

@@ -14,7 +14,7 @@ Library layout (one module per subsystem):
 * ``config``/``runner``/``cli``  the ksctl scenario surface
 """
 
-from .biorthogonal import BiorthogonalFamily, build_family, family_norm, gram_matrix
+from .biorthogonal import BiorthogonalFamily, build_family, gram_matrix
 from .boundary_1d import (
     critical_counterexample,
     moment_targets,
@@ -70,7 +70,6 @@ __all__ = [
     "evolve_controlled",
     "evolve_free",
     "evolve_pointwise_controlled",
-    "family_norm",
     "fixed_point",
     "gram_matrix",
     "minimal_time_estimate",

@@ -166,11 +166,6 @@ def build_family(exponents, T: float, k_bio_max: int = K_BIO_MAX) -> Biorthogona
     )
 
 
-def family_norm(family: BiorthogonalFamily, m: int) -> float:
-    """||q_m||_{L2(0,T)} (m is 0-based)."""
-    return family.norm(m)
-
-
 def cost_fit(exponents, T_grid, k_max: int | None = None):
     """Fit log ||q_{k,T}|| against Lambda_k^(1/4) + T^(-1/3).
 
@@ -185,7 +180,7 @@ def cost_fit(exponents, T_grid, k_max: int | None = None):
     for T in T_grid:
         fam = build_family(lam, float(T))
         for k in range(len(lam)):
-            rows.append((float(T), lam[k], family_norm(fam, k)))
+            rows.append((float(T), lam[k], fam.norm(k)))
     z = np.array([lam_k**0.25 + T ** (-1.0 / 3.0) for T, lam_k, _ in rows])
     y = np.log([nrm for _, _, nrm in rows])
     A = np.vstack([z, np.ones_like(z)]).T

@@ -37,8 +37,8 @@ from .modal import (
     observe,
     state_1d,
 )
-from .moments import MomentSolver, MomentSolution
-from .signals import ControlSignal, sampled_from_segments
+from .moments import MomentSolver
+from .signals import ControlSignal
 from .spectrum import SpectrumSpec, critical_set_check, require_clear
 
 
@@ -81,30 +81,19 @@ def synthesize_boundary_control(
     shifted: bool = False,
     t_offset: float = 0.0,
     solver: Optional[MomentSolver] = None,
-    n_samples: int = 512,
 ):
     """Boundary control nulling modes k <= K_trunc of initial data u0.
 
     Returns ``(ControlSignal, SynthesisReport)``.  The control is
-    ``q(t) = h(T - t)`` with h the analytic moment solution; the signal's
-    sampled view is an export rendering, the analytic payload is exact.
-    ``t_offset`` places the window at [t_offset, t_offset + T] (used by the
-    frequency-splitting scheduler).
+    ``q(t) = h(T - t)`` with h the analytic moment solution; it carries no
+    sampled grid, and export renders one on demand.  ``t_offset`` places the
+    window at [t_offset, t_offset + T] (used by the frequency-splitting
+    scheduler).
     """
     require_clear(spec)
-    u0 = np.asarray(u0, dtype=float)
-    if K_trunc > K_BIO_MAX:
-        raise ValueError(f"K_trunc={K_trunc} exceeds K_bio_max={K_BIO_MAX}")
-    K_trunc = min(K_trunc, len(u0))
-    rates_full = spec.slice_rates(j, len(u0)) if shifted else spec.x_rates(j, len(u0))
-    rates = rates_full[:K_trunc]
-    gains = boundary_gain_x(spec, K_trunc)
-    targets = -np.exp(rates * T) * u0[:K_trunc] / gains
-    if solver is None:
-        solver = MomentSolver(rates, T)
-    sol = solver.solve(targets)
-    control = control_from_solution(sol, "boundary_1d", t_offset, n_samples=n_samples)
-    tail = float(np.sum(np.exp(2 * rates_full[K_trunc:] * T) * u0[K_trunc:] ** 2))
+    gains = boundary_gain_x(spec, len(u0))
+    control, sol, tail = _synthesize_1d(u0, T, spec, j, K_trunc, gains, "boundary_1d",
+                                        shifted=shifted, t_offset=t_offset, solver=solver)
     report = SynthesisReport(
         control_norm=control.norm_l2(),
         moment_residual_max=sol.residual_max,
@@ -112,17 +101,35 @@ def synthesize_boundary_control(
         pollution=None,
         gram_condition=sol.family.gram_condition,
         c0=sol.c0,
-        K_trunc=K_trunc,
-        targets=targets,
+        K_trunc=len(sol.targets),
+        targets=sol.targets,
     )
     return control, report
 
 
-def control_from_solution(sol: MomentSolution, kind: str, t_offset: float,
-                          x0: Optional[float] = None, n_samples: int = 512) -> ControlSignal:
-    """Physical control q(t) = h(T - t) on [t_offset, t_offset + T]."""
-    seg = sol.reversed_segment(t_offset)
-    return sampled_from_segments(kind, [seg], n=n_samples, x0=x0)
+def _synthesize_1d(u0, T: float, spec: SpectrumSpec, j: int, K_trunc: int, gains: np.ndarray,
+                  kind: str, shifted: bool = False, t_offset: float = 0.0,
+                  solver: Optional[MomentSolver] = None, x0: Optional[float] = None):
+    """Moment synthesis shared by the 1-D boundary and pointwise controls.
+
+    ``gains`` is the x-modal input gain of the actuator (at least K_trunc
+    entries).  Returns ``(control, MomentSolution, tail)``: the physical
+    control q(t) = h(T - t) on [t_offset, t_offset + T], the solution with
+    its targets, and the free-decay energy of the modes above K_trunc.
+    """
+    u0 = np.asarray(u0, dtype=float)
+    if K_trunc > K_BIO_MAX:
+        raise ValueError(f"K_trunc={K_trunc} exceeds K_bio_max={K_BIO_MAX}")
+    K_trunc = min(K_trunc, len(u0))
+    rates_full = spec.slice_rates(j, len(u0)) if shifted else spec.x_rates(j, len(u0))
+    rates = rates_full[:K_trunc]
+    targets = -np.exp(rates * T) * u0[:K_trunc] / gains[:K_trunc]
+    if solver is None:
+        solver = MomentSolver(rates, T)
+    sol = solver.solve(targets)
+    control = ControlSignal.from_segments(kind, [sol.reversed_segment(t_offset)], x0=x0)
+    tail = float(np.sum(np.exp(2 * rates_full[K_trunc:] * T) * u0[K_trunc:] ** 2))
+    return control, sol, tail
 
 
 @dataclass

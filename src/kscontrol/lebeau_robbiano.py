@@ -212,7 +212,6 @@ def active_phase_tensor(
     """
     require_clear(spec)
     t0, t1 = float(window[0]), float(window[1])
-    W = t1 - t0
     gamma_eff = min(gamma, spec.J_y)
     if spec.K_x > K_BIO_MAX:
         raise ValueError(
@@ -222,46 +221,50 @@ def active_phase_tensor(
     horizon_left = max((t_final if t_final is not None else t1) - t1, 0.0)
     end_free = _window_free_end(state, window, source)
     scale = max(float(np.linalg.norm(state.coeffs)), float(np.linalg.norm(end_free)), 1e-300)
-    gains = boundary_gain_x(spec)
-    exps, refs, blocks = [], [], []
+    slices = []
     for j in range(1, gamma_eff + 1):
-        # forward-looking skip (in logs): content that dies on its own by
-        # t_final needs no moment solve
+        # content that dies on its own by t_final needs no moment solve
         slice_norm = float(np.linalg.norm(end_free[:, j - 1]))
         slowest = float(np.max(spec.slice_rates(j)))
         log_at_final = (math.log(slice_norm) if slice_norm > 0 else -math.inf) \
             + min(slowest, 0.0) * horizon_left
-        if log_at_final <= math.log(1e-12 * scale):
-            continue
-        rates = spec.slice_rates(j)
-        targets = -end_free[:, j - 1] / gains
-        sol = MomentSolver(rates, W).solve(targets)
+        if log_at_final > math.log(1e-12 * scale):
+            slices.append(j)
+    return _slice_moment_control("boundary_nd", end_free, slices, spec, boundary_gain_x(spec),
+                                 (t0, t1), gamma_eff)
+
+
+def _slice_moment_control(kind: str, end_free: np.ndarray, slices, spec: SpectrumSpec,
+                          gains: np.ndarray, window: tuple, rows: int,
+                          x0: Optional[float] = None) -> ControlSignal:
+    """Per-slice moment solutions assembled into one y-expanded control.
+
+    Row j - 1 (j in ``slices``) is the control that, through the x-gain
+    ``gains``, steers slice j's free end state ``end_free[:, j - 1]`` to zero
+    over ``window``; the other rows are zero.  Rows are the first ``rows``
+    cross-section modes themselves (identity mass and row Gram).
+    """
+    t0, t1 = window
+    W = t1 - t0
+    exps, refs, blocks = [], [], []
+    for j in slices:
+        sol = MomentSolver(spec.slice_rates(j), W).solve(-end_free[:, j - 1] / gains)
         seg = sol.reversed_segment(t0)
         exps.append(seg.exponents)
         refs.append(seg.refs)
-        block = np.zeros((len(seg.exponents), gamma_eff))
+        block = np.zeros((len(seg.exponents), rows))
         block[:, j - 1] = seg.coeffs
         blocks.append(block)
     if not blocks:
         exps = [np.zeros(1)]
         refs = [np.zeros(1)]
-        blocks = [np.zeros((1, gamma_eff))]
+        blocks = [np.zeros((1, rows))]
     segment = ExpSegment(
         t0=t0, t1=t1,
-        exponents=np.concatenate(exps),
-        refs=np.concatenate(refs),
-        coeffs=np.vstack(blocks),
+        exponents=np.concatenate(exps), refs=np.concatenate(refs), coeffs=np.vstack(blocks),
     )
-    mass = np.zeros((gamma_eff, spec.J_y))
-    mass[:, :gamma_eff] = np.eye(gamma_eff)
-    grid = np.linspace(t0, t1, 65)
-    sig = ControlSignal(
-        kind="boundary_nd", grid=grid, values=np.zeros((65, gamma_eff)),
-        quadrature="piecewise_linear", mass=mass, row_gram=np.eye(gamma_eff),
-        segments=[segment],
-    )
-    sig.values = np.asarray(sig.value_at(grid), dtype=float)
-    return sig
+    return ControlSignal.from_segments(kind, [segment], x0=x0, mass=np.eye(rows, spec.J_y),
+                                       row_gram=np.eye(rows))
 
 
 @dataclass
@@ -281,7 +284,6 @@ def active_phase_gramian(
     omega: Optional[tuple],
     x0: Optional[float] = None,
     source: Optional[ModalSource] = None,
-    legendre_per_row: Optional[int] = None,
 ):
     """Minimum-norm steering of the modes (k <= K_x, j <= gamma) to zero.
 
@@ -296,7 +298,7 @@ def active_phase_gramian(
     W = t1 - t0
     gamma_eff = min(gamma, spec.J_y)
     rows = gamma_eff
-    P = legendre_per_row if legendre_per_row is not None else 2 * spec.K_x
+    P = 2 * spec.K_x
     M = mass_matrix(spec, omega, rows)
     x_gain = boundary_gain_x(spec) if x0 is None else pointwise_gain_x(spec, x0)
 
@@ -332,15 +334,10 @@ def active_phase_gramian(
     theta = (theta_tilde * D_full).reshape(rows, P)
 
     seg = LegendreSegment(t0=t0, t1=t1, coeffs=theta.T.copy())
-    grid = np.linspace(t0, t1, 65)
     kind = "boundary_nd" if x0 is None else "pointwise_nd"
-    sig = ControlSignal(
-        kind=kind, grid=grid, values=np.zeros((65, rows)),
-        quadrature="piecewise_linear", x0=x0, mass=M,
-        row_gram=M[:, :rows].copy(),
-        omega=omega, segments=[seg],
+    sig = ControlSignal.from_segments(
+        kind, [seg], x0=x0, mass=M, row_gram=M[:, :rows].copy(), omega=omega,
     )
-    sig.values = np.asarray(sig.value_at(grid), dtype=float)
     report = GramianReport(
         gamma=gamma_eff, n_killed=n_killed,
         min_eig=sv_min**2, max_eig=sv_max**2, lstsq_residual=resid,
@@ -357,25 +354,37 @@ def passive_phase(
 ):
     """Free (or source-only) flow with the dissipation certificate.
 
-    The component above the cutoff must obey the cross-section decay rate
-    exactly; a violation is a projection leak, i.e. an internal bug.  The
-    residue left below the cutoff by the active phase (<= the kill tolerance)
-    decays at its own rates and is reported, not bounded by the certificate.
+    The residue left below the cutoff by the active phase (<= the kill
+    tolerance) decays at its own rates and is reported, not bounded by the
+    certificate.
     """
     t0, t1 = float(window[0]), float(window[1])
     gamma_eff = min(gamma, spec.J_y)
     low_before = float(np.linalg.norm(state.coeffs[:, :gamma_eff]))
     high_before = float(np.linalg.norm(state.coeffs[:, gamma_eff:]))
     end = evolve_controlled(state, None, (t0, t1), source=source)
-    if source is None and gamma_eff < spec.J_y and high_before > 0.0:
-        rate = spec.y_shift(gamma_eff + 1)
-        bound = math.exp(rate * (t1 - t0)) * high_before * (1.0 + 1e-10)
-        high_after = float(np.linalg.norm(end.coeffs[:, gamma_eff:]))
-        if high_after > bound:
-            raise DissipationViolated(
-                f"high-mode norm {high_after:.3e} exceeds bound {bound:.3e}"
-            )
+    _certify_dissipation(spec, gamma_eff, high_before, end.coeffs, t1 - t0, source)
     return end, {"low_residue_before": low_before, "high_before": high_before}
+
+
+def _certify_dissipation(spec: SpectrumSpec, gamma_eff: int, high_before: float,
+                         end_coeffs: np.ndarray, span: float, source) -> None:
+    """Check that the modes above the cutoff decayed at the cross-section rate.
+
+    Over a free span the component above gamma_eff must obey the decay rate
+    of mode gamma_eff + 1 exactly; a violation is a projection leak, i.e. an
+    internal bug, and raises DissipationViolated.  A source feeds every mode,
+    so sourced spans carry no certificate.
+    """
+    if source is not None or gamma_eff >= spec.J_y or not high_before > 0.0:
+        return
+    rate = spec.y_shift(gamma_eff + 1)
+    bound = math.exp(rate * span) * high_before * (1.0 + 1e-10)
+    high_after = float(np.linalg.norm(end_coeffs[:, gamma_eff:]))
+    if high_after > bound:
+        raise DissipationViolated(
+            f"high-mode norm {high_after:.3e} exceeds bound {bound:.3e} over a span of {span:.6g}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +483,7 @@ def run_lr(
         # passive span with the dissipation certificate on the high component
         high_before = float(np.linalg.norm(state.coeffs[:, gamma_eff:]))
         _record_span(t_mid, w.a_k + 2 * w.T_k, state, None, source)
-        if source is None and gamma_eff < spec.J_y and high_before > 0.0:
-            rate = spec.y_shift(gamma_eff + 1)
-            bound = math.exp(rate * w.T_k) * high_before * (1.0 + 1e-10)
-            high_after = float(np.linalg.norm(state.coeffs[:, gamma_eff:]))
-            if high_after > bound:
-                raise DissipationViolated(
-                    f"window {w.index}: high-mode norm {high_after:.3e} > bound {bound:.3e}"
-                )
+        _certify_dissipation(spec, gamma_eff, high_before, state.coeffs, w.T_k, source)
         window_norms.append(state.norm)
     if state.time < T - 1e-12:
         _record_span(state.time, T, state, None, source)
@@ -538,34 +540,10 @@ def _run_internal_direct(state, T, spec, geometry, margin, minimal_time, source,
     gains = pointwise_gain_x(spec, x0)
     end_free = _window_free_end(state, (0.0, T), source)
     scale = max(float(np.linalg.norm(state.coeffs)), float(np.linalg.norm(end_free)), 1e-300)
-    exps, refs, blocks = [], [], []
-    for j in range(1, spec.J_y + 1):
-        if float(np.linalg.norm(end_free[:, j - 1])) <= 1e-10 * scale:
-            continue
-        rates = spec.slice_rates(j)
-        targets = -end_free[:, j - 1] / gains
-        sol = MomentSolver(rates, T).solve(targets)
-        seg = sol.reversed_segment(0.0)
-        exps.append(seg.exponents)
-        refs.append(seg.refs)
-        block = np.zeros((len(seg.exponents), spec.J_y))
-        block[:, j - 1] = seg.coeffs
-        blocks.append(block)
-    if not blocks:
-        exps = [np.zeros(1)]
-        refs = [np.zeros(1)]
-        blocks = [np.zeros((1, spec.J_y))]
-    segment = ExpSegment(
-        t0=0.0, t1=T,
-        exponents=np.concatenate(exps), refs=np.concatenate(refs), coeffs=np.vstack(blocks),
-    )
-    grid = np.linspace(0.0, T, 129)
-    sig = ControlSignal(
-        kind="pointwise_nd", grid=grid, values=np.zeros((129, spec.J_y)),
-        quadrature="piecewise_linear", x0=x0, mass=np.eye(spec.J_y),
-        row_gram=np.eye(spec.J_y), segments=[segment],
-    )
-    sig.values = np.asarray(sig.value_at(grid), dtype=float)
+    slices = [j for j in range(1, spec.J_y + 1)
+              if float(np.linalg.norm(end_free[:, j - 1])) > 1e-10 * scale]
+    sig = _slice_moment_control("pointwise_nd", end_free, slices, spec, gains, (0.0, T),
+                                spec.J_y, x0=x0)
     rec = np.asarray(sorted(set(float(t) for t in record))) if record is not None else None
     if rec is not None:
         end, trace = evolve_controlled(state, sig, (0.0, T), source=source, record=rec)

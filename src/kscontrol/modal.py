@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .signals import (
     phi1,
     phi2,
 )
-from .spectrum import SpectrumSpec
+from .spectrum import SpectrumSpec, _dim_float
 
 
 @dataclass
@@ -119,10 +119,6 @@ class ModalSource:
 
     times: np.ndarray
     values: np.ndarray
-
-    def pair_at(self, t0: float, t1: float):
-        """Endpoint values of f on [t0, t1] assuming no interior breakpoints."""
-        return self.value_at(t0), self.value_at(t1)
 
     def value_at(self, t: float) -> np.ndarray:
         ts = self.times
@@ -229,7 +225,7 @@ def _step_exact(state, t0, t1, control, x_gain, mass, source):
             seg = control._segment_for(0.5 * (t0 + t1))
             duh = seg.mode_duhamel(flat, t0, t1)  # (M,) or (M, R)
             if duh.ndim == 1:
-                new_coeffs += duh.reshape(lam.shape) * _axis_gain(x_gain, lam.shape)
+                new_coeffs += duh.reshape(lam.shape) * (x_gain if lam.ndim == 1 else x_gain[:, None])
             else:
                 duh3 = duh.reshape(lam.shape + (duh.shape[1],))
                 contrib = np.einsum("kjr,rj->kj", duh3, mass)
@@ -260,12 +256,6 @@ def _step_exact(state, t0, t1, control, x_gain, mass, source):
     out.coeffs = new_coeffs
     out.time = t1
     return out
-
-
-def _axis_gain(x_gain, shape):
-    if len(shape) == 1:
-        return x_gain
-    return x_gain[:, None]
 
 
 def evolve_controlled(
@@ -382,6 +372,49 @@ def _gauss_nodes(n: int, length: float):
     return 0.5 * length * (x + 1.0), 0.5 * length * w
 
 
+class _AxisRows(NamedTuple):
+    """Quadrature nodes on one axis and the orthonormal sine rows there."""
+
+    length: float
+    nodes: np.ndarray
+    weights: np.ndarray
+    S: np.ndarray  # S[m - 1] = sqrt(2/L) sin(m pi s/L) at the nodes
+    C: np.ndarray  # dS/ds
+
+
+def _axis_rows(spec: SpectrumSpec, nodes_for) -> list:
+    """`_AxisRows` of the x axis, then of each box axis of the cross-section.
+
+    ``nodes_for(axis, length, count)`` returns the (nodes, weights) of an
+    axis whose highest retained sine index is ``count``: K_x on x, the
+    largest tuple entry on a box axis.
+    """
+    lengths = [spec.a_float] + [_dim_float(b) for b in spec.cross_section.dims]
+    counts = [spec.K_x] + [max(t[i] for t in spec.mu_tuples) for i in range(len(lengths) - 1)]
+    out = []
+    for axis, (length, count) in enumerate(zip(lengths, counts)):
+        nodes, weights = nodes_for(axis, length, count)
+        ms = np.arange(1, count + 1)
+        arg = np.outer(ms, nodes) * math.pi / length
+        S = math.sqrt(2.0 / length) * np.sin(arg)
+        C = math.sqrt(2.0 / length) * (ms[:, None] * math.pi / length) * np.cos(arg)
+        out.append(_AxisRows(length, nodes, weights, S, C))
+    return out
+
+
+def _tuple_tensor(tuples, axis_rows) -> np.ndarray:
+    """(J_y, prod n_i) matrix: row j is the outer product over box axes of
+    ``axis_rows[i][m_i - 1]``, where (m_1, m_2, ...) = ``tuples[j]``."""
+    cols = []
+    for tup in tuples:
+        row = None
+        for rows_i, m_i in zip(axis_rows, tup):
+            vec = rows_i[m_i - 1]
+            row = vec if row is None else np.multiply.outer(row, vec)
+        cols.append(row.ravel())
+    return np.array(cols)
+
+
 def project_initial(
     u0,
     spec: SpectrumSpec,
@@ -398,45 +431,22 @@ def project_initial(
         return state_nd(spec, np.asarray(u0, dtype=float))
     if spec.mu_tuples is None:
         raise ValueError("callable projection needs a Box cross-section")
-    from .spectrum import _dim_float
 
-    bvals = [_dim_float(b) for b in spec.cross_section.dims]
-    max_m = [max(t[i] for t in spec.mu_tuples) for i in range(len(bvals))]
+    def gauss(axis, length, count):
+        n = n_points if n_points is not None else max(4 * count, 48)
+        if n < 2 * count:
+            raise QuadratureUnderResolved(
+                f"{n} points on axis {axis} (x is axis 0) < 2 x {count} modes "
+                "(4 points per wavelength rule)"
+            )
+        return _gauss_nodes(n, length)
 
-    nx = n_points if n_points is not None else max(4 * spec.K_x, 48)
-    if nx < 2 * spec.K_x:
-        raise QuadratureUnderResolved(
-            f"{nx} x-points < 2 K_x = {2 * spec.K_x} (4 points per wavelength rule)"
-        )
-    xs, wx = _gauss_nodes(nx, spec.a_float)
-    Sx = math.sqrt(2.0 / spec.a_float) * np.sin(
-        np.outer(np.arange(1, spec.K_x + 1), xs) * math.pi / spec.a_float
-    )
-
-    y_nodes, y_weights, Sy_axes = [], [], []
-    for b, mm in zip(bvals, max_m):
-        ny = n_points if n_points is not None else max(4 * mm, 48)
-        if ny < 2 * mm:
-            raise QuadratureUnderResolved(f"{ny} y-points < 2 max_m = {2 * mm}")
-        ys, wy = _gauss_nodes(ny, b)
-        y_nodes.append(ys)
-        y_weights.append(wy)
-        Sy_axes.append(
-            math.sqrt(2.0 / b) * np.sin(np.outer(np.arange(1, mm + 1), ys) * math.pi / b)
-        )
-
-    grids = np.meshgrid(xs, *y_nodes, indexing="ij")
+    x, *y_axes = _axis_rows(spec, gauss)
+    grids = np.meshgrid(x.nodes, *(ax.nodes for ax in y_axes), indexing="ij")
     vals = u0(*grids)
-    # x-contraction first
-    partial = np.tensordot(Sx * wx[None, :], vals, axes=([1], [0]))  # (K_x, ny...)
-    coeffs = np.zeros((spec.K_x, spec.J_y))
-    for jj, tup in enumerate(spec.mu_tuples):
-        block = partial
-        for axis, (m_i, Sy, wy) in enumerate(zip(tup, Sy_axes, y_weights)):
-            row = Sy[m_i - 1] * wy
-            block = np.tensordot(block, row, axes=([1], [0]))
-        coeffs[:, jj] = block
-    return state_nd(spec, coeffs)
+    partial = np.tensordot(x.S * x.weights[None, :], vals, axes=([1], [0]))  # (K_x, ny...)
+    Y = _tuple_tensor(spec.mu_tuples, [ax.S * ax.weights[None, :] for ax in y_axes])
+    return state_nd(spec, partial.reshape(spec.K_x, -1) @ Y.T)
 
 
 # ---------------------------------------------------------------------------
@@ -482,103 +492,45 @@ def nonlinear_rhs(state: ModalState, grid_resolution: Optional[int] = None) -> n
         raise ValueError("nonlinear term is defined on the cylinder (use state_nd)")
     if spec.mu_tuples is None:
         raise ValueError("nonlinear term needs a Box cross-section")
-    from .spectrum import _dim_float
 
-    bvals = [_dim_float(b) for b in spec.cross_section.dims]
-    max_m = [max(t[i] for t in spec.mu_tuples) for i in range(len(bvals))]
+    def midpoint(axis, length, count):
+        n = grid_resolution if grid_resolution is not None else 2 * count + 2
+        if n < 2 * count:
+            raise QuadratureUnderResolved(
+                f"{n} grid points on axis {axis} (x is axis 0) < 2 x {count} modes"
+            )
+        return _midpoint_nodes(n, length)
 
-    nx = grid_resolution if grid_resolution is not None else 2 * spec.K_x + 2
-    if nx < 2 * spec.K_x:
-        raise QuadratureUnderResolved(f"{nx} grid points < 2 K_x = {2 * spec.K_x}")
-    xs, wx = _midpoint_nodes(nx, spec.a_float)
-    ks = np.arange(1, spec.K_x + 1)
-    argx = np.outer(ks, xs) * math.pi / spec.a_float
-    Sx = math.sqrt(2.0 / spec.a_float) * np.sin(argx)
-    Cx = math.sqrt(2.0 / spec.a_float) * (ks[:, None] * math.pi / spec.a_float) * np.cos(argx)
-
-    axes = []
-    for b, mm in zip(bvals, max_m):
-        ny = grid_resolution if grid_resolution is not None else 2 * mm + 2
-        if ny < 2 * mm:
-            raise QuadratureUnderResolved(f"{ny} grid points < 2 max_m = {2 * mm}")
-        ys, wy = _midpoint_nodes(ny, b)
-        ms = np.arange(1, mm + 1)
-        arg = np.outer(ms, ys) * math.pi / b
-        S = math.sqrt(2.0 / b) * np.sin(arg)
-        C = math.sqrt(2.0 / b) * (ms[:, None] * math.pi / b) * np.cos(arg)
-        axes.append({"S": S, "C": C, "w": wy, "n": ny})
-
+    x, *y_axes = _axis_rows(spec, midpoint)
     tuples = spec.mu_tuples
-    n_cross = len(bvals)
     U = state.coeffs  # (K_x, J_y)
+    y_sines = [ax.S for ax in y_axes]
 
-    # y-plane sample matrices: P0 value, Pd[i] the d/dy_i derivative
-    def y_matrix(deriv_axis: Optional[int]):
-        cols = []
-        for tup in tuples:
-            row = None
-            for axis, m_i in enumerate(tup):
-                mat = axes[axis]["C"] if deriv_axis == axis else axes[axis]["S"]
-                vec = mat[m_i - 1]
-                row = vec if row is None else np.multiply.outer(row, vec)
-            cols.append(row.ravel())
-        return np.array(cols)  # (J_y, prod ny)
-
-    P0 = y_matrix(None)
-    grad_sq = None
-    # d/dx part
-    ux = Cx.T @ (U @ P0)  # (nx, NY)
+    ux = x.C.T @ (U @ _tuple_tensor(tuples, y_sines))  # (nx, NY)
     grad_sq = ux * ux
-    for axis in range(n_cross):
-        Pd = y_matrix(axis)
-        uyi = Sx.T @ (U @ Pd)
+    for axis, ax in enumerate(y_axes):
+        # d/dy_i: derivative rows on axis i, sine rows on the others
+        Pd = _tuple_tensor(tuples, y_sines[:axis] + [ax.C] + y_sines[axis + 1:])
+        uyi = x.S.T @ (U @ Pd)
         grad_sq = grad_sq + uyi * uyi
     f = -0.5 * grad_sq  # (nx, NY)
 
-    proj_x = _sine_projection_matrix(spec.K_x, spec.a_float, xs, wx)  # (K_x, nx)
-    # per-y-axis projection matrices, combined per retained tuple
-    proj_axes = []
-    for b, mm, ax in zip(bvals, max_m, axes):
-        nodes, _ = _midpoint_nodes(ax["n"], b)
-        proj_axes.append(_sine_projection_matrix(mm, b, nodes, ax["w"]))
-    rows = []
-    for tup in tuples:
-        row = None
-        for axis, m_i in enumerate(tup):
-            vec = proj_axes[axis][m_i - 1]
-            row = vec if row is None else np.multiply.outer(row, vec)
-        rows.append(row.ravel())
-    proj_y = np.array(rows)            # (J_y, NY)
+    proj_x = _sine_projection_matrix(spec.K_x, x.length, x.nodes, x.weights)  # (K_x, nx)
+    proj_y = _tuple_tensor(tuples, [
+        _sine_projection_matrix(ax.S.shape[0], ax.length, ax.nodes, ax.weights) for ax in y_axes
+    ])  # (J_y, NY)
     return proj_x @ f @ proj_y.T
 
 
 def evaluate_physical(state: ModalState, nx: int, ny: Sequence[int]):
     """Sample u on a tensor midpoint grid (diagnostics and Parseval checks)."""
-    spec = state.spec
-    from .spectrum import _dim_float
-
-    bvals = [_dim_float(b) for b in spec.cross_section.dims]
-    xs, wx = _midpoint_nodes(nx, spec.a_float)
-    Sx = math.sqrt(2.0 / spec.a_float) * np.sin(
-        np.outer(np.arange(1, spec.K_x + 1), xs) * math.pi / spec.a_float
+    sizes = [nx, *ny]
+    x, *y_axes = _axis_rows(
+        state.spec, lambda axis, length, count: _midpoint_nodes(sizes[axis], length)
     )
-    mats, weights = [], []
-    for b, n in zip(bvals, ny):
-        ys, wy = _midpoint_nodes(n, b)
-        mm = max(t[len(mats)] for t in spec.mu_tuples)
-        S = math.sqrt(2.0 / b) * np.sin(np.outer(np.arange(1, mm + 1), ys) * math.pi / b)
-        mats.append(S)
-        weights.append(wy)
-    cols = []
-    for tup in spec.mu_tuples:
-        row = None
-        for axis, m_i in enumerate(tup):
-            vec = mats[axis][m_i - 1]
-            row = vec if row is None else np.multiply.outer(row, vec)
-        cols.append(row.ravel())
-    P0 = np.array(cols)
-    grid_vals = Sx.T @ (state.coeffs @ P0)
-    wy_full = weights[0]
-    for w in weights[1:]:
-        wy_full = np.multiply.outer(wy_full, w)
-    return grid_vals, wx, wy_full.ravel()
+    P0 = _tuple_tensor(state.spec.mu_tuples, [ax.S for ax in y_axes])
+    grid_vals = x.S.T @ (state.coeffs @ P0)
+    wy_full = y_axes[0].weights
+    for ax in y_axes[1:]:
+        wy_full = np.multiply.outer(wy_full, ax.weights)
+    return grid_vals, x.weights, wy_full.ravel()

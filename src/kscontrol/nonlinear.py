@@ -172,12 +172,6 @@ def _dirichlet_symbol(spec: SpectrumSpec) -> np.ndarray:
     return kap[:, None] + spec.mus[None, :]
 
 
-def source_dual_norm(values: np.ndarray, spec: SpectrumSpec) -> float:
-    """Modal dual norm ||f||_{H'} of one source snapshot."""
-    s = _dirichlet_symbol(spec)
-    return float(np.sqrt(np.sum((values / s) ** 2)))
-
-
 # ---------------------------------------------------------------------------
 # controlled solve with source
 # ---------------------------------------------------------------------------
@@ -280,12 +274,7 @@ def _control_norm_series(res: LRRunResult, times: np.ndarray) -> np.ndarray:
         inside = (times >= sig.t_start - 1e-12) & (times <= sig.t_end + 1e-12)
         if not np.any(inside):
             continue
-        vals = sig.value_at(times[inside])
-        vals = np.atleast_2d(vals)
-        if sig.row_gram is None:
-            sq = np.sum(vals**2, axis=1)
-        else:
-            sq = np.einsum("sr,rq,sq->s", vals, sig.row_gram, vals)
+        sq = sig._row_square(sig.value_at(times[inside]))
         out[inside] = np.sqrt(np.maximum(sq, 0.0))
     return out
 
@@ -457,7 +446,6 @@ def nonlinear_simulate(
     T: float,
     spec: SpectrumSpec,
     n_steps: int = 1000,
-    check_halving: bool = True,
 ) -> dict:
     """Exponential time differencing for the full nonlinear closed loop.
 
@@ -469,17 +457,15 @@ def nonlinear_simulate(
     if n_steps < math.ceil(1.0 / 1e-3):
         n_steps = 1000
     run = _etd_run(u0, controls, T, spec, n_steps)
-    if check_halving:
-        run2 = _etd_run(u0, controls, T, spec, 2 * n_steps)
-        # the end state may sit at the integrator's error floor, so halving
-        # convergence is measured against the problem scale ||u0||
-        scale = max(float(np.linalg.norm(u0)), run["final_norm"], run2["final_norm"], 1e-300)
-        if abs(run["final_norm"] - run2["final_norm"]) > 1e-6 * scale:
-            raise StepUnconverged(
-                f"final norms {run['final_norm']:.6e} vs {run2['final_norm']:.6e} under halving"
-            )
-        run = run2
-    return run
+    run2 = _etd_run(u0, controls, T, spec, 2 * n_steps)
+    # the end state may sit at the integrator's error floor, so halving
+    # convergence is measured against the problem scale ||u0||
+    scale = max(float(np.linalg.norm(u0)), run["final_norm"], run2["final_norm"], 1e-300)
+    if abs(run["final_norm"] - run2["final_norm"]) > 1e-6 * scale:
+        raise StepUnconverged(
+            f"final norms {run['final_norm']:.6e} vs {run2['final_norm']:.6e} under halving"
+        )
+    return run2
 
 
 def _etd_run(u0, controls, T, spec, n_steps):

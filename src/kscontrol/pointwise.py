@@ -27,10 +27,9 @@ from typing import Optional
 import mpmath as mp
 import numpy as np
 
-from .biorthogonal import K_BIO_MAX
+from .boundary_1d import _synthesize_1d
 from .errors import BelowMinimalTime, NoWitnessFound, RationalPoint
 from .modal import pointwise_gain_x
-from .moments import MomentSolver
 from .spectrum import SpectrumSpec, require_clear
 
 DEFAULT_K_MAX = 10_000
@@ -223,7 +222,6 @@ def synthesize_point_control(
     estimate: Optional[MinimalTimeReport] = None,
     shifted: bool = False,
     t_offset: float = 0.0,
-    n_samples: int = 512,
 ):
     """Pointwise control nulling modes k <= K_trunc for T above the gate.
 
@@ -241,27 +239,17 @@ def synthesize_point_control(
         raise BelowMinimalTime(
             f"T={T} <= (1+margin) T0_hat = {threshold:.6g}; minimal-time gate refuses synthesis"
         )
-    u0 = np.asarray(u0, dtype=float)
-    if K_trunc > K_BIO_MAX:
-        raise ValueError(f"K_trunc={K_trunc} exceeds K_bio_max={K_BIO_MAX}")
-    K_trunc = min(K_trunc, len(u0))
     x0 = estimate.x0_over_a * spec.a_float
-    rates_full = spec.slice_rates(j, len(u0)) if shifted else spec.x_rates(j, len(u0))
-    rates = rates_full[:K_trunc]
-    gains = pointwise_gain_x(spec, x0, K_trunc)
-    targets = -np.exp(rates * T) * u0[:K_trunc] / gains
-    sol = MomentSolver(rates, T).solve(targets)
-    from .boundary_1d import control_from_solution
-
-    control = control_from_solution(sol, "pointwise_1d", t_offset, x0=x0, n_samples=n_samples)
-    tail = float(np.sum(np.exp(2 * rates_full[K_trunc:] * T) * u0[K_trunc:] ** 2))
+    gains = pointwise_gain_x(spec, x0, len(u0))
+    control, sol, tail = _synthesize_1d(u0, T, spec, j, K_trunc, gains, "pointwise_1d",
+                                        shifted=shifted, t_offset=t_offset, x0=x0)
     report = PointSynthesisReport(
         control_norm=control.norm_l2(),
         moment_residual_max=sol.residual_max,
         tail_free_decay=tail,
         gram_condition=sol.family.gram_condition,
         c0=sol.c0,
-        K_trunc=K_trunc,
+        K_trunc=len(sol.targets),
         T0_hat=estimate.T0_hat,
         threshold=threshold,
     )

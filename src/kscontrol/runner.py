@@ -135,7 +135,7 @@ def _task_critical_set(sc: Scenario, seed, run_dir, manifest):
 
 
 def _task_biortho(sc: Scenario, seed, run_dir, manifest):
-    from .biorthogonal import build_family, family_norm
+    from .biorthogonal import build_family
 
     p = sc.params
     j = p.get("j", 1)
@@ -149,7 +149,7 @@ def _task_biortho(sc: Scenario, seed, run_dir, manifest):
     with open(os.path.join(run_dir, "family.json"), "w", encoding="utf-8") as fh:
         fh.write(fam.to_json())
     write_csv(os.path.join(run_dir, "norms.csv"), ["k", "exponent", "norm"],
-              [(k + 1, fam.exponents[k], family_norm(fam, k)) for k in range(K)])
+              [(k + 1, fam.exponents[k], fam.norm(k)) for k in range(K)])
     manifest["residual_max"] = fam.residual_max
     manifest["gram_condition"] = fam.gram_condition
     manifest["c0"] = shift

@@ -4,8 +4,10 @@ Synthesized controls are sums of exponentials (moment method) or Legendre
 polynomials (Gramian steering) per window.  Closed-loop verification
 integrates them against the modal flow in closed form, so the only numerical
 error downstream of a synthesis is the linear-algebra residual of the
-synthesis itself.  Sampled grids exist for export and for generic
-(piecewise-constant / piecewise-linear) controls; the declared quadrature is
+synthesis itself.  Analytic controls carry no sampled grid: their grid is
+just the segment endpoints, and a sampled view exists only when `resample`
+(and through it export) renders one.  Generic controls are sampled
+(piecewise-constant / piecewise-linear), and the declared quadrature is
 honored exactly by the integrator.
 
 Overflow discipline: every stored exponential carries its own reference time
@@ -77,19 +79,16 @@ def exp_sum_integral(lam, exps, refs, t0: float, t1: float):
     return np.where(small, series, main)
 
 
-def exp_pair_l2(exps, refs, coeffs, t0: float, t1: float) -> float:
-    """L2(t0, t1)^2 of sum_i c_i e^{b_i (t - r_i)} for scalar coefficients."""
+def _exp_gram_block(exps, refs, t0: float, t1: float) -> np.ndarray:
+    """Gram block int_{t0}^{t1} e^{b_i (t - r_i)} e^{b_m (t - r_m)} dt of the exponentials."""
     b = np.asarray(exps, dtype=float)
     r = np.asarray(refs, dtype=float)
-    c = np.asarray(coeffs, dtype=float)
     s = b[:, None] + b[None, :]
     g = -b[:, None] * r[:, None] - b[None, :] * r[None, :]
-    e1 = np.exp(s * t1 + g)
     e0 = np.exp(s * t0 + g)
     small = np.abs(s * (t1 - t0)) < 1e-8
     denom = np.where(small, 1.0, s)
-    block = np.where(small, np.exp(s * t0 + g) * (t1 - t0), (e1 - e0) / denom)
-    return float(c @ block @ c)
+    return np.where(small, e0 * (t1 - t0), (np.exp(s * t1 + g) - e0) / denom)
 
 
 def legendre_mode_integrals(lam, degree: int, delta: float):
@@ -152,35 +151,15 @@ class ExpSegment:
         return block @ self.coeffs
 
     def l2_squared(self, row_gram: Optional[np.ndarray] = None) -> float:
+        block = _exp_gram_block(self.exponents, self.refs, self.t0, self.t1)
         if self.coeffs.ndim == 1:
-            return exp_pair_l2(self.exponents, self.refs, self.coeffs, self.t0, self.t1)
+            return float(self.coeffs @ block @ self.coeffs)
+        gram = row_gram if row_gram is not None else np.eye(self.coeffs.shape[1])
         total = 0.0
-        n_rows = self.coeffs.shape[1]
-        gram = row_gram if row_gram is not None else np.eye(n_rows)
-        for i in range(n_rows):
-            for m in range(n_rows):
-                if gram[i, m] == 0.0:
-                    continue
-                # cross term int q_i q_m via the bilinear exponential integral
-                total += gram[i, m] * _exp_cross_l2(
-                    self.exponents, self.refs, self.coeffs[:, i], self.coeffs[:, m], self.t0, self.t1
-                )
+        for i, m in zip(*np.nonzero(gram)):
+            # cross term int q_i q_m
+            total += gram[i, m] * float(self.coeffs[:, i] @ block @ self.coeffs[:, m])
         return total
-
-
-def _exp_cross_l2(exps, refs, ci, cm, t0, t1) -> float:
-    b = np.asarray(exps, dtype=float)
-    r = np.asarray(refs, dtype=float)
-    s = b[:, None] + b[None, :]
-    g = -b[:, None] * r[:, None] - b[None, :] * r[None, :]
-    small = np.abs(s * (t1 - t0)) < 1e-8
-    denom = np.where(small, 1.0, s)
-    block = np.where(
-        small,
-        np.exp(s * t0 + g) * (t1 - t0),
-        (np.exp(s * t1 + g) - np.exp(s * t0 + g)) / denom,
-    )
-    return float(ci @ block @ cm)
 
 
 @dataclass
@@ -235,7 +214,7 @@ class LegendreSegment:
 
 @dataclass
 class ControlSignal:
-    """Time-sampled control with optional exact analytic payload.
+    """Time-sampled control, or an exact analytic one (see `from_segments`).
 
     ``kind`` is one of ``boundary_1d``, ``pointwise_1d``, ``boundary_nd``,
     ``pointwise_nd``.  ``grid`` is strictly increasing; for piecewise-constant
@@ -268,6 +247,19 @@ class ControlSignal:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("control values must be finite")
+
+    @classmethod
+    def from_segments(cls, kind: str, segments: list, **kw) -> "ControlSignal":
+        """Analytic control from consecutive segments.
+
+        The grid is just the segment endpoints, with the exact values there;
+        evolution and norms use the segments, and `resample` renders a
+        sampled view on demand.
+        """
+        grid = [segments[0].t0] + [seg.t1 for seg in segments]
+        values = [segments[0].value(grid[0])] + [seg.value(seg.t1) for seg in segments]
+        return cls(kind=kind, grid=grid, values=np.array(values), quadrature=PIECEWISE_LINEAR,
+                   segments=list(segments), **kw)
 
     @property
     def t_start(self) -> float:
@@ -356,18 +348,3 @@ def _interp_rows(t, grid, values):
     for r in range(values.shape[1]):
         out[:, r] = np.interp(t, grid, values[:, r])
     return out
-
-
-def sampled_from_segments(kind, segments, n: int = 2048, **kw) -> ControlSignal:
-    """Build a ControlSignal whose sampled view is an n-node rendering of
-    the exact analytic payload."""
-    t0 = segments[0].t0
-    t1 = segments[-1].t1
-    grid = np.linspace(t0, t1, n + 1)
-    sig = ControlSignal(
-        kind=kind, grid=grid, values=np.zeros((n + 1,)), quadrature=PIECEWISE_LINEAR,
-        segments=segments, **kw
-    )
-    vals = sig.value_at(grid)
-    sig.values = np.asarray(vals, dtype=float)
-    return sig

@@ -11,7 +11,6 @@ from kscontrol.biorthogonal import (
     BiorthogonalFamily,
     build_family,
     cost_fit,
-    family_norm,
     gram_matrix,
 )
 from kscontrol.errors import DuplicateRate
@@ -98,7 +97,7 @@ def test_biorthogonality_against_quadrature_oracle():
 
 def test_norm_single_exponent():
     fam = build_family([1.0], T=50.0)
-    assert family_norm(fam, 0) == pytest.approx(math.sqrt(2.0), abs=1e-10)
+    assert fam.norm(0) == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
 
 def test_norm_against_quadrature():
@@ -107,7 +106,7 @@ def test_norm_against_quadrature():
     fam = build_family(lam, T)
     for m in range(2):
         val, _ = quad(lambda t: fam.evaluate(m, t) ** 2, 0.0, T, limit=200)
-        assert math.sqrt(val) == pytest.approx(family_norm(fam, m), abs=1e-8)
+        assert math.sqrt(val) == pytest.approx(fam.norm(m), abs=1e-8)
 
 
 def test_norm_invariant_under_reordering():
@@ -117,7 +116,7 @@ def test_norm_invariant_under_reordering():
     perm = [2, 0, 1]
     fam_p = build_family(lam[perm], T)
     for m_new, m_old in enumerate(perm):
-        assert family_norm(fam_p, m_new) == pytest.approx(family_norm(fam, m_old), rel=1e-10)
+        assert fam_p.norm(m_new) == pytest.approx(fam.norm(m_old), rel=1e-10)
 
 
 def test_norms_grow_with_mode_and_quartic_fit():
@@ -128,7 +127,7 @@ def test_norms_grow_with_mode_and_quartic_fit():
     lam = np.array([float(k**4) for k in range(1, 11)])
     T = 0.5
     fam = build_family(lam, T)
-    norms = np.array([family_norm(fam, m) for m in range(10)])
+    norms = np.array([fam.norm(m) for m in range(10)])
     assert np.all(np.diff(norms[:-2]) > 0)
     slope = np.polyfit(lam**0.25, np.log(norms), 1)[0]
     assert slope > 0
@@ -140,7 +139,7 @@ def test_minimality_appending_exponent_never_decreases_norms():
     small = build_family(lam, T)
     big = build_family(lam + [256.0], T)
     for m in range(3):
-        assert family_norm(big, m) >= family_norm(small, m) - 1e-12
+        assert big.norm(m) >= small.norm(m) - 1e-12
 
 
 def test_scale_covariance():
@@ -153,8 +152,8 @@ def test_scale_covariance():
     G_s = gram_matrix(s * lam, T / s)
     assert np.allclose(G_s, G / s, rtol=1e-14)
     for m in range(3):
-        assert family_norm(fam_s, m) ** 2 == pytest.approx(
-            s * family_norm(fam, m) ** 2, rel=1e-10
+        assert fam_s.norm(m) ** 2 == pytest.approx(
+            s * fam.norm(m) ** 2, rel=1e-10
         )
 
 

@@ -14,7 +14,7 @@ from kscontrol.boundary_1d import (
 )
 from kscontrol.errors import CriticalParameter, NotCritical
 from kscontrol.modal import evolve_free, state_1d
-from kscontrol.moments import MomentSolver, solve_moments
+from kscontrol.moments import MomentSolver
 from kscontrol.spectrum import Box, SpectrumSpec
 
 
@@ -29,7 +29,7 @@ def spec_box_pi(nu, K_x=16, J_y=4):
 def test_moment_solution_matches_quadrature():
     rates = np.array([-1.0, -16.0, -81.0])
     targets = np.array([0.4, -0.2, 0.05])
-    sol = solve_moments(rates, targets, T=0.8)
+    sol = MomentSolver(rates, 0.8).solve(targets)
     assert sol.residual_max <= 1e-10
     for k in range(3):
         val, _ = quad(lambda t: math.exp(rates[k] * t) * sol.value(t), 0.0, 0.8, limit=300)
@@ -40,7 +40,7 @@ def test_moment_solver_with_unstable_rates_shift():
     # rates with a positive member exercise the c0 positivity shift
     rates = np.array([3.5, -4.0, -49.5])  # a=pi, nu=6.5, mu=1 family
     targets = np.array([0.1, 0.2, -0.3])
-    sol = solve_moments(rates, targets, T=0.5)
+    sol = MomentSolver(rates, 0.5).solve(targets)
     assert sol.c0 == pytest.approx(4.5)
     assert sol.residual_max <= 1e-9
     for k in range(3):
@@ -141,6 +141,19 @@ def test_free_decay_pattern_zero_control():
     lam2 = spec.x_eigenvalue(2, 1)
     assert end.coeffs[1] == pytest.approx(2.0 * math.exp(lam2 * 0.5), rel=1e-13)
     assert np.count_nonzero(end.coeffs) == 1
+
+
+def test_non_finite_data_is_refused():
+    # NaN must not come back as a certified control (NaN > tol is False)
+    spec = spec_box_pi(nu=0)
+    targets = np.zeros(8)
+    targets[0] = math.nan
+    with pytest.raises(ValueError):
+        MomentSolver(spec.x_rates(1, 8), 1.0).solve(targets)
+    u0 = np.zeros(16)
+    u0[0] = math.nan
+    with pytest.raises(ValueError):
+        synthesize_boundary_control(u0, 1.0, spec, 1, K_trunc=8)
 
 
 def test_corrupted_control_detected():

@@ -150,6 +150,15 @@ def test_zero_control_reduces_to_free():
     assert np.allclose(v.coeffs, w.coeffs, rtol=1e-14)
 
 
+def test_control_signal_rejects_non_finite_values():
+    with pytest.raises(ValueError):
+        ControlSignal(kind="boundary_1d", grid=np.array([0.0, 0.5]), values=np.array([np.nan]))
+    seg = ExpSegment(t0=0.0, t1=0.5, exponents=np.array([-1.0, -2.0]),
+                     refs=np.zeros(2), coeffs=np.array([1.0, np.nan]))
+    with pytest.raises(ValueError):
+        ControlSignal.from_segments("boundary_1d", [seg])
+
+
 def test_constant_boundary_control_duhamel_closed_form():
     # single retained mode: v_k(T) = e^{lam T} v0 + g c (e^{lam T} - 1)/lam
     spec = spec_1d(K_x=1, mu=1.0)

@@ -267,7 +267,7 @@ def test_simulate_step_halving_self_consistency():
     c = np.zeros((8, 8))
     c[0, 0] = 1e-3
     res = run_lr(c, 1.0, spec, BoundaryGamma(None), beta=4)
-    sim = nonlinear_simulate(c, res.controls, 1.0, spec, n_steps=1000, check_halving=True)
+    sim = nonlinear_simulate(c, res.controls, 1.0, spec, n_steps=1000)
     assert sim["final_rel_norm"] <= 1e-5
 
 

@@ -185,13 +185,13 @@ def test_final_norm_invariant_under_output_resampling(est_sqrt2):
     spec = spec_box_pi()
     u0 = np.zeros(16)
     u0[:3] = [1.0, -0.5, 0.2]
+    control, _ = synthesize_point_control(
+        u0, 0.5, SQRT2_MINUS_1, spec, 1, K_trunc=8, estimate=est_sqrt2
+    )
     finals = []
     for n in (128, 1024):
-        control, _ = synthesize_point_control(
-            u0, 0.5, SQRT2_MINUS_1, spec, 1, K_trunc=8, estimate=est_sqrt2, n_samples=n
-        )
         state = state_1d(spec, 1, coeffs=u0)
-        end = evolve_pointwise_controlled(state, control, (0.0, 0.5))
+        end = evolve_pointwise_controlled(state, control.resample(n), (0.0, 0.5))
         finals.append(np.linalg.norm(end.coeffs[:8]))
     assert abs(finals[0] - finals[1]) <= 1e-10
 
