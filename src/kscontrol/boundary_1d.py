@@ -41,6 +41,8 @@ from .moments import MomentSolver
 from .signals import ControlSignal
 from .spectrum import SpectrumSpec, critical_set_check, require_clear
 
+DEFAULT_K_TRUNC = 8
+
 
 def moment_targets(u0: np.ndarray, T: float, spec: SpectrumSpec, j: int,
                    shifted: bool = False) -> np.ndarray:
@@ -77,7 +79,7 @@ def synthesize_boundary_control(
     T: float,
     spec: SpectrumSpec,
     j: int,
-    K_trunc: int = 8,
+    K_trunc: int = DEFAULT_K_TRUNC,
     shifted: bool = False,
     t_offset: float = 0.0,
     solver: Optional[MomentSolver] = None,
@@ -177,7 +179,7 @@ def cost_scan(
     spec: SpectrumSpec,
     j_list: Sequence[int],
     T_list: Sequence[float],
-    K_trunc: int = 8,
+    K_trunc: int = DEFAULT_K_TRUNC,
 ) -> dict:
     """Worst-case-over-basis control cost table with shape diagnostics.
 

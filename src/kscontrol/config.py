@@ -2,33 +2,35 @@
 
 One scenario per JSON file, sections mirroring module names.  Lengths accept
 pi-literals ("pi", "pi/2", "2*pi"), nu accepts rationals as strings ("7/1",
-"6.5").  Unknown fields are rejected with their dotted path; value errors
-carry the same diagnostics.
+"6.5").  Every field of the domain and of each task section is declared
+once in ``_FIELDS``: a check that turns the raw value into the object the
+runner uses, and the default (``REQUIRED`` when there is none; a null value
+counts as unset).  Unknown fields and invalid values raise ConfigError with
+their dotted path.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass, field
 
+import mpmath as mp
+import numpy as np
+from mpmath.libmp import NoConvergence
+
+from .biorthogonal import K_BIO_MAX
+from .boundary_1d import DEFAULT_K_TRUNC
 from .errors import ConfigError
-from .exact import parse_length
-from .pointwise import LIOUVILLE_RULES, PointSpec
-from .spectrum import Box, External, SpectrumSpec, load_external_eigenvalues
+from .exact import parse_length, parse_rational
+from .lebeau_robbiano import DEFAULT_RHO, BoundaryGamma, InternalPoint, omega_axes
+from .nonlinear import DEFAULT_C_COST, DEFAULT_MAX_ITER, DEFAULT_Q, DEFAULT_SIM_STEPS, WeightPair
+from .pointwise import DEFAULT_K_MAX, DEFAULT_MARGIN, LIOUVILLE_RULES, PointSpec
+from .spectrum import DEFAULT_CRIT_TOL, DEFAULT_J_Y, DEFAULT_K_X, Box, External, SpectrumSpec
+from .spectrum import critical_set_check, load_external_eigenvalues
 
-TASKS = (
-    "spectrum",
-    "critical-set",
-    "biortho",
-    "control-1d",
-    "control-point",
-    "minimal-time",
-    "control-nd",
-    "nonlinear",
-    "simulate",
-)
-
-_TASK_SECTION = {t: t.replace("-", "_") for t in TASKS}
+REQUIRED = object()
 
 
 @dataclass
@@ -52,160 +54,230 @@ def _known_keys(d, allowed, path):
             raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
 
 
-def _get_number(d, key, path, default=None, positive=False, integer=False):
-    if key not in d:
-        if default is None and not isinstance(default, (int, float)):
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    v = d[key]
-    if integer:
-        _require(isinstance(v, int) and not isinstance(v, bool), f"{path}.{key}", "must be an integer")
-    else:
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool), f"{path}.{key}",
-                 "must be a number")
-    if positive:
-        _require(v > 0, f"{path}.{key}", "must be positive")
-    return v
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _parse_domain(d: dict) -> SpectrumSpec:
-    _require(isinstance(d, dict), "domain", "must be an object")
-    _known_keys(d, {"a", "nu", "cross_section", "K_x", "J_y", "crit_tol"}, "domain")
-    _require("a" in d, "domain.a", "missing required field")
-    _require("nu" in d, "domain.nu", "missing required field")
-    _require("cross_section" in d, "domain.cross_section", "missing required field")
-    a = d["a"]
-    if isinstance(a, str):
-        _require(parse_length(a) is not None, "domain.a", f"cannot parse length literal {a!r}")
-    cs_raw = d["cross_section"]
-    _require(isinstance(cs_raw, dict), "domain.cross_section", "must be an object")
-    _known_keys(cs_raw, {"box", "external", "external_file"}, "domain.cross_section")
-    _require(len(cs_raw) == 1, "domain.cross_section", "exactly one of box/external/external_file")
-    if "box" in cs_raw:
-        dims = cs_raw["box"]
-        _require(isinstance(dims, list) and dims, "domain.cross_section.box",
-                 "must be a nonempty list of lengths")
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# ---------------------------------------------------------------------------
+# field checks: check(value, path, spec, params) -> resolved value.  ``spec``
+# is the parsed domain (None while parsing the domain itself) and ``params``
+# holds the fields of the same section resolved so far.
+# ---------------------------------------------------------------------------
+
+def _integer(lo=1, hi=None):
+    """Integer in [lo, hi]; ``hi`` may be a function of the spec."""
+    def check(v, path, spec, params):
+        top = hi(spec) if callable(hi) else hi
+        _require(_is_int(v) and lo <= v <= (math.inf if top is None else top), path,
+                 f"must be an integer >= {lo}" + ("" if top is None else f" and <= {top}"))
+        return v
+    return check
+
+
+def _number(lo=-math.inf, open_lo=False):
+    """Finite number >= lo (> lo when ``open_lo``)."""
+    def check(v, path, spec, params):
+        _require(_is_number(v), path, "must be a finite number")
+        _require(v > lo or v == lo and not open_lo, path, f"must be {'>' if open_lo else '>='} {lo}")
+        return v
+    return check
+
+
+_positive = _number(0.0, open_lo=True)
+
+
+def _literal(parse, what, positive=False):
+    """A finite number (positive when asked) or a string that ``parse`` accepts."""
+    def check(v, path, spec, params):
         try:
-            cs = Box(dims)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError("domain.cross_section.box", str(exc))
-    elif "external" in cs_raw:
-        try:
-            cs = External(cs_raw["external"])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError("domain.cross_section.external", str(exc))
-    else:
-        try:
-            cs = load_external_eigenvalues(cs_raw["external_file"])
-        except (OSError, ValueError) as exc:
-            raise ConfigError("domain.cross_section.external_file", str(exc))
+            ok = (_is_number(v) and (v > 0 or not positive)
+                  or isinstance(v, str) and parse(v) is not None)
+        except (ValueError, ZeroDivisionError):
+            ok = False
+        _require(ok, path, f"expected {what}, got {v!r}")
+        return v
+    return check
+
+
+_CROSS_SECTIONS = {"box": Box, "external": External, "external_file": load_external_eigenvalues}
+
+
+def _cross_section(v, path, spec, params):
+    _require(isinstance(v, dict) and len(v) == 1, path, "exactly one of box/external/external_file")
+    _known_keys(v, _CROSS_SECTIONS, path)
+    kind, arg = next(iter(v.items()))
     try:
-        return SpectrumSpec(
-            a=a,
-            nu=d["nu"],
-            cross_section=cs,
-            K_x=_get_number(d, "K_x", "domain", default=32, positive=True, integer=True),
-            J_y=_get_number(d, "J_y", "domain", default=64, positive=True, integer=True),
-            crit_tol=_get_number(d, "crit_tol", "domain", default=1e-9, positive=True),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("domain", str(exc))
+        return _CROSS_SECTIONS[kind](arg)
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}.{kind}", str(exc))
 
 
-def parse_point(d, path) -> PointSpec:
+def _modes(v, path, spec, params):
+    """Dense initial data: {"k": value} on the section's slice j, else {"k,j": value}."""
+    _require(isinstance(v, dict) and v, path, "must be a nonempty object of mode: value")
+    nd = params.get("j") is None
+    u0 = np.zeros((spec.K_x, spec.J_y) if nd else spec.K_x)
+    for key, val in v.items():
+        sub = f"{path}.{key}"
+        _require(_is_number(val), sub, "mode value must be a finite number")
+        parts = str(key).split(",")
+        _require(len(parts) == u0.ndim, sub, f"mode keys are {'k,j' if nd else 'k'}")
+        try:
+            idx = tuple(int(s) for s in parts)
+        except ValueError:
+            raise ConfigError(sub, "mode indices must be integers")
+        _require(min(idx) >= 1, sub, "mode indices are 1-based")
+        _require(all(i <= n for i, n in zip(idx, u0.shape)), sub,
+                 f"mode {key} beyond truncation {u0.shape}")
+        u0[tuple(i - 1 for i in idx)] = val
+    return u0
+
+
+# point kind -> its optional integer fields and their lower bounds
+_POINT_KINDS = {"rational": {}, "real": {}, "algebraic": {"root_index": 0}, "liouville": {"depth": 1}}
+
+
+def parse_point(d, path, spec=None, params=None) -> PointSpec:
+    """PointSpec for x0/a, evaluated once so that an unusable ratio fails here."""
     _require(isinstance(d, dict), path, "must be an object")
-    _known_keys(d, {"rational", "real", "algebraic", "root_index", "liouville", "depth", "k_max"},
-                path)
-    k_max = _get_number(d, "k_max", path, default=10_000, positive=True, integer=True)
-    kinds = [k for k in ("rational", "real", "algebraic", "liouville") if k in d]
+    kinds = [k for k in _POINT_KINDS if k in d]
     _require(len(kinds) == 1, path, "exactly one of rational/real/algebraic/liouville")
     kind = kinds[0]
+    _known_keys(d, {kind, *_POINT_KINDS[kind]}, path)
+    v, sub = d[kind], f"{path}.{kind}"
+    opts = {k: _integer(lo)(d[k], f"{path}.{k}", spec, params)
+            for k, lo in _POINT_KINDS[kind].items() if k in d}
     if kind == "rational":
-        parts = str(d["rational"]).split("/")
-        _require(len(parts) == 2, f"{path}.rational", "expected p/q")
-        return PointSpec.rational(int(parts[0]), int(parts[1]), k_max)
-    if kind == "real":
-        return PointSpec.real(d["real"], k_max)
-    if kind == "algebraic":
-        coeffs = d["algebraic"]
-        _require(isinstance(coeffs, list) and len(coeffs) >= 2, f"{path}.algebraic",
+        try:
+            num, den = (int(s) for s in str(v).split("/"))
+            point = PointSpec.rational(num, den)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(sub, f"expected 'p/q' with integers p and q != 0, got {v!r}")
+    elif kind == "real":
+        point = PointSpec.real(v)
+    elif kind == "algebraic":
+        _require(isinstance(v, list) and len(v) >= 2 and all(map(_is_int, v)), sub,
                  "integer polynomial coefficients, highest degree first")
-        return PointSpec.algebraic(coeffs, int(d.get("root_index", 0)), k_max)
-    rule = d["liouville"]
-    _require(rule in LIOUVILLE_RULES, f"{path}.liouville",
-             f"unknown rule; available: {sorted(LIOUVILLE_RULES)}")
-    return PointSpec.liouville(rule, int(d.get("depth", 6)), k_max)
+        point = PointSpec.algebraic(v, **opts)
+        sub = f"{path}.root_index" if opts else sub
+    else:
+        _require(isinstance(v, str) and v in LIOUVILLE_RULES, sub,
+                 f"unknown rule; available: {sorted(LIOUVILLE_RULES)}")
+        point = PointSpec.liouville(v, **opts)
+    try:
+        with mp.workdps(point.dps + 20):
+            point.value()
+    except (ValueError, ArithmeticError, NoConvergence) as exc:
+        raise ConfigError(sub, str(exc))
+    return point
 
 
-def parse_u0_modes(d, path, nd: bool):
-    _require(isinstance(d, dict) and d, path, "must be a nonempty object of mode: value")
-    out = {}
-    for key, val in d.items():
-        _require(isinstance(val, (int, float)), f"{path}.{key}", "mode value must be a number")
-        if nd:
-            parts = str(key).split(",")
-            _require(len(parts) == 2, f"{path}.{key}", "N-D mode keys are 'k,j'")
-            try:
-                k, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ConfigError(f"{path}.{key}", "mode indices must be integers")
-            _require(k >= 1 and j >= 1, f"{path}.{key}", "mode indices are 1-based")
-            out[(k, j)] = float(val)
-        else:
-            try:
-                k = int(key)
-            except ValueError:
-                raise ConfigError(f"{path}.{key}", "mode index must be an integer")
-            _require(k >= 1, f"{path}.{key}", "mode indices are 1-based")
-            out[k] = float(val)
-    return out
-
-
-def _parse_geometry(d, path):
-    _require(isinstance(d, dict), path, "must be an object")
-    _known_keys(d, {"boundary", "internal"}, path)
-    _require(len(d) == 1, path, "exactly one of boundary/internal")
-    if "boundary" in d:
-        g = d["boundary"] if isinstance(d["boundary"], dict) else {}
-        _known_keys(g, {"omega"}, f"{path}.boundary")
-        return {"kind": "boundary", "omega": _parse_omega(g.get("omega"), f"{path}.boundary.omega")}
-    g = d["internal"]
-    _require(isinstance(g, dict), f"{path}.internal", "must be an object")
-    _known_keys(g, {"point", "omega"}, f"{path}.internal")
-    _require("point" in g, f"{path}.internal.point", "missing required field")
-    return {
-        "kind": "internal",
-        "point": parse_point(g["point"], f"{path}.internal.point"),
-        "omega": _parse_omega(g.get("omega"), f"{path}.internal.omega"),
-    }
-
-
-def _parse_omega(v, path):
+def _omega(v, path, spec):
+    """[lo, hi] on a 1-D cross-section, one [lo, hi] per axis otherwise; null = all of it."""
     if v is None:
         return None
-    _require(isinstance(v, list) and len(v) == 2, path, "omega is [lo, hi] or null")
-    if all(isinstance(x, (int, float)) for x in v):
-        return (float(v[0]), float(v[1]))
-    # per-axis intervals for 2-D cross-sections
-    out = []
-    for i, iv in enumerate(v):
-        _require(isinstance(iv, list) and len(iv) == 2, f"{path}[{i}]", "interval is [lo, hi]")
-        out.append((float(iv[0]), float(iv[1])))
-    return tuple(out)
+    _require(isinstance(v, list) and v, path, "omega is [lo, hi], per-axis [[lo, hi], ...] or null")
+    flat = not isinstance(v[0], list)
+    for i, iv in enumerate([v] if flat else v):
+        _require(isinstance(iv, list) and len(iv) == 2 and all(map(_is_number, iv)),
+                 path if flat else f"{path}[{i}]", "interval is [lo, hi] with finite numbers")
+    omega = (float(v[0]), float(v[1])) if flat else tuple((float(c), float(d)) for c, d in v)
+    try:
+        omega_axes(spec, omega)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc))
+    return omega
 
 
-_SECTION_FIELDS = {
-    "spectrum": set(),
-    "critical_set": {"search_bound"},
-    "biortho": {"j", "K", "T"},
-    "control_1d": {"j", "T", "K_trunc", "u0_modes"},
-    "control_point": {"j", "T", "K_trunc", "u0_modes", "point", "margin"},
-    "minimal_time": {"point", "k_max"},
-    "control_nd": {"T", "rho", "beta", "geometry", "u0_modes"},
-    "nonlinear": {"T", "u0_modes", "q_w", "p", "C_cost", "tol", "max_iter", "sim_steps",
-                  "rho", "beta", "r_guess", "geometry"},
-    "simulate": {"T", "u0_modes", "random_modes", "n_samples", "j"},
+def _geometry(v, path, spec, params):
+    """BoundaryGamma or InternalPoint from {"boundary": {...}} / {"internal": {...}}."""
+    _require(isinstance(v, dict) and len(v) == 1, path, "exactly one of boundary/internal")
+    _known_keys(v, {"boundary", "internal"}, path)
+    kind, g = next(iter(v.items()))
+    g = {} if g is None else g
+    _require(isinstance(g, dict), f"{path}.{kind}", "must be an object")
+    _known_keys(g, {"omega"} if kind == "boundary" else {"point", "omega"}, f"{path}.{kind}")
+    omega = _omega(g.get("omega"), f"{path}.{kind}.omega", spec)
+    if kind == "boundary":
+        return BoundaryGamma(omega=omega)
+    _require("point" in g, f"{path}.internal.point", "missing required field")
+    return InternalPoint(point=parse_point(g["point"], f"{path}.internal.point"), omega=omega)
+
+
+_J = (_integer(1, lambda spec: spec.J_y), 1)
+_SLICE_CONTROL = {
+    "j": _J,
+    "T": (_positive, REQUIRED),
+    "K_trunc": (_integer(1, K_BIO_MAX), DEFAULT_K_TRUNC),
+    "u0_modes": (_modes, REQUIRED),
 }
+_SPLITTING = {
+    "T": (_positive, REQUIRED),
+    "u0_modes": (_modes, REQUIRED),
+    "rho": (_number(), DEFAULT_RHO),
+    "beta": (_integer(), None),
+    "geometry": (_geometry, BoundaryGamma()),
+}
+# One table per section; after "domain", the sections in task order.
+_FIELDS = {
+    "domain": {
+        "a": (_literal(parse_length, "a positive length or length literal", True), REQUIRED),
+        "nu": (_literal(parse_rational, "a finite number or rational literal"), REQUIRED),
+        "cross_section": (_cross_section, REQUIRED),
+        "K_x": (_integer(), DEFAULT_K_X),
+        "J_y": (_integer(), DEFAULT_J_Y),
+        "crit_tol": (_positive, DEFAULT_CRIT_TOL),
+    },
+    "spectrum": {},
+    "critical_set": {"search_bound": (_integer(), None)},
+    "biortho": {"j": _J, "K": (_integer(1, K_BIO_MAX), 10), "T": (_positive, 0.5)},
+    "control_1d": _SLICE_CONTROL,
+    "control_point": {
+        **_SLICE_CONTROL,
+        "point": (parse_point, REQUIRED),
+        "margin": (_number(0.0), DEFAULT_MARGIN),
+    },
+    "minimal_time": {"point": (parse_point, REQUIRED), "k_max": (_integer(), DEFAULT_K_MAX)},
+    "control_nd": _SPLITTING,
+    "nonlinear": {
+        **_SPLITTING,
+        "q_w": (_number(), DEFAULT_Q),
+        "p": (_number(), None),
+        "C_cost": (_number(), DEFAULT_C_COST),
+        "tol": (_positive, 1e-6),
+        "max_iter": (_integer(), DEFAULT_MAX_ITER),
+        "sim_steps": (_integer(), DEFAULT_SIM_STEPS),
+        "r_guess": (_positive, None),
+    },
+    "simulate": {
+        "j": (_J[0], None),  # unset: the run is on the cylinder
+        "T": (_positive, 1.0),
+        "u0_modes": (_modes, None),
+        "random_modes": (_integer(), 4),
+        "n_samples": (_integer(2), 129),
+    },
+}
+TASKS = tuple(section.replace("_", "-") for section in list(_FIELDS)[1:])
+
+
+def _resolve(section: str, raw, spec) -> dict:
+    """Every field of ``section``: checked when given, defaulted when not."""
+    _require(isinstance(raw, dict), section, "must be an object")
+    table = _FIELDS[section]
+    _known_keys(raw, table, section)
+    params = {}
+    for name, (check, default) in table.items():
+        path = f"{section}.{name}"
+        if raw.get(name) is not None:
+            params[name] = check(raw[name], path, spec, params)
+        else:
+            _require(default is not REQUIRED, path, "missing required field")
+            params[name] = default
+    return params
 
 
 def parse_config(path) -> Scenario:
@@ -224,44 +296,31 @@ def parse_config_dict(raw: dict) -> Scenario:
     _require(isinstance(raw, dict), "<root>", "top level must be an object")
     task = raw.get("task")
     _require(task in TASKS, "task", f"must be one of {TASKS}")
-    section = _TASK_SECTION[task]
-    allowed_top = {"task", "seed", "domain", "output", section}
-    _known_keys(raw, allowed_top, "")
+    section = task.replace("-", "_")
+    _known_keys(raw, {"task", "seed", "domain", "output", section}, "")
     _require("domain" in raw, "domain", "missing required section")
-    spec = _parse_domain(raw["domain"])
-    seed = _get_number(raw, "seed", "", default=0, integer=True)
+    try:
+        spec = SpectrumSpec(**_resolve("domain", raw["domain"], None))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError("domain", str(exc))
+    seed = raw.get("seed", 0)
+    _require(_is_int(seed), "seed", "must be an integer")
 
     out = raw.get("output", {})
     _require(isinstance(out, dict), "output", "must be an object")
     _known_keys(out, {"dir"}, "output")
     output_dir = out.get("dir", "runs")
+    _require(isinstance(output_dir, str) and output_dir, "output.dir", "must be a nonempty string")
 
-    sect = raw.get(section, {})
-    _require(isinstance(sect, dict), section, "must be an object")
-    _known_keys(sect, _SECTION_FIELDS[section], section)
-    params = _normalize_params(task, section, sect, spec)
-
+    params = _resolve(section, raw.get(section, {}), spec)
+    if task == "nonlinear":  # q_w, p and C_cost become the one WeightPair the task uses
+        try:
+            weights = {k: params.pop(k) for k in ("p", "q_w", "C_cost")}
+            params["weights"] = WeightPair(T=params["T"], **weights)
+        except ValueError as exc:  # WeightPair's messages start with the field name
+            raise ConfigError(f"{section}.{re.match(r'[A-Za-z_]+', str(exc))[0]}", str(exc))
     # surface exact criticality for control tasks at parse time
     if task.startswith("control") or task == "nonlinear":
-        from .spectrum import critical_set_check
-
-        verdict = critical_set_check(spec)
-        params["critical_verdict"] = verdict.kind
-    return Scenario(task=task, spec=spec, params=params, seed=int(seed),
+        params["critical_verdict"] = critical_set_check(spec).kind
+    return Scenario(task=task, spec=spec, params=params, seed=seed,
                     output_dir=output_dir, raw=raw)
-
-
-def _normalize_params(task, section, sect, spec) -> dict:
-    p = dict(sect)
-    nd = task in ("control-nd", "nonlinear") or (task == "simulate" and "j" not in sect)
-    if "u0_modes" in p:
-        p["u0_modes"] = parse_u0_modes(p["u0_modes"], f"{section}.u0_modes", nd)
-    if "point" in p:
-        p["point"] = parse_point(p["point"], f"{section}.point")
-    if "geometry" in p:
-        p["geometry"] = _parse_geometry(p["geometry"], f"{section}.geometry")
-    for key in ("T",):
-        if key in p:
-            _require(isinstance(p[key], (int, float)) and p[key] > 0, f"{section}.{key}",
-                     "must be a positive number")
-    return p

@@ -123,12 +123,3 @@ def parse_length(value) -> ExactLength | None:
     except (ValueError, ZeroDivisionError):
         return None
 
-
-def length_to_float(value) -> float:
-    """Float value of a length literal (exact or not)."""
-    if isinstance(value, (int, float)):
-        return float(value)
-    exact = parse_length(value)
-    if exact is None:
-        return float(value)
-    return float(exact)

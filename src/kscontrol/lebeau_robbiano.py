@@ -54,6 +54,7 @@ from .signals import ControlSignal, ExpSegment, LegendreSegment, legendre_mode_i
 from .spectrum import K0_index, SpectrumSpec, require_clear
 
 PROJECTION_KILL_TOL = 1e-8
+DEFAULT_RHO = 0.5
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,6 @@ class LRSchedule:
     windows: list
     coast_start: float
     realized_fraction: float
-
-    @property
-    def K_windows(self) -> int:
-        return len(self.windows)
 
 
 def build_schedule(T: float, rho: float, beta: int, spec: SpectrumSpec) -> LRSchedule:
@@ -146,18 +143,13 @@ def _axis_overlap(m: int, mp_: int, c: float, d: float, b: float) -> float:
     return (S(wm) - S(wp)) / b
 
 
-def mass_matrix(spec: SpectrumSpec, omega: Optional[tuple], rows: int) -> np.ndarray:
-    """M[l, j] = <psi_l, psi_j>_{L2(omega)} for row modes l <= rows.
+def omega_axes(spec: SpectrumSpec, omega: tuple) -> list:
+    """Per-axis (c, d, b): omega's interval (c, d) on the box side of length b.
 
-    ``omega`` is an interval (c, d) for a 1-D cross-section or a tuple of
-    per-axis intervals for a 2-D one; None means the full cross-section
-    (identity overlaps).
-    """
-    J = spec.J_y
-    if omega is None:
-        return np.eye(rows, J)
+    ``omega`` is (c, d) on a 1-D cross-section, else one (c, d) per axis;
+    ValueError unless each interval lies in its side."""
     if spec.mu_tuples is None:
-        raise ValueError("mass matrices on omega need a Box cross-section")
+        raise ValueError("a control region omega needs a Box cross-section")
     from .spectrum import _dim_float
 
     bvals = [_dim_float(b) for b in spec.cross_section.dims]
@@ -170,13 +162,25 @@ def mass_matrix(spec: SpectrumSpec, omega: Optional[tuple], rows: int) -> np.nda
     for (c, d), b in zip(intervals, bvals):
         if not 0.0 <= c < d <= b + 1e-12:
             raise ValueError(f"omega interval ({c}, {d}) outside (0, {b})")
+    return [(c, d, b) for (c, d), b in zip(intervals, bvals)]
+
+
+def mass_matrix(spec: SpectrumSpec, omega: Optional[tuple], rows: int) -> np.ndarray:
+    """M[l, j] = <psi_l, psi_j>_{L2(omega)} for row modes l <= rows.
+
+    ``omega`` as in `omega_axes`; None means the full cross-section (identity overlaps).
+    """
+    J = spec.J_y
+    if omega is None:
+        return np.eye(rows, J)
+    axes = omega_axes(spec, omega)
     M = np.empty((rows, J))
     for l in range(rows):
         tup_l = spec.mu_tuples[l]
         for j in range(J):
             tup_j = spec.mu_tuples[j]
             val = 1.0
-            for axis, ((c, d), b) in enumerate(zip(intervals, bvals)):
+            for axis, (c, d, b) in enumerate(axes):
                 val *= _axis_overlap(tup_l[axis], tup_j[axis], c, d, b)
             M[l, j] = val
     return M
@@ -412,7 +416,7 @@ def run_lr(
     T: float,
     spec: SpectrumSpec,
     geometry,
-    rho: float = 0.5,
+    rho: float = DEFAULT_RHO,
     beta: Optional[int] = None,
     source: Optional[ModalSource] = None,
     margin: float = DEFAULT_MARGIN,

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NoContraction, StepUnconverged, WeightUnderflow
-from .lebeau_robbiano import BoundaryGamma, LRRunResult, run_lr
+from .lebeau_robbiano import DEFAULT_RHO, BoundaryGamma, LRRunResult, run_lr
 from .modal import ModalSource, Trace, evolve_controlled, nonlinear_rhs, state_nd
 from .spectrum import SpectrumSpec, require_clear
 
@@ -37,6 +37,8 @@ VALUE_FLOOR = 1e-200
 EVAL_FLOOR = 1e-30
 DEFAULT_Q = 1.2
 DEFAULT_C_COST = 0.5
+DEFAULT_MAX_ITER = 12
+DEFAULT_SIM_STEPS = 1000
 
 
 def default_p(q_w: float = DEFAULT_Q, headroom: float = 0.2) -> float:
@@ -46,20 +48,24 @@ def default_p(q_w: float = DEFAULT_Q, headroom: float = 0.2) -> float:
 
 @dataclass
 class WeightPair:
-    """Vanishing weights of the source-term scheme on [0, T]."""
+    """Vanishing weights on [0, T]; ``p=None`` takes `default_p` of ``q_w``.
+
+    Each ValueError message starts with the name of the field it rejects."""
 
     T: float
-    p: float = field(default_factory=default_p)
+    p: Optional[float] = None
     q_w: float = DEFAULT_Q
     C_cost: float = DEFAULT_C_COST
 
     def __post_init__(self):
         if not 1.0 < self.q_w < math.sqrt(2.0):
             raise ValueError(f"q_w={self.q_w} outside (1, sqrt(2))")
+        if self.p is None:
+            self.p = default_p(self.q_w)
         threshold = self.q_w**2 / (2.0 - self.q_w**2)
         if not self.p > threshold:
             raise ValueError(f"p={self.p} must exceed q^2/(2-q^2) = {threshold:.4g}")
-        if self.C_cost <= 0:
+        if not self.C_cost > 0:
             raise ValueError("C_cost must be positive")
 
     def rho0(self, t):
@@ -83,7 +89,7 @@ class WeightPair:
 
 
 def fit_cost_constant(spec: SpectrumSpec, geometry=None, T_grid=(0.25, 0.5, 1.0),
-                      rho: float = 0.5, beta: Optional[int] = None) -> dict:
+                      rho: float = DEFAULT_RHO, beta: Optional[int] = None) -> dict:
     """Fit log total control norm ~ C / T over frequency-splitting runs.
 
     Worst case over the first few basis modes; the slope is the empirical
@@ -237,7 +243,7 @@ def controlled_solve_with_source(
     T: float,
     spec: SpectrumSpec,
     geometry=None,
-    rho: float = 0.5,
+    rho: float = DEFAULT_RHO,
     beta: Optional[int] = None,
     grid: Optional[np.ndarray] = None,
     weights: Optional[WeightPair] = None,
@@ -302,13 +308,13 @@ def fixed_point(
     spec: SpectrumSpec,
     geometry=None,
     tol: float = 1e-9,
-    max_iter: int = 12,
-    rho: float = 0.5,
+    max_iter: int = DEFAULT_MAX_ITER,
+    rho: float = DEFAULT_RHO,
     beta: Optional[int] = None,
     weights: Optional[WeightPair] = None,
     r_guess: Optional[float] = None,
     verify: bool = True,
-    sim_steps: int = 1000,
+    sim_steps: int = DEFAULT_SIM_STEPS,
 ) -> FixedPointResult:
     """Picard iteration f -> F(u(f)) with weighted-norm stopping.
 
@@ -453,7 +459,7 @@ def nonlinear_simulate(
     controls: Sequence,
     T: float,
     spec: SpectrumSpec,
-    n_steps: int = 1000,
+    n_steps: int = DEFAULT_SIM_STEPS,
 ) -> dict:
     """Exponential time differencing for the full nonlinear closed loop.
 

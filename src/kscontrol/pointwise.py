@@ -27,7 +27,7 @@ from typing import Optional
 import mpmath as mp
 import numpy as np
 
-from .boundary_1d import _synthesize_1d
+from .boundary_1d import DEFAULT_K_TRUNC, _synthesize_1d
 from .errors import BelowMinimalTime, NoWitnessFound, RationalPoint
 from .modal import pointwise_gain_x
 from .spectrum import SpectrumSpec, require_clear
@@ -89,7 +89,14 @@ class PointSpec:
         return 60
 
     def value(self) -> mp.mpf:
-        """x0/a at the rule's working precision (mp.dps must already be set)."""
+        """x0/a at the rule's working precision (mp.dps must already be set); ValueError
+        unless it lies in (0, 1)."""
+        z = self._ratio()
+        if not 0 < z < 1:
+            raise ValueError(f"x0/a = {mp.nstr(z, 8)} must lie in (0, 1)")
+        return z
+
+    def _ratio(self) -> mp.mpf:
         if self.kind == "rational":
             fr = self.data[0]
             return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
@@ -174,8 +181,6 @@ def minimal_time_estimate(point: PointSpec, a: float = math.pi,
     km = k_max if k_max is not None else point.k_max
     with mp.workdps(point.dps + 20):
         z = point.value()
-        if not (0 < z < 1):
-            raise ValueError("x0/a must lie in (0, 1)")
         neg_log = _neg_log_sin_scan(z, km)
         z_float = float(z)
     ks = np.arange(1, km + 1, dtype=float)
@@ -217,7 +222,7 @@ def synthesize_point_control(
     point: PointSpec,
     spec: SpectrumSpec,
     j: int,
-    K_trunc: int = 8,
+    K_trunc: int = DEFAULT_K_TRUNC,
     margin: float = DEFAULT_MARGIN,
     estimate: Optional[MinimalTimeReport] = None,
     shifted: bool = False,

@@ -26,34 +26,16 @@ import numpy as np
 from . import __version__
 from .config import Scenario
 from .errors import KSControlError
-from .lebeau_robbiano import BoundaryGamma, InternalPoint, run_lr
+from .lebeau_robbiano import run_lr
 from .modal import evolve_controlled, observe, state_1d, state_nd
 from .serialize import write_control_csv, write_csv, write_json, write_observation_csv, write_trace_csv
-from .spectrum import K0_index, critical_set_check, n0_index, weyl_fit
+from .spectrum import K0_index, c0_shift, critical_set_check, n0_index, weyl_fit
 from .errors import ThresholdBeyondTruncation
 
 
 def _config_hash(scenario: Scenario) -> str:
     blob = json.dumps({"raw": scenario.raw, "seed": scenario.seed}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:8]
-
-
-def _u0_vector(modes: dict, K: int):
-    u0 = np.zeros(K)
-    for k, v in modes.items():
-        if k > K:
-            raise KSControlError(f"mode {k} beyond truncation K_x={K}")
-        u0[k - 1] = v
-    return u0
-
-
-def _u0_matrix(modes: dict, K: int, J: int):
-    u0 = np.zeros((K, J))
-    for (k, j), v in modes.items():
-        if k > K or j > J:
-            raise KSControlError(f"mode ({k},{j}) beyond truncation ({K},{J})")
-        u0[k - 1, j - 1] = v
-    return u0
 
 
 def run_scenario(scenario: Scenario, out_dir=None, seed=None):
@@ -81,23 +63,18 @@ def run_scenario(scenario: Scenario, out_dir=None, seed=None):
             "data has zero truncation tail, and synthesis reports carry the "
             "free-decay tail of any modes above the enforcement order"
         )
-    timings = {}
     t0 = time.perf_counter()
     try:
-        handler = _HANDLERS[scenario.task]
-        handler(scenario, seed, run_dir, manifest)
+        _HANDLERS[scenario.task](scenario, seed, run_dir, manifest)
         manifest["status"] = "ok"
     except KSControlError as exc:
         manifest["status"] = "error"
         manifest["error"] = {"type": type(exc).__name__, "message": str(exc),
                              "exit_code": exc.exit_code}
-        write_json(os.path.join(run_dir, "manifest.json"), manifest)
-        timings["total_s"] = time.perf_counter() - t0
-        write_json(os.path.join(run_dir, "timings.json"), timings)
         raise
-    write_json(os.path.join(run_dir, "manifest.json"), manifest)
-    timings["total_s"] = time.perf_counter() - t0
-    write_json(os.path.join(run_dir, "timings.json"), timings)
+    finally:
+        write_json(os.path.join(run_dir, "manifest.json"), manifest)
+        write_json(os.path.join(run_dir, "timings.json"), {"total_s": time.perf_counter() - t0})
     return manifest, run_dir
 
 
@@ -116,9 +93,7 @@ def _task_spectrum(sc: Scenario, seed, run_dir, manifest):
             rows.append((k, j, r.lambda_x, r.lambda_y_shift, r.total))
     write_csv(os.path.join(run_dir, "modes.csv"),
               ["k", "j", "lambda_x", "lambda_y_shift", "total"], rows)
-    verdict = critical_set_check(spec)
-    manifest["verdict"] = {"kind": verdict.kind, "j": verdict.j, "k": verdict.k,
-                           "l": verdict.l, "distance": verdict.distance}
+    manifest["verdict"] = _verdict(spec)
     for name, fn in (("n0", n0_index), ("K0", K0_index)):
         try:
             manifest[name] = fn(spec)
@@ -128,22 +103,20 @@ def _task_spectrum(sc: Scenario, seed, run_dir, manifest):
         manifest["weyl_fit"] = weyl_fit(spec)
 
 
+def _verdict(spec, search_bound=None) -> dict:
+    v = critical_set_check(spec, search_bound)
+    return {"kind": v.kind, "j": v.j, "k": v.k, "l": v.l, "distance": v.distance}
+
+
 def _task_critical_set(sc: Scenario, seed, run_dir, manifest):
-    verdict = critical_set_check(sc.spec, sc.params.get("search_bound"))
-    manifest["verdict"] = {"kind": verdict.kind, "j": verdict.j, "k": verdict.k,
-                           "l": verdict.l, "distance": verdict.distance}
+    manifest["verdict"] = _verdict(sc.spec, sc.params["search_bound"])
 
 
 def _task_biortho(sc: Scenario, seed, run_dir, manifest):
     from .biorthogonal import build_family
 
-    p = sc.params
-    j = p.get("j", 1)
-    K = p.get("K", 10)
-    T = p.get("T", 0.5)
+    j, K, T = sc.params["j"], sc.params["K"], sc.params["T"]
     lam = -sc.spec.x_rates(j, K)
-    from .spectrum import c0_shift
-
     shift = c0_shift(-lam)
     fam = build_family(lam + shift, T)
     with open(os.path.join(run_dir, "family.json"), "w", encoding="utf-8") as fh:
@@ -160,8 +133,7 @@ def _task_control_1d(sc: Scenario, seed, run_dir, manifest):
 
     p = sc.params
     spec = sc.spec
-    j, T, K_trunc = p.get("j", 1), p["T"], p.get("K_trunc", 8)
-    u0 = _u0_vector(p["u0_modes"], spec.K_x)
+    j, T, K_trunc, u0 = p["j"], p["T"], p["K_trunc"], p["u0_modes"]
     control, rep = synthesize_boundary_control(u0, T, spec, j, K_trunc=K_trunc)
     write_control_csv(os.path.join(run_dir, "control.csv"), control)
     out = verify_null(u0, control, T, spec, j, K_trunc=K_trunc)
@@ -184,7 +156,7 @@ def _task_minimal_time(sc: Scenario, seed, run_dir, manifest):
     from .pointwise import minimal_time_estimate
 
     p = sc.params
-    est = minimal_time_estimate(p["point"], sc.spec.a_float, p.get("k_max"))
+    est = minimal_time_estimate(p["point"], sc.spec.a_float, p["k_max"])
     write_csv(os.path.join(run_dir, "sequence.csv"),
               ["k", "neg_log_sin", "s", "running_max"],
               list(zip(est.k, est.neg_log_sin, est.s, est.running_max)))
@@ -203,14 +175,12 @@ def _task_control_point(sc: Scenario, seed, run_dir, manifest):
 
     p = sc.params
     spec = sc.spec
-    j, T, K_trunc = p.get("j", 1), p["T"], p.get("K_trunc", 8)
+    j, T, K_trunc, u0 = p["j"], p["T"], p["K_trunc"], p["u0_modes"]
     est = minimal_time_estimate(p["point"], spec.a_float)
     manifest["T0_hat"] = est.T0_hat
-    u0 = _u0_vector(p["u0_modes"], spec.K_x)
     try:
         control, rep = synthesize_point_control(
-            u0, T, p["point"], spec, j, K_trunc=K_trunc,
-            margin=p.get("margin", 0.1), estimate=est,
+            u0, T, p["point"], spec, j, K_trunc=K_trunc, margin=p["margin"], estimate=est,
         )
     except BelowMinimalTime:
         try:
@@ -235,24 +205,11 @@ def _task_control_point(sc: Scenario, seed, run_dir, manifest):
     }
 
 
-def _geometry_from_params(p):
-    g = p.get("geometry", {"kind": "boundary", "omega": None})
-    if g["kind"] == "boundary":
-        return BoundaryGamma(omega=g["omega"])
-    return InternalPoint(point=g["point"], omega=g["omega"])
-
-
 def _task_control_nd(sc: Scenario, seed, run_dir, manifest):
     p = sc.params
-    spec = sc.spec
     T = p["T"]
-    u0 = _u0_matrix(p["u0_modes"], spec.K_x, spec.J_y)
-    geometry = _geometry_from_params(p)
-    res = run_lr(
-        u0, T, spec, geometry,
-        rho=p.get("rho", 0.5), beta=p.get("beta"),
-        record=np.linspace(0.0, T, 65),
-    )
+    res = run_lr(p["u0_modes"], T, sc.spec, p["geometry"], rho=p["rho"], beta=p["beta"],
+                 record=np.linspace(0.0, T, 65))
     if res.trace is not None:
         write_trace_csv(os.path.join(run_dir, "trace.csv"), res.trace)
     for i, sig in enumerate(res.controls):
@@ -284,28 +241,18 @@ def _task_control_nd(sc: Scenario, seed, run_dir, manifest):
 
 
 def _task_nonlinear(sc: Scenario, seed, run_dir, manifest):
-    from .nonlinear import WeightPair, default_p, fixed_point
+    from .nonlinear import fixed_point
 
     p = sc.params
-    spec = sc.spec
-    T = p["T"]
-    u0 = _u0_matrix(p["u0_modes"], spec.K_x, spec.J_y)
-    weights = WeightPair(
-        T=T,
-        p=p.get("p") if p.get("p") is not None else default_p(p.get("q_w", 1.2)),
-        q_w=p.get("q_w", 1.2),
-        C_cost=p.get("C_cost", 0.5),
-    )
+    weights = p["weights"]
     res = fixed_point(
-        u0, T, spec, _geometry_from_params(p),
-        tol=p.get("tol", 1e-6), max_iter=p.get("max_iter", 12),
-        rho=p.get("rho", 0.5), beta=p.get("beta"), weights=weights,
-        r_guess=p.get("r_guess"), sim_steps=p.get("sim_steps", 1000),
+        p["u0_modes"], p["T"], sc.spec, p["geometry"],
+        tol=p["tol"], max_iter=p["max_iter"], rho=p["rho"], beta=p["beta"], weights=weights,
+        r_guess=p["r_guess"], sim_steps=p["sim_steps"],
     )
-    rows = [(i + 1, d, res.ratios[i - 1] if 1 <= i <= len(res.ratios) else "")
-            for i, d in enumerate(res.deltas)]
     write_csv(os.path.join(run_dir, "iterations.csv"), ["n", "delta_F", "ratio"],
-              [(n, d, r if r != "" else float("nan")) for (n, d, r) in rows])
+              [(i + 1, d, res.ratios[i - 1] if 1 <= i <= len(res.ratios) else float("nan"))
+               for i, d in enumerate(res.deltas)])
     write_json(os.path.join(run_dir, "verification.json"), {
         "iterations": res.iterations,
         "ratios": res.ratios,
@@ -321,32 +268,17 @@ def _task_nonlinear(sc: Scenario, seed, run_dir, manifest):
 def _task_simulate(sc: Scenario, seed, run_dir, manifest):
     p = sc.params
     spec = sc.spec
-    T = p.get("T", 1.0)
-    n = p.get("n_samples", 129)
-    rng = np.random.default_rng(seed)
-    if "j" in p:  # 1-D slice simulation
-        j = p["j"]
-        if "u0_modes" in p:
-            u0 = _u0_vector(p["u0_modes"], spec.K_x)
-        else:
-            u0 = rng.standard_normal(min(p.get("random_modes", 4), spec.K_x))
-            u0 = np.concatenate([u0, np.zeros(spec.K_x - len(u0))])
-        state = state_1d(spec, j, coeffs=u0)
-        _, trace = evolve_controlled(state, None, (0.0, T), record=np.linspace(0, T, n))
+    T, n, j, u0 = p["T"], p["n_samples"], p["j"], p["u0_modes"]
+    if u0 is None:  # random data on the lowest random_modes modes of each axis
+        u0 = np.zeros(spec.K_x if j is not None else (spec.K_x, spec.J_y))
+        box = tuple(min(p["random_modes"], size) for size in u0.shape)
+        u0[tuple(slice(b) for b in box)] = np.random.default_rng(seed).standard_normal(box)
+    state = state_1d(spec, j, coeffs=u0) if j is not None else state_nd(spec, u0)
+    _, trace = evolve_controlled(state, None, (0.0, T), record=np.linspace(0, T, n))
+    if j is not None:  # a 1-D slice simulation also observes the midpoint
         series = observe(trace, spec, x0=spec.a_float / 2.0)
         write_observation_csv(os.path.join(run_dir, "observations.csv"), series)
-        rates = spec.x_rates(j)
-    else:
-        if "u0_modes" in p:
-            u0 = _u0_matrix(p["u0_modes"], spec.K_x, spec.J_y)
-        else:
-            kk = min(p.get("random_modes", 4), spec.K_x)
-            jj = min(p.get("random_modes", 4), spec.J_y)
-            u0 = np.zeros((spec.K_x, spec.J_y))
-            u0[:kk, :jj] = rng.standard_normal((kk, jj))
-        state = state_nd(spec, u0)
-        _, trace = evolve_controlled(state, None, (0.0, T), record=np.linspace(0, T, n))
-        rates = spec.rate_matrix()
+    rates = spec.x_rates(j) if j is not None else spec.rate_matrix()
     write_trace_csv(os.path.join(run_dir, "trace.csv"), trace)
     norms = trace.norms()
     mask = u0 != 0

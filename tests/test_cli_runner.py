@@ -1,10 +1,14 @@
 import json
+import math
 import os
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kscontrol.cli import main as cli_main
-from kscontrol.config import ConfigError, parse_config_dict
+from kscontrol.config import _FIELDS, ConfigError, parse_config_dict
 from kscontrol.runner import run_scenario
 from kscontrol.serialize import hash_dir
 
@@ -208,3 +212,98 @@ def test_external_file_config_end_to_end(tmp_path):
     manifest, run_dir = run_scenario(sc, out_dir=str(tmp_path))
     assert manifest["status"] == "ok"
     assert sc.spec.mu(2) == 4.0
+
+
+# ---------------------------------------------------------------------------
+# invalid input: exit 2 with the field path, never a traceback
+# ---------------------------------------------------------------------------
+
+DEMO_CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs"
+_MISSING = object()
+
+
+def _demo(name, path, value):
+    """The demo config ``name`` with the dotted ``path`` set to ``value`` (or removed)."""
+    cfg = json.loads((DEMO_CONFIGS / name).read_text())
+    *parents, leaf = path.split(".")
+    node = cfg
+    for key in parents:
+        node = node[key]
+    if value is _MISSING:
+        node.pop(leaf, None)
+    else:
+        node[leaf] = value
+    return cfg
+
+
+_POINT = "minimal_time.point"
+BAD_INPUTS = [
+    ("K_trunc-too-large", _demo("control_1d.json", "control_1d.K_trunc", 30), "control_1d.K_trunc"),
+    ("K_trunc-fraction", _demo("control_1d.json", "control_1d.K_trunc", 8.5), "control_1d.K_trunc"),
+    ("j-string", _demo("control_1d.json", "control_1d.j", "1"), "control_1d.j"),
+    ("j-zero", _demo("control_1d.json", "control_1d.j", 0), "control_1d.j"),
+    ("j-beyond-J_y", _demo("control_1d.json", "control_1d.j", 99), "control_1d.j"),
+    ("mode-nan", _demo("control_1d.json", "control_1d.u0_modes.3", math.nan),
+     "control_1d.u0_modes.3"),
+    ("mode-beyond-K_x", _demo("control_1d.json", "control_1d.u0_modes.99", 1.0),
+     "control_1d.u0_modes.99"),
+    ("T-missing", _demo("control_1d.json", "control_1d.T", _MISSING), "control_1d.T"),
+    ("u0-missing", _demo("control_1d.json", "control_1d.u0_modes", _MISSING),
+     "control_1d.u0_modes"),
+    ("rho-string", _demo("control_nd.json", "control_nd.rho", "0.5"), "control_nd.rho"),
+    ("beta-fraction", _demo("control_nd.json", "control_nd.beta", 4.5), "control_nd.beta"),
+    ("omega-outside-box", _demo("control_nd.json", "control_nd.geometry.boundary.omega",
+                                [0.3, 9.0]), "control_nd.geometry.boundary.omega"),
+    ("n_samples-zero", _demo("simulate.json", "simulate.n_samples", 0), "simulate.n_samples"),
+    ("biortho-K-too-large", {"task": "biortho", "domain": base_domain(), "biortho": {"K": 30}},
+     "biortho.K"),
+    ("k_max-string", _demo("minimal_time.json", "minimal_time.k_max", "100"),
+     "minimal_time.k_max"),
+    ("q_w-above-sqrt2", _demo("nonlinear.json", "nonlinear.q_w", 2.0), "nonlinear.q_w"),
+    ("rational-not-integer", _demo("minimal_time.json", _POINT, {"rational": "1/x"}),
+     f"{_POINT}.rational"),
+    ("real-not-a-number", _demo("minimal_time.json", _POINT, {"real": "abc"}), f"{_POINT}.real"),
+    ("root_index-beyond-roots", _demo("minimal_time.json", _POINT,
+                                      {"algebraic": [1, 2, -1], "root_index": 5}),
+     f"{_POINT}.root_index"),
+]
+
+
+@pytest.mark.parametrize("cfg, field", [c[1:] for c in BAD_INPUTS], ids=[c[0] for c in BAD_INPUTS])
+def test_cli_invalid_input_exits_2_naming_the_field(tmp_path, capsys, cfg, field):
+    cfg = dict(cfg, output={"dir": str(tmp_path / "runs")})
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))  # json writes NaN as a literal that json.load reads back
+    rc = cli_main([cfg["task"], "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"config error: {field}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+# One field of a demo config, from the domain or from the task's own section.
+FIELD_TARGETS = [
+    (path.name, section, key)
+    for path in sorted(DEMO_CONFIGS.glob("*.json"))
+    for section in ("domain", json.loads(path.read_text())["task"].replace("-", "_"))
+    for key in sorted(_FIELDS[section])
+]
+BAD_VALUES = st.one_of(
+    st.sampled_from(["x", "0.5", [], [1, 2], {}, {"bogus": 1}, True, None]),  # wrong type
+    st.sampled_from([0, -1, -0.5, 0.5, -1e300]),  # out of range or not an integer
+    st.sampled_from([math.nan, math.inf, -math.inf]),  # non-finite
+    st.just(_MISSING),
+)
+
+
+@given(target=st.sampled_from(FIELD_TARGETS), value=BAD_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_one_bad_field_parses_or_names_its_path(target, value):
+    # Huge magnitudes are left out: parse cost grows with K_x, J_y and nu.
+    name, section, key = target
+    path = f"{section}.{key}"
+    try:
+        parse_config_dict(_demo(name, path, value))
+    except ConfigError as exc:
+        assert exc.field.startswith(path), (exc.field, path, value)

@@ -9,6 +9,7 @@ from kscontrol.modal import ModalSource, Trace, nonlinear_rhs, state_nd
 from kscontrol.nonlinear import (
     WeightPair,
     controlled_solve_with_source,
+    default_p,
     estimate_radius,
     fit_cost_constant,
     fixed_point,
@@ -34,6 +35,13 @@ def test_weight_parameter_validation():
         WeightPair(T=1.0, p=1.0, q_w=1.2)  # p below threshold
     w = WeightPair(T=1.0)
     assert w.p > w.q_w**2 / (2 - w.q_w**2)
+
+
+def test_weight_default_p_follows_q_w():
+    # the default p is default_p(q_w), not the q_w=1.2 value for every q_w
+    assert WeightPair(T=1.0, q_w=1.3).p == default_p(1.3)
+    assert WeightPair(T=1.0, q_w=1.1).p == default_p(1.1)
+    assert WeightPair(T=1.0).p == default_p()
 
 
 def test_weight_displayed_forms_pointwise():
