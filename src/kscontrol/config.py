@@ -202,10 +202,20 @@ def _geometry(v, path, spec, params):
     _require(isinstance(g, dict), f"{path}.{kind}", "must be an object")
     _known_keys(g, {"omega"} if kind == "boundary" else {"point", "omega"}, f"{path}.{kind}")
     omega = _omega(g.get("omega"), f"{path}.{kind}.omega", spec)
+    _require_full_section_fits(omega, spec, path)
     if kind == "boundary":
         return BoundaryGamma(omega=omega)
     _require("point" in g, f"{path}.internal.point", "missing required field")
     return InternalPoint(point=parse_point(g["point"], f"{path}.internal.point"), omega=omega)
+
+
+def _require_full_section_fits(omega, spec, path):
+    """Actuation on the whole cross-section solves one moment problem per slice
+    over all K_x x-modes (tensor phases, or the direct interior solve), so
+    K_x is bounded by the biorthogonal family size."""
+    _require(omega is not None or spec.K_x <= K_BIO_MAX, path,
+             f"actuation on the whole cross-section needs domain.K_x <= {K_BIO_MAX} "
+             f"(K_bio_max), got K_x={spec.K_x}; give an omega or lower K_x")
 
 
 _J = (_integer(1, lambda spec: spec.J_y), 1)
@@ -313,6 +323,9 @@ def parse_config_dict(raw: dict) -> Scenario:
     _require(isinstance(output_dir, str) and output_dir, "output.dir", "must be a nonempty string")
 
     params = _resolve(section, raw.get(section, {}), spec)
+    if "geometry" in _FIELDS[section] and raw.get(section, {}).get("geometry") is None:
+        # the default geometry is the whole cross-section, so K_x is what is wrong
+        _require_full_section_fits(None, spec, "domain.K_x")
     if task == "nonlinear":  # q_w, p and C_cost become the one WeightPair the task uses
         try:
             weights = {k: params.pop(k) for k in ("p", "q_w", "C_cost")}

@@ -46,13 +46,18 @@ class IllConditioned(KSControlError):
 class NoContraction(KSControlError):
     """Fixed-point iteration did not converge.
 
-    Raised when the contraction ratios exceed 0.9 three times in a row
-    (initial data too large), when ``||u0||`` exceeds a given ``r_guess``,
-    and also when ``max_iter`` runs out; the last alone does not show a loss
-    of contraction.
+    ``reason`` says which test stopped it: ``"ratio"`` when the contraction
+    ratios exceed 0.9 three times in a row (initial data too large),
+    ``"radius"`` when ``||u0||`` exceeds a given ``r_guess``, and ``"cap"``
+    when ``max_iter`` runs out; the last alone does not show a loss of
+    contraction.
     """
 
     exit_code = 6
+
+    def __init__(self, message, reason):
+        self.reason = reason
+        super().__init__(message)
 
 
 class IndexOutOfRange(KSControlError):

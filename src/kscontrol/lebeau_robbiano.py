@@ -246,13 +246,17 @@ def _slice_moment_control(kind: str, end_free: np.ndarray, slices, spec: Spectru
     Row j - 1 (j in ``slices``) is the control that, through the x-gain
     ``gains``, steers slice j's free end state ``end_free[:, j - 1]`` to zero
     over ``window``; the other rows are zero.  Rows are the first ``rows``
-    cross-section modes themselves (identity mass and row Gram).
+    cross-section modes themselves (identity mass and row Gram).  The
+    solver of each (slice, window length) is built once per spec: Picard
+    iterations repeat the same windows.
     """
     t0, t1 = window
     W = t1 - t0
     exps, refs, blocks = [], [], []
     for j in slices:
-        sol = MomentSolver(spec.slice_rates(j), W).solve(-end_free[:, j - 1] / gains)
+        solver = spec.cached(("moment_solver", j, W),
+                             lambda: MomentSolver(spec.slice_rates(j), W))
+        sol = solver.solve(-end_free[:, j - 1] / gains)
         seg = sol.reversed_segment(t0)
         exps.append(seg.exponents)
         refs.append(seg.refs)

@@ -480,19 +480,18 @@ def _sine_projection_matrix(K: int, length: float, nodes: np.ndarray, weights: n
     return B @ Dc  # (K, n)
 
 
-def nonlinear_rhs(state: ModalState, grid_resolution: Optional[int] = None) -> np.ndarray:
-    """Projection of -1/2 |grad u|^2 onto the retained sine basis.
+class _RhsOperator(NamedTuple):
+    """The matrices of `nonlinear_rhs` on one spec and midpoint grid."""
 
-    Pseudospectral on a tensor midpoint grid.  The squared gradient is a pure
-    cosine polynomial of degree <= 2K per axis, so with >= 2K + 1 points per
-    axis its retained projection is computed without aliasing error.
-    """
-    spec = state.spec
-    if state.is_1d:
-        raise ValueError("nonlinear term is defined on the cylinder (use state_nd)")
-    if spec.mu_tuples is None:
-        raise ValueError("nonlinear term needs a Box cross-section")
+    x_cos_T: np.ndarray      # (nx, K_x): d/dx rows at the x nodes
+    x_sin_T: np.ndarray      # (nx, K_x): sine rows at the x nodes
+    y_sine: np.ndarray       # (J_y, NY): y basis on the y grid
+    y_derivs: list           # per box axis i, (J_y, NY): d/dy_i of the y basis
+    proj_x: np.ndarray       # (K_x, nx)
+    proj_y_T: np.ndarray     # (NY, J_y)
 
+
+def _rhs_operator(spec: SpectrumSpec, grid_resolution: Optional[int]) -> _RhsOperator:
     def midpoint(axis, length, count):
         n = grid_resolution if grid_resolution is not None else 2 * count + 2
         if n < 2 * count:
@@ -503,23 +502,43 @@ def nonlinear_rhs(state: ModalState, grid_resolution: Optional[int] = None) -> n
 
     x, *y_axes = _axis_rows(spec, midpoint)
     tuples = spec.mu_tuples
-    U = state.coeffs  # (K_x, J_y)
     y_sines = [ax.S for ax in y_axes]
-
-    ux = x.C.T @ (U @ _tuple_tensor(tuples, y_sines))  # (nx, NY)
-    grad_sq = ux * ux
-    for axis, ax in enumerate(y_axes):
-        # d/dy_i: derivative rows on axis i, sine rows on the others
-        Pd = _tuple_tensor(tuples, y_sines[:axis] + [ax.C] + y_sines[axis + 1:])
-        uyi = x.S.T @ (U @ Pd)
-        grad_sq = grad_sq + uyi * uyi
-    f = -0.5 * grad_sq  # (nx, NY)
-
-    proj_x = _sine_projection_matrix(spec.K_x, x.length, x.nodes, x.weights)  # (K_x, nx)
+    # d/dy_i: derivative rows on axis i, sine rows on the others
+    y_derivs = [_tuple_tensor(tuples, y_sines[:axis] + [ax.C] + y_sines[axis + 1:])
+                for axis, ax in enumerate(y_axes)]
     proj_y = _tuple_tensor(tuples, [
         _sine_projection_matrix(ax.S.shape[0], ax.length, ax.nodes, ax.weights) for ax in y_axes
-    ])  # (J_y, NY)
-    return proj_x @ f @ proj_y.T
+    ])
+    return _RhsOperator(
+        x_cos_T=x.C.T, x_sin_T=x.S.T, y_sine=_tuple_tensor(tuples, y_sines), y_derivs=y_derivs,
+        proj_x=_sine_projection_matrix(spec.K_x, x.length, x.nodes, x.weights),
+        proj_y_T=proj_y.T,
+    )
+
+
+def nonlinear_rhs(state: ModalState, grid_resolution: Optional[int] = None) -> np.ndarray:
+    """Projection of -1/2 |grad u|^2 onto the retained sine basis.
+
+    Pseudospectral on a tensor midpoint grid.  The squared gradient is a pure
+    cosine polynomial of degree <= 2K per axis, so with >= 2K + 1 points per
+    axis its retained projection is computed without aliasing error.  The
+    grid matrices are built once per (spec, ``grid_resolution``).
+    """
+    spec = state.spec
+    if state.is_1d:
+        raise ValueError("nonlinear term is defined on the cylinder (use state_nd)")
+    if spec.mu_tuples is None:
+        raise ValueError("nonlinear term needs a Box cross-section")
+    op = spec.cached(("nonlinear_rhs", grid_resolution),
+                     lambda: _rhs_operator(spec, grid_resolution))
+    U = state.coeffs  # (K_x, J_y)
+    ux = op.x_cos_T @ (U @ op.y_sine)  # (nx, NY)
+    grad_sq = ux * ux
+    for Pd in op.y_derivs:
+        uyi = op.x_sin_T @ (U @ Pd)
+        grad_sq = grad_sq + uyi * uyi
+    f = -0.5 * grad_sq  # (nx, NY)
+    return op.proj_x @ f @ op.proj_y_T
 
 
 def evaluate_physical(state: ModalState, nx: int, ny: Sequence[int]):

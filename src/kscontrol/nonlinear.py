@@ -321,14 +321,14 @@ def fixed_point(
     ``tol`` is relative: the iteration stops once the weighted source
     increment ||(f^(n+1) - f^(n))/rho_F|| falls below tol times the first
     increment (absolute weighted norms are scaled by 1/rho_F and hence
-    astronomically large by design).  Besides the up-front ``r_guess`` gate,
-    NoContraction is raised in two ways.  The ratio test fires after three
-    consecutive ratios above 0.9 (message "... exceed 0.9 three times"): the
-    data is outside the local regime.  Exhausting ``max_iter`` also raises
-    NoContraction ("no convergence in N iterations"), even when every ratio
-    is well below 0.9; that alone does not show a loss of contraction, only
-    a cap too low for the observed rate.  On convergence the control is
-    replayed through the independent nonlinear simulator.
+    astronomically large by design).  Besides the up-front ``r_guess`` gate
+    (reason ``"radius"``), NoContraction is raised in two ways.  The ratio
+    test fires after three consecutive ratios above 0.9 (reason ``"ratio"``):
+    the data is outside the local regime.  Exhausting ``max_iter`` also
+    raises NoContraction (reason ``"cap"``), even when every ratio is well
+    below 0.9; that alone does not show a loss of contraction, only a cap
+    too low for the observed rate.  On convergence the control is replayed
+    through the independent nonlinear simulator.
     """
     require_clear(spec)
     geometry = geometry if geometry is not None else BoundaryGamma(None)
@@ -336,7 +336,8 @@ def fixed_point(
     u0 = np.asarray(u0, dtype=float)
     if r_guess is not None and float(np.linalg.norm(u0)) > r_guess:
         raise NoContraction(
-            f"||u0|| = {np.linalg.norm(u0):.3e} exceeds the locality radius {r_guess:.3e}"
+            f"||u0|| = {np.linalg.norm(u0):.3e} exceeds the locality radius {r_guess:.3e}",
+            "radius",
         )
     grid = source_grid(T, weights)
     source = None
@@ -362,7 +363,8 @@ def fixed_point(
             if bad_streak >= 3:
                 raise NoContraction(
                     f"contraction ratios {ratios[-3:]} exceed 0.9 three times: "
-                    "initial data outside the local regime"
+                    "initial data outside the local regime",
+                    "ratio",
                 )
         if delta0 == 0.0 or delta < tol * delta0:
             source = new_source
@@ -371,7 +373,8 @@ def fixed_point(
         prev_delta = delta
         source = new_source
     else:
-        raise NoContraction(f"no convergence in {max_iter} iterations (deltas {deltas[-3:]})")
+        raise NoContraction(f"no convergence in {max_iter} iterations (deltas {deltas[-3:]})",
+                            "cap")
 
     nonlinear_rel = math.nan
     norm_series = None
@@ -421,31 +424,40 @@ def estimate_radius(T: float, spec: SpectrumSpec, geometry=None, scale0: float =
     """Bisect the largest initial-data scale at which the iteration contracts.
 
     The probe direction is the lowest tensor mode; existence of a positive
-    radius is a theorem, its value is not, hence this runtime search.  Any
-    NoContraction counts as failure, including the ``max_iter`` cap, which
-    can fire while the iteration still contracts slowly; the result is the
-    largest probed scale that converges within ``max_iter`` iterations, and
-    it can sit well below the scale at which the ratio test fires.
+    radius is a theorem, its value is not, hence this runtime search.  A
+    probe fails when the ratio test (or an ``r_guess`` in ``kw``) stops the
+    iteration.  A probe that hits the ``max_iter`` cap has not decided
+    either way, so it re-raises NoContraction (reason ``"cap"``) asking for
+    a larger ``max_iter``.
     """
-    lo, hi = 0.0, None
-    s = scale0
     base = np.zeros((spec.K_x, spec.J_y))
     base[0, 0] = 1.0
-    for _ in range(40):
+
+    def contracts(s):
         try:
             fixed_point(s * base, T, spec, geometry, verify=False, **kw)
-            lo, s = s, s * 4.0
-        except NoContraction:
+            return True
+        except NoContraction as exc:
+            if exc.reason == "cap":
+                raise NoContraction(
+                    f"scale {s:.6g} reached the max_iter cap before the ratio test decided; "
+                    f"raise max_iter ({exc})", "cap") from exc
+            return False
+
+    lo, hi = 0.0, None
+    s = scale0
+    for _ in range(40):
+        if not contracts(s):
             hi = s
             break
+        lo, s = s, s * 4.0
     if hi is None:
         return lo
     for _ in range(n_bisect):
         mid = math.sqrt(lo * hi) if lo > 0 else hi / 4.0
-        try:
-            fixed_point(mid * base, T, spec, geometry, verify=False, **kw)
+        if contracts(mid):
             lo = mid
-        except NoContraction:
+        else:
             hi = mid
     return lo
 
@@ -486,6 +498,7 @@ def _etd_run(u0, controls, T, spec, n_steps):
     from .signals import phi1, phi2
 
     state = state_nd(spec, np.asarray(u0, dtype=float))
+    phis = {}  # step length h -> (phi1(lam h), phi2(lam h)); the grid has few distinct h
     lam = state.rates
     boundaries = {0.0, T}
     for sig in controls:
@@ -509,11 +522,13 @@ def _etd_run(u0, controls, T, spec, n_steps):
             continue
         sig = control_at(t0, t1)
         lc = evolve_controlled(state, sig, (t0, t1))
-        z = lam * h
+        if h not in phis:
+            phis[h] = (phi1(lam * h), phi2(lam * h))
+        p1, p2 = phis[h]
         N0 = nonlinear_rhs(state)
-        pred = lc.coeffs + h * phi1(z) * N0
+        pred = lc.coeffs + h * p1 * N0
         N1 = nonlinear_rhs(state_nd(spec, pred))
-        new = lc.coeffs + h * phi1(z) * N0 + h * phi2(z) * (N1 - N0)
+        new = lc.coeffs + h * p1 * N0 + h * p2 * (N1 - N0)
         state = state_nd(spec, new, time=t1)
         times.append(t1)
         norms.append(float(np.linalg.norm(new)))

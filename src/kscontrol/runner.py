@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import Scenario
-from .errors import KSControlError
+from .errors import KSControlError, NoContraction
 from .lebeau_robbiano import run_lr
 from .modal import evolve_controlled, observe, state_1d, state_nd
 from .serialize import write_control_csv, write_csv, write_json, write_observation_csv, write_trace_csv
@@ -71,6 +71,8 @@ def run_scenario(scenario: Scenario, out_dir=None, seed=None):
         manifest["status"] = "error"
         manifest["error"] = {"type": type(exc).__name__, "message": str(exc),
                              "exit_code": exc.exit_code}
+        if isinstance(exc, NoContraction):  # the ratio test, the max_iter cap or r_guess
+            manifest["error"]["reason"] = exc.reason
         raise
     finally:
         write_json(os.path.join(run_dir, "manifest.json"), manifest)

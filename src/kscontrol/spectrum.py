@@ -154,6 +154,12 @@ class SpectrumSpec:
     Owns all eigendata: cross-section eigenvalues (floats plus exact values
     when derivable), the x-truncation ``K_x`` and y-truncation ``J_y``, and
     the critical-set proximity tolerance.
+
+    A spec is not mutated after construction.  It carries its own cache of
+    objects derived from it alone (the rate matrix, the critical verdict,
+    the quadratic-term operator, the per-slice moment solvers; see
+    `cached`), so they are built once per spec and live as long as it does.
+    Build a new spec to change any field.
     """
 
     a: object
@@ -171,6 +177,7 @@ class SpectrumSpec:
     _a_exact: Optional[ExactLength] = field(init=False, default=None)
     _nu_exact: Optional[Fraction] = field(init=False, default=None)
     _mu_exact: Optional[list] = field(init=False, default=None)
+    _derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.K_x < 1 or self.J_y < 1:
@@ -204,6 +211,17 @@ class SpectrumSpec:
             self._mu_exact = None
         else:
             raise TypeError("cross_section must be Box or External")
+
+    def cached(self, key, build):
+        """``build()``, computed on the first call with ``key`` and kept by this spec.
+
+        ``build`` must depend on this spec and ``key`` alone, and callers
+        must not mutate what it returns.  A ``build`` that raises stores
+        nothing, so the next call raises again.
+        """
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     # -- basic geometry -----------------------------------------------------
 
@@ -256,14 +274,15 @@ class SpectrumSpec:
         return self.x_rates(j, count) + self.y_shift(j)
 
     def rate_matrix(self) -> np.ndarray:
-        """(K_x, J_y) matrix of tensor rates Lambda_{k,j}."""
+        """(K_x, J_y) matrix of tensor rates Lambda_{k,j}, read-only."""
+        return self.cached("rate_matrix", self._build_rate_matrix)
+
+    def _build_rate_matrix(self) -> np.ndarray:
         ks = np.arange(1, self.K_x + 1, dtype=float)
         kap = (ks * math.pi / self.a_float) ** 2
-        total = np.empty((self.K_x, self.J_y))
-        for jj in range(self.J_y):
-            mu = float(self.mus[jj])
-            s = kap + mu
-            total[:, jj] = -s * s + self.nu_float * s
+        s = kap[:, None] + self.mus[None, :]
+        total = -s * s + self.nu_float * s
+        total.flags.writeable = False
         return total
 
     def k_star(self, j: int) -> int:
@@ -356,10 +375,13 @@ def critical_set_check(spec: SpectrumSpec, search_bound: Optional[int] = None) -
 
 
 def require_clear(spec: SpectrumSpec):
-    """Raise CriticalParameter unless the verdict is Clear."""
+    """Raise CriticalParameter unless the verdict is Clear.
+
+    The verdict at the default search bound is computed once per spec.
+    """
     from .errors import CriticalParameter
 
-    verdict = critical_set_check(spec)
+    verdict = spec.cached("critical_verdict", lambda: critical_set_check(spec))
     if verdict.blocks_synthesis:
         raise CriticalParameter(
             f"nu={spec.nu_float} is {verdict.kind} at (j={verdict.j}, k={verdict.k}, "

@@ -114,6 +114,25 @@ def test_critical_parameter_exit_code(tmp_path):
     assert manifest["error"]["exit_code"] == 3
 
 
+@pytest.mark.parametrize("override, reason", [({"max_iter": 1}, "cap"),
+                                              ({"r_guess": 1e-6}, "radius")])
+def test_no_contraction_manifest_records_reason(tmp_path, override, reason):
+    from kscontrol.errors import NoContraction
+
+    sc = parse_config_dict({
+        "task": "nonlinear",
+        "domain": base_domain(K_x=8),
+        "nonlinear": {"T": 1.0, "beta": 4, "u0_modes": {"1,1": 1e-3}, **override},
+    })
+    with pytest.raises(NoContraction) as exc:
+        run_scenario(sc, out_dir=str(tmp_path))
+    assert exc.value.exit_code == 6
+    run_dirs = [d for d in os.listdir(tmp_path) if d.startswith("run-")]
+    manifest = json.load(open(os.path.join(tmp_path, run_dirs[0], "manifest.json")))
+    assert manifest["error"]["exit_code"] == 6
+    assert manifest["error"]["reason"] == reason
+
+
 def test_below_minimal_time_writes_witness(tmp_path):
     sc = parse_config_dict({
         "task": "control-point",
@@ -237,6 +256,17 @@ def _demo(name, path, value):
 
 
 _POINT = "minimal_time.point"
+
+
+def _whole_section(section, geometry):
+    """A ``section`` config with K_x = 30 > K_bio_max and the given geometry (None: default)."""
+    cfg = {"task": section.replace("_", "-"), "domain": base_domain(K_x=30, J_y=4),
+           section: {"T": 1.0, "beta": 4, "u0_modes": {"1,1": 1.0}}}
+    if geometry is not None:
+        cfg[section]["geometry"] = geometry
+    return cfg
+
+
 BAD_INPUTS = [
     ("K_trunc-too-large", _demo("control_1d.json", "control_1d.K_trunc", 30), "control_1d.K_trunc"),
     ("K_trunc-fraction", _demo("control_1d.json", "control_1d.K_trunc", 8.5), "control_1d.K_trunc"),
@@ -266,6 +296,15 @@ BAD_INPUTS = [
     ("root_index-beyond-roots", _demo("minimal_time.json", _POINT,
                                       {"algebraic": [1, 2, -1], "root_index": 5}),
      f"{_POINT}.root_index"),
+    # actuation on the whole cross-section solves for all K_x x-modes per slice
+    ("tensor-K_x-beyond-family", _whole_section("control_nd", {"boundary": {}}),
+     "control_nd.geometry"),
+    ("nonlinear-tensor-K_x-beyond-family",
+     _whole_section("nonlinear", {"boundary": {"omega": None}}), "nonlinear.geometry"),
+    ("internal-direct-K_x-beyond-family",
+     _whole_section("control_nd", {"internal": {"point": {"algebraic": [1, 2, -1]}}}),
+     "control_nd.geometry"),
+    ("default-geometry-K_x-beyond-family", _whole_section("control_nd", None), "domain.K_x"),
 ]
 
 

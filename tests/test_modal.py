@@ -474,6 +474,43 @@ def test_nonlinear_rhs_3d_single_mode():
     assert np.all(np.isfinite(got))
 
 
+@pytest.mark.parametrize("dims, grid_resolution", [
+    (["pi"], None),
+    (["pi", "pi/2"], None),
+    (["pi"], 40),
+], ids=["one-axis", "two-axis", "explicit-grid"])
+def test_nonlinear_rhs_cached_operator_matches_fresh_spec(dims, grid_resolution):
+    # the operator is built once per (spec, grid_resolution); repeated calls on
+    # one spec must equal the first call on a new spec bit for bit
+    def make():
+        return SpectrumSpec(a="pi", nu=0, cross_section=Box(dims), K_x=5, J_y=6)
+
+    spec = make()
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        c = 0.1 * rng.standard_normal((5, 6))
+        got = nonlinear_rhs(state_nd(spec, c), grid_resolution=grid_resolution)
+        fresh = nonlinear_rhs(state_nd(make(), c), grid_resolution=grid_resolution)
+        assert np.array_equal(got, fresh)
+
+
+def test_rate_matrix_read_only_and_equal_to_fresh_build():
+    spec = SpectrumSpec(a="pi", nu="3/2", cross_section=Box(["pi", "pi/2"]), K_x=5, J_y=7)
+    rates = spec.rate_matrix()
+    assert spec.rate_matrix() is rates
+    with pytest.raises(ValueError):
+        rates[0, 0] = 1.0
+    fresh = SpectrumSpec(a="pi", nu="3/2", cross_section=Box(["pi", "pi/2"]), K_x=5, J_y=7)
+    assert np.array_equal(rates, fresh.rate_matrix())
+    # reference: one column per cross-section mode, Lambda = -s^2 + nu s, s = kappa_k + mu_j
+    kap = (np.arange(1, 6, dtype=float) * math.pi / spec.a_float) ** 2
+    ref = np.empty((5, 7))
+    for jj in range(7):
+        s = kap + float(spec.mus[jj])
+        ref[:, jj] = -s * s + spec.nu_float * s
+    assert np.array_equal(rates, ref)
+
+
 # ---------------------------------------------------------------------------
 # sources
 # ---------------------------------------------------------------------------

@@ -202,8 +202,19 @@ def test_fixed_point_nocontraction_at_measured_boundary():
     spec = spec_2d()
     c = np.zeros((8, 8))
     c[0, 0] = 40.0
-    with pytest.raises(NoContraction, match="exceed 0.9"):
+    with pytest.raises(NoContraction, match="exceed 0.9") as exc:
         fixed_point(c, 1.0, spec, BoundaryGamma(None), beta=4, verify=False, max_iter=16)
+    assert exc.value.reason == "ratio"
+
+
+def test_fixed_point_max_iter_cap_has_its_own_reason():
+    # scale 4 converges in 17 iterations, so a cap of 16 stops it first
+    spec = spec_2d()
+    c = np.zeros((8, 8))
+    c[0, 0] = 4.0
+    with pytest.raises(NoContraction, match="no convergence in 16 iterations") as exc:
+        fixed_point(c, 1.0, spec, BoundaryGamma(None), beta=4, verify=False, max_iter=16)
+    assert exc.value.reason == "cap"
 
 
 def test_fixed_point_hundredfold_dichotomy_with_unstable_mode():
@@ -228,16 +239,71 @@ def test_r_guess_gate():
     spec = spec_2d()
     c = np.zeros((8, 8))
     c[0, 0] = 0.5
-    with pytest.raises(NoContraction):
+    with pytest.raises(NoContraction) as exc:
         fixed_point(c, 1.0, spec, BoundaryGamma(None), r_guess=0.1, verify=False)
+    assert exc.value.reason == "radius"
 
 
 @pytest.mark.slow
 def test_estimate_radius_brackets_boundary():
+    # measured at nu=0, K=8: scale 16 converges in 76 iterations, while the
+    # ratio test fires at 32 and 64, so with a cap of 100 every probe
+    # (1, 4, 16, 64, then the bisection midpoint 32) is decided by the
+    # ratio test or by convergence, never by the cap
     spec = spec_2d()
-    r = estimate_radius(1.0, spec, BoundaryGamma(None), scale0=1.0, n_bisect=2,
-                        beta=4, max_iter=16)
-    assert 1.0 <= r < 16.0
+    r = estimate_radius(1.0, spec, BoundaryGamma(None), scale0=1.0, n_bisect=1,
+                        beta=4, max_iter=100)
+    assert 16.0 <= r < 32.0
+
+
+def test_estimate_radius_refuses_to_read_the_cap_as_a_radius():
+    # scale 1 needs 9 iterations: a cap of 5 decides nothing about contraction
+    spec = spec_2d()
+    with pytest.raises(NoContraction, match="raise max_iter") as exc:
+        estimate_radius(1.0, spec, BoundaryGamma(None), scale0=1.0, beta=4, max_iter=5)
+    assert exc.value.reason == "cap"
+
+
+def _c10a_case():
+    spec = SpectrumSpec(a="pi", nu=0, cross_section=Box(["pi"]), K_x=16, J_y=16)
+    u0 = np.zeros((16, 16))
+    u0[0, 0] = 1e-3
+    return spec, u0
+
+
+def test_fixed_point_builds_each_window_family_once(monkeypatch):
+    # every Picard iteration repeats the same windows: the spec keeps one
+    # moment solver per (slice, window length), so no family is rebuilt
+    import kscontrol.moments as moments
+
+    builds = {}
+    original = moments.build_family
+
+    def counting(exponents, T, **kw):
+        key = (np.asarray(exponents, dtype=float).tobytes(), float(T))
+        builds[key] = builds.get(key, 0) + 1
+        return original(exponents, T, **kw)
+
+    monkeypatch.setattr(moments, "build_family", counting)
+    spec, u0 = _c10a_case()
+    res = fixed_point(u0, 1.0, spec, BoundaryGamma(None), beta=4, verify=False)
+    assert res.iterations >= 2
+    assert builds and all(n == 1 for n in builds.values())
+
+
+def test_fixed_point_identical_on_equal_specs():
+    runs = []
+    for _ in range(2):
+        spec, u0 = _c10a_case()
+        runs.append(fixed_point(u0, 1.0, spec, BoundaryGamma(None), beta=4, verify=False))
+    a, b = runs
+    assert a.deltas == b.deltas and a.ratios == b.ratios
+    assert len(a.controls) == len(b.controls)
+    for sa, sb in zip(a.controls, b.controls):
+        assert len(sa.segments) == len(sb.segments)
+        for ga, gb in zip(sa.segments, sb.segments):
+            assert np.array_equal(ga.exponents, gb.exponents)
+            assert np.array_equal(ga.coeffs, gb.coeffs)
 
 
 # ---------------------------------------------------------------------------
