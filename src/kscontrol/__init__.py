@@ -17,7 +17,6 @@ Library layout (one module per subsystem):
 from .biorthogonal import BiorthogonalFamily, build_family, gram_matrix
 from .boundary_1d import (
     critical_counterexample,
-    moment_targets,
     synthesize_boundary_control,
     verify_null,
 )
@@ -27,7 +26,6 @@ from .modal import (
     ModalSource,
     ModalState,
     Trace,
-    evolve_boundary_controlled,
     evolve_controlled,
     evolve_free,
     evolve_pointwise_controlled,
@@ -66,14 +64,12 @@ __all__ = [
     "build_schedule",
     "critical_counterexample",
     "critical_set_check",
-    "evolve_boundary_controlled",
     "evolve_controlled",
     "evolve_free",
     "evolve_pointwise_controlled",
     "fixed_point",
     "gram_matrix",
     "minimal_time_estimate",
-    "moment_targets",
     "n0_index",
     "nonlinear_rhs",
     "nonlinear_simulate",

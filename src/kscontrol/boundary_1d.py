@@ -44,22 +44,6 @@ from .spectrum import SpectrumSpec, critical_set_check, require_clear
 DEFAULT_K_TRUNC = 8
 
 
-def moment_targets(u0: np.ndarray, T: float, spec: SpectrumSpec, j: int,
-                   shifted: bool = False) -> np.ndarray:
-    """Per-mode moment targets -e^{lambda_k T} u0_k / g_k.
-
-    With the frozen boundary sign these are positive multiples
-    a^(3/2)/(sqrt(2) k pi) e^{lambda_k T} u0_k.  ``shifted`` selects the
-    cylinder-slice rates (zeroth-order term included).
-    """
-    require_clear(spec)
-    u0 = np.asarray(u0, dtype=float)
-    K = len(u0)
-    rates = spec.slice_rates(j, K) if shifted else spec.x_rates(j, K)
-    gains = boundary_gain_x(spec, K)
-    return -np.exp(rates * T) * u0 / gains
-
-
 @dataclass
 class SynthesisReport:
     """Norms, residuals, and truncation accounting of one synthesis."""
@@ -80,22 +64,18 @@ def synthesize_boundary_control(
     spec: SpectrumSpec,
     j: int,
     K_trunc: int = DEFAULT_K_TRUNC,
-    shifted: bool = False,
-    t_offset: float = 0.0,
-    solver: Optional[MomentSolver] = None,
 ):
     """Boundary control nulling modes k <= K_trunc of initial data u0.
 
     Returns ``(ControlSignal, SynthesisReport)``.  The control is
-    ``q(t) = h(T - t)`` with h the analytic moment solution; it carries no
-    sampled grid, and export renders one on demand.  ``t_offset`` places the
-    window at [t_offset, t_offset + T] (used by the frequency-splitting
-    scheduler).
+    ``q(t) = h(T - t)`` on [0, T] with h the analytic moment solution.  The
+    report's ``targets`` are the per-mode moment targets
+    -e^{lambda_k T} u0_k / g_k; with the frozen boundary sign these are
+    positive multiples a^(3/2)/(sqrt(2) k pi) e^{lambda_k T} u0_k.
     """
     require_clear(spec)
     gains = boundary_gain_x(spec, len(u0))
-    control, sol, tail = _synthesize_1d(u0, T, spec, j, K_trunc, gains, "boundary_1d",
-                                        shifted=shifted, t_offset=t_offset, solver=solver)
+    control, sol, tail = _synthesize_1d(u0, T, spec, j, K_trunc, gains, "boundary_1d")
     report = SynthesisReport(
         control_norm=control.norm_l2(),
         moment_residual_max=sol.residual_max,
@@ -110,26 +90,23 @@ def synthesize_boundary_control(
 
 
 def _synthesize_1d(u0, T: float, spec: SpectrumSpec, j: int, K_trunc: int, gains: np.ndarray,
-                  kind: str, shifted: bool = False, t_offset: float = 0.0,
-                  solver: Optional[MomentSolver] = None, x0: Optional[float] = None):
+                  kind: str, x0: Optional[float] = None):
     """Moment synthesis shared by the 1-D boundary and pointwise controls.
 
     ``gains`` is the x-modal input gain of the actuator (at least K_trunc
     entries).  Returns ``(control, MomentSolution, tail)``: the physical
-    control q(t) = h(T - t) on [t_offset, t_offset + T], the solution with
-    its targets, and the free-decay energy of the modes above K_trunc.
+    control q(t) = h(T - t) on [0, T], the solution with its targets, and
+    the free-decay energy of the modes above K_trunc.
     """
     u0 = np.asarray(u0, dtype=float)
     if K_trunc > K_BIO_MAX:
         raise ValueError(f"K_trunc={K_trunc} exceeds K_bio_max={K_BIO_MAX}")
     K_trunc = min(K_trunc, len(u0))
-    rates_full = spec.slice_rates(j, len(u0)) if shifted else spec.x_rates(j, len(u0))
+    rates_full = spec.x_rates(j, len(u0))
     rates = rates_full[:K_trunc]
     targets = -np.exp(rates * T) * u0[:K_trunc] / gains[:K_trunc]
-    if solver is None:
-        solver = MomentSolver(rates, T)
-    sol = solver.solve(targets)
-    control = ControlSignal.from_segments(kind, [sol.reversed_segment(t_offset)], x0=x0)
+    sol = MomentSolver(rates, T).solve(targets)
+    control = ControlSignal(kind, [sol.reversed_segment(0.0)], x0=x0)
     tail = float(np.sum(np.exp(2 * rates_full[K_trunc:] * T) * u0[K_trunc:] ** 2))
     return control, sol, tail
 
@@ -151,7 +128,6 @@ def verify_null(
     spec: SpectrumSpec,
     j: int,
     K_trunc: Optional[int] = None,
-    shifted: bool = False,
 ) -> NullReport:
     """Simulate the closed loop and measure the end state.
 
@@ -160,7 +136,7 @@ def verify_null(
     unenforced truncated modes.
     """
     u0 = np.asarray(u0, dtype=float)
-    state = state_1d(spec, j, coeffs=u0, shifted=shifted, count=len(u0))
+    state = state_1d(spec, j, coeffs=u0, count=len(u0))
     state.time = control.t_start
     end = evolve_controlled(state, control, (control.t_start, control.t_start + T))
     n0 = float(np.linalg.norm(u0))
@@ -291,17 +267,3 @@ def critical_counterexample(
         trace=trace,
     )
 
-
-def pointwise_counterexample_state(spec: SpectrumSpec, x0: float) -> np.ndarray:
-    """Initial state whose point observation at x0 vanishes identically."""
-    verdict = critical_set_check(spec)
-    if verdict.kind != "critical":
-        raise NotCritical("needs exact criticality")
-    k0, l0 = verdict.k, verdict.l
-    sk = math.sin(k0 * math.pi * x0 / spec.a_float)
-    sl = math.sin(l0 * math.pi * x0 / spec.a_float)
-    K = max(spec.K_x, l0)
-    u0 = np.zeros(K)
-    u0[k0 - 1] = 1.0
-    u0[l0 - 1] = -sk / sl
-    return u0

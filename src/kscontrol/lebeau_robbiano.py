@@ -271,8 +271,8 @@ def _slice_moment_control(kind: str, end_free: np.ndarray, slices, spec: Spectru
         t0=t0, t1=t1,
         exponents=np.concatenate(exps), refs=np.concatenate(refs), coeffs=np.vstack(blocks),
     )
-    return ControlSignal.from_segments(kind, [segment], x0=x0, mass=np.eye(rows, spec.J_y),
-                                       row_gram=np.eye(rows))
+    return ControlSignal(kind, [segment], x0=x0, mass=np.eye(rows, spec.J_y),
+                         row_gram=np.eye(rows))
 
 
 @dataclass
@@ -343,36 +343,12 @@ def active_phase_gramian(
 
     seg = LegendreSegment(t0=t0, t1=t1, coeffs=theta.T.copy())
     kind = "boundary_nd" if x0 is None else "pointwise_nd"
-    sig = ControlSignal.from_segments(
-        kind, [seg], x0=x0, mass=M, row_gram=M[:, :rows].copy(), omega=omega,
-    )
+    sig = ControlSignal(kind, [seg], x0=x0, mass=M, row_gram=M[:, :rows].copy(), omega=omega)
     report = GramianReport(
         gamma=gamma_eff, n_killed=n_killed,
         min_eig=sv_min**2, max_eig=sv_max**2, lstsq_residual=resid,
     )
     return sig, report
-
-
-def passive_phase(
-    state: ModalState,
-    window: tuple,
-    spec: SpectrumSpec,
-    gamma: int,
-    source: Optional[ModalSource] = None,
-):
-    """Free (or source-only) flow with the dissipation certificate.
-
-    The residue left below the cutoff by the active phase (<= the kill
-    tolerance) decays at its own rates and is reported, not bounded by the
-    certificate.
-    """
-    t0, t1 = float(window[0]), float(window[1])
-    gamma_eff = min(gamma, spec.J_y)
-    low_before = float(np.linalg.norm(state.coeffs[:, :gamma_eff]))
-    high_before = float(np.linalg.norm(state.coeffs[:, gamma_eff:]))
-    end = evolve_controlled(state, None, (t0, t1), source=source)
-    _certify_dissipation(spec, gamma_eff, high_before, end.coeffs, t1 - t0, source)
-    return end, {"low_residue_before": low_before, "high_before": high_before}
 
 
 def _certify_dissipation(spec: SpectrumSpec, gamma_eff: int, high_before: float,

@@ -3,9 +3,9 @@
 States are modal coefficient arrays in the orthonormal sine basis: a vector
 (K,) for 1-D problems, a matrix (K_x, J_y) on the cylinder.  The linear flow
 is diagonal, so every evolution step is an exact exponential update; controls
-enter through closed-form Duhamel integrals (analytic payloads) or exact
-per-sample phi1/phi2 updates (sampled payloads).  Sources are piecewise
-linear in time and also integrated exactly.
+enter through the closed-form Duhamel integrals of their analytic segments.
+Sources are piecewise linear in time and integrated exactly by phi1/phi2
+updates.
 
 The modal input coefficients, derived from the transposition identity:
 
@@ -26,13 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import QuadratureUnderResolved
-from .signals import (
-    PIECEWISE_CONSTANT,
-    S_BOUNDARY,
-    ControlSignal,
-    phi1,
-    phi2,
-)
+from .signals import S_BOUNDARY, ControlSignal, phi1, phi2
 from .spectrum import SpectrumSpec, _dim_float
 
 
@@ -64,17 +58,12 @@ def state_1d(
     j: int,
     coeffs=None,
     time: float = 0.0,
-    shifted: bool = False,
     count: Optional[int] = None,
 ) -> ModalState:
-    """1-D state for cross-mode j.
-
-    ``shifted=False`` gives the plain fourth-order problem (rates
-    ``x_eigenvalue``); ``shifted=True`` adds the zeroth-order term so the
-    rates are the full cylinder-slice rates.
-    """
+    """1-D state for cross-mode j of the plain fourth-order problem (rates
+    ``x_eigenvalue``)."""
     n = count if count is not None else spec.K_x
-    rates = spec.slice_rates(j, n) if shifted else spec.x_rates(j, n)
+    rates = spec.x_rates(j, n)
     c = np.zeros(n) if coeffs is None else np.asarray(coeffs, dtype=float).copy()
     if c.shape != (n,):
         raise ValueError(f"coefficient shape {c.shape} != ({n},)")
@@ -167,13 +156,6 @@ def _control_gain(state: ModalState, control: ControlSignal):
     raise ValueError(f"unknown control kind {control.kind}")
 
 
-def _forcing_from_rows(x_gain, mass, row_values):
-    """Map row coefficients (R,) to the modal forcing array."""
-    if mass is None:
-        return x_gain * row_values
-    return np.outer(x_gain, mass.T @ row_values)
-
-
 # ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
@@ -193,13 +175,9 @@ def evolve_free(state: ModalState, dt: float) -> ModalState:
 def _breakpoints(t0, t1, control, source, record):
     pts = {t0, t1}
     if control is not None:
-        if control.is_analytic:
-            for seg in control.segments:
-                pts.add(seg.t0)
-                pts.add(seg.t1)
-        else:
-            for g in control.grid:
-                pts.add(float(g))
+        for seg in control.segments:
+            pts.add(seg.t0)
+            pts.add(seg.t1)
     if source is not None:
         for t in source.times:
             pts.add(float(t))
@@ -220,32 +198,14 @@ def _step_exact(state, t0, t1, control, x_gain, mass, source):
     new_coeffs = state.coeffs * grow
 
     if control is not None:
-        flat = lam.ravel()
-        if control.is_analytic:
-            seg = control._segment_for(0.5 * (t0 + t1))
-            duh = seg.mode_duhamel(flat, t0, t1)  # (M,) or (M, R)
-            if duh.ndim == 1:
-                new_coeffs += duh.reshape(lam.shape) * (x_gain if lam.ndim == 1 else x_gain[:, None])
-            else:
-                duh3 = duh.reshape(lam.shape + (duh.shape[1],))
-                contrib = np.einsum("kjr,rj->kj", duh3, mass)
-                new_coeffs += contrib * x_gain[:, None]
+        seg = control._segment_for(0.5 * (t0 + t1))
+        duh = seg.mode_duhamel(lam.ravel(), t0, t1)  # (M,) or (M, R)
+        if duh.ndim == 1:
+            new_coeffs += duh.reshape(lam.shape) * (x_gain if lam.ndim == 1 else x_gain[:, None])
         else:
-            z = lam * delta
-            if control.quadrature == PIECEWISE_CONSTANT:
-                idx = int(np.clip(np.searchsorted(control.grid, 0.5 * (t0 + t1), side="right") - 1,
-                                  0, len(control.values) - 1))
-                w = control.values[idx]
-                F = _forcing_from_rows(x_gain, mass, np.atleast_1d(w))
-                if F.shape != lam.shape:
-                    F = F.reshape(lam.shape)
-                new_coeffs += delta * phi1(z) * F
-            else:
-                w0 = control.value_at(t0)
-                w1 = control.value_at(t1)
-                F0 = _forcing_from_rows(x_gain, mass, np.atleast_1d(w0)).reshape(lam.shape)
-                F1 = _forcing_from_rows(x_gain, mass, np.atleast_1d(w1)).reshape(lam.shape)
-                new_coeffs += delta * phi1(z) * F0 + delta * phi2(z) * (F1 - F0)
+            duh3 = duh.reshape(lam.shape + (duh.shape[1],))
+            contrib = np.einsum("kjr,rj->kj", duh3, mass)
+            new_coeffs += contrib * x_gain[:, None]
 
     if source is not None:
         f0, f1 = source.value_at(t0), source.value_at(t1)
@@ -268,14 +228,14 @@ def evolve_controlled(
     """Evolve over ``window`` under control and/or source, exactly per piece.
 
     Returns the end state, or ``(state, Trace)`` when ``record`` times are
-    given.  The control grid (or analytic segments) must cover the window.
+    given.  The control's segments must cover the window.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not math.isclose(t0, state.time, rel_tol=0, abs_tol=1e-10):
         raise ValueError(f"window start {t0} != state time {state.time}")
     if control is not None:
         if control.t_start > t0 + 1e-12 or control.t_end < t1 - 1e-12:
-            raise ValueError("control grid does not cover the window")
+            raise ValueError("control segments do not cover the window")
         x_gain, mass = _control_gain(state, control)
     else:
         x_gain, mass = None, None
@@ -298,22 +258,13 @@ def evolve_controlled(
     return cur, Trace(times=np.array(rec_t), coeffs=np.array(rec_c))
 
 
-def evolve_boundary_controlled(state, control, window, **kw):
-    """Controlled evolution through the boundary input.
-
-    Refuses Critical/Near parameters: at a rate collision no boundary
-    control acts on the invariant two-mode subspace, so controlled-solve
-    claims would be vacuous (free flow remains available).
-    """
-    from .spectrum import require_clear
-
-    if control.kind not in ("boundary_1d", "boundary_nd"):
-        raise ValueError("expected a boundary control signal")
-    require_clear(state.spec)
-    return evolve_controlled(state, control, window, **kw)
-
-
 def evolve_pointwise_controlled(state, control, window, **kw):
+    """Controlled evolution through the point input at ``control.x0``.
+
+    Refuses Critical/Near parameters: at a rate collision no control acts on
+    the invariant two-mode subspace, so controlled-solve claims would be
+    vacuous (free flow remains available).
+    """
     from .spectrum import require_clear
 
     if control.kind not in ("pointwise_1d", "pointwise_nd"):

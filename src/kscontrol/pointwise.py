@@ -106,15 +106,11 @@ class PointSpec:
             coeffs, idx = self.data
             roots = mp.polyroots([mp.mpf(c) for c in coeffs], maxsteps=200, extraprec=200)
             real_roots = sorted(
-                float(r.real) for r in roots if abs(r.imag) < mp.mpf("1e-30") and 0 < r.real < 1
+                mp.mpf(r.real) for r in roots if abs(r.imag) < mp.mpf("1e-30") and 0 < r.real < 1
             )
             if idx >= len(real_roots):
                 raise ValueError("root index outside the unit-interval real roots")
-            target = real_roots[idx]
-            for r in roots:
-                if abs(r.imag) < mp.mpf("1e-30") and abs(float(r.real) - target) < 1e-12:
-                    return mp.mpf(r.real)
-            raise ValueError("root refinement failed")
+            return real_roots[idx]
         rule, depth = self.data
         if rule == "classic10":
             return mp.fsum(mp.mpf(10) ** (-mp.factorial(n)) for n in range(1, depth + 1))
@@ -225,8 +221,6 @@ def synthesize_point_control(
     K_trunc: int = DEFAULT_K_TRUNC,
     margin: float = DEFAULT_MARGIN,
     estimate: Optional[MinimalTimeReport] = None,
-    shifted: bool = False,
-    t_offset: float = 0.0,
 ):
     """Pointwise control nulling modes k <= K_trunc for T above the gate.
 
@@ -246,8 +240,7 @@ def synthesize_point_control(
         )
     x0 = estimate.x0_over_a * spec.a_float
     gains = pointwise_gain_x(spec, x0, len(u0))
-    control, sol, tail = _synthesize_1d(u0, T, spec, j, K_trunc, gains, "pointwise_1d",
-                                        shifted=shifted, t_offset=t_offset, x0=x0)
+    control, sol, tail = _synthesize_1d(u0, T, spec, j, K_trunc, gains, "pointwise_1d", x0=x0)
     report = PointSynthesisReport(
         control_norm=control.norm_l2(),
         moment_residual_max=sol.residual_max,

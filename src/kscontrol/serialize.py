@@ -79,14 +79,15 @@ def write_observation_csv(path, series):
 
 
 def write_control_csv(path, signal, n_samples: int = 1024):
-    sig = signal.resample(n_samples)
-    vals = np.atleast_1d(sig.values)
+    """The control sampled at n_samples + 1 uniform times of its window."""
+    grid = np.linspace(signal.t_start, signal.t_end, n_samples + 1)
+    vals = signal.value_at(grid)
     if vals.ndim == 1:
-        write_csv(path, ["t", "q"], list(zip(sig.grid, vals)))
+        write_csv(path, ["t", "q"], list(zip(grid, vals)))
     else:
         # y-expanded signals: one row per (time, y-mode) pair
         rows = []
-        for t, row in zip(sig.grid, vals):
+        for t, row in zip(grid, vals):
             for j, v in enumerate(row, start=1):
                 rows.append((t, j, v))
         write_csv(path, ["t", "j", "value"], rows)

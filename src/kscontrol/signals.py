@@ -1,14 +1,11 @@
-"""Control signals: sampled representations plus exact analytic payloads.
+"""Control signals: exact analytic segments in time.
 
-Synthesized controls are sums of exponentials (moment method) or Legendre
-polynomials (Gramian steering) per window.  Closed-loop verification
-integrates them against the modal flow in closed form, so the only numerical
-error downstream of a synthesis is the linear-algebra residual of the
-synthesis itself.  Analytic controls carry no sampled grid: their grid is
-just the segment endpoints, and a sampled view exists only when `resample`
-(and through it export) renders one.  Generic controls are sampled
-(piecewise-constant / piecewise-linear), and the declared quadrature is
-honored exactly by the integrator.
+Every control is a list of consecutive segments, each a sum of exponentials
+(moment method) or a Legendre series (Gramian steering) on its window.
+Closed-loop verification integrates them against the modal flow in closed
+form, so the only numerical error downstream of a synthesis is the
+linear-algebra residual of the synthesis itself.  Export samples
+`ControlSignal.value_at` on a uniform grid.
 
 Overflow discipline: every stored exponential carries its own reference time
 (window start for decaying terms, window end for growing ones) so evaluation
@@ -18,15 +15,12 @@ exponents are always <= a small bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy import special as sps
-
-PIECEWISE_CONSTANT = "piecewise_constant"
-PIECEWISE_LINEAR = "piecewise_linear"
 
 # Sign of the boundary input as seen by the modal ODE: frozen once by the
 # duality calibration test in tests/test_modal.py.  With orthonormal sines
@@ -214,76 +208,45 @@ class LegendreSegment:
 
 @dataclass
 class ControlSignal:
-    """Time-sampled control, or an exact analytic one (see `from_segments`).
+    """An exact analytic control: consecutive `ExpSegment`s or `LegendreSegment`s.
 
     ``kind`` is one of ``boundary_1d``, ``pointwise_1d``, ``boundary_nd``,
-    ``pointwise_nd``.  ``grid`` is strictly increasing; for piecewise-constant
-    quadrature ``values`` holds one entry per interval, for piecewise-linear
-    one per node.  N-D signals carry row data: ``values[s, r]`` is the
-    coefficient of row basis function r at sample s, ``mass[r, j]`` maps row
-    coefficients to y-modal gains, and ``row_gram`` gives the L2(control
-    region) inner products of the row basis (identity for tensor rows).
+    ``pointwise_nd``.  The segments cover [t_start, t_end] with strictly
+    increasing endpoints.  N-D signals carry row data: a segment's value is
+    the row vector (R,) of coefficients of the row basis functions,
+    ``mass[r, j]`` maps row coefficients to y-modal gains, and ``row_gram``
+    gives the L2(control region) inner products of the row basis (identity
+    for tensor rows).
     """
 
     kind: str
-    grid: np.ndarray
-    values: np.ndarray
-    quadrature: str = PIECEWISE_CONSTANT
+    segments: list
     x0: Optional[float] = None
     mass: Optional[np.ndarray] = None
     row_gram: Optional[np.ndarray] = None
     omega: Optional[tuple] = None
-    segments: Optional[list] = field(default=None)
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if np.any(np.diff(self.grid) <= 0):
-            raise ValueError("control grid must be strictly increasing")
-        n_expected = len(self.grid) - 1 if self.quadrature == PIECEWISE_CONSTANT else len(self.grid)
-        if self.values.shape[0] != n_expected:
-            raise ValueError(
-                f"values length {self.values.shape[0]} does not match grid under {self.quadrature}"
-            )
-        if not np.all(np.isfinite(self.values)):
+        self.segments = list(self.segments)
+        ends = [seg.t0 for seg in self.segments[:1]] + [seg.t1 for seg in self.segments]
+        if len(ends) < 2 or np.any(np.diff(ends) <= 0):
+            raise ValueError("control segment endpoints must be strictly increasing")
+        values = [self.segments[0].value(ends[0])] + [seg.value(seg.t1) for seg in self.segments]
+        if not np.all(np.isfinite(values)):
             raise ValueError("control values must be finite")
-
-    @classmethod
-    def from_segments(cls, kind: str, segments: list, **kw) -> "ControlSignal":
-        """Analytic control from consecutive segments.
-
-        The grid is just the segment endpoints, with the exact values there;
-        evolution and norms use the segments, and `resample` renders a
-        sampled view on demand.
-        """
-        grid = [segments[0].t0] + [seg.t1 for seg in segments]
-        values = [segments[0].value(grid[0])] + [seg.value(seg.t1) for seg in segments]
-        return cls(kind=kind, grid=grid, values=np.array(values), quadrature=PIECEWISE_LINEAR,
-                   segments=list(segments), **kw)
 
     @property
     def t_start(self) -> float:
-        return float(self.grid[0])
+        return float(self.segments[0].t0)
 
     @property
     def t_end(self) -> float:
-        return float(self.grid[-1])
-
-    @property
-    def is_analytic(self) -> bool:
-        return bool(self.segments)
+        return float(self.segments[-1].t1)
 
     def norm_l2(self) -> float:
-        """L2 norm over the covered window (analytic when segments exist)."""
-        if self.is_analytic:
-            total = sum(seg.l2_squared(self.row_gram) for seg in self.segments)
-            return math.sqrt(max(total, 0.0))
-        dt = np.diff(self.grid)
-        if self.quadrature == PIECEWISE_CONSTANT:
-            sq = self._row_square(self.values)
-            return math.sqrt(float(np.sum(sq * dt)))
-        sq = self._row_square(self.values)
-        return math.sqrt(float(np.sum(0.5 * (sq[1:] + sq[:-1]) * dt)))
+        """L2 norm over the covered window, in closed form."""
+        total = sum(seg.l2_squared(self.row_gram) for seg in self.segments)
+        return math.sqrt(max(total, 0.0))
 
     def _row_square(self, vals):
         if vals.ndim == 1:
@@ -292,46 +255,16 @@ class ControlSignal:
             return np.sum(vals**2, axis=1)
         return np.einsum("sr,rq,sq->s", vals, self.row_gram, vals)
 
-    def resample(self, n: int) -> "ControlSignal":
-        """Sampled copy on an n-interval uniform grid (export helper).
-
-        Analytic payloads are evaluated exactly at the new nodes; plain
-        sampled signals are interpolated per their quadrature.
-        """
-        grid = np.linspace(self.t_start, self.t_end, n + 1)
-        if self.is_analytic:
-            vals = self.value_at(grid)
-            quad = PIECEWISE_LINEAR
-        elif self.quadrature == PIECEWISE_LINEAR:
-            vals = _interp_rows(grid, self.grid, self.values)
-            quad = PIECEWISE_LINEAR
-        else:
-            mid = 0.5 * (grid[1:] + grid[:-1])
-            idx = np.clip(np.searchsorted(self.grid, mid, side="right") - 1, 0, len(self.values) - 1)
-            vals = self.values[idx]
-            quad = PIECEWISE_CONSTANT
-        return ControlSignal(
-            kind=self.kind, grid=grid, values=vals, quadrature=quad, x0=self.x0,
-            mass=self.mass, row_gram=self.row_gram, omega=self.omega, segments=self.segments,
-        )
-
     def value_at(self, t):
-        """Evaluate the control at times t (uses the analytic payload if any)."""
+        """Evaluate the control at times t."""
         tt = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.is_analytic:
-            out = None
-            for i, ti in enumerate(tt):
-                seg = self._segment_for(ti)
-                v = seg.value(ti)
-                if out is None:
-                    out = np.zeros((len(tt),) + np.shape(v))
-                out[i] = v
-            return out if np.ndim(t) else out[0]
-        if self.quadrature == PIECEWISE_LINEAR:
-            out = _interp_rows(tt, self.grid, self.values)
-        else:
-            idx = np.clip(np.searchsorted(self.grid, tt, side="right") - 1, 0, len(self.values) - 1)
-            out = self.values[idx]
+        out = None
+        for i, ti in enumerate(tt):
+            seg = self._segment_for(ti)
+            v = seg.value(ti)
+            if out is None:
+                out = np.zeros((len(tt),) + np.shape(v))
+            out[i] = v
         return out if np.ndim(t) else out[0]
 
     def _segment_for(self, t: float):
@@ -339,12 +272,3 @@ class ControlSignal:
             if seg.t0 - 1e-12 <= t <= seg.t1 + 1e-12:
                 return seg
         raise ValueError(f"t={t} outside analytic segments")
-
-
-def _interp_rows(t, grid, values):
-    if values.ndim == 1:
-        return np.interp(t, grid, values)
-    out = np.empty((len(t), values.shape[1]))
-    for r in range(values.shape[1]):
-        out[:, r] = np.interp(t, grid, values[:, r])
-    return out

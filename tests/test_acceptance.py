@@ -25,12 +25,11 @@ from kscontrol.errors import NoContraction
 from kscontrol.lebeau_robbiano import BoundaryGamma, run_lr
 from kscontrol.modal import (
     adjoint_solution,
-    evolve_boundary_controlled,
+    evolve_controlled,
     evolve_free,
     state_1d,
     state_nd,
 )
-from kscontrol.moments import MomentSolver
 from kscontrol.nonlinear import fixed_point
 from kscontrol.pointwise import (
     PointSpec,
@@ -38,7 +37,7 @@ from kscontrol.pointwise import (
     negative_certificate,
     synthesize_point_control,
 )
-from kscontrol.signals import ControlSignal
+from kscontrol.signals import ControlSignal, LegendreSegment
 from kscontrol.spectrum import (
     Box,
     K0_index,
@@ -55,6 +54,13 @@ def report(n, ok, detail):
 
 def spec_pi(nu, K_x=16, J_y=8):
     return SpectrumSpec(a="pi", nu=nu, cross_section=Box(["pi"]), K_x=K_x, J_y=J_y)
+
+
+def piecewise_constant(kind, grid, values):
+    """Control equal to values[i] on [grid[i], grid[i + 1]]: one degree-0 Legendre segment each."""
+    segments = [LegendreSegment(t0=t0, t1=t1, coeffs=np.array([v]))
+                for t0, t1, v in zip(grid[:-1], grid[1:], values)]
+    return ControlSignal(kind, segments)
 
 
 # --------------------------------------------------------------------------
@@ -74,8 +80,8 @@ def test_c01_duality_closure():
         phi_T = rng.standard_normal(8)
         grid = np.linspace(0.0, T, 25)
         qv = rng.standard_normal(24)
-        sig = ControlSignal(kind="boundary_1d", grid=grid, values=qv)
-        vT = evolve_boundary_controlled(state_1d(spec, 1, coeffs=u0), sig, (0.0, T))
+        sig = piecewise_constant("boundary_1d", grid, qv)
+        vT = evolve_controlled(state_1d(spec, 1, coeffs=u0), sig, (0.0, T))
         phi0 = adjoint_solution(phi_T, 0.0, T, rates)
         integral = 0.0
         for i in range(24):
@@ -123,15 +129,11 @@ def test_c03_null_control_grid():
     for nu in (0, 1, "6.5"):
         spec = spec_pi(nu=nu)
         for j in (1, 2, 3):
-            rates = spec.x_rates(j, 8)
             for T in (0.5, 1.0):
-                solver = MomentSolver(rates, T)
                 for k0 in range(1, 6):
                     u0 = np.zeros(16)
                     u0[k0 - 1] = 1.0
-                    control, rep = synthesize_boundary_control(
-                        u0, T, spec, j, K_trunc=8, solver=solver
-                    )
+                    control, rep = synthesize_boundary_control(u0, T, spec, j, K_trunc=8)
                     out = verify_null(u0, control, T, spec, j, K_trunc=8)
                     worst = max(worst, out.rel_final_enforced)
                     runs += 1

@@ -7,8 +7,6 @@ from scipy.integrate import quad
 from kscontrol.boundary_1d import (
     cost_scan,
     critical_counterexample,
-    moment_targets,
-    pointwise_counterexample_state,
     synthesize_boundary_control,
     verify_null,
 )
@@ -65,7 +63,7 @@ def test_moment_linearity():
 
 def test_targets_zero_state():
     spec = spec_box_pi(nu=0)
-    assert np.allclose(moment_targets(np.zeros(6), 1.0, spec, 1), 0.0)
+    assert np.allclose(synthesize_boundary_control(np.zeros(6), 1.0, spec, 1)[1].targets, 0.0)
 
 
 def test_target_prefactor_orthonormal_convention():
@@ -84,7 +82,7 @@ def test_targets_decay_superexponentially():
     spec = spec_box_pi(nu=0)
     rng = np.random.default_rng(4)
     u0 = rng.standard_normal(10)
-    m = moment_targets(u0, 1.0, spec, 1)
+    m = synthesize_boundary_control(u0, 1.0, spec, 1, K_trunc=10)[1].targets
     rates = spec.x_rates(1, 10)
     bound = np.exp(rates * 1.0) * np.linalg.norm(u0) * spec.a_float**1.5 / (
         math.sqrt(2) * math.pi * np.arange(1, 11)
@@ -95,7 +93,7 @@ def test_targets_decay_superexponentially():
 def test_targets_critical_raises():
     spec = spec_box_pi(nu=7)
     with pytest.raises(CriticalParameter):
-        moment_targets(np.ones(4), 1.0, spec, 1)
+        synthesize_boundary_control(np.ones(4), 1.0, spec, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +164,7 @@ def test_corrupted_control_detected():
         type(s)(t0=s.t0, t1=s.t1, exponents=s.exponents, refs=s.refs, coeffs=1.1 * s.coeffs)
         for s in control.segments
     ]
-    bad = type(control)(
-        kind=control.kind, grid=control.grid, values=1.1 * control.values,
-        quadrature=control.quadrature, segments=bad_segments,
-    )
+    bad = type(control)(kind=control.kind, segments=bad_segments)
     out = verify_null(u0, bad, 1.0, spec, 1, K_trunc=8)
     assert out.rel_final_enforced > 1e-3
 
@@ -192,38 +187,12 @@ def test_linearity_of_synthesis():
     u[:4] = rng.standard_normal(4)
     w[:4] = rng.standard_normal(4)
     a, b = 1.7, -0.6
-    solver = MomentSolver(spec.x_rates(1, 8), 0.5)
-    cu, _ = synthesize_boundary_control(u, 0.5, spec, 1, K_trunc=8, solver=solver)
-    cw, _ = synthesize_boundary_control(w, 0.5, spec, 1, K_trunc=8, solver=solver)
-    cuw, _ = synthesize_boundary_control(a * u + b * w, 0.5, spec, 1, K_trunc=8, solver=solver)
+    cu, _ = synthesize_boundary_control(u, 0.5, spec, 1, K_trunc=8)
+    cw, _ = synthesize_boundary_control(w, 0.5, spec, 1, K_trunc=8)
+    cuw, _ = synthesize_boundary_control(a * u + b * w, 0.5, spec, 1, K_trunc=8)
     t = np.linspace(0, 0.5, 11)
     assert np.allclose(cuw.value_at(t), a * cu.value_at(t) + b * cw.value_at(t),
                        rtol=1e-10, atol=1e-12)
-
-
-def test_shifted_slice_synthesis():
-    # cylinder-slice rates (with zeroth-order term): same machinery
-    spec = spec_box_pi(nu=0)
-    u0 = np.zeros(16)
-    u0[0] = 1.0
-    control, rep = synthesize_boundary_control(u0, 0.5, spec, 2, K_trunc=8, shifted=True)
-    out = verify_null(u0, control, 0.5, spec, 2, K_trunc=8, shifted=True)
-    assert out.rel_final_enforced <= 1e-6
-
-
-def test_window_offset_synthesis():
-    spec = spec_box_pi(nu=0)
-    u0 = np.zeros(16)
-    u0[0] = 1.0
-    control, _ = synthesize_boundary_control(u0, 0.3, spec, 1, K_trunc=8, t_offset=2.0)
-    assert control.t_start == pytest.approx(2.0)
-    assert control.t_end == pytest.approx(2.3)
-    state = state_1d(spec, 1, coeffs=u0)
-    state.time = 2.0
-    from kscontrol.modal import evolve_boundary_controlled
-
-    end = evolve_boundary_controlled(state, control, (2.0, 2.3))
-    assert np.linalg.norm(end.coeffs[:8]) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +257,10 @@ def test_pointwise_counterexample_invariant():
 
     spec = spec_box_pi(nu=7, K_x=8)
     x0 = 0.7
-    u0 = pointwise_counterexample_state(spec, x0)
+    ce = critical_counterexample(spec, x0=x0)
+    u0 = np.zeros(len(ce.u0))
+    u0[ce.k0 - 1] = 1.0
+    u0[ce.l0 - 1] = -ce.pointwise_weight
     state = state_1d(spec, 1, coeffs=u0)
     times = np.linspace(0, 1.0, 200)
     _, trace = evolve_controlled(state, None, (0.0, 1.0), record=times)

@@ -69,6 +69,16 @@ def test_point_spec_parsing():
     assert sc.params["point"].kind == "algebraic"
 
 
+def test_tiny_algebraic_root_parses():
+    sc = parse_config_dict({
+        "task": "minimal-time",
+        "domain": base_domain(),
+        "minimal_time": {"point": {"algebraic": [10**40, 1, -1]}, "k_max": 100},
+    })
+    assert sc.params["point"].data == ((10**40, 1, -1), 0)
+    assert sc.params["k_max"] == 100
+
+
 # ---------------------------------------------------------------------------
 # runner + artifacts
 # ---------------------------------------------------------------------------

@@ -8,15 +8,15 @@ from kscontrol.errors import BadRho, BetaTooSmall
 from kscontrol.lebeau_robbiano import (
     BoundaryGamma,
     InternalPoint,
+    _certify_dissipation,
     active_phase_gramian,
     active_phase_tensor,
     build_schedule,
     default_beta,
     mass_matrix,
-    passive_phase,
     run_lr,
 )
-from kscontrol.modal import state_nd
+from kscontrol.modal import evolve_controlled, state_nd
 from kscontrol.pointwise import PointSpec
 from kscontrol.spectrum import Box, SpectrumSpec
 
@@ -203,10 +203,18 @@ def test_gramian_shrinking_omega_costs_more():
 # passive phase
 # ---------------------------------------------------------------------------
 
+def passive_span(state, window, spec, gamma):
+    """Free flow over the window, then the dissipation certificate above gamma."""
+    high_before = float(np.linalg.norm(state.coeffs[:, gamma:]))
+    end = evolve_controlled(state, None, window)
+    _certify_dissipation(spec, gamma, high_before, end.coeffs, window[1] - window[0], None)
+    return end
+
+
 def test_passive_phase_identity_dt0():
     spec = spec_2d()
     state = state_nd(spec, np.ones((8, 8)) * 1e-3)
-    end, _ = passive_phase(state, (0.0, 0.0), spec, gamma=4)
+    end = passive_span(state, (0.0, 0.0), spec, gamma=4)
     assert np.allclose(end.coeffs, state.coeffs)
 
 
@@ -215,7 +223,7 @@ def test_passive_phase_single_high_mode_exact_rate():
     c = np.zeros((8, 8))
     c[0, 5] = 1.0  # j = 6 > gamma = 4
     state = state_nd(spec, c)
-    end, _ = passive_phase(state, (0.0, 0.05), spec, gamma=4)
+    end = passive_span(state, (0.0, 0.05), spec, gamma=4)
     lam = spec.mode_rate(1, 6).total
     assert end.coeffs[0, 5] == pytest.approx(math.exp(lam * 0.05), rel=1e-12)
 
@@ -227,7 +235,7 @@ def test_passive_phase_random_admissible_state_bound():
         c = np.zeros((8, 8))
         c[:, 4:] = rng.standard_normal((8, 4))
         state = state_nd(spec, c)
-        passive_phase(state, (0.0, 0.07), spec, gamma=4)  # raises on violation
+        passive_span(state, (0.0, 0.07), spec, gamma=4)  # raises on violation
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from kscontrol.modal import (
     ModalSource,
     adjoint_solution,
     boundary_observation,
-    evolve_boundary_controlled,
     evolve_controlled,
     evolve_free,
     evolve_pointwise_controlled,
@@ -24,6 +23,7 @@ from kscontrol.modal import (
 from kscontrol.signals import (
     ControlSignal,
     ExpSegment,
+    LegendreSegment,
     legendre_mode_integrals,
     phi1,
     phi2,
@@ -38,6 +38,13 @@ def spec_1d(nu=0, K_x=8, mu=None):
 
 def spec_2d(nu=0, K_x=6, J_y=6):
     return SpectrumSpec(a="pi", nu=nu, cross_section=Box(["pi"]), K_x=K_x, J_y=J_y)
+
+
+def piecewise_constant(kind, grid, values, **kw):
+    """Control equal to values[i] on [grid[i], grid[i + 1]]: one degree-0 Legendre segment each."""
+    segments = [LegendreSegment(t0=t0, t1=t1, coeffs=np.asarray(v, dtype=float)[None])
+                for t0, t1, v in zip(grid[:-1], grid[1:], values)]
+    return ControlSignal(kind, segments, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -142,21 +149,30 @@ def test_semigroup_property_hypothesis(dt1, dt2):
 def test_zero_control_reduces_to_free():
     spec = spec_1d()
     u = state_1d(spec, 1, coeffs=np.ones(8))
-    sig = ControlSignal(
-        kind="boundary_1d", grid=np.linspace(0, 0.5, 11), values=np.zeros(10)
-    )
-    v = evolve_boundary_controlled(u, sig, (0.0, 0.5))
+    sig = piecewise_constant("boundary_1d", np.linspace(0, 0.5, 11), np.zeros(10))
+    v = evolve_controlled(u, sig, (0.0, 0.5))
     w = evolve_free(u, 0.5)
     assert np.allclose(v.coeffs, w.coeffs, rtol=1e-14)
 
 
 def test_control_signal_rejects_non_finite_values():
     with pytest.raises(ValueError):
-        ControlSignal(kind="boundary_1d", grid=np.array([0.0, 0.5]), values=np.array([np.nan]))
+        piecewise_constant("boundary_1d", np.array([0.0, 0.5]), np.array([np.nan]))
     seg = ExpSegment(t0=0.0, t1=0.5, exponents=np.array([-1.0, -2.0]),
                      refs=np.zeros(2), coeffs=np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
-        ControlSignal.from_segments("boundary_1d", [seg])
+        ControlSignal("boundary_1d", [seg])
+
+
+def test_control_signal_rejects_unordered_segments():
+    first = ExpSegment(t0=0.0, t1=0.5, exponents=np.array([-1.0]), refs=np.zeros(1),
+                       coeffs=np.array([1.0]))
+    second = ExpSegment(t0=0.5, t1=0.9, exponents=np.array([-1.0]), refs=np.zeros(1),
+                        coeffs=np.array([1.0]))
+    assert ControlSignal("boundary_1d", [first, second]).t_end == 0.9
+    for segments in ([], [second, first]):
+        with pytest.raises(ValueError):
+            ControlSignal("boundary_1d", segments)
 
 
 def test_constant_boundary_control_duhamel_closed_form():
@@ -167,8 +183,8 @@ def test_constant_boundary_control_duhamel_closed_form():
     c = 0.37
     T = 0.8
     u = state_1d(spec, 1, coeffs=np.array([0.9]))
-    sig = ControlSignal(kind="boundary_1d", grid=np.array([0.0, T]), values=np.array([c]))
-    v = evolve_boundary_controlled(u, sig, (0.0, T))
+    sig = piecewise_constant("boundary_1d", np.array([0.0, T]), np.array([c]))
+    v = evolve_controlled(u, sig, (0.0, T))
     expect = math.exp(lam * T) * 0.9 + g * c * (math.exp(lam * T) - 1.0) / lam
     assert v.coeffs[0] == pytest.approx(expect, rel=1e-10)
 
@@ -180,9 +196,7 @@ def test_constant_pointwise_control_duhamel_closed_form():
     g = math.sqrt(2.0 / math.pi) * math.sin(x0)
     c, T = -0.21, 0.6
     u = state_1d(spec, 1, coeffs=np.array([0.4]))
-    sig = ControlSignal(
-        kind="pointwise_1d", grid=np.array([0.0, T]), values=np.array([c]), x0=x0
-    )
+    sig = piecewise_constant("pointwise_1d", np.array([0.0, T]), np.array([c]), x0=x0)
     v = evolve_pointwise_controlled(u, sig, (0.0, T))
     expect = math.exp(lam * T) * 0.4 + g * c * (math.exp(lam * T) - 1.0) / lam
     assert v.coeffs[0] == pytest.approx(expect, rel=1e-10)
@@ -194,9 +208,7 @@ def test_pointwise_node_of_sine_untouched():
     u = state_1d(spec, 1, coeffs=np.zeros(8))
     grid = np.linspace(0.0, 0.5, 41)
     rng = np.random.default_rng(3)
-    sig = ControlSignal(
-        kind="pointwise_1d", grid=grid, values=rng.standard_normal(40), x0=math.pi / 2
-    )
+    sig = piecewise_constant("pointwise_1d", grid, rng.standard_normal(40), x0=math.pi / 2)
     v = evolve_pointwise_controlled(u, sig, (0.0, 0.5))
     assert np.allclose(v.coeffs[1::2], 0.0, atol=1e-16)
     assert np.any(np.abs(v.coeffs[::2]) > 1e-6)
@@ -263,9 +275,9 @@ def test_duality_boundary_1d_random():
         phi_T = rng.standard_normal(8)
         grid = np.linspace(0.0, T, 33)
         qvals = rng.standard_normal(32)
-        sig = ControlSignal(kind="boundary_1d", grid=grid, values=qvals)
+        sig = piecewise_constant("boundary_1d", grid, qvals)
         u = state_1d(spec, 1, coeffs=v0)
-        vT = evolve_boundary_controlled(u, sig, (0.0, T))
+        vT = evolve_controlled(u, sig, (0.0, T))
         phi0 = adjoint_solution(phi_T, 0.0, T, rates)
         # int q phi_x(t,0) dt, exact per piecewise-constant sample
         w = math.sqrt(2.0 / math.pi) * np.arange(1, 9) * math.pi / math.pi
@@ -292,7 +304,7 @@ def test_duality_pointwise_1d_random():
         phi_T = rng.standard_normal(8)
         grid = np.linspace(0.0, T, 17)
         hvals = rng.standard_normal(16)
-        sig = ControlSignal(kind="pointwise_1d", grid=grid, values=hvals, x0=x0)
+        sig = piecewise_constant("pointwise_1d", grid, hvals, x0=x0)
         u = state_1d(spec, 1, coeffs=v0)
         vT = evolve_pointwise_controlled(u, sig, (0.0, T))
         phi0 = adjoint_solution(phi_T, 0.0, T, rates)
@@ -319,9 +331,9 @@ def test_duality_boundary_nd_random():
         phi_T = rng.standard_normal((5, 4))
         grid = np.linspace(0.0, T, 9)
         qrows = rng.standard_normal((8, 4))
-        sig = ControlSignal(kind="boundary_nd", grid=grid, values=qrows, mass=mass)
+        sig = piecewise_constant("boundary_nd", grid, qrows, mass=mass)
         u = state_nd(spec, v0)
-        vT = evolve_boundary_controlled(u, sig, (0.0, T))
+        vT = evolve_controlled(u, sig, (0.0, T))
         phi0 = phi_T * np.exp(rates * T)
         integral = 0.0
         for i in range(8):
@@ -547,11 +559,7 @@ def test_controlled_evolution_refuses_critical_parameter():
 
     crit = SpectrumSpec(a="pi", nu=7, cross_section=Box(["pi"]), K_x=8, J_y=4)
     u = state_1d(crit, 1, coeffs=np.ones(8))
-    sig = ControlSignal(kind="boundary_1d", grid=np.array([0.0, 0.5]), values=np.array([1.0]))
-    with pytest.raises(CriticalParameter):
-        evolve_boundary_controlled(u, sig, (0.0, 0.5))
-    sigp = ControlSignal(kind="pointwise_1d", grid=np.array([0.0, 0.5]),
-                         values=np.array([1.0]), x0=1.0)
+    sigp = piecewise_constant("pointwise_1d", np.array([0.0, 0.5]), np.array([1.0]), x0=1.0)
     with pytest.raises(CriticalParameter):
         evolve_pointwise_controlled(u, sigp, (0.0, 0.5))
     # free flow at a critical parameter stays available (counterexample needs it)
