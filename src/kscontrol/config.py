@@ -25,7 +25,14 @@ from .boundary_1d import DEFAULT_K_TRUNC
 from .errors import ConfigError
 from .exact import parse_length, parse_rational
 from .lebeau_robbiano import DEFAULT_RHO, BoundaryGamma, InternalPoint, omega_axes
-from .nonlinear import DEFAULT_C_COST, DEFAULT_MAX_ITER, DEFAULT_Q, DEFAULT_SIM_STEPS, WeightPair
+from .nonlinear import (
+    DEFAULT_C_COST,
+    DEFAULT_MAX_ITER,
+    DEFAULT_Q,
+    DEFAULT_SIM_STEPS,
+    MIN_SIM_STEPS,
+    WeightPair,
+)
 from .pointwise import DEFAULT_K_MAX, DEFAULT_MARGIN, LIOUVILLE_RULES, PointSpec
 from .spectrum import DEFAULT_CRIT_TOL, DEFAULT_J_Y, DEFAULT_K_X, Box, External, SpectrumSpec
 from .spectrum import critical_set_check, load_external_eigenvalues
@@ -260,7 +267,7 @@ _FIELDS = {
         "C_cost": (_number(), DEFAULT_C_COST),
         "tol": (_positive, 1e-6),
         "max_iter": (_integer(), DEFAULT_MAX_ITER),
-        "sim_steps": (_integer(), DEFAULT_SIM_STEPS),
+        "sim_steps": (_integer(lo=MIN_SIM_STEPS), DEFAULT_SIM_STEPS),
         "r_guess": (_positive, None),
     },
     "simulate": {

@@ -101,7 +101,8 @@ class WeightUnderflow(KSControlError):
 
 
 class StepUnconverged(KSControlError):
-    """Step-halving changed the nonlinear end state beyond tolerance."""
+    """Step-halving changed the nonlinear end state beyond tolerance, or the
+    replay left the finite range."""
 
 
 class BadRho(KSControlError):

@@ -26,7 +26,15 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import QuadratureUnderResolved
-from .signals import S_BOUNDARY, ControlSignal, phi1, phi2
+from .signals import (
+    S_BOUNDARY,
+    ControlSignal,
+    LegendreSegment,
+    exp_sum_integral,
+    legendre_mode_integrals,
+    phi1,
+    phi2,
+)
 from .spectrum import SpectrumSpec, _dim_float
 
 
@@ -138,13 +146,11 @@ def pointwise_gain_x(spec: SpectrumSpec, x0: float, count: Optional[int] = None)
     return math.sqrt(2.0 / spec.a_float) * np.sin(ks * math.pi * x0 / spec.a_float)
 
 
-def _control_gain(state: ModalState, control: ControlSignal):
+def _control_gain(spec: SpectrumSpec, n: int, control: ControlSignal):
     """(x_gain, mass) so the modal forcing is outer(x_gain, mass.T @ w(t)).
 
     For 1-D states mass is None and the forcing is x_gain * w(t).
     """
-    spec = state.spec
-    n = state.coeffs.shape[0]
     if control.kind == "boundary_1d":
         return boundary_gain_x(spec, n), None
     if control.kind == "pointwise_1d":
@@ -172,6 +178,102 @@ def evolve_free(state: ModalState, dt: float) -> ModalState:
     return new
 
 
+class ControlStepper:
+    """Exact steps of one state shape under one control signal.
+
+    Built once per signal and reused for every step: the x gain and the
+    row-to-mode ``mass`` are resolved once, the segment of a step is found by
+    index, and e^{lam h} and the Legendre mode integrals are cached per
+    distinct step length h.  Two forcings of a step inside one segment:
+
+    * `forcing` evaluates the segment's `mode_duhamel` at the step's absolute
+      times, then applies ``mass`` and the gain.  `evolve_controlled` uses
+      it, so syntheses keep their arithmetic bit for bit.
+    * `step_forcing`, the closed-loop replay's, also caches each exponential
+      segment's Duhamel block per h, with step-anchored references: each
+      exponential is referenced to the step's start if it decays and to the
+      step's end if it grows.  The block already holds the gain, ``mass`` and
+      the segment's coefficients, so a step starting at t0 costs the scale
+      vector e^{b (t0 + rho h - r)} (rho = 1 for growing b, else 0; entries
+      <= 1 under the reference discipline of `signals`) and one
+      matrix-vector product.  Legendre segments take `forcing`.
+    """
+
+    def __init__(self, state: ModalState, control: ControlSignal):
+        self.control = control
+        self.rates = state.rates
+        self._lam = state.rates.ravel()
+        self._x_gain, self._mass = _control_gain(state.spec, state.coeffs.shape[0], control)
+        self._t0s = np.array([seg.t0 for seg in control.segments])
+        self._t1s = np.array([seg.t1 for seg in control.segments])
+        self._cache = {}  # ("grow", h), ("legendre", degree, h), ("block", segment index, h)
+
+    def growth(self, h: float) -> np.ndarray:
+        """e^{lam h}, cached per step length."""
+        return self._cached(("grow", h), lambda: np.exp(self.rates * h))
+
+    def forcing(self, t0: float, t1: float) -> np.ndarray:
+        """int_{t0}^{t1} e^{lam (t1 - s)} (modal input of the control)(s) ds
+        over a step inside one segment, evaluated at absolute times."""
+        return self._segment_forcing(self._segment(t0, t1)[1], t0, t1)
+
+    def step_forcing(self, t0: float, t1: float) -> np.ndarray:
+        """The same integral by the step-anchored block of an exponential
+        segment, cached per step length."""
+        i, seg = self._segment(t0, t1)
+        if isinstance(seg, LegendreSegment):
+            return self._segment_forcing(seg, t0, t1)
+        h = t1 - t0
+        block = self._cached(("block", i, h), lambda: self._anchored_block(seg, h))
+        anchor = np.where(seg.exponents > 0, t1, t0)
+        return (block @ np.exp(seg.exponents * (anchor - seg.refs))).reshape(self.rates.shape)
+
+    def advance(self, coeffs: np.ndarray, t0: float, t1: float) -> np.ndarray:
+        """The replay's exact controlled flow of ``coeffs`` over [t0, t1],
+        split at any segment endpoint inside the step."""
+        inner = self._t1s[(self._t1s > t0 + 1e-14) & (self._t1s < t1 - 1e-14)]
+        for a, b in zip((t0, *inner), (*inner, t1)):
+            coeffs = coeffs * self.growth(b - a) + self.step_forcing(a, b)
+        return coeffs
+
+    def _cached(self, key, build):
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = build()
+        return out
+
+    def _segment(self, t0: float, t1: float):
+        t = 0.5 * (t0 + t1)
+        i = int(np.searchsorted(self._t1s + 1e-12, t))
+        if i == len(self._t1s) or t < self._t0s[i] - 1e-12:
+            raise ValueError(f"t={t} outside analytic segments")
+        return i, self.control.segments[i]
+
+    def _segment_forcing(self, seg, t0: float, t1: float) -> np.ndarray:
+        lam = self.rates
+        if isinstance(seg, LegendreSegment):
+            duh = seg.mode_duhamel(self._lam, t0, t1, integrals=self._legendre_integrals)
+        else:
+            duh = seg.mode_duhamel(self._lam, t0, t1)  # (M,) or (M, R)
+        if duh.ndim == 1:
+            return duh.reshape(lam.shape) * (self._x_gain if lam.ndim == 1 else self._x_gain[:, None])
+        duh3 = duh.reshape(lam.shape + (duh.shape[1],))
+        return np.einsum("kjr,rj->kj", duh3, self._mass) * self._x_gain[:, None]
+
+    def _legendre_integrals(self, degree: int, h: float) -> np.ndarray:
+        return self._cached(("legendre", degree, h),
+                            lambda: legendre_mode_integrals(self._lam, degree, h))
+
+    def _anchored_block(self, seg, h: float) -> np.ndarray:
+        """(M, E): the step-anchored Duhamel integrals of the exponentials
+        over [0, h], times gain[k] * (coefficients @ mass)[e, j]."""
+        b = seg.exponents
+        duh = exp_sum_integral(self._lam, b, np.where(b > 0, h, 0.0), 0.0, h)
+        cols = seg.coeffs if self._mass is None else seg.coeffs @ self._mass
+        reduced = self._x_gain[:, None, None] * cols.reshape(len(b), -1).T[None, :, :]
+        return (duh.reshape(len(reduced), -1, len(b)) * reduced).reshape(duh.shape)
+
+
 def _breakpoints(t0, t1, control, source, record):
     pts = {t0, t1}
     if control is not None:
@@ -190,32 +292,15 @@ def _breakpoints(t0, t1, control, source, record):
     return arr[keep]
 
 
-def _step_exact(state, t0, t1, control, x_gain, mass, source):
-    """One exact update over [t0, t1] with no interior breakpoints."""
-    delta = t1 - t0
-    lam = state.rates
-    grow = np.exp(lam * delta)
-    new_coeffs = state.coeffs * grow
-
-    if control is not None:
-        seg = control._segment_for(0.5 * (t0 + t1))
-        duh = seg.mode_duhamel(lam.ravel(), t0, t1)  # (M,) or (M, R)
-        if duh.ndim == 1:
-            new_coeffs += duh.reshape(lam.shape) * (x_gain if lam.ndim == 1 else x_gain[:, None])
-        else:
-            duh3 = duh.reshape(lam.shape + (duh.shape[1],))
-            contrib = np.einsum("kjr,rj->kj", duh3, mass)
-            new_coeffs += contrib * x_gain[:, None]
-
-    if source is not None:
-        f0, f1 = source.value_at(t0), source.value_at(t1)
-        z = lam * delta
-        new_coeffs += delta * phi1(z) * f0 + delta * phi2(z) * (f1 - f0)
-
-    out = state.copy()
-    out.coeffs = new_coeffs
-    out.time = t1
-    return out
+def _recorded(pts: np.ndarray, record) -> np.ndarray:
+    """Mask of the breakpoints within 1e-12 of a record time."""
+    want = np.unique(np.asarray(record, dtype=float))
+    if want.size == 0:
+        return np.zeros(len(pts), dtype=bool)
+    i = np.searchsorted(want, pts)
+    below = np.abs(pts - want[np.maximum(i - 1, 0)])
+    above = np.abs(want[np.minimum(i, want.size - 1)] - pts)
+    return np.minimum(below, above) <= 1e-12
 
 
 def evolve_controlled(
@@ -227,35 +312,44 @@ def evolve_controlled(
 ):
     """Evolve over ``window`` under control and/or source, exactly per piece.
 
-    Returns the end state, or ``(state, Trace)`` when ``record`` times are
-    given.  The control's segments must cover the window.
+    The window is cut at every segment endpoint, source time and record time,
+    and each piece is one exact update: diagonal flow, the control's
+    closed-form Duhamel integral through one `ControlStepper` built for this
+    call, and the phi1/phi2 update of the source.  Returns the end state, or
+    ``(state, Trace)`` when ``record`` times are given; a breakpoint within
+    1e-12 of a record time is recorded.  The control's segments must cover
+    the window.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not math.isclose(t0, state.time, rel_tol=0, abs_tol=1e-10):
         raise ValueError(f"window start {t0} != state time {state.time}")
+    stepper = None
     if control is not None:
         if control.t_start > t0 + 1e-12 or control.t_end < t1 - 1e-12:
             raise ValueError("control segments do not cover the window")
-        x_gain, mass = _control_gain(state, control)
-    else:
-        x_gain, mass = None, None
+        stepper = ControlStepper(state, control)
 
     pts = _breakpoints(t0, t1, control, source, record)
-    rec_t, rec_c = [], []
-    want = np.array(sorted(set(float(t) for t in record))) if record is not None else None
-
-    cur = state
-    if want is not None and np.any(np.isclose(want, t0, atol=1e-12)):
-        rec_t.append(t0)
-        rec_c.append(cur.coeffs.copy())
-    for a, b in zip(pts[:-1], pts[1:]):
-        cur = _step_exact(cur, a, b, control, x_gain, mass, source)
-        if want is not None and np.any(np.isclose(want, b, atol=1e-12)):
-            rec_t.append(b)
-            rec_c.append(cur.coeffs.copy())
+    keep = _recorded(pts, record) if record is not None else None
+    lam = state.rates
+    coeffs = state.coeffs
+    rec_c = [coeffs.copy()] if keep is not None and keep[0] else []
+    for i, (a, b) in enumerate(zip(pts[:-1], pts[1:])):
+        delta = b - a
+        if stepper is not None:
+            coeffs = coeffs * stepper.growth(delta) + stepper.forcing(a, b)
+        else:
+            coeffs = coeffs * np.exp(lam * delta)
+        if source is not None:
+            f0, f1 = source.value_at(a), source.value_at(b)
+            z = lam * delta
+            coeffs = coeffs + (delta * phi1(z) * f0 + delta * phi2(z) * (f1 - f0))
+        if keep is not None and keep[i + 1]:
+            rec_c.append(coeffs)
+    cur = replace(state, coeffs=coeffs, time=pts[-1]) if len(pts) > 1 else state
     if record is None:
         return cur
-    return cur, Trace(times=np.array(rec_t), coeffs=np.array(rec_c))
+    return cur, Trace(times=pts[keep], coeffs=np.array(rec_c))
 
 
 def evolve_pointwise_controlled(state, control, window, **kw):
@@ -441,6 +535,16 @@ class _RhsOperator(NamedTuple):
     proj_x: np.ndarray       # (K_x, nx)
     proj_y_T: np.ndarray     # (NY, J_y)
 
+    def __call__(self, U: np.ndarray) -> np.ndarray:
+        """The projected quadratic term of a (K_x, J_y) coefficient array."""
+        ux = self.x_cos_T @ (U @ self.y_sine)  # (nx, NY)
+        grad_sq = ux * ux
+        for Pd in self.y_derivs:
+            uyi = self.x_sin_T @ (U @ Pd)
+            grad_sq = grad_sq + uyi * uyi
+        f = -0.5 * grad_sq  # (nx, NY)
+        return self.proj_x @ f @ self.proj_y_T
+
 
 def _rhs_operator(spec: SpectrumSpec, grid_resolution: Optional[int]) -> _RhsOperator:
     def midpoint(axis, length, count):
@@ -467,6 +571,14 @@ def _rhs_operator(spec: SpectrumSpec, grid_resolution: Optional[int]) -> _RhsOpe
     )
 
 
+def rhs_operator(spec: SpectrumSpec, grid_resolution: Optional[int] = None) -> _RhsOperator:
+    """The grid matrices of `nonlinear_rhs`, built once per (spec,
+    ``grid_resolution``).  Calling the result on a coefficient array is the
+    array-level core of `nonlinear_rhs`: no state copy, no validation."""
+    return spec.cached(("nonlinear_rhs", grid_resolution),
+                       lambda: _rhs_operator(spec, grid_resolution))
+
+
 def nonlinear_rhs(state: ModalState, grid_resolution: Optional[int] = None) -> np.ndarray:
     """Projection of -1/2 |grad u|^2 onto the retained sine basis.
 
@@ -480,16 +592,7 @@ def nonlinear_rhs(state: ModalState, grid_resolution: Optional[int] = None) -> n
         raise ValueError("nonlinear term is defined on the cylinder (use state_nd)")
     if spec.mu_tuples is None:
         raise ValueError("nonlinear term needs a Box cross-section")
-    op = spec.cached(("nonlinear_rhs", grid_resolution),
-                     lambda: _rhs_operator(spec, grid_resolution))
-    U = state.coeffs  # (K_x, J_y)
-    ux = op.x_cos_T @ (U @ op.y_sine)  # (nx, NY)
-    grad_sq = ux * ux
-    for Pd in op.y_derivs:
-        uyi = op.x_sin_T @ (U @ Pd)
-        grad_sq = grad_sq + uyi * uyi
-    f = -0.5 * grad_sq  # (nx, NY)
-    return op.proj_x @ f @ op.proj_y_T
+    return rhs_operator(spec, grid_resolution)(state.coeffs)
 
 
 def evaluate_physical(state: ModalState, nx: int, ny: Sequence[int]):

@@ -14,6 +14,7 @@ exponents are always <= a small bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -83,6 +84,17 @@ def _exp_gram_block(exps, refs, t0: float, t1: float) -> np.ndarray:
     small = np.abs(s * (t1 - t0)) < 1e-8
     denom = np.where(small, 1.0, s)
     return np.where(small, e0 * (t1 - t0), (np.exp(s * t1 + g) - e0) / denom)
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(degree: int):
+    """Gauss-Legendre nodes and weights of order degree + 1, and the values
+    there of P_0..P_degree; computed once per degree, read-only."""
+    nodes, wts = npleg.leggauss(degree + 1)
+    vander = npleg.legvander(nodes, degree)
+    for arr in (nodes, wts, vander):
+        arr.flags.writeable = False
+    return nodes, wts, vander
 
 
 def legendre_mode_integrals(lam, degree: int, delta: float):
@@ -172,25 +184,32 @@ class LegendreSegment:
         out = V @ self.coeffs
         return out if np.ndim(t) else out[0]
 
-    def mode_duhamel(self, lam, t0: float, t1: float):
+    def mode_duhamel(self, lam, t0: float, t1: float, integrals=None):
+        """Duhamel integrals int e^{lam (t1-s)} value(s) ds over [t0, t1].
+
+        ``integrals(degree, delta)``, when given, returns
+        `legendre_mode_integrals` of ``lam``; a caller stepping many pieces
+        of equal length passes a cached one.
+        """
         deg = self.coeffs.shape[0] - 1
+        if integrals is None:
+            integrals = functools.partial(legendre_mode_integrals, lam)
         if math.isclose(t0, self.t0) and math.isclose(t1, self.t1):
-            I = legendre_mode_integrals(lam, deg, self.t1 - self.t0)
+            I = integrals(deg, self.t1 - self.t0)
             return I @ self.coeffs
         # partial span: re-expand the restricted polynomials in the Legendre
         # basis of [t0, t1] (exact, degree-preserving), then integrate there
         R = self._restriction_matrix(t0, t1)
-        I = legendre_mode_integrals(lam, deg, t1 - t0)
+        I = integrals(deg, t1 - t0)
         return I @ (R @ self.coeffs)
 
     def _restriction_matrix(self, t0: float, t1: float) -> np.ndarray:
         """R[q, p]: coefficient of P_q on [t0, t1] in P_p restricted from the window."""
         deg = self.coeffs.shape[0] - 1
-        nodes, wts = np.polynomial.legendre.leggauss(deg + 1)
+        nodes, wts, Vq = _gauss_legendre(deg)   # Vq: (n, P) values of child P_q
         s = t0 + (t1 - t0) * (nodes + 1.0) / 2.0
         tau_parent = 2.0 * (s - self.t0) / (self.t1 - self.t0) - 1.0
         Vp = npleg.legvander(tau_parent, deg)   # (n, P) values of parent P_p
-        Vq = npleg.legvander(nodes, deg)        # (n, P) values of child P_q
         q = np.arange(deg + 1)
         # c_{qp} = (2q+1)/2 int P_p(tau(s)) P_q(tau') dtau'
         return ((2.0 * q[:, None] + 1.0) / 2.0) * (Vq.T @ (wts[:, None] * Vp))

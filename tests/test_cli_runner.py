@@ -300,6 +300,8 @@ BAD_INPUTS = [
     ("k_max-string", _demo("minimal_time.json", "minimal_time.k_max", "100"),
      "minimal_time.k_max"),
     ("q_w-above-sqrt2", _demo("nonlinear.json", "nonlinear.q_w", 2.0), "nonlinear.q_w"),
+    ("sim_steps-below-replay-minimum", _demo("nonlinear.json", "nonlinear.sim_steps", 999),
+     "nonlinear.sim_steps"),
     ("rational-not-integer", _demo("minimal_time.json", _POINT, {"rational": "1/x"}),
      f"{_POINT}.rational"),
     ("real-not-a-number", _demo("minimal_time.json", _POINT, {"real": "abc"}), f"{_POINT}.real"),

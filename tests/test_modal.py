@@ -8,8 +8,10 @@ from scipy.integrate import quad
 
 from kscontrol.errors import QuadratureUnderResolved
 from kscontrol.modal import (
+    ControlStepper,
     ModalSource,
     adjoint_solution,
+    boundary_gain_x,
     boundary_observation,
     evolve_controlled,
     evolve_free,
@@ -212,6 +214,109 @@ def test_pointwise_node_of_sine_untouched():
     v = evolve_pointwise_controlled(u, sig, (0.0, 0.5))
     assert np.allclose(v.coeffs[1::2], 0.0, atol=1e-16)
     assert np.any(np.abs(v.coeffs[::2]) > 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the per-signal stepper
+# ---------------------------------------------------------------------------
+
+def _stepper_case(nd: bool, segment):
+    """A one-segment boundary control on a 1-D or a cylinder state, with its
+    x gain and, on the cylinder, a random row-to-mode mass."""
+    rng = np.random.default_rng(3)
+    if nd:
+        spec = spec_2d()
+        state, mass = state_nd(spec), rng.standard_normal((4, spec.J_y))
+        sig = ControlSignal("boundary_nd", [segment], mass=mass)
+    else:
+        spec = spec_1d()
+        state, mass = state_1d(spec, 1), None
+        sig = ControlSignal("boundary_1d", [segment])
+    return state, sig, boundary_gain_x(spec, state.coeffs.shape[0]), mass
+
+
+def _parent_forcing(state, sig, gain, mass, t0, t1):
+    """The per-piece formula: mode_duhamel at absolute times, then mass, then the gain."""
+    lam = state.rates
+    duh = sig.segments[0].mode_duhamel(lam.ravel(), t0, t1)
+    if mass is None:
+        return duh * gain
+    return np.einsum("kjr,rj->kj", duh.reshape(lam.shape + (mass.shape[0],)), mass) * gain[:, None]
+
+
+def _random_steps(rng, t0, t1, n=12):
+    """Random steps inside [t0, t1], plus steps touching either end."""
+    out = [(t0, t0 + 0.1 * (t1 - t0)), (t1 - 0.07 * (t1 - t0), t1), (t0, t1)]
+    for _ in range(n):
+        a, b = np.sort(rng.uniform(t0, t1, 2))
+        out.append((float(a), float(b)))
+    return out
+
+
+@pytest.mark.parametrize("nd", [False, True], ids=["1d", "nd"])
+def test_stepper_exp_segment_matches_per_piece_formula(nd):
+    # decaying exponents referenced to the segment start, growing ones to its end
+    rng = np.random.default_rng(11)
+    t0, t1 = 0.25, 0.8
+    exps = np.array([-900.0, -40.0, -3.0, -0.2, 0.0, 0.7, 6.0, 150.0])
+    refs = np.where(exps > 0, t1, t0)
+    coeffs = rng.standard_normal((8, 4) if nd else 8)
+    state, sig, gain, mass = _stepper_case(nd, ExpSegment(t0, t1, exps, refs, coeffs))
+    stepper = ControlStepper(state, sig)
+    for a, b in _random_steps(rng, t0, t1):
+        want = _parent_forcing(state, sig, gain, mass, a, b)
+        assert np.array_equal(stepper.forcing(a, b), want)
+        got = stepper.step_forcing(a, b)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(stepper.step_forcing(a, b), got)  # the cached block
+
+
+@pytest.mark.parametrize("nd", [False, True], ids=["1d", "nd"])
+def test_stepper_legendre_segment_matches_per_piece_formula(nd):
+    rng = np.random.default_rng(12)
+    t0, t1 = 0.1, 0.6
+    coeffs = rng.standard_normal((6, 4) if nd else 6)
+    state, sig, gain, mass = _stepper_case(nd, LegendreSegment(t0, t1, coeffs))
+    stepper = ControlStepper(state, sig)
+    for a, b in _random_steps(rng, t0, t1):  # the full span and partial spans
+        want = _parent_forcing(state, sig, gain, mass, a, b)
+        assert np.array_equal(stepper.forcing(a, b), want)
+        got = stepper.step_forcing(a, b)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_stepper_advance_splits_at_segment_endpoints():
+    # a step across the interior endpoint equals the two exact pieces
+    spec = spec_2d()
+    rng = np.random.default_rng(5)
+    segs = [ExpSegment(0.0, 0.3, np.array([-20.0, 4.0]), np.array([0.0, 0.3]),
+                       rng.standard_normal((2, spec.J_y))),
+            LegendreSegment(0.3, 0.5, rng.standard_normal((3, spec.J_y)))]
+    sig = ControlSignal("boundary_nd", segs, mass=np.eye(spec.J_y))
+    u = state_nd(spec, rng.standard_normal((6, 6)))
+    stepper = ControlStepper(u, sig)
+    whole = stepper.advance(u.coeffs, 0.27, 0.33)
+    first = u.coeffs * np.exp(u.rates * (0.3 - 0.27)) + stepper.step_forcing(0.27, 0.3)
+    second = first * np.exp(u.rates * (0.33 - 0.3)) + stepper.step_forcing(0.3, 0.33)
+    assert np.array_equal(whole, second)
+    evolved = evolve_controlled(u.copy(), sig, (0.0, 0.5))
+    walked = u.coeffs
+    for a, b in zip(np.linspace(0.0, 0.5, 8)[:-1], np.linspace(0.0, 0.5, 8)[1:]):
+        walked = stepper.advance(walked, float(a), float(b))
+    scale = np.max(np.abs(evolved.coeffs))
+    assert np.max(np.abs(walked - evolved.coeffs)) <= 1e-13 * scale
+
+
+def test_evolve_controlled_records_within_1e_12():
+    spec = spec_1d()
+    u = state_1d(spec, 1, coeffs=np.ones(8))
+    sig = piecewise_constant("boundary_1d", np.linspace(0, 0.5, 6), np.ones(5))
+    # record times are breakpoints too; the segment endpoint 0.2 lies within
+    # 1e-12 of the record time 0.2 + 5e-13 and is recorded, 0.3 is 1e-9 from
+    # 0.3 + 1e-9 and is not
+    _, trace = evolve_controlled(u, sig, (0.0, 0.5), record=[0.0, 0.2 + 5e-13, 0.3 + 1e-9, 0.5])
+    assert trace.times.tolist() == [0.0, 0.2, 0.2 + 5e-13, 0.3 + 1e-9, 0.5]
+    assert trace.coeffs.shape == (5, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from kscontrol.nonlinear import (
     source_grid,
     weighted_norms,
 )
+from kscontrol.signals import ControlSignal, ExpSegment, LegendreSegment
 from kscontrol.spectrum import Box, SpectrumSpec
 
 
@@ -315,7 +316,7 @@ def test_simulate_quadratic_smallness_vs_linear():
     spec = spec_2d()
     c = np.zeros((8, 8))
     c[0, 0] = 1e-4
-    sim = nonlinear_simulate(c, [], 0.5, spec, n_steps=500)
+    sim = nonlinear_simulate(c, [], 0.5, spec, n_steps=1000)
     lin_final = 1e-4 * math.exp(spec.mode_rate(1, 1).total * 0.5)
     assert abs(sim["final_norm"] - lin_final) <= 1e-6 * 1e-4
 
@@ -346,6 +347,84 @@ def test_simulate_step_halving_self_consistency():
     res = run_lr(c, 1.0, spec, BoundaryGamma(None), beta=4)
     sim = nonlinear_simulate(c, res.controls, 1.0, spec, n_steps=1000)
     assert sim["final_rel_norm"] <= 1e-5
+
+
+def test_simulate_refuses_fewer_than_the_minimum_steps():
+    spec = spec_2d()
+    with pytest.raises(ValueError, match="n_steps=999"):
+        nonlinear_simulate(np.zeros((8, 8)), [], 0.5, spec, n_steps=999)
+
+
+def _reference_replay(u0, controls, T, spec, n_steps):
+    """The ETD2 replay written out step by step from `mode_duhamel`.
+
+    Same grid and formula as `nonlinear_simulate`; the control enters per
+    piece (steps are cut at segment endpoints) through each segment's
+    Duhamel integral at absolute times, then the mass and the x gain.
+    """
+    from kscontrol.modal import boundary_gain_x
+    from kscontrol.signals import phi1, phi2
+
+    lam = spec.rate_matrix()
+    gain = boundary_gain_x(spec)
+    grid = np.linspace(0.0, T, n_steps + 1)
+    ends = [0.0, T] + [t for sig in controls for t in (sig.t_start, sig.t_end)]
+    grid = np.unique(np.concatenate([grid, ends]))
+    u = np.array(u0, dtype=float)
+    norms = [float(np.linalg.norm(u))]
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        h = t1 - t0
+        lc = u.copy()
+        sig = next((s for s in controls
+                    if s.t_start - 1e-12 <= t0 and t1 <= s.t_end + 1e-12), None)
+        cuts = [t0, t1] if sig is None else sorted(
+            {t0, t1} | {seg.t1 for seg in sig.segments if t0 < seg.t1 < t1})
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            lc = lc * np.exp(lam * (b - a))
+            if sig is not None:
+                seg = next(g for g in sig.segments if g.t0 <= 0.5 * (a + b) <= g.t1)
+                duh = seg.mode_duhamel(lam.ravel(), a, b).reshape(lam.shape + (-1,))
+                lc = lc + np.einsum("kjr,rj->kj", duh, sig.mass) * gain[:, None]
+        N0 = nonlinear_rhs(state_nd(spec, u))
+        pred = lc + h * phi1(lam * h) * N0
+        N1 = nonlinear_rhs(state_nd(spec, pred))
+        u = pred + h * phi2(lam * h) * (N1 - N0)
+        norms.append(float(np.linalg.norm(u)))
+    return grid, np.array(norms)
+
+
+def _two_segment_controls(spec):
+    """One signal of an exponential and a Legendre segment; the endpoint
+    0.3037 between them lies inside a replay step of either step count."""
+    rng = np.random.default_rng(21)
+    J = spec.J_y
+    exp_seg = ExpSegment(0.1, 0.3037, np.array([-30.0, -2.0, 5.0]),
+                         np.array([0.1, 0.1, 0.3037]), 1e-3 * rng.standard_normal((3, J)))
+    leg_seg = LegendreSegment(0.3037, 0.55, 1e-3 * rng.standard_normal((4, J)))
+    return [ControlSignal("boundary_nd", [exp_seg, leg_seg], mass=np.eye(J))]
+
+
+@pytest.mark.parametrize("case", ["tensor", "gramian", "two-segment"])
+def test_replay_matches_reference_loop(case):
+    # nonlinear_simulate returns the run at twice the requested step count
+    spec = spec_2d()
+    u0 = np.zeros((8, 8))
+    u0[0, 0], u0[1, 0] = 1e-3, -5e-4
+    if case == "tensor":
+        controls = run_lr(u0, 1.0, spec, BoundaryGamma(None), beta=4).controls
+    elif case == "gramian":
+        # the controls of a Picard fixed point on Gramian windows
+        res = fixed_point(u0, 1.0, spec, BoundaryGamma((0.3, 1.2)), beta=4, verify=False)
+        assert res.converged
+        controls = res.controls
+    else:
+        controls = _two_segment_controls(spec)
+    sim = nonlinear_simulate(u0, controls, 1.0, spec, n_steps=1000)
+    times, norms = _reference_replay(u0, controls, 1.0, spec, 2000)
+    assert np.array_equal(sim["norm_series"][0], times)
+    u0n = float(np.linalg.norm(u0))
+    assert abs(sim["final_norm"] - norms[-1]) <= 1e-12 * u0n
+    assert np.max(np.abs(sim["norm_series"][1] - norms)) <= 1e-12 * u0n
 
 
 def test_quadratic_smallness_regression_constant():
