@@ -480,7 +480,8 @@ def nonlinear_simulate(
     Linear flow and control enter exactly per step; the quadratic term is
     explicit second-order (ETD2 predictor/corrector with phi2 weighting, Cox
     & Matthews, JCP 2002).  The replay walks its grid once, with one
-    `ControlStepper` per control signal.  e^{lam h}, the Legendre mode
+    `ControlStepper` per control signal, and one without a control for the
+    steps no signal covers.  e^{lam h}, the Legendre mode
     integrals and each exponential segment's step-anchored Duhamel block
     (gain, mass and coefficients folded in) are built once per distinct step
     length h, of which the grid has few.  The step count (at least
@@ -522,20 +523,20 @@ def _etd_run(u0, controls, T, spec, n_steps):
         sig = controls[k]
         cover[(sig.t_start - 1e-12 <= starts) & (ends <= sig.t_end + 1e-12)] = k
 
-    steps = {}  # step length h -> (e^{lam h}, h phi1(lam h), h phi2(lam h))
+    steps = {}  # step length h -> (h phi1(lam h), h phi2(lam h))
     u = state.coeffs
     norms = [float(np.linalg.norm(u))]
-    stepper, current = None, -1
+    stepper, current = None, None
     for t0, t1, k in zip(starts.tolist(), ends.tolist(), cover.tolist()):
         h = t1 - t0
         if h not in steps:
-            steps[h] = (np.exp(lam * h), h * phi1(lam * h), h * phi2(lam * h))
-        grow, hp1, hp2 = steps[h]
+            steps[h] = (h * phi1(lam * h), h * phi2(lam * h))
+        hp1, hp2 = steps[h]
         if k != current:
             # the walk is monotone, so a signal's steps are consecutive
-            stepper = ControlStepper(state, controls[k]) if k >= 0 else None
+            stepper = ControlStepper(state, controls[k] if k >= 0 else None)
             current = k
-        lc = stepper.advance(u, t0, t1) if stepper is not None else u * grow
+        lc = stepper.advance(u, t0, t1)
         N0 = rhs(u)
         pred = lc + hp1 * N0
         u = pred + hp2 * (rhs(pred) - N0)

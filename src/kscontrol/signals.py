@@ -279,7 +279,7 @@ class ControlSignal:
         tt = np.atleast_1d(np.asarray(t, dtype=float))
         out = None
         for i, ti in enumerate(tt):
-            seg = self._segment_for(ti)
+            _, seg = self._segment_for(ti)
             v = seg.value(ti)
             if out is None:
                 out = np.zeros((len(tt),) + np.shape(v))
@@ -287,7 +287,9 @@ class ControlSignal:
         return out if np.ndim(t) else out[0]
 
     def _segment_for(self, t: float):
-        for seg in self.segments:
+        """(i, segments[i]) for the first segment whose window, widened by
+        1e-12, holds t."""
+        for i, seg in enumerate(self.segments):
             if seg.t0 - 1e-12 <= t <= seg.t1 + 1e-12:
-                return seg
+                return i, seg
         raise ValueError(f"t={t} outside analytic segments")

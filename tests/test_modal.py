@@ -307,6 +307,13 @@ def test_stepper_advance_splits_at_segment_endpoints():
     assert np.max(np.abs(walked - evolved.coeffs)) <= 1e-13 * scale
 
 
+def test_stepper_without_control_is_the_free_flow():
+    spec = spec_2d()
+    u = state_nd(spec, np.random.default_rng(6).standard_normal((6, 6)))
+    stepper = ControlStepper(u, None)
+    assert np.array_equal(stepper.advance(u.coeffs, 0.5, 0.75), evolve_free(u, 0.25).coeffs)
+
+
 def test_evolve_controlled_records_within_1e_12():
     spec = spec_1d()
     u = state_1d(spec, 1, coeffs=np.ones(8))
