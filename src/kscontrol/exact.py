@@ -21,8 +21,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-PI_SQUARED = math.pi * math.pi
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
@@ -45,9 +43,6 @@ class ExactScalar:
     def is_zero(self) -> bool:
         return self.rat == 0 and self.pi2 == 0
 
-    def __float__(self) -> float:
-        return float(self.rat) + float(self.pi2) * PI_SQUARED
-
     @staticmethod
     def rational(q) -> "ExactScalar":
         return ExactScalar(Fraction(q), Fraction(0))
@@ -68,12 +63,6 @@ class ExactLength:
 
     def __float__(self) -> float:
         return float(self.scale) * (math.pi if self.pi_power else 1.0)
-
-    def squared(self) -> ExactScalar:
-        # (s * pi^p)^2 = s^2 * pi^(2p)
-        if self.pi_power:
-            return ExactScalar(Fraction(0), self.scale**2)
-        return ExactScalar(self.scale**2, Fraction(0))
 
     def pi_over_length_squared(self) -> ExactScalar:
         """(pi / L)^2 as an exact scalar."""

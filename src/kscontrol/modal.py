@@ -46,7 +46,6 @@ class ModalState:
     time: float
     spec: SpectrumSpec
     rates: np.ndarray
-    j_slice: Optional[int] = None  # set for 1-D states: the cross-mode index
 
     def copy(self) -> "ModalState":
         return replace(self, coeffs=self.coeffs.copy())
@@ -77,7 +76,7 @@ def state_1d(
         raise ValueError(f"coefficient shape {c.shape} != ({n},)")
     if not np.all(np.isfinite(c)):
         raise ValueError("modal coefficients must be finite")
-    return ModalState(coeffs=c, time=time, spec=spec, rates=rates, j_slice=j)
+    return ModalState(coeffs=c, time=time, spec=spec, rates=rates)
 
 
 def state_nd(spec: SpectrumSpec, coeffs=None, time: float = 0.0) -> ModalState:
@@ -104,10 +103,6 @@ class Trace:
     def norms(self) -> np.ndarray:
         axes = tuple(range(1, self.coeffs.ndim))
         return np.sqrt(np.sum(self.coeffs**2, axis=axes))
-
-    def at(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.times - t)))
-        return self.coeffs[i]
 
 
 @dataclass
@@ -378,8 +373,7 @@ def adjoint_solution(phi_T: np.ndarray, t: float, T: float, rates: np.ndarray) -
 
 def boundary_observation(coeffs: np.ndarray, spec: SpectrumSpec):
     """d/dx at x=0: scalar in 1-D, y-modal row on the cylinder."""
-    n = coeffs.shape[0]
-    w = math.sqrt(2.0 / spec.a_float) * np.arange(1, n + 1) * math.pi / spec.a_float
+    w = boundary_gain_x(spec, coeffs.shape[0]) / S_BOUNDARY
     if coeffs.ndim == 1:
         return float(w @ coeffs)
     return w @ coeffs
@@ -387,9 +381,7 @@ def boundary_observation(coeffs: np.ndarray, spec: SpectrumSpec):
 
 def point_observation(coeffs: np.ndarray, spec: SpectrumSpec, x0: float):
     """Value at x = x0: scalar in 1-D, y-modal row on the cylinder."""
-    n = coeffs.shape[0]
-    ks = np.arange(1, n + 1, dtype=float)
-    w = math.sqrt(2.0 / spec.a_float) * np.sin(ks * math.pi * x0 / spec.a_float)
+    w = pointwise_gain_x(spec, x0, coeffs.shape[0])
     if coeffs.ndim == 1:
         return float(w @ coeffs)
     return w @ coeffs

@@ -113,34 +113,10 @@ def y_eigenvalues_box(dims: Sequence, count: int):
     # Any tuple with some m_i > cap has mu > (cap*pi/max_b)^2 >= the count-th
     # value along the shortest axis, so the cap below is exhaustive.
     cap = max(2, int(math.ceil(count * max(bvals) / min(bvals))) + 1)
-    heap = []
-    for tup in itertools.product(range(1, cap + 1), repeat=d):
-        mu = sum((m * math.pi / b) ** 2 for m, b in zip(tup, bvals))
-        heapq.heappush(heap, (mu, tup))
-    out_mu, out_tup = [], []
-    for _ in range(count):
-        mu, tup = heapq.heappop(heap)
-        out_mu.append(mu)
-        out_tup.append(tup)
-    return out_mu, out_tup
-
-
-def _y_eigenvalues_box_exact(dims: Sequence, count: int):
-    """Exact (Q + Q*pi^2) box eigenvalues, or None when a dim is inexact."""
-    exact_dims = [parse_length(b) for b in dims]
-    if any(e is None for e in exact_dims):
-        return None
-    d = len(exact_dims)
-    fvals = [float(e) for e in exact_dims]
-    cap = max(2, int(math.ceil(count * max(fvals) / min(fvals))) + 1)
-    entries = []
-    for tup in itertools.product(range(1, cap + 1), repeat=d):
-        ex = ExactScalar()
-        for m, b in zip(tup, exact_dims):
-            ex = ex + b.pi_over_length_squared().scale(Fraction(m * m))
-        entries.append((float(ex), tup, ex))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return [e[2] for e in entries[:count]]
+    cube = itertools.product(range(1, cap + 1), repeat=d)
+    keyed = ((sum((m * math.pi / b) ** 2 for m, b in zip(tup, bvals)), tup) for tup in cube)
+    kept = heapq.nsmallest(count, keyed)
+    return [mu for mu, _ in kept], [tup for _, tup in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +127,8 @@ def _y_eigenvalues_box_exact(dims: Sequence, count: int):
 class SpectrumSpec:
     """Domain geometry, damping parameter, and truncation orders.
 
-    Owns all eigendata: cross-section eigenvalues (floats plus exact values
-    when derivable), the x-truncation ``K_x`` and y-truncation ``J_y``, and
+    Owns all eigendata: cross-section eigenvalues (floats, with their index
+    tuples on boxes), the x-truncation ``K_x`` and y-truncation ``J_y``, and
     the critical-set proximity tolerance.
 
     A spec is not mutated after construction.  It carries its own cache of
@@ -176,7 +152,6 @@ class SpectrumSpec:
 
     _a_exact: Optional[ExactLength] = field(init=False, default=None)
     _nu_exact: Optional[Fraction] = field(init=False, default=None)
-    _mu_exact: Optional[list] = field(init=False, default=None)
     _derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -199,7 +174,6 @@ class SpectrumSpec:
             mus, tuples = y_eigenvalues_box(self.cross_section.dims, self.J_y)
             self.mus = np.asarray(mus)
             self.mu_tuples = tuples
-            self._mu_exact = _y_eigenvalues_box_exact(self.cross_section.dims, self.J_y)
         elif isinstance(self.cross_section, External):
             mus = self.cross_section.mus
             if len(mus) < self.J_y:
@@ -208,7 +182,6 @@ class SpectrumSpec:
                 )
             self.mus = np.asarray(mus[: self.J_y])
             self.mu_tuples = None
-            self._mu_exact = None
         else:
             raise TypeError("cross_section must be Box or External")
 
@@ -340,12 +313,22 @@ def critical_set_check(spec: SpectrumSpec, search_bound: Optional[int] = None) -
 
     Exact (rational) inputs give an exact Critical/Clear decision; floats are
     classified Near when within ``crit_tol`` (relative to max(1, |nu|)).
+    The exact mu_j of a box is built from its index tuple, only for the
+    slices the scan visits.
     """
     nu = spec.nu_float
     tol = spec.crit_tol * max(1.0, abs(nu))
     a2 = spec.a_float**2
     pi2 = math.pi**2
-    exact_ok = spec._nu_exact is not None and spec._a_exact is not None and spec._mu_exact is not None
+    box_dims = None
+    if isinstance(spec.cross_section, Box):
+        box_dims = [parse_length(b) for b in spec.cross_section.dims]
+    exact_ok = (
+        spec._nu_exact is not None
+        and spec._a_exact is not None
+        and box_dims is not None
+        and all(b is not None for b in box_dims)
+    )
 
     best = CriticalVerdict("clear")
     j_cap = search_bound if search_bound is not None else spec.J_y
@@ -358,15 +341,19 @@ def critical_set_check(spec: SpectrumSpec, search_bound: Optional[int] = None) -
             # mus are nondecreasing: no larger j can contribute either
             break
         k_hi = int(math.floor(math.sqrt(rem * a2 / pi2))) + 1
+        if exact_ok:
+            mu_exact = ExactScalar()
+            for m, b in zip(spec.mu_tuples[j - 1], box_dims):
+                mu_exact = mu_exact + b.pi_over_length_squared().scale(Fraction(m * m))
+            two_mu_minus_nu = mu_exact.scale(Fraction(2)) - ExactScalar.rational(spec._nu_exact)
         for k in range(1, k_hi + 1):
             for l in range(k + 1, k_hi + 1):
                 cand = 2.0 * mu + pi2 * (k * k + l * l) / a2
                 dist = abs(nu - cand)
                 if exact_ok:
-                    cand_exact = spec._mu_exact[j - 1].scale(Fraction(2)) + (
-                        spec._a_exact.pi_over_length_squared().scale(Fraction(k * k + l * l))
+                    diff = two_mu_minus_nu + spec._a_exact.pi_over_length_squared().scale(
+                        Fraction(k * k + l * l)
                     )
-                    diff = cand_exact - ExactScalar.rational(spec._nu_exact)
                     if diff.is_zero():
                         return CriticalVerdict("critical", j, k, l, 0.0)
                 if dist <= tol and dist < best.distance:

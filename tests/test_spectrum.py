@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -170,6 +171,82 @@ def test_exhaustive_scan_oracle():
     spec = spec_pi_box(nu=nu, J_y=16)
     verdict = critical_set_check(spec)
     assert (verdict.kind == "critical") == (nu in vals)
+
+
+# Box sides as (scale, pi power): "pi/2" is (1/2, 1), "3/2" is (3/2, 0).
+_ORACLE_SIDES = {"pi": (Fraction(1), 1), "pi/2": (Fraction(1, 2), 1), 1: (Fraction(1), 0),
+                 "3/2": (Fraction(3, 2), 0)}
+_NU_MAX = 40
+_NU_GRID = [Fraction(n) for n in range(_NU_MAX + 1)] + [
+    Fraction(13, 2), Fraction(29, 3), Fraction(77, 4), Fraction(71, 2)]
+
+
+def _oracle_mu(dims, tup):
+    """Exact (m pi / b)^2 sums as (rational part, pi^2 part)."""
+    rat, pi2 = Fraction(0), Fraction(0)
+    for m, b in zip(tup, dims):
+        scale, pi_power = _ORACLE_SIDES[b]
+        if pi_power:
+            rat += Fraction(m * m) / scale**2
+        else:
+            pi2 += Fraction(m * m) / scale**2
+    return rat, pi2
+
+
+def _oracle_critical_values(dims):
+    """Rational critical values 2 mu + (k^2 + l^2) <= _NU_MAX for a = pi, by brute force."""
+    out = set()
+    for tup in itertools.product(range(1, 10), repeat=len(dims)):
+        rat, pi2 = _oracle_mu(dims, tup)
+        if pi2 != 0:
+            continue
+        for k in range(1, 10):
+            for l in range(k + 1, 10):
+                val = 2 * rat + k * k + l * l
+                if val <= _NU_MAX:
+                    out.add(val)
+    return out
+
+
+@pytest.mark.parametrize(
+    "dims,J_y",
+    [(("pi", "pi"), 12), (("pi", "pi/2"), 8), (("pi", "pi", "pi"), 24), ((1, "3/2"), 4)],
+    ids=["pi,pi", "pi,pi/2", "pi,pi,pi", "1,3/2"],
+)
+def test_critical_set_on_boxes_matches_exact_oracle(dims, J_y):
+    # a = pi, so the x-part pi^2 (k^2 + l^2) / a^2 is the integer k^2 + l^2
+    critical = _oracle_critical_values(dims)
+    if dims == ("pi", "pi"):
+        assert 9 in critical  # 2*2 + 1 + 4 at (1, 1, 2)
+    if dims == ("pi", "pi/2"):
+        assert 15 in critical  # 2*5 + 1 + 4 at (1, 1, 2)
+    for nu in _NU_GRID:
+        spec = SpectrumSpec(a="pi", nu=f"{nu.numerator}/{nu.denominator}",
+                            cross_section=Box(dims), K_x=4, J_y=J_y)
+        # the truncation holds every slice that can reach nu
+        assert 2.0 * spec.mus[-1] + 5.0 > _NU_MAX
+        v = critical_set_check(spec)
+        assert v.kind == ("critical" if nu in critical else "clear"), float(nu)
+        if v.kind == "critical":
+            rat, pi2 = _oracle_mu(dims, spec.mu_tuples[v.j - 1])
+            assert pi2 == 0 and 2 * rat + v.k**2 + v.l**2 == nu
+
+
+@pytest.mark.parametrize(
+    "dims,nu_twin",
+    [((math.pi, "pi"), 9), (("pi", math.pi / 2), 15), (("pi", "pi", math.pi), 11)],
+    ids=["float-pi,pi", "pi,float-pi/2", "pi,pi,float-pi"],
+)
+def test_critical_set_float_side_never_critical(dims, nu_twin):
+    # an inexact side falls back to the tolerance: the exact twin's collision is Near
+    for nu in _NU_GRID:
+        spec = SpectrumSpec(a="pi", nu=f"{nu.numerator}/{nu.denominator}",
+                            cross_section=Box(dims), K_x=4, J_y=12)
+        v = critical_set_check(spec)
+        assert v.kind != "critical", float(nu)
+        if nu == nu_twin:
+            assert v.kind == "near"
+            assert (v.j, v.k, v.l) == (1, 1, 2)
 
 
 # ---------------------------------------------------------------------------
