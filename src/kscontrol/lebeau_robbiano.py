@@ -49,7 +49,7 @@ from .modal import (
     state_nd,
 )
 from .moments import MomentSolver
-from .pointwise import DEFAULT_MARGIN, MinimalTimeReport, PointSpec, minimal_time_estimate
+from .pointwise import DEFAULT_MARGIN, PointSpec, minimal_time_estimate
 from .signals import ControlSignal, ExpSegment, LegendreSegment, legendre_mode_integrals
 from .spectrum import K0_index, SpectrumSpec, require_clear
 
@@ -400,7 +400,6 @@ def run_lr(
     beta: Optional[int] = None,
     source: Optional[ModalSource] = None,
     margin: float = DEFAULT_MARGIN,
-    minimal_time: Optional[MinimalTimeReport] = None,
     record: Optional[Sequence[float]] = None,
 ) -> LRRunResult:
     """Steer u0 to (truncated) rest at time T under the given actuation.
@@ -418,12 +417,12 @@ def run_lr(
 
     if isinstance(geometry, InternalPoint) and geometry.omega is None:
         return _run_internal_direct(
-            state, T, spec, geometry, margin, minimal_time, source, record, u0_norm
+            state, T, spec, geometry, margin, source, record, u0_norm
         )
 
     x0 = None
     if isinstance(geometry, InternalPoint):
-        x0 = _resolve_x0(geometry.point, spec, margin, minimal_time, gate=False)
+        x0 = _resolve_x0(geometry.point, spec, margin, gate=False)
 
     beta = beta if beta is not None else default_beta(spec)
     schedule = build_schedule(T, rho, beta, spec)
@@ -500,13 +499,17 @@ def run_lr(
     )
 
 
-def _resolve_x0(point, spec: SpectrumSpec, margin, minimal_time, gate: bool,
-                T: Optional[float] = None):
-    """x0 (absolute) from a PointSpec or ratio, optionally minimal-time gated."""
+def _resolve_x0(point, spec: SpectrumSpec, margin, gate: bool, T: Optional[float] = None):
+    """x0 (absolute) from a PointSpec or ratio, optionally minimal-time gated.
+
+    The minimal-time scan runs once per (spec, point), however many runs
+    (Picard iterations, radius probes) share the spec.
+    """
     if isinstance(point, PointSpec):
         if point.is_rational:
             raise RationalPoint("x0/a rational: interior control impossible")
-        est = minimal_time if minimal_time is not None else minimal_time_estimate(point, spec.a_float)
+        est = spec.cached(("minimal_time", point),
+                          lambda: minimal_time_estimate(point, spec.a_float))
         if gate and T is not None and T <= (1.0 + margin) * est.T0_hat:
             raise BelowMinimalTime(
                 f"T={T} <= (1+margin) T0_hat = {(1.0 + margin) * est.T0_hat:.6g}"
@@ -515,10 +518,10 @@ def _resolve_x0(point, spec: SpectrumSpec, margin, minimal_time, gate: bool,
     return float(point) * spec.a_float
 
 
-def _run_internal_direct(state, T, spec, geometry, margin, minimal_time, source,
-                         record, u0_norm) -> LRRunResult:
+def _run_internal_direct(state, T, spec, geometry, margin, source, record,
+                         u0_norm) -> LRRunResult:
     """Interior actuation on the full cross-section: direct per-slice moments."""
-    x0 = _resolve_x0(geometry.point, spec, margin, minimal_time, gate=True, T=T)
+    x0 = _resolve_x0(geometry.point, spec, margin, gate=True, T=T)
     if spec.K_x > K_BIO_MAX:
         raise ValueError(f"direct solve kills all K_x={spec.K_x} x-modes; K_x <= {K_BIO_MAX}")
     gains = pointwise_gain_x(spec, x0)

@@ -6,11 +6,18 @@ The minimal-time quantity for an actuator at x0 is driven by how fast
     s_k = -log|sin(k pi x0/a)| * a^4 / (pi^4 k^4),
 
 a limsup of which separates controllable from uncontrollable horizons.  A
-limsup is not computable; the estimator scans k <= k_max in extended
-precision and reports the running maximum ``T0_hat`` over the whole scanned
-range (this is the synthesis gate) together with the tail maximum over
-k >= k_max/2 (``T0_tail``, the limsup-oriented diagnostic: for algebraic
-points it collapses to ~log(k)/k^4 scale).
+limsup is not computable; the estimator scans k <= k_max and reports the
+running maximum ``T0_hat`` over the whole scanned range (this is the
+synthesis gate) together with the tail maximum over k >= k_max/2
+(``T0_tail``, the limsup-oriented diagnostic: for algebraic points it
+collapses to ~log(k)/k^4 scale).
+
+The scan reads x0/a as an exact fraction P/Q: a `real` point is the decimal
+its string spells, any other kind is its working-precision mpf, which is
+exactly man * 2^exp.  The residue k P mod Q then advances by one integer
+addition per k, so the distance from k x0/a to the nearest integer is exact
+at every k and a rational x0/a is caught at the first k its denominator
+divides.
 
 Quartic spectral decay makes finite scans blind to deep resonances at large
 k, so Liouville-type *test points* must carry their near-resonance at small
@@ -64,6 +71,9 @@ class PointSpec:
 
     @staticmethod
     def real(value, k_max: int = DEFAULT_K_MAX) -> "PointSpec":
+        """The number ``str(value)`` spells.  A decimal is rational, so the scan reads
+        it as its exact reduced fraction P/Q and raises RationalPoint at k = Q when
+        Q <= k_max ("0.1" at k = 10, "0.123" at k = 1000)."""
         return PointSpec("real", (str(value),), k_max)
 
     @staticmethod
@@ -101,7 +111,8 @@ class PointSpec:
             fr = self.data[0]
             return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
         if self.kind == "real":
-            return mp.mpf(self.data[0])
+            fr = Fraction(self.data[0])
+            return mp.fdiv(fr.numerator, fr.denominator)
         if self.kind == "algebraic":
             coeffs, idx = self.data
             roots = mp.polyroots([mp.mpf(c) for c in coeffs], maxsteps=200, extraprec=200)
@@ -143,25 +154,43 @@ class MinimalTimeReport:
     x0_over_a: float = 0.0
 
 
-def _neg_log_sin_scan(z: mp.mpf, k_max: int):
-    """-log|sin(pi k z)| for k = 1..k_max, via high-precision argument reduction.
+def _exact_ratio(point: PointSpec, z: mp.mpf) -> Fraction:
+    """x0/a as the scan reads it, given z = ``point.value()``: a real point's string
+    exactly, any other kind z itself (man * 2^exp)."""
+    if point.kind == "real":
+        return Fraction(point.data[0])
+    man, exp = z.man_exp
+    return Fraction(man, 2**-exp)
 
-    The fractional part of k z is exact at working precision; away from
-    resonances a double-precision sine suffices, near them the logarithm is
-    taken in mp (|log sin(pi d)| = |log(pi d)| + O(d^2)).
+
+def _neg_log_sin_scan(ratio: Fraction, k_max: int):
+    """-log|sin(pi k P/Q)| for k = 1..k_max, from the exact residues r = k P mod Q.
+
+    r advances by one integer addition and one conditional subtraction per
+    k, and D = min(r, Q - r) makes D/Q the exact distance from k P/Q to the
+    nearest integer; D = 0 means the sine vanishes.  Away from resonances
+    (D/Q > 1e-8) a double-precision sine of the correctly rounded D/Q
+    suffices; near them the logarithm is taken in mp at 128 bits
+    (|log sin(pi d)| = |log(pi d)| + O(d^2)).
     """
+    P, Q = ratio.numerator, ratio.denominator
+    near = Q // 10**8  # D > near  <=>  D/Q > 1e-8
+    with mp.workprec(Q.bit_length()):
+        q = mp.mpf(Q)  # exact, converted once: mp.fdiv(D, q) rounds D/Q once
     out = np.empty(k_max)
-    kz = mp.mpf(0)
-    for k in range(1, k_max + 1):
-        kz += z
-        fr = kz - mp.floor(kz)
-        d = fr if fr <= mp.mpf("0.5") else 1 - fr
-        if d == 0:
-            raise RationalPoint(f"sin(k pi x0/a) vanishes exactly at k={k}")
-        if d > mp.mpf("1e-8"):
-            out[k - 1] = -math.log(math.sin(math.pi * float(d)))
-        else:
-            out[k - 1] = -float(mp.log(mp.pi * d))
+    r = 0
+    with mp.workprec(128):
+        for k in range(1, k_max + 1):
+            r += P
+            if r >= Q:
+                r -= Q
+            D = r if 2 * r <= Q else Q - r
+            if D == 0:
+                raise RationalPoint(f"sin(k pi x0/a) vanishes exactly at k={k}")
+            if D > near:
+                out[k - 1] = -math.log(math.sin(math.pi * (D / Q)))
+            else:
+                out[k - 1] = -float(mp.log(mp.pi * mp.fdiv(D, q)))
     return out
 
 
@@ -177,7 +206,7 @@ def minimal_time_estimate(point: PointSpec, a: float = math.pi,
     km = k_max if k_max is not None else point.k_max
     with mp.workdps(point.dps + 20):
         z = point.value()
-        neg_log = _neg_log_sin_scan(z, km)
+        neg_log = _neg_log_sin_scan(_exact_ratio(point, z), km)
         z_float = float(z)
     ks = np.arange(1, km + 1, dtype=float)
     quartic = ks**4 * math.pi**4 / a**4

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kscontrol.errors import NoContraction, WeightUnderflow
-from kscontrol.lebeau_robbiano import BoundaryGamma, run_lr
+from kscontrol.lebeau_robbiano import BoundaryGamma, InternalPoint, run_lr
 from kscontrol.modal import ModalSource, Trace, nonlinear_rhs, state_nd
 from kscontrol.nonlinear import (
     WeightPair,
@@ -17,6 +17,7 @@ from kscontrol.nonlinear import (
     source_grid,
     weighted_norms,
 )
+from kscontrol.pointwise import PointSpec
 from kscontrol.signals import ControlSignal, ExpSegment, LegendreSegment
 from kscontrol.spectrum import Box, SpectrumSpec
 
@@ -290,6 +291,29 @@ def test_fixed_point_builds_each_window_family_once(monkeypatch):
     res = fixed_point(u0, 1.0, spec, BoundaryGamma(None), beta=4, verify=False)
     assert res.iterations >= 2
     assert builds and all(n == 1 for n in builds.values())
+
+
+def test_fixed_point_scans_the_interior_point_once(monkeypatch):
+    # every Picard iteration gates on the same minimal time: the spec keeps
+    # one scan per point, so three iterations call the estimator once
+    import kscontrol.lebeau_robbiano as lr
+
+    calls = []
+    original = lr.minimal_time_estimate
+
+    def counting(point, a, *args):
+        calls.append(point)
+        return original(point, a, *args)
+
+    monkeypatch.setattr(lr, "minimal_time_estimate", counting)
+    spec = spec_2d()
+    c = np.zeros((8, 8))
+    c[0, 0] = 1e-3
+    point = PointSpec.algebraic([1, 2, -1], root_index=0)
+    with pytest.raises(NoContraction, match="no convergence in 3 iterations"):
+        fixed_point(c, 1.0, spec, InternalPoint(point=point, omega=None), max_iter=3,
+                    tol=0.0, verify=False)
+    assert calls == [point]
 
 
 def test_fixed_point_identical_on_equal_specs():

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ def est_liouville():
 # ---------------------------------------------------------------------------
 
 def test_algebraic_point_value():
-    with __import__("mpmath").workdps(60):
+    with mp.workdps(60):
         z = SQRT2_MINUS_1.value()
         assert float(z) == pytest.approx(math.sqrt(2) - 1, abs=1e-15)
 
@@ -45,7 +47,7 @@ def test_algebraic_point_value():
 def test_tiny_algebraic_root_is_positive():
     # roots of 10^40 z^2 + z - 1 lie near +1e-20 and -1e-20, closer than any
     # float-distance tolerance, so the root in (0, 1) is chosen by its mp value
-    with __import__("mpmath").workdps(60):
+    with mp.workdps(60):
         z = PointSpec.algebraic([10**40, 1, -1]).value()
         assert z > 0
         assert float(z) == pytest.approx(1e-20, rel=1e-12)
@@ -57,9 +59,20 @@ def test_rational_point_rejected():
 
 
 def test_exact_resonance_detected():
-    # a real input that IS rational at working precision: sin vanishes exactly
+    # a real input that is rational: sin vanishes exactly at k = 2
     with pytest.raises(RationalPoint):
         minimal_time_estimate(PointSpec.real("0.5"), math.pi, k_max=10)
+
+
+@pytest.mark.parametrize("text,q", [("0.1", 10), ("0.7", 10), ("0.123", 1000), ("0.5", 2)])
+def test_decimal_real_raises_at_its_denominator(text, q):
+    # a decimal is the reduced fraction it spells: the scan raises at k = q,
+    # not where accumulated rounding happens to land on an integer
+    with pytest.raises(RationalPoint, match=rf"at k={q}$"):
+        minimal_time_estimate(PointSpec.real(text), math.pi, k_max=DEFAULT_K_MAX)
+    if q > 2:
+        rep = minimal_time_estimate(PointSpec.real(text), math.pi, k_max=q - 1)
+        assert rep.x0_over_a == float(text)
 
 
 def test_sqrt2_tail_estimate_small(est_sqrt2):
@@ -85,8 +98,6 @@ def test_sqrt2_full_gate_modest(est_sqrt2):
 def test_classic_liouville_spikes_at_convergents():
     # oracle: exact continued-fraction convergent denominators of the
     # (rational) depth-6 truncation, computed with Fraction arithmetic
-    from fractions import Fraction
-
     z = sum(Fraction(1, 10 ** math.factorial(n)) for n in range(1, 7))
     x = z - int(z)
     quotients = []
@@ -127,8 +138,69 @@ def test_quartic_liouville_minimal_time(est_liouville):
     )
 
 
+def test_real_point_that_spells_no_fraction_refused():
+    # mpmath alone would read these as 0.5; the scan could not read them
+    for text in ("1 / 2", "0.5L"):
+        with pytest.raises(ValueError), mp.workdps(80):
+            PointSpec.real(text).value()
+
+
 def test_scan_running_max_monotone(est_sqrt2):
     assert np.all(np.diff(est_sqrt2.running_max) >= 0)
+
+
+def _accumulating_scan(z, k_max):
+    """Reference scan: k z accumulated in mp at working precision, one k at a time."""
+    out = np.empty(k_max)
+    kz = mp.mpf(0)
+    for k in range(1, k_max + 1):
+        kz += z
+        fr = kz - mp.floor(kz)
+        d = fr if fr <= mp.mpf("0.5") else 1 - fr
+        if d > mp.mpf("1e-8"):
+            out[k - 1] = -math.log(math.sin(math.pi * float(d)))
+        else:
+            out[k - 1] = -float(mp.log(mp.pi * d))
+    return out
+
+
+ORACLE_POINTS = [
+    SQRT2_MINUS_1,
+    PointSpec.algebraic([1, 0, -3, 1], root_index=0),
+    PointSpec.liouville("quartic_anchor3", depth=6),
+    PointSpec.liouville("classic10", depth=6),
+    PointSpec.real("0.4142135623730950488016887242096980785696718753"),
+    PointSpec.real("0.1000001"),  # distance 1e-6 at k = 10, just on the double-sine side
+]
+
+
+@pytest.mark.parametrize("point", ORACLE_POINTS, ids=PointSpec.label)
+def test_exact_scan_matches_accumulating_oracle(point):
+    k_max = 2000
+    rep = minimal_time_estimate(point, math.pi, k_max=k_max)
+    with mp.workdps(point.dps + 20):
+        expect = _accumulating_scan(point.value(), k_max)
+        z = point.value()
+        x = (Fraction(point.data[0]) if point.kind == "real"
+             else Fraction(*mp.libmp.to_rational(z._mpf_)))
+    assert np.array_equal(rep.neg_log_sin.view(np.int64), expect.view(np.int64))
+    # the distance to the nearest integer is exact: frac(k x) in Fraction
+    for k in range(1, 51):
+        fr = k * x - math.floor(k * x)
+        d = min(fr, 1 - fr)
+        if d > Fraction(1, 10**8):
+            assert rep.neg_log_sin[k - 1] == -math.log(math.sin(math.pi * float(d)))
+        else:
+            with mp.workprec(200):
+                ref = -mp.log(mp.pi * mp.mpf(d.numerator) / d.denominator)
+            assert rep.neg_log_sin[k - 1] == pytest.approx(float(ref), rel=1e-15)
+
+
+def test_sqrt2_scan_at_hundred_thousand(est_sqrt2):
+    rep = minimal_time_estimate(SQRT2_MINUS_1, math.pi, k_max=100_000)
+    assert rep.T0_hat == est_sqrt2.T0_hat
+    assert rep.T0_argmax == est_sqrt2.T0_argmax
+    assert not rep.still_growing
 
 
 # ---------------------------------------------------------------------------
