@@ -11,18 +11,19 @@ Within the exponential span this family is the unique one of minimal L2
 norm, and ``||q_m||^2 = (G^{-1})[m, m]``.  Gram matrices of exponentials
 are notoriously ill-conditioned, so construction carries a precision
 ladder: plain double solve with one step of iterative refinement, then an
-extended-precision (mpmath) rebuild when the condition number exceeds
-1e12, and an IllConditioned error when even that cannot certify the
+extended-precision (`decimal`, 60 digits) rebuild when the condition number
+exceeds 1e12, and an IllConditioned error when even that cannot certify the
 biorthogonality residual.
 """
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DuplicateRate, IllConditioned
@@ -31,6 +32,7 @@ K_BIO_MAX = 24
 RESIDUAL_TOL = 1e-8
 EXTENDED_PRECISION_COND = 1e12
 FAIL_COND = 1e14
+EXTENDED_DIGITS = 60
 
 
 def gram_matrix(exponents, T: float) -> np.ndarray:
@@ -105,13 +107,33 @@ class BiorthogonalFamily:
 
 
 def _gram_mp(lam, T):
-    n = len(lam)
-    G = mp.matrix(n, n)
-    for i in range(n):
-        for k in range(n):
-            s = lam[i] + lam[k]
-            G[i, k] = (1 - mp.e**(-s * T)) / s
-    return G
+    """The Gram matrix as lists of `Decimal` at the context precision, from the n
+    exponentials E_i = exp(-lam_i T): G[i][k] = (1 - E_i E_k) / (lam_i + lam_k).
+    `build_family` calls it exactly once per extended-precision escalation."""
+    E = [(-x * T).exp() for x in lam]
+    return [[(1 - Ei * Ek) / (li + lk) for lk, Ek in zip(lam, E)] for li, Ei in zip(lam, E)]
+
+
+def _inverse(G):
+    """G^{-1} by Gauss-Jordan on [G | I] at the context precision.
+
+    G is symmetric positive definite, so the pivots are positive and no
+    pivoting is needed.  Before step j the left block's first j columns are
+    done and the right block's columns past n + j are still those of I, so
+    step j only updates columns j + 1 .. n + j.
+    """
+    n = len(G)
+    one, zero = Decimal(1), Decimal(0)
+    A = [row + [one if k == i else zero for k in range(n)] for i, row in enumerate(G)]
+    for j in range(n):
+        cols = slice(j + 1, n + j + 1)
+        inv = one / A[j][j]
+        span = A[j][cols] = [x * inv for x in A[j][cols]]
+        for i, row in enumerate(A):
+            f = row[j]
+            if i != j and f:
+                row[cols] = [a - f * p for a, p in zip(row[cols], span)]
+    return [row[n:] for row in A]
 
 
 def build_family(exponents, T: float, k_bio_max: int = K_BIO_MAX) -> BiorthogonalFamily:
@@ -119,11 +141,12 @@ def build_family(exponents, T: float, k_bio_max: int = K_BIO_MAX) -> Biorthogona
 
     The solve is Jacobi-preconditioned (most of the raw condition number is
     diagonal dynamic range of the rates), refined once, and rebuilt in
-    extended precision past condition 1e12.  The certified ``residual_max``
-    is what the returned double-precision coefficients actually achieve;
-    for families with huge rate spread it is limited to roughly
-    cond * eps even when the inverse is computed exactly, which is why
-    moment syntheses certify their own (target-weighted) residual instead.
+    extended precision (`decimal`, 60 digits) past condition 1e12.  The
+    certified ``residual_max`` is what the returned double-precision
+    coefficients actually achieve; for families with huge rate spread it is
+    limited to roughly cond * eps even when the inverse is computed exactly,
+    which is why moment syntheses certify their own (target-weighted)
+    residual instead.
     IllConditioned fires when the condition number exceeds 1e14 and the
     residual misses 1e-8: the truncation must shrink or precision increase.
     """
@@ -144,19 +167,19 @@ def build_family(exponents, T: float, k_bio_max: int = K_BIO_MAX) -> Biorthogona
     residual = float(np.max(np.abs(G @ C.T - np.eye(n))))
 
     if residual > RESIDUAL_TOL or cond > EXTENDED_PRECISION_COND:
-        with mp.workdps(60):
-            lam_mp = [mp.mpf(x) for x in lam]
-            G_mp = _gram_mp(lam_mp, mp.mpf(T))
-            C_mp = (G_mp**-1).T
-            C = np.array([[float(C_mp[i, k]) for k in range(n)] for i in range(n)])
+        with decimal.localcontext() as ctx:
+            ctx.prec = EXTENDED_DIGITS
+            G_x = _gram_mp([Decimal(x) for x in lam], Decimal(float(T)))
+            # G^{-1} = C^T: column i of the inverse is row i of C
+            C = np.array(list(zip(*_inverse(G_x))), dtype=float)
             # residual of the float-rounded coefficients against the exact Gram
-            C_back = mp.matrix(C.tolist())
-            prod = G_mp * C_back.T
+            C_back = [[Decimal(x) for x in row] for row in C.tolist()]
             residual = 0.0
-            for i in range(n):
-                for k in range(n):
+            for i, g_row in enumerate(G_x):
+                for k, c_row in enumerate(C_back):
                     target = 1.0 if i == k else 0.0
-                    residual = max(residual, abs(float(prod[i, k]) - target))
+                    prod = float(sum(map(Decimal.__mul__, g_row, c_row)))
+                    residual = max(residual, abs(prod - target))
     if cond > FAIL_COND and residual > RESIDUAL_TOL:
         raise IllConditioned(
             f"Gram condition {cond:.3e}, residual {residual:.3e} after extended precision"

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Optional
 
@@ -41,6 +42,11 @@ from .spectrum import SpectrumSpec, require_clear
 
 DEFAULT_K_MAX = 10_000
 DEFAULT_MARGIN = 0.10
+#: A `real` point's string has at most this many digits on either side of the
+#: decimal point, and a written denominator of at most 10**REAL_MAX_DIGITS: the
+#: scan's integers are as long as the denominator, so a longer decimal would
+#: cost time and memory linear in its length.
+REAL_MAX_DIGITS = 1000
 
 #: Liouville-type series rules: name -> (description, builder(depth) -> mpf, dps)
 #: ``classic10``: sum 10^(-n!).  Its rational convergents p/q satisfy
@@ -73,7 +79,9 @@ class PointSpec:
     def real(value, k_max: int = DEFAULT_K_MAX) -> "PointSpec":
         """The number ``str(value)`` spells.  A decimal is rational, so the scan reads
         it as its exact reduced fraction P/Q and raises RationalPoint at k = Q when
-        Q <= k_max ("0.1" at k = 10, "0.123" at k = 1000)."""
+        Q <= k_max ("0.1" at k = 10, "0.123" at k = 1000).  `value` refuses a string
+        with more than REAL_MAX_DIGITS (1000) digits on either side of the decimal
+        point or a written denominator above 10**REAL_MAX_DIGITS."""
         return PointSpec("real", (str(value),), k_max)
 
     @staticmethod
@@ -111,7 +119,7 @@ class PointSpec:
             fr = self.data[0]
             return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
         if self.kind == "real":
-            fr = Fraction(self.data[0])
+            fr = _real_fraction(self.data[0])
             return mp.fdiv(fr.numerator, fr.denominator)
         if self.kind == "algebraic":
             coeffs, idx = self.data
@@ -138,6 +146,23 @@ class PointSpec:
         return f"real:{self.data[0]}"
 
 
+def _real_fraction(text: str) -> Fraction:
+    """The exact fraction a `real` point's string spells.  ValueError past the
+    REAL_MAX_DIGITS bound; a decimal is measured by its digits and exponent
+    before any big integer is built."""
+    try:
+        _, digits, exp = Decimal(text).as_tuple()
+        too_long = isinstance(exp, int) and max(-exp, len(digits) + exp) > REAL_MAX_DIGITS
+    except InvalidOperation:
+        too_long = False  # not a decimal: Fraction reads "p/q" or refuses the string
+    fr = None if too_long else Fraction(text)
+    if fr is None or fr.denominator > 10**REAL_MAX_DIGITS:
+        raise ValueError(f"a real point may have at most {REAL_MAX_DIGITS} digits on either "
+                         f"side of the decimal point (denominator <= 10^{REAL_MAX_DIGITS}); "
+                         f"got {text[:40]!r}")
+    return fr
+
+
 @dataclass
 class MinimalTimeReport:
     """Scan of s_k with running maxima and spike locations."""
@@ -158,7 +183,7 @@ def _exact_ratio(point: PointSpec, z: mp.mpf) -> Fraction:
     """x0/a as the scan reads it, given z = ``point.value()``: a real point's string
     exactly, any other kind z itself (man * 2^exp)."""
     if point.kind == "real":
-        return Fraction(point.data[0])
+        return _real_fraction(point.data[0])
     man, exp = z.man_exp
     return Fraction(man, 2**-exp)
 

@@ -142,10 +142,12 @@ class ExpSegment:
     refs: np.ndarray
     coeffs: np.ndarray
 
+    def basis(self, tt: np.ndarray) -> np.ndarray:
+        """(len(tt), E) values of the exponentials at times tt."""
+        return np.exp(self.exponents[None, :] * (tt[:, None] - self.refs[None, :]))
+
     def value(self, t):
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        basis = np.exp(self.exponents[None, :] * (tt[:, None] - self.refs[None, :]))
-        out = basis @ self.coeffs
+        out = self.basis(np.atleast_1d(np.asarray(t, dtype=float))) @ self.coeffs
         return out if np.ndim(t) else out[0]
 
     def mode_duhamel(self, lam, t0: float, t1: float):
@@ -176,12 +178,13 @@ class LegendreSegment:
     t1: float
     coeffs: np.ndarray  # (P,) or (P, R)
 
-    def value(self, t):
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
+    def basis(self, tt: np.ndarray) -> np.ndarray:
+        """(len(tt), P) values of P_0..P_{P-1} at times tt."""
         tau = 2.0 * (tt - self.t0) / (self.t1 - self.t0) - 1.0
-        deg = self.coeffs.shape[0] - 1
-        V = npleg.legvander(tau, deg)
-        out = V @ self.coeffs
+        return npleg.legvander(tau, self.coeffs.shape[0] - 1)
+
+    def value(self, t):
+        out = self.basis(np.atleast_1d(np.asarray(t, dtype=float))) @ self.coeffs
         return out if np.ndim(t) else out[0]
 
     def mode_duhamel(self, lam, t0: float, t1: float, integrals=None):
@@ -275,15 +278,27 @@ class ControlSignal:
         return np.einsum("sr,rq,sq->s", vals, self.row_gram, vals)
 
     def value_at(self, t):
-        """Evaluate the control at times t."""
+        """Evaluate the control at times t.
+
+        Each time goes to the first segment whose window, widened by 1e-12,
+        holds it (as in `_segment_for`); each segment builds its basis once for
+        all its times.  The product with the coefficients stays one row per
+        time, so every value has the bits of ``seg.value(t_i)``: a batched
+        matrix product rounds differently.
+        """
         tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = None
-        for i, ti in enumerate(tt):
-            _, seg = self._segment_for(ti)
-            v = seg.value(ti)
-            if out is None:
-                out = np.zeros((len(tt),) + np.shape(v))
-            out[i] = v
+        owner = np.full(len(tt), -1)
+        for i, seg in enumerate(self.segments):
+            owner[(owner < 0) & (seg.t0 - 1e-12 <= tt) & (tt <= seg.t1 + 1e-12)] = i
+        if np.any(owner < 0):
+            raise ValueError(f"t={tt[np.argmax(owner < 0)]} outside analytic segments")
+        out = np.zeros((len(tt),) + self.segments[0].coeffs.shape[1:])
+        for i in np.unique(owner):
+            seg, rows = self.segments[i], np.flatnonzero(owner == i)
+            # contiguous rows, laid out like a one-time basis (legvander's is not)
+            B = np.ascontiguousarray(seg.basis(tt[rows]))
+            for r, row in enumerate(rows):
+                out[row] = (B[r:r + 1] @ seg.coeffs)[0]
         return out if np.ndim(t) else out[0]
 
     def _segment_for(self, t: float):

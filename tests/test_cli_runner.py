@@ -305,6 +305,9 @@ BAD_INPUTS = [
     ("rational-not-integer", _demo("minimal_time.json", _POINT, {"rational": "1/x"}),
      f"{_POINT}.rational"),
     ("real-not-a-number", _demo("minimal_time.json", _POINT, {"real": "abc"}), f"{_POINT}.real"),
+    # refused from its exponent, before the 10^100000 denominator is built
+    ("real-beyond-1000-places", _demo("minimal_time.json", _POINT, {"real": "1e-100000"}),
+     f"{_POINT}.real"),
     ("root_index-beyond-roots", _demo("minimal_time.json", _POINT,
                                       {"algebraic": [1, 2, -1], "root_index": 5}),
      f"{_POINT}.root_index"),

@@ -676,3 +676,60 @@ def test_controlled_evolution_refuses_critical_parameter():
         evolve_pointwise_controlled(u, sigp, (0.0, 0.5))
     # free flow at a critical parameter stays available (counterexample needs it)
     evolve_free(u, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# ControlSignal.value_at: one basis per segment, the per-time arithmetic kept
+# ---------------------------------------------------------------------------
+
+def _value_at_per_time(sig, t):
+    """The per-time loop value_at replaced: first matching segment, one
+    seg.value call per time."""
+    out = None
+    for i, ti in enumerate(t):
+        _, seg = sig._segment_for(ti)
+        v = seg.value(ti)
+        if out is None:
+            out = np.zeros((len(t),) + np.shape(v))
+        out[i] = v
+    return out
+
+
+_ENDS = (0.0, 0.3, 0.7, 1.0)
+
+
+def _exp_seg(rng, t0, t1, rows):
+    b = rng.uniform(-40.0, 10.0, 5)
+    refs = np.where(b > 0, t1, t0)  # growing terms referenced to the window end
+    shape = (5, rows) if rows else (5,)
+    return ExpSegment(t0=t0, t1=t1, exponents=b, refs=refs, coeffs=rng.standard_normal(shape))
+
+
+def _leg_seg(rng, t0, t1, rows):
+    shape = (7, rows) if rows else (7,)
+    return LegendreSegment(t0=t0, t1=t1, coeffs=rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("rows", [0, 3], ids=["scalar", "rows"])
+@pytest.mark.parametrize("make", ["exp", "legendre", "mixed"])
+def test_value_at_matches_per_time_loop_bitwise(rows, make):
+    rng = np.random.default_rng(11)
+    builders = {"exp": [_exp_seg] * 3, "legendre": [_leg_seg] * 3,
+                "mixed": [_exp_seg, _leg_seg, _exp_seg]}[make]
+    segments = [build(rng, t0, t1, rows)
+                for build, t0, t1 in zip(builders, _ENDS[:-1], _ENDS[1:])]
+    sig = ControlSignal("boundary_nd" if rows else "boundary_1d", segments)
+    # a uniform grid, plus times on the interior endpoints and within 1e-12 of them
+    near = [e + d for e in _ENDS for d in (0.0, -9e-13, -1e-13, 1e-13, 9e-13)]
+    t = np.concatenate([np.linspace(0.0, 1.0, 257), [x for x in near if 0 <= x <= 1]])
+    got = sig.value_at(t)
+    ref = _value_at_per_time(sig, t)
+    assert got.shape == ref.shape == (len(t),) + ((rows,) if rows else ())
+    assert got.tobytes() == ref.tobytes()
+    assert np.array_equal(sig.value_at(0.3), ref[np.flatnonzero(t == 0.3)[0]])
+
+
+def test_value_at_refuses_times_outside_the_segments():
+    sig = ControlSignal("boundary_1d", [_leg_seg(np.random.default_rng(0), 0.0, 1.0, 0)])
+    with pytest.raises(ValueError, match="outside analytic segments"):
+        sig.value_at(np.array([0.5, 1.0 + 2e-12]))
