@@ -48,8 +48,12 @@ while scale <= 1e6:
 print("\nwith a mildly unstable mode (nu=5, rate +6) the boundary moves in:")
 spec5 = SpectrumSpec(a="pi", nu=5, cross_section=Box(["pi"]), K_x=16, J_y=16)
 res5 = fixed_point(u0, 1.0, spec5, BoundaryGamma(None), verify=False)
-print(f"  1e-3 converges ({res5.iterations} iterations, ratios ~{res5.ratios[0]:.1e})")
+print(f"  1e-3 converges by tol ({res5.iterations} iterations, ratios ~{res5.ratios[0]:.1e})")
+res5 = fixed_point(100 * u0, 1.0, spec5, BoundaryGamma(None), verify=False, max_iter=24)
+print(f"  x100 (0.1) contracts at ratios ~0.3 down to the rounding floor and stops there "
+      f"({res5.stop_reason!r}, {res5.iterations} iterations, delta {res5.deltas[-1]:.2e} "
+      f"<= floor {res5.delta_floor:.2e})")
 try:
-    fixed_point(100 * u0, 1.0, spec5, BoundaryGamma(None), verify=False, max_iter=24)
+    fixed_point(1000 * u0, 1.0, spec5, BoundaryGamma(None), verify=False, max_iter=24)
 except NoContraction as exc:
-    print(f"  x100 (0.1) exits the contraction regime: NoContraction: {exc}")
+    print(f"  x1000 (1.0) exits the contraction regime: NoContraction: {exc}")

@@ -35,7 +35,7 @@ from .modal import (
     state_1d,
     state_nd,
 )
-from .nonlinear import WeightPair, fixed_point, nonlinear_simulate, weighted_norms
+from .nonlinear import WeightPair, fixed_point, nonlinear_simulate
 from .pointwise import PointSpec, minimal_time_estimate, synthesize_point_control
 from .spectrum import (
     Box,
@@ -81,7 +81,6 @@ __all__ = [
     "synthesize_boundary_control",
     "synthesize_point_control",
     "verify_null",
-    "weighted_norms",
 ]
 
 __version__ = "0.1.0"

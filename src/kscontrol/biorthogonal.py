@@ -27,6 +27,7 @@ from decimal import Decimal
 import numpy as np
 
 from .errors import DuplicateRate, IllConditioned
+from .spectrum import DUPLICATE_REL_TOL
 
 K_BIO_MAX = 24
 RESIDUAL_TOL = 1e-8
@@ -47,11 +48,11 @@ def gram_matrix(exponents, T: float) -> np.ndarray:
     return -np.expm1(-s * T) / s
 
 
-def _reject_duplicates(lam: np.ndarray, rel_tol: float = 1e-12):
+def _reject_duplicates(lam: np.ndarray):
     scale = float(np.max(lam))
     srt = np.sort(lam)
     gaps = np.diff(srt)
-    if len(gaps) and float(np.min(gaps)) <= rel_tol * scale:
+    if len(gaps) and float(np.min(gaps)) <= DUPLICATE_REL_TOL * scale:
         raise DuplicateRate("coincident exponents in the family")
 
 
@@ -94,17 +95,6 @@ class BiorthogonalFamily:
             sort_keys=True,
         )
 
-    @staticmethod
-    def from_json(text: str) -> "BiorthogonalFamily":
-        d = json.loads(text)
-        return BiorthogonalFamily(
-            exponents=np.asarray(d["exponents"]),
-            horizon=float(d["T"]),
-            coeffs=np.asarray(d["coeffs"]),
-            residual_max=float(d["residual_max"]),
-            gram_condition=float(d["gram_condition"]),
-        )
-
 
 def _gram_mp(lam, T):
     """The Gram matrix as lists of `Decimal` at the context precision, from the n
@@ -136,7 +126,7 @@ def _inverse(G):
     return [row[n:] for row in A]
 
 
-def build_family(exponents, T: float, k_bio_max: int = K_BIO_MAX) -> BiorthogonalFamily:
+def build_family(exponents, T: float) -> BiorthogonalFamily:
     """Solve G C^T = I and certify the biorthogonality residual.
 
     The solve is Jacobi-preconditioned (most of the raw condition number is
@@ -151,8 +141,8 @@ def build_family(exponents, T: float, k_bio_max: int = K_BIO_MAX) -> Biorthogona
     residual misses 1e-8: the truncation must shrink or precision increase.
     """
     lam = np.asarray(exponents, dtype=float)
-    if len(lam) > k_bio_max:
-        raise ValueError(f"family size {len(lam)} exceeds K_bio_max={k_bio_max}")
+    if len(lam) > K_BIO_MAX:
+        raise ValueError(f"family size {len(lam)} exceeds K_bio_max={K_BIO_MAX}")
     G = gram_matrix(lam, T)
     n = len(lam)
     cond = float(np.linalg.cond(G))
@@ -189,7 +179,7 @@ def build_family(exponents, T: float, k_bio_max: int = K_BIO_MAX) -> Biorthogona
     )
 
 
-def cost_fit(exponents, T_grid, k_max: int | None = None):
+def cost_fit(exponents, T_grid):
     """Fit log ||q_{k,T}|| against Lambda_k^(1/4) + T^(-1/3).
 
     Purely diagnostic: returns the fitted slope/intercept and the residual of
@@ -197,8 +187,6 @@ def cost_fit(exponents, T_grid, k_max: int | None = None):
     quartic growth of the rates, and -theta/(1-theta) = -1/3.
     """
     lam = np.asarray(exponents, dtype=float)
-    if k_max is not None:
-        lam = lam[:k_max]
     rows = []
     for T in T_grid:
         fam = build_family(lam, float(T))

@@ -15,8 +15,8 @@ sqrt(a)).  The per-k prefactor sits inside the k-sum of the synthesized
 control.
 
 The moment problem is solved exactly for k <= K_trunc; the control also
-excites modes above K_trunc, which is reported (`pollution`) alongside the
-free-decay tail of the initial data.  "Null" claims are therefore made about
+excites modes above K_trunc, which `verify_null` measures (`rel_final_all`)
+alongside the free-decay tail of the initial data.  "Null" claims are therefore made about
 the enforced modes, with the rest accounted explicitly.
 """
 
@@ -51,7 +51,6 @@ class SynthesisReport:
     control_norm: float
     moment_residual_max: float
     tail_free_decay: float
-    pollution: Optional[float]
     gram_condition: float
     c0: float
     K_trunc: int
@@ -80,7 +79,6 @@ def synthesize_boundary_control(
         control_norm=control.norm_l2(),
         moment_residual_max=sol.residual_max,
         tail_free_decay=tail,
-        pollution=None,
         gram_condition=sol.family.gram_condition,
         c0=sol.c0,
         K_trunc=len(sol.targets),

@@ -96,10 +96,6 @@ class DissipationViolated(KSControlError):
     """Free decay beat the guaranteed rate bound: projection leak (internal bug)."""
 
 
-class WeightUnderflow(KSControlError):
-    """A vanishing weight underflowed before the final grid point."""
-
-
 class StepUnconverged(KSControlError):
     """Step-halving changed the nonlinear end state beyond tolerance, or the
     replay left the finite range."""

@@ -53,7 +53,6 @@ from .pointwise import DEFAULT_MARGIN, PointSpec, minimal_time_estimate
 from .signals import ControlSignal, ExpSegment, LegendreSegment, legendre_mode_integrals
 from .spectrum import K0_index, SpectrumSpec, require_clear
 
-PROJECTION_KILL_TOL = 1e-8
 DEFAULT_RHO = 0.5
 
 

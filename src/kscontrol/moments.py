@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biorthogonal import K_BIO_MAX, BiorthogonalFamily, build_family
+from .biorthogonal import BiorthogonalFamily, build_family
 from .signals import ExpSegment
 from .spectrum import c0_shift
+
+MOMENT_RESIDUAL_TOL = 1e-8  # certified relative to max(1, max |target|)
 
 
 @dataclass
@@ -77,15 +79,15 @@ class MomentSolver:
     it linearly with a target vector (the moment map is linear).
     """
 
-    def __init__(self, rates, T: float, k_bio_max: int = K_BIO_MAX):
+    def __init__(self, rates, T: float):
         self.rates = np.asarray(rates, dtype=float)
         self.horizon = float(T)
         self.c0 = c0_shift(self.rates)
         self.shifted = self.c0 - self.rates  # strictly positive exponents
-        self.family = build_family(self.shifted, T, k_bio_max=k_bio_max)
+        self.family = build_family(self.shifted, T)
         self.exponents = -(self.shifted + self.c0)  # all <= -c0 <= 0
 
-    def solve(self, targets, residual_tol: float = 1e-8) -> MomentSolution:
+    def solve(self, targets) -> MomentSolution:
         """Combine the family with a target vector and certify the residual.
 
         The certified quantity is the analytic moment residual of the
@@ -110,9 +112,9 @@ class MomentSolver:
         )
         sol.residual_max = float(np.max(np.abs(moment_residuals(sol))))
         scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-        if not sol.residual_max <= residual_tol * scale:  # NaN fails too
+        if not sol.residual_max <= MOMENT_RESIDUAL_TOL * scale:  # NaN fails too
             raise IllConditioned(
-                f"moment residual {sol.residual_max:.3e} exceeds {residual_tol:.1e} x scale "
+                f"moment residual {sol.residual_max:.3e} exceeds {MOMENT_RESIDUAL_TOL:.1e} x scale "
                 f"(Gram condition {self.family.gram_condition:.3e})"
             )
         return sol

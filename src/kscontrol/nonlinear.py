@@ -13,8 +13,8 @@ rho_F(t) = exp(-(1+p) q^2 C / ((q-1)(T-t))) on the source, with
 images of weighted-bounded states stay weighted-bounded.  C is the control
 cost constant; it is not derivable from theory alone here, so the module
 takes the empirical value fitted from frequency-splitting runs
-(`fit_cost_constant`).  The weights shape the norms in which contraction is
-measured and reported; the Picard map itself does not depend on them.
+(`fit_cost_constant`).  The Picard map itself does not depend on the
+weights; rho_F weights the source increment that measures contraction.
 """
 
 from __future__ import annotations
@@ -25,15 +25,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NoContraction, StepUnconverged, WeightUnderflow
+from .errors import NoContraction, StepUnconverged
 from .lebeau_robbiano import DEFAULT_RHO, BoundaryGamma, LRRunResult, run_lr
 from .modal import ControlStepper, ModalSource, Trace, nonlinear_rhs, rhs_operator, state_nd
 from .spectrum import SpectrumSpec, require_clear
 
 WEIGHT_FLOOR = 1e-280
-VALUE_FLOOR = 1e-200
 #: weights below this are dominated by the truncation's kill residual, so
-#: weighted metrics are evaluated only where rho >= EVAL_FLOOR
+#: the source increment is measured only where rho_F >= EVAL_FLOOR (its
+#: last nodes set the rounding floor of `fixed_point`'s stop rule)
 EVAL_FLOOR = 1e-30
 DEFAULT_Q = 1.2
 DEFAULT_C_COST = 0.5
@@ -41,11 +41,13 @@ DEFAULT_MAX_ITER = 12
 DEFAULT_SIM_STEPS = 1000
 #: fewest ETD steps a replay may take; nonlinear_simulate refuses fewer
 MIN_SIM_STEPS = 1000
+P_MARGIN = 0.2  # default p: this fraction above the threshold q^2/(2-q^2)
+SOURCE_BULK_NODES, SOURCE_TAIL_NODES = 96, 24  # uniform, then graded toward T
 
 
-def default_p(q_w: float = DEFAULT_Q, headroom: float = 0.2) -> float:
-    """p a fixed fraction above the threshold q^2/(2-q^2)."""
-    return (1.0 + headroom) * q_w**2 / (2.0 - q_w**2)
+def default_p(q_w: float = DEFAULT_Q) -> float:
+    """p a fixed fraction (P_MARGIN) above the threshold q^2/(2-q^2)."""
+    return (1.0 + P_MARGIN) * q_w**2 / (2.0 - q_w**2)
 
 
 @dataclass
@@ -69,9 +71,6 @@ class WeightPair:
             raise ValueError(f"p={self.p} must exceed q^2/(2-q^2) = {threshold:.4g}")
         if not self.C_cost > 0:
             raise ValueError("C_cost must be positive")
-
-    def rho0(self, t):
-        return self._weight(t, self.p * self.C_cost / (self.q_w - 1.0))
 
     def rhoF(self, t):
         return self._weight(t, (1.0 + self.p) * self.q_w**2 * self.C_cost / (self.q_w - 1.0))
@@ -115,76 +114,10 @@ def fit_cost_constant(spec: SpectrumSpec, geometry=None, T_grid=(0.25, 0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# weighted norms
-# ---------------------------------------------------------------------------
-
-def _weighted_ratio(values: np.ndarray, weights: np.ndarray):
-    """Pointwise value/weight with the 0/0 := 0 convention and underflow guard."""
-    out = np.zeros_like(values)
-    for i, (v, w) in enumerate(zip(values, weights)):
-        if w >= WEIGHT_FLOOR:
-            out[i] = v / w
-        elif v <= VALUE_FLOOR:
-            out[i] = 0.0
-        else:
-            raise WeightUnderflow(
-                f"weight underflowed ({w:.3e}) while the state is alive ({v:.3e})"
-            )
-    return out
-
-
-def weighted_norms(trace: Trace, control_norm_series, source: Optional[ModalSource],
-                   weights: WeightPair, spec: SpectrumSpec) -> dict:
-    """Weighted norms of a controlled trajectory.
-
-    Returns sup_t ||u/rho0||_{L2}, the L2-in-time H-norm of u/rho0 (H = the
-    second-order Dirichlet form, computed modally), the weighted control
-    norm, and ||f/rhoF|| in the modal dual norm.  ``control_norm_series`` is
-    (times, ||q(t)||_{L2(Gamma)}) samples.
-    """
-    t = trace.times
-    rho0 = weights.rho0(t)
-    norms = trace.norms()
-    sup_ratio = float(np.max(_weighted_ratio(norms, rho0)))
-
-    s = _dirichlet_symbol(spec)
-    h_series = np.sqrt(np.sum((trace.coeffs * s[None, :, :]) ** 2, axis=(1, 2)))
-    h_ratio = _weighted_ratio(h_series, rho0)
-    l2h = math.sqrt(float(np.trapezoid(h_ratio**2, t)))
-
-    ctrl = 0.0
-    if control_norm_series is not None:
-        ct, cv = control_norm_series
-        cr = _weighted_ratio(np.asarray(cv), weights.rho0(np.asarray(ct)))
-        ctrl = math.sqrt(float(np.trapezoid(cr**2, ct)))
-
-    src = 0.0
-    if source is not None:
-        st = source.times
-        rhoF = weights.rhoF(st)
-        dual = np.sqrt(np.sum((source.values / s[None, :, :]) ** 2, axis=(1, 2)))
-        sr = _weighted_ratio(dual, rhoF)
-        src = math.sqrt(float(np.trapezoid(sr**2, st)))
-    return {
-        "sup_state": sup_ratio,
-        "l2_H_state": l2h,
-        "control": ctrl,
-        "source_dual": src,
-    }
-
-
-def _dirichlet_symbol(spec: SpectrumSpec) -> np.ndarray:
-    """(kappa_k + mu_j): the modal symbol of the second-order Dirichlet form."""
-    ks = np.arange(1, spec.K_x + 1, dtype=float)
-    kap = (ks * math.pi / spec.a_float) ** 2
-    return kap[:, None] + spec.mus[None, :]
-
-
-# ---------------------------------------------------------------------------
 # controlled solve with source
 # ---------------------------------------------------------------------------
 
-def source_grid(T: float, weights: WeightPair, n_bulk: int = 96, n_tail: int = 24) -> np.ndarray:
+def source_grid(T: float, weights: WeightPair) -> np.ndarray:
     """Time grid for source traces: uniform bulk plus a grid graded toward T.
 
     The graded part stops at the weight-floor horizon (beyond it both the
@@ -193,10 +126,10 @@ def source_grid(T: float, weights: WeightPair, n_bulk: int = 96, n_tail: int = 2
     """
     t_safe = weights.safe_horizon()
     bulk_end = min(0.8 * T, t_safe)
-    bulk = np.linspace(0.0, bulk_end, n_bulk, endpoint=False)
+    bulk = np.linspace(0.0, bulk_end, SOURCE_BULK_NODES, endpoint=False)
     tail = []
     gap = T - bulk_end
-    for i in range(n_tail):
+    for _ in range(SOURCE_TAIL_NODES):
         gap *= 0.75
         tt = T - gap
         if tt >= t_safe:
@@ -212,31 +145,6 @@ class SourceSolveResult:
     trace: Trace
     control_norm_series: tuple
     final_rel_norm: float
-    weighted: dict = None
-
-
-def weighted_norms_trimmed(trace, control_norm_series, source, weights, spec) -> dict:
-    """Weighted norms evaluated where rho_0 >= EVAL_FLOOR.
-
-    The numerical trajectory only tracks the ideal weighted decay down to the
-    truncation's kill residual; beyond the floor the ratios measure that
-    residual against an underflowing weight, so they are excluded here (the
-    strict calculator `weighted_norms` keeps the literal underflow contract).
-    """
-    rho0 = weights.rho0(trace.times)
-    keep = rho0 >= EVAL_FLOOR
-    sub = Trace(times=trace.times[keep], coeffs=trace.coeffs[keep])
-    series = None
-    if control_norm_series is not None:
-        ct, cv = control_norm_series
-        ct = np.asarray(ct)
-        m = weights.rho0(ct) >= EVAL_FLOOR
-        series = (ct[m], np.asarray(cv)[m])
-    src = None
-    if source is not None:
-        m = weights.rhoF(source.times) >= EVAL_FLOOR
-        src = ModalSource(times=source.times[m], values=source.values[m])
-    return weighted_norms(sub, series, src, weights, spec)
 
 
 def controlled_solve_with_source(
@@ -265,13 +173,11 @@ def controlled_solve_with_source(
     ct = trace.times
     cv = _control_norm_series(res, ct)
     u0n = float(np.linalg.norm(u0))
-    weighted = weighted_norms_trimmed(trace, (ct, cv), source, weights, spec)
     return SourceSolveResult(
         lr=res,
         trace=trace,
         control_norm_series=(ct, cv),
         final_rel_norm=res.final_norm / max(u0n, 1e-300),
-        weighted=weighted,
     )
 
 
@@ -302,6 +208,10 @@ class FixedPointResult:
     nonlinear_final_rel: float = math.nan
     nonlinear_norm_series: tuple = field(repr=False, default=None)
     weights: WeightPair = None
+    #: "tol" (delta < tol * delta_0) or "floor" (stalled at the rounding floor)
+    stop_reason: str = "tol"
+    #: the rounding-floor estimate of the last iteration (see `_source_delta`)
+    delta_floor: float = math.nan
 
 
 def fixed_point(
@@ -320,17 +230,21 @@ def fixed_point(
 ) -> FixedPointResult:
     """Picard iteration f -> F(u(f)) with weighted-norm stopping.
 
-    ``tol`` is relative: the iteration stops once the weighted source
-    increment ||(f^(n+1) - f^(n))/rho_F|| falls below tol times the first
-    increment (absolute weighted norms are scaled by 1/rho_F and hence
-    astronomically large by design).  Besides the up-front ``r_guess`` gate
-    (reason ``"radius"``), NoContraction is raised in two ways.  The ratio
-    test fires after three consecutive ratios above 0.9 (reason ``"ratio"``):
-    the data is outside the local regime.  Exhausting ``max_iter`` also
-    raises NoContraction (reason ``"cap"``), even when every ratio is well
-    below 0.9; that alone does not show a loss of contraction, only a cap
-    too low for the observed rate.  On convergence the control is replayed
-    through the independent nonlinear simulator.
+    ``tol`` is relative: the iteration stops (``stop_reason`` ``"tol"``) once
+    the weighted source increment delta = ||(f^(n+1) - f^(n))/rho_F|| falls
+    below tol times the first increment (absolute weighted norms are scaled
+    by 1/rho_F and hence astronomically large by design).  At the rounding
+    floor F_hat of `_source_delta` the ratios scatter around 1 whatever the
+    data, so a ratio above 0.9 taken at delta <= F_hat ends the run as
+    converged (``"floor"``), and only ratios taken above F_hat count for the
+    ratio test.  Besides the up-front ``r_guess`` gate (reason
+    ``"radius"``), NoContraction is raised in two ways.  The ratio test fires
+    after three consecutive ratios above 0.9 (reason ``"ratio"``): the data
+    is outside the local regime.  Exhausting ``max_iter`` also raises
+    NoContraction (reason ``"cap"``), even when every ratio is well below
+    0.9; that alone does not show a loss of contraction, only a cap too low
+    for the observed rate.  On convergence the control is replayed through
+    the independent nonlinear simulator.
     """
     require_clear(spec)
     geometry = geometry if geometry is not None else BoundaryGamma(None)
@@ -347,29 +261,33 @@ def fixed_point(
     prev_delta = None
     delta0 = None
     deltas, ratios, bad_streak = [], [], 0
-    solve = None
+    solve = stop = None
     for n in range(max_iter):
         solve = controlled_solve_with_source(
             u0, source, T, spec, geometry, rho=rho, beta=beta, grid=grid, weights=weights
         )
         f_vals = np.array([nonlinear_rhs(state_nd(spec, c)) for c in solve.trace.coeffs])
         new_source = ModalSource(times=solve.trace.times.copy(), values=f_vals)
-        delta = _source_delta(new_source, prev_f, weights, spec)
+        delta, floor = _source_delta(new_source, prev_f, weights, spec)
         deltas.append(delta)
         if delta0 is None:
             delta0 = delta
         if prev_delta is not None and prev_delta > 0:
             ratio = delta / prev_delta
             ratios.append(ratio)
-            bad_streak = bad_streak + 1 if ratio > 0.9 else 0
-            if bad_streak >= 3:
-                raise NoContraction(
-                    f"contraction ratios {ratios[-3:]} exceed 0.9 three times: "
-                    "initial data outside the local regime",
-                    "ratio",
-                )
+            if delta > floor:
+                bad_streak = bad_streak + 1 if ratio > 0.9 else 0
+                if bad_streak >= 3:
+                    raise NoContraction(
+                        f"contraction ratios {ratios[-3:]} exceed 0.9 three times: "
+                        "initial data outside the local regime",
+                        "ratio",
+                    )
+            elif ratio > 0.9:
+                stop = "floor"
         if delta0 == 0.0 or delta < tol * delta0:
-            source = new_source
+            stop = "tol"
+        if stop is not None:
             break
         prev_f = new_source
         prev_delta = delta
@@ -394,31 +312,44 @@ def fixed_point(
         nonlinear_final_rel=nonlinear_rel,
         nonlinear_norm_series=norm_series,
         weights=weights,
+        stop_reason=stop,
+        delta_floor=floor,
     )
 
 
 def _source_delta(new: ModalSource, old: Optional[ModalSource], weights: WeightPair,
-                  spec: SpectrumSpec) -> float:
-    """||(f_new - f_old)/rho_F|| on the window where the weight is meaningful.
+                  spec: SpectrumSpec) -> tuple:
+    """(delta, F_hat): ||(f_new - f_old)/rho_F|| on the window where the weight
+    is meaningful, and the rounding floor that delta cannot go below.
 
     Beyond rho_F < EVAL_FLOOR the trajectory sits at the truncation's kill
-    residual and the ratio would measure floor noise, not contraction.
+    residual and the ratio would measure floor noise, not contraction.  On
+    the last nodes before that cut, 1/rho_F amplifies the rounding of the
+    state: with F(t) = ||f_new(t)/(kappa + mu)|| the dual norm of the new
+    iterate, F_hat = eps sqrt(K_x J_y) ||e^{Lambda+ t} sqrt(F(t) max F)/rho_F||
+    over the same nodes, Lambda+ = max(0, largest rate).
     """
     t = new.times
     rhoF = weights.rhoF(t)
     mask = rhoF >= EVAL_FLOOR
     if not np.any(mask):
-        return 0.0
-    t = t[mask]
-    if old is None:
-        diff = new.values[mask]
-    else:
-        old_vals = np.array([old.value_at(ti) for ti in t])
-        diff = new.values[mask] - old_vals
-    s = _dirichlet_symbol(spec)
-    dual = np.sqrt(np.sum((diff / s[None, :, :]) ** 2, axis=(1, 2)))
-    ratio = dual / rhoF[mask]
-    return math.sqrt(float(np.trapezoid(ratio**2, t)))
+        return 0.0, 0.0
+    t, rhoF, vals = t[mask], rhoF[mask], new.values[mask]
+    diff = vals if old is None else vals - np.array([old.value_at(ti) for ti in t])
+    kap = (np.arange(1, spec.K_x + 1, dtype=float) * math.pi / spec.a_float) ** 2
+    s = kap[:, None] + spec.mus[None, :]  # kappa_k + mu_j: the Dirichlet symbol
+
+    def weighted(dual):
+        return math.sqrt(float(np.trapezoid((dual / rhoF) ** 2, t)))
+
+    def dual_norm(v):
+        return np.sqrt(np.sum((v / s[None, :, :]) ** 2, axis=(1, 2)))
+
+    F = dual_norm(vals)
+    growth = np.exp(max(0.0, float(spec.rate_matrix().max())) * t)
+    eps = float(np.finfo(float).eps)
+    floor = eps * math.sqrt(s.size) * weighted(growth * np.sqrt(F * F.max()))
+    return weighted(dual_norm(diff)), floor
 
 
 def estimate_radius(T: float, spec: SpectrumSpec, geometry=None, scale0: float = 1e-3,

@@ -258,11 +258,15 @@ def _task_nonlinear(sc: Scenario, seed, run_dir, manifest):
     write_json(os.path.join(run_dir, "verification.json"), {
         "iterations": res.iterations,
         "ratios": res.ratios,
+        "stop_reason": res.stop_reason,
+        "delta_floor": res.delta_floor,
         "linear_final_rel": res.linear_final_rel,
         "nonlinear_final_rel": res.nonlinear_final_rel,
         "weights": {"p": weights.p, "q_w": weights.q_w, "C_cost": weights.C_cost},
     })
     manifest["iterations"] = res.iterations
+    manifest["stop_reason"] = res.stop_reason
+    manifest["delta_floor"] = res.delta_floor
     manifest["nonlinear_final_rel"] = res.nonlinear_final_rel
     manifest["linear_final_rel"] = res.linear_final_rel
 

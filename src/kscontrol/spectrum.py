@@ -39,6 +39,10 @@ from .exact import ExactLength, ExactScalar, parse_length, parse_rational
 DEFAULT_K_X = 32
 DEFAULT_J_Y = 64
 DEFAULT_CRIT_TOL = 1e-9
+#: two rates closer than this times the family's largest coincide
+DUPLICATE_REL_TOL = 1e-12
+#: points of the log grid of r on which `bound_check` counts N(r)
+BOUND_GRID_POINTS = 48
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +262,6 @@ class SpectrumSpec:
         total.flags.writeable = False
         return total
 
-    def k_star(self, j: int) -> int:
-        """Index beyond which the 1-D rate is strictly decreasing in k.
-
-        d/dk of the rate is negative once k^2 > (nu - 2 mu_j) a^2 / (2 pi^2).
-        """
-        c = (self.nu_float - 2.0 * self.mu(j)) * self.a_float**2 / (2.0 * math.pi**2)
-        if c <= 0:
-            return 1
-        return int(math.floor(math.sqrt(c))) + 1
-
 
 @dataclass(frozen=True)
 class ModeRate:
@@ -425,7 +419,7 @@ def counting_function(rates: Sequence[float], r: float) -> int:
     return int(np.count_nonzero(arr <= r))
 
 
-def bound_check(spec: SpectrumSpec, j: int, n_grid: int = 48):
+def bound_check(spec: SpectrumSpec, j: int):
     """Check N(r) < (a/pi) r^(1/4) on a log grid of r and fit the constant.
 
     Returns a dict with the grid, counts, the smallest admissible constant
@@ -437,7 +431,7 @@ def bound_check(spec: SpectrumSpec, j: int, n_grid: int = 48):
     rates = lam + shift
     r_lo = max(float(rates.min()) * 0.5, 1e-6)
     r_hi = float(rates.max()) * 2.0
-    grid = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), n_grid))
+    grid = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), BOUND_GRID_POINTS))
     counts = np.array([counting_function(rates, r) for r in grid])
     ratio = counts / grid**0.25
     a_over_pi = spec.a_float / math.pi
@@ -460,14 +454,14 @@ def bound_check(spec: SpectrumSpec, j: int, n_grid: int = 48):
     }
 
 
-def gap_check(rates: Sequence[float], rel_tol: float = 1e-12):
+def gap_check(rates: Sequence[float]):
     """Minimal pairwise gap of a rate family, plus the linear-gap constant.
 
     Returns ``(rho_hat, linear_gap)`` where ``linear_gap`` is the minimum of
     |Lambda_{k+1} - Lambda_k| over consecutive indices (the slope constant of
     the |Lambda_k - Lambda_l| >= rho |k - l| hypothesis).  Raises
-    DuplicateRate when two rates coincide within ``rel_tol`` relative: the
-    parameter is then effectively critical.
+    DuplicateRate when two rates coincide within DUPLICATE_REL_TOL relative:
+    the parameter is then effectively critical.
     """
     arr = np.asarray(rates, dtype=float)
     n = len(arr)
@@ -478,7 +472,7 @@ def gap_check(rates: Sequence[float], rel_tol: float = 1e-12):
     for i in range(n):
         for m in range(i + 1, n):
             gap = abs(arr[i] - arr[m])
-            if gap <= rel_tol * scale:
+            if gap <= DUPLICATE_REL_TOL * scale:
                 raise DuplicateRate(
                     f"rates {i + 1} and {m + 1} coincide ({arr[i]:.6e} vs {arr[m]:.6e})"
                 )

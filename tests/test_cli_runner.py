@@ -143,6 +143,19 @@ def test_no_contraction_manifest_records_reason(tmp_path, override, reason):
     assert manifest["error"]["reason"] == reason
 
 
+def test_nonlinear_run_records_how_the_iteration_stopped(tmp_path):
+    sc = parse_config_dict({
+        "task": "nonlinear",
+        "domain": base_domain(K_x=8),
+        "nonlinear": {"T": 1.0, "beta": 4, "u0_modes": {"1,1": 1e-3}},
+    })
+    manifest, run_dir = run_scenario(sc, out_dir=str(tmp_path))
+    ver = json.load(open(os.path.join(run_dir, "verification.json")))
+    for record in (manifest, ver):
+        assert record["stop_reason"] == "tol"
+        assert 0.0 < record["delta_floor"] < float("inf")
+
+
 def test_below_minimal_time_writes_witness(tmp_path):
     sc = parse_config_dict({
         "task": "control-point",

@@ -90,8 +90,10 @@ def test_mode_rate_tensor_identity():
 
 
 def test_monotone_tail_beyond_k_star():
+    # d/dk of the 1-D rate is negative once k^2 > (nu - 2 mu_j) a^2 / (2 pi^2)
     spec = SpectrumSpec(a="pi", nu=40, cross_section=External([1.0]), K_x=24, J_y=1)
-    ks = spec.k_star(1)
+    c = (spec.nu_float - 2.0 * spec.mu(1)) * spec.a_float**2 / (2.0 * math.pi**2)
+    ks = int(math.floor(math.sqrt(c))) + 1 if c > 0 else 1
     lam = [spec.x_eigenvalue(k, 1) for k in range(1, 25)]
     for k in range(ks, 24):
         assert lam[k] < lam[k - 1]
