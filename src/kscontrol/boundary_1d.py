@@ -74,7 +74,7 @@ def synthesize_boundary_control(
     """
     require_clear(spec)
     gains = boundary_gain_x(spec, len(u0))
-    control, sol, tail = _synthesize_1d(u0, T, spec, j, K_trunc, gains, "boundary_1d")
+    control, sol, tail = _synthesize_1d(u0, T, spec, j, K_trunc, gains)
     report = SynthesisReport(
         control_norm=control.norm_l2(),
         moment_residual_max=sol.residual_max,
@@ -88,7 +88,7 @@ def synthesize_boundary_control(
 
 
 def _synthesize_1d(u0, T: float, spec: SpectrumSpec, j: int, K_trunc: int, gains: np.ndarray,
-                  kind: str, x0: Optional[float] = None):
+                  x0: Optional[float] = None):
     """Moment synthesis shared by the 1-D boundary and pointwise controls.
 
     ``gains`` is the x-modal input gain of the actuator (at least K_trunc
@@ -104,7 +104,7 @@ def _synthesize_1d(u0, T: float, spec: SpectrumSpec, j: int, K_trunc: int, gains
     rates = rates_full[:K_trunc]
     targets = -np.exp(rates * T) * u0[:K_trunc] / gains[:K_trunc]
     sol = MomentSolver(rates, T).solve(targets)
-    control = ControlSignal(kind, [sol.reversed_segment(0.0)], x0=x0)
+    control = ControlSignal([sol.reversed_segment(0.0)], x0=x0)
     tail = float(np.sum(np.exp(2 * rates_full[K_trunc:] * T) * u0[K_trunc:] ** 2))
     return control, sol, tail
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -35,7 +36,7 @@ from .nonlinear import (
 )
 from .pointwise import DEFAULT_K_MAX, DEFAULT_MARGIN, LIOUVILLE_RULES, PointSpec
 from .spectrum import DEFAULT_CRIT_TOL, DEFAULT_J_Y, DEFAULT_K_X, Box, External, SpectrumSpec
-from .spectrum import critical_set_check, load_external_eigenvalues
+from .spectrum import load_external_eigenvalues
 
 REQUIRED = object()
 
@@ -65,8 +66,8 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+def _is_number(v):  # finite, and an integer too large for a float is not
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +99,13 @@ _positive = _number(0.0, open_lo=True)
 
 
 def _literal(parse, what, positive=False):
-    """A finite number (positive when asked) or a string that ``parse`` accepts."""
+    """A finite number, or a string that ``parse`` turns into one; positive when asked."""
     def check(v, path, spec, params):
-        try:
-            ok = (_is_number(v) and (v > 0 or not positive)
-                  or isinstance(v, str) and parse(v) is not None)
-        except (ValueError, ZeroDivisionError):
-            ok = False
-        _require(ok, path, f"expected {what}, got {v!r}")
+        try:  # parse may return None, raise, or give a value beyond the float range
+            x = float(v) if _is_number(v) else float(parse(v)) if isinstance(v, str) else math.nan
+        except (TypeError, ValueError, ArithmeticError):
+            x = math.nan
+        _require(math.isfinite(x) and (x > 0 or not positive), path, f"expected {what}, got {v!r}")
         return v
     return check
 
@@ -320,6 +320,11 @@ def parse_config_dict(raw: dict) -> Scenario:
         spec = SpectrumSpec(**_resolve("domain", raw["domain"], None))
     except (ValueError, TypeError) as exc:
         raise ConfigError("domain", str(exc))
+    if task == "nonlinear":  # the quadratic term needs the cross-section's eigenfunctions
+        try:
+            spec.box_axes("the nonlinear task")
+        except ValueError as exc:
+            raise ConfigError("domain.cross_section", str(exc))
     seed = raw.get("seed", 0)
     _require(_is_int(seed), "seed", "must be an integer")
 
@@ -339,8 +344,5 @@ def parse_config_dict(raw: dict) -> Scenario:
             params["weights"] = WeightPair(T=params["T"], **weights)
         except ValueError as exc:  # WeightPair's messages start with the field name
             raise ConfigError(f"{section}.{re.match(r'[A-Za-z_]+', str(exc))[0]}", str(exc))
-    # surface exact criticality for control tasks at parse time
-    if task.startswith("control") or task == "nonlinear":
-        params["critical_verdict"] = critical_set_check(spec).kind
     return Scenario(task=task, spec=spec, params=params, seed=seed,
                     output_dir=output_dir, raw=raw)

@@ -106,7 +106,7 @@ def parse_length(value) -> ExactLength | None:
             return None
         num = Fraction(m.group(1)) if m.group(1) else Fraction(1)
         den = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-        return ExactLength(num / den, 1)
+        return ExactLength(num / den, 1) if den else None
     try:
         return ExactLength(Fraction(s), 0)
     except (ValueError, ZeroDivisionError):

@@ -143,46 +143,36 @@ def _axis_overlap(m: int, mp_: int, c: float, d: float, b: float) -> float:
 
 
 def omega_axes(spec: SpectrumSpec, omega: tuple) -> list:
-    """Per-axis (c, d, b): omega's interval (c, d) on the box side of length b.
+    """Per-axis (c, d, b, n): omega's interval (c, d) on the box side of
+    length b, whose retained modes use the sines 1..n.
 
     ``omega`` is (c, d) on a 1-D cross-section, else one (c, d) per axis;
-    ValueError unless each interval lies in its side."""
-    if spec.mu_tuples is None:
-        raise ValueError("a control region omega needs a Box cross-section")
-    from .spectrum import _dim_float
-
-    bvals = [_dim_float(b) for b in spec.cross_section.dims]
-    if len(bvals) == 1 and not isinstance(omega[0], (tuple, list)):
+    ValueError unless the cross-section is a Box and each interval lies in
+    its side."""
+    sides = spec.box_axes("a control region omega")
+    if len(sides) == 1 and not isinstance(omega[0], (tuple, list)):
         intervals = [tuple(omega)]
     else:
         intervals = [tuple(iv) for iv in omega]
-    if len(intervals) != len(bvals):
+    if len(intervals) != len(sides):
         raise ValueError("omega must provide one interval per cross-section axis")
-    for (c, d), b in zip(intervals, bvals):
+    for (c, d), (b, _) in zip(intervals, sides):
         if not 0.0 <= c < d <= b + 1e-12:
             raise ValueError(f"omega interval ({c}, {d}) outside (0, {b})")
-    return [(c, d, b) for (c, d), b in zip(intervals, bvals)]
+    return [(c, d, b, n) for (c, d), (b, n) in zip(intervals, sides)]
 
 
 def mass_matrix(spec: SpectrumSpec, omega: Optional[tuple], rows: int) -> np.ndarray:
     """M[l, j] = <psi_l, psi_j>_{L2(omega)} for row modes l <= rows.
 
-    ``omega`` as in `omega_axes`; None means the full cross-section (identity overlaps).
+    ``omega`` as in `omega_axes`; None means the full cross-section (identity
+    overlaps).  M gathers one table of `_axis_overlap` per box axis.
     """
-    J = spec.J_y
     if omega is None:
-        return np.eye(rows, J)
-    axes = omega_axes(spec, omega)
-    M = np.empty((rows, J))
-    for l in range(rows):
-        tup_l = spec.mu_tuples[l]
-        for j in range(J):
-            tup_j = spec.mu_tuples[j]
-            val = 1.0
-            for axis, (c, d, b) in enumerate(axes):
-                val *= _axis_overlap(tup_l[axis], tup_j[axis], c, d, b)
-            M[l, j] = val
-    return M
+        return np.eye(rows, spec.J_y)
+    tables = [[[_axis_overlap(m, mp_, c, d, b) for mp_ in range(1, n + 1)] for m in range(1, n + 1)]
+              for c, d, b, n in omega_axes(spec, omega)]
+    return spec.tuple_products(tables, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +223,10 @@ def active_phase_tensor(
             + min(slowest, 0.0) * horizon_left
         if log_at_final > math.log(1e-12 * scale):
             slices.append(j)
-    return _slice_moment_control("boundary_nd", end_free, slices, spec, boundary_gain_x(spec),
-                                 (t0, t1), gamma_eff)
+    return _slice_moment_control(end_free, slices, spec, boundary_gain_x(spec), (t0, t1), gamma_eff)
 
 
-def _slice_moment_control(kind: str, end_free: np.ndarray, slices, spec: SpectrumSpec,
+def _slice_moment_control(end_free: np.ndarray, slices, spec: SpectrumSpec,
                           gains: np.ndarray, window: tuple, rows: int,
                           x0: Optional[float] = None) -> ControlSignal:
     """Per-slice moment solutions assembled into one y-expanded control.
@@ -245,9 +234,9 @@ def _slice_moment_control(kind: str, end_free: np.ndarray, slices, spec: Spectru
     Row j - 1 (j in ``slices``) is the control that, through the x-gain
     ``gains``, steers slice j's free end state ``end_free[:, j - 1]`` to zero
     over ``window``; the other rows are zero.  Rows are the first ``rows``
-    cross-section modes themselves (identity mass and row Gram).  The
-    solver of each (slice, window length) is built once per spec: Picard
-    iterations repeat the same windows.
+    cross-section modes themselves (identity mass).  The solver of each
+    (slice, window length) is built once per spec: Picard iterations repeat
+    the same windows.
     """
     t0, t1 = window
     W = t1 - t0
@@ -270,8 +259,7 @@ def _slice_moment_control(kind: str, end_free: np.ndarray, slices, spec: Spectru
         t0=t0, t1=t1,
         exponents=np.concatenate(exps), refs=np.concatenate(refs), coeffs=np.vstack(blocks),
     )
-    return ControlSignal(kind, [segment], x0=x0, mass=np.eye(rows, spec.J_y),
-                         row_gram=np.eye(rows))
+    return ControlSignal([segment], x0=x0, mass=np.eye(rows, spec.J_y))
 
 
 @dataclass
@@ -341,8 +329,7 @@ def active_phase_gramian(
     theta = (theta_tilde * D_full).reshape(rows, P)
 
     seg = LegendreSegment(t0=t0, t1=t1, coeffs=theta.T.copy())
-    kind = "boundary_nd" if x0 is None else "pointwise_nd"
-    sig = ControlSignal(kind, [seg], x0=x0, mass=M, row_gram=M[:, :rows].copy(), omega=omega)
+    sig = ControlSignal([seg], x0=x0, mass=M)
     report = GramianReport(
         gamma=gamma_eff, n_killed=n_killed,
         min_eig=sv_min**2, max_eig=sv_max**2, lstsq_residual=resid,
@@ -528,8 +515,7 @@ def _run_internal_direct(state, T, spec, geometry, margin, source, record,
     scale = max(float(np.linalg.norm(state.coeffs)), float(np.linalg.norm(end_free)), 1e-300)
     slices = [j for j in range(1, spec.J_y + 1)
               if float(np.linalg.norm(end_free[:, j - 1])) > 1e-10 * scale]
-    sig = _slice_moment_control("pointwise_nd", end_free, slices, spec, gains, (0.0, T),
-                                spec.J_y, x0=x0)
+    sig = _slice_moment_control(end_free, slices, spec, gains, (0.0, T), spec.J_y, x0=x0)
     rec = np.asarray(sorted(set(float(t) for t in record))) if record is not None else None
     if rec is not None:
         end, trace = evolve_controlled(state, sig, (0.0, T), source=source, record=rec)

@@ -35,7 +35,7 @@ from .signals import (
     phi1,
     phi2,
 )
-from .spectrum import SpectrumSpec, _dim_float
+from .spectrum import SpectrumSpec
 
 
 @dataclass
@@ -141,22 +141,6 @@ def pointwise_gain_x(spec: SpectrumSpec, x0: float, count: Optional[int] = None)
     return math.sqrt(2.0 / spec.a_float) * np.sin(ks * math.pi * x0 / spec.a_float)
 
 
-def _control_gain(spec: SpectrumSpec, n: int, control: ControlSignal):
-    """(x_gain, mass) so the modal forcing is outer(x_gain, mass.T @ w(t)).
-
-    For 1-D states mass is None and the forcing is x_gain * w(t).
-    """
-    if control.kind == "boundary_1d":
-        return boundary_gain_x(spec, n), None
-    if control.kind == "pointwise_1d":
-        return pointwise_gain_x(spec, control.x0, n), None
-    if control.kind == "boundary_nd":
-        return boundary_gain_x(spec, n), control.mass
-    if control.kind == "pointwise_nd":
-        return pointwise_gain_x(spec, control.x0, n), control.mass
-    raise ValueError(f"unknown control kind {control.kind}")
-
-
 # ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
@@ -204,7 +188,11 @@ class ControlStepper:
         self._lam = state.rates.ravel()
         self._cache = {}  # ("grow", h), ("legendre", degree, h), ("block", segment index, h)
         if control is not None:
-            self._x_gain, self._mass = _control_gain(state.spec, state.coeffs.shape[0], control)
+            # the modal forcing is outer(x gain, mass.T @ w(t)), or x gain * w(t) in 1-D
+            n, x0 = state.coeffs.shape[0], control.x0
+            self._x_gain = (boundary_gain_x(state.spec, n) if x0 is None
+                            else pointwise_gain_x(state.spec, x0, n))
+            self._mass = control.mass
             self._ends = np.array([seg.t1 for seg in control.segments])
 
     def growth(self, h: float) -> np.ndarray:
@@ -352,10 +340,8 @@ def evolve_pointwise_controlled(state, control, window, **kw):
     """
     from .spectrum import require_clear
 
-    if control.kind not in ("pointwise_1d", "pointwise_nd"):
-        raise ValueError("expected a pointwise control signal")
     if control.x0 is None or not (0.0 < control.x0 < state.spec.a_float):
-        raise ValueError("x0 must lie inside (0, a)")
+        raise ValueError("expected a pointwise control signal with x0 inside (0, a)")
     require_clear(state.spec)
     return evolve_controlled(state, control, window, **kw)
 
@@ -415,17 +401,16 @@ class _AxisRows(NamedTuple):
     C: np.ndarray  # dS/ds
 
 
-def _axis_rows(spec: SpectrumSpec, nodes_for) -> list:
+def _axis_rows(spec: SpectrumSpec, nodes_for, what: str) -> list:
     """`_AxisRows` of the x axis, then of each box axis of the cross-section.
 
     ``nodes_for(axis, length, count)`` returns the (nodes, weights) of an
     axis whose highest retained sine index is ``count``: K_x on x, the
-    largest tuple entry on a box axis.
+    largest tuple entry on a box axis.  ``what`` names the caller for the
+    Box gate.
     """
-    lengths = [spec.a_float] + [_dim_float(b) for b in spec.cross_section.dims]
-    counts = [spec.K_x] + [max(t[i] for t in spec.mu_tuples) for i in range(len(lengths) - 1)]
     out = []
-    for axis, (length, count) in enumerate(zip(lengths, counts)):
+    for axis, (length, count) in enumerate([(spec.a_float, spec.K_x)] + spec.box_axes(what)):
         nodes, weights = nodes_for(axis, length, count)
         ms = np.arange(1, count + 1)
         arg = np.outer(ms, nodes) * math.pi / length
@@ -433,19 +418,6 @@ def _axis_rows(spec: SpectrumSpec, nodes_for) -> list:
         C = math.sqrt(2.0 / length) * (ms[:, None] * math.pi / length) * np.cos(arg)
         out.append(_AxisRows(length, nodes, weights, S, C))
     return out
-
-
-def _tuple_tensor(tuples, axis_rows) -> np.ndarray:
-    """(J_y, prod n_i) matrix: row j is the outer product over box axes of
-    ``axis_rows[i][m_i - 1]``, where (m_1, m_2, ...) = ``tuples[j]``."""
-    cols = []
-    for tup in tuples:
-        row = None
-        for rows_i, m_i in zip(axis_rows, tup):
-            vec = rows_i[m_i - 1]
-            row = vec if row is None else np.multiply.outer(row, vec)
-        cols.append(row.ravel())
-    return np.array(cols)
 
 
 def project_initial(
@@ -462,8 +434,6 @@ def project_initial(
     """
     if not callable(u0):
         return state_nd(spec, np.asarray(u0, dtype=float))
-    if spec.mu_tuples is None:
-        raise ValueError("callable projection needs a Box cross-section")
 
     def gauss(axis, length, count):
         n = n_points if n_points is not None else max(4 * count, 48)
@@ -474,11 +444,11 @@ def project_initial(
             )
         return _gauss_nodes(n, length)
 
-    x, *y_axes = _axis_rows(spec, gauss)
+    x, *y_axes = _axis_rows(spec, gauss, "callable projection")
     grids = np.meshgrid(x.nodes, *(ax.nodes for ax in y_axes), indexing="ij")
     vals = u0(*grids)
     partial = np.tensordot(x.S * x.weights[None, :], vals, axes=([1], [0]))  # (K_x, ny...)
-    Y = _tuple_tensor(spec.mu_tuples, [ax.S * ax.weights[None, :] for ax in y_axes])
+    Y = spec.tuple_tensor([ax.S * ax.weights[None, :] for ax in y_axes])
     return state_nd(spec, partial.reshape(spec.K_x, -1) @ Y.T)
 
 
@@ -543,17 +513,16 @@ def _rhs_operator(spec: SpectrumSpec, grid_resolution: Optional[int]) -> _RhsOpe
             )
         return _midpoint_nodes(n, length)
 
-    x, *y_axes = _axis_rows(spec, midpoint)
-    tuples = spec.mu_tuples
+    x, *y_axes = _axis_rows(spec, midpoint, "nonlinear term")
     y_sines = [ax.S for ax in y_axes]
     # d/dy_i: derivative rows on axis i, sine rows on the others
-    y_derivs = [_tuple_tensor(tuples, y_sines[:axis] + [ax.C] + y_sines[axis + 1:])
+    y_derivs = [spec.tuple_tensor(y_sines[:axis] + [ax.C] + y_sines[axis + 1:])
                 for axis, ax in enumerate(y_axes)]
-    proj_y = _tuple_tensor(tuples, [
+    proj_y = spec.tuple_tensor([
         _sine_projection_matrix(ax.S.shape[0], ax.length, ax.nodes, ax.weights) for ax in y_axes
     ])
     return _RhsOperator(
-        x_cos_T=x.C.T, x_sin_T=x.S.T, y_sine=_tuple_tensor(tuples, y_sines), y_derivs=y_derivs,
+        x_cos_T=x.C.T, x_sin_T=x.S.T, y_sine=spec.tuple_tensor(y_sines), y_derivs=y_derivs,
         proj_x=_sine_projection_matrix(spec.K_x, x.length, x.nodes, x.weights),
         proj_y_T=proj_y.T,
     )
@@ -575,21 +544,19 @@ def nonlinear_rhs(state: ModalState, grid_resolution: Optional[int] = None) -> n
     axis its retained projection is computed without aliasing error.  The
     grid matrices are built once per (spec, ``grid_resolution``).
     """
-    spec = state.spec
     if state.is_1d:
         raise ValueError("nonlinear term is defined on the cylinder (use state_nd)")
-    if spec.mu_tuples is None:
-        raise ValueError("nonlinear term needs a Box cross-section")
-    return rhs_operator(spec, grid_resolution)(state.coeffs)
+    return rhs_operator(state.spec, grid_resolution)(state.coeffs)
 
 
 def evaluate_physical(state: ModalState, nx: int, ny: Sequence[int]):
     """Sample u on a tensor midpoint grid (diagnostics and Parseval checks)."""
     sizes = [nx, *ny]
     x, *y_axes = _axis_rows(
-        state.spec, lambda axis, length, count: _midpoint_nodes(sizes[axis], length)
+        state.spec, lambda axis, length, count: _midpoint_nodes(sizes[axis], length),
+        "physical evaluation",
     )
-    P0 = _tuple_tensor(state.spec.mu_tuples, [ax.S for ax in y_axes])
+    P0 = state.spec.tuple_tensor([ax.S for ax in y_axes])
     grid_vals = x.S.T @ (state.coeffs @ P0)
     wy_full = y_axes[0].weights
     for ax in y_axes[1:]:

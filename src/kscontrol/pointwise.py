@@ -294,7 +294,7 @@ def synthesize_point_control(
         )
     x0 = estimate.x0_over_a * spec.a_float
     gains = pointwise_gain_x(spec, x0, len(u0))
-    control, sol, tail = _synthesize_1d(u0, T, spec, j, K_trunc, gains, "pointwise_1d", x0=x0)
+    control, sol, tail = _synthesize_1d(u0, T, spec, j, K_trunc, gains, x0=x0)
     report = PointSynthesisReport(
         control_norm=control.norm_l2(),
         moment_residual_max=sol.residual_max,

@@ -29,7 +29,7 @@ from .errors import KSControlError, NoContraction
 from .lebeau_robbiano import run_lr
 from .modal import evolve_controlled, observe, state_1d, state_nd
 from .serialize import write_control_csv, write_csv, write_json, write_observation_csv, write_trace_csv
-from .spectrum import K0_index, c0_shift, critical_set_check, n0_index, weyl_fit
+from .spectrum import Box, K0_index, c0_shift, critical_set_check, n0_index, weyl_fit
 from .errors import ThresholdBeyondTruncation
 
 
@@ -101,7 +101,7 @@ def _task_spectrum(sc: Scenario, seed, run_dir, manifest):
             manifest[name] = fn(spec)
         except ThresholdBeyondTruncation:
             manifest[name] = None
-    if spec.mu_tuples is not None and spec.J_y >= 16:
+    if isinstance(spec.cross_section, Box) and spec.J_y >= 16:
         manifest["weyl_fit"] = weyl_fit(spec)
 
 

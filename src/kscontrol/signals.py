@@ -232,21 +232,17 @@ class LegendreSegment:
 class ControlSignal:
     """An exact analytic control: consecutive `ExpSegment`s or `LegendreSegment`s.
 
-    ``kind`` is one of ``boundary_1d``, ``pointwise_1d``, ``boundary_nd``,
-    ``pointwise_nd``.  The segments cover [t_start, t_end] with strictly
-    increasing endpoints.  N-D signals carry row data: a segment's value is
-    the row vector (R,) of coefficients of the row basis functions,
-    ``mass[r, j]`` maps row coefficients to y-modal gains, and ``row_gram``
-    gives the L2(control region) inner products of the row basis (identity
-    for tensor rows).
+    The segments cover [t_start, t_end] with strictly increasing endpoints.
+    The control acts at x = ``x0``, or on the boundary x = 0 when ``x0`` is
+    None.  N-D signals carry row data: a segment's value is the row vector
+    (R,) of coefficients of the first R cross-section modes restricted to
+    the control region, and ``mass[r, j]`` maps row coefficients to y-modal
+    gains, so ``mass[:, :R]`` is the rows' Gram matrix `row_gram`.
     """
 
-    kind: str
     segments: list
     x0: Optional[float] = None
     mass: Optional[np.ndarray] = None
-    row_gram: Optional[np.ndarray] = None
-    omega: Optional[tuple] = None
 
     def __post_init__(self):
         self.segments = list(self.segments)
@@ -256,6 +252,11 @@ class ControlSignal:
         values = [self.segments[0].value(ends[0])] + [seg.value(seg.t1) for seg in self.segments]
         if not np.all(np.isfinite(values)):
             raise ValueError("control values must be finite")
+
+    @property
+    def row_gram(self) -> Optional[np.ndarray]:
+        """L2(control region) inner products of the rows; None without a mass."""
+        return None if self.mass is None else self.mass[:, :self.mass.shape[0]]
 
     @property
     def t_start(self) -> float:

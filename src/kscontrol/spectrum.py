@@ -53,29 +53,60 @@ BOUND_GRID_POINTS = 48
 class Box:
     """Rectangular cross-section with Dirichlet Laplacian spectrum.
 
-    ``dims`` are side lengths; eigenvalues are sums (m_i pi / b_i)^2 over
-    integer tuples m_i >= 1, enumerated with multiplicity.
+    ``dims`` are side lengths as given (length literals or numbers);
+    ``lengths`` are their floats and ``exact`` their exact forms (None for an
+    inexact side).  Eigenvalues are sums (m_i pi / b_i)^2 over integer
+    tuples m_i >= 1, enumerated with multiplicity by `eigenpairs`.
     """
 
     dims: tuple = ()
+    lengths: tuple = field(init=False, repr=False, compare=False, default=())
+    exact: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __init__(self, dims: Sequence):
         object.__setattr__(self, "dims", tuple(dims))
         if not self.dims:
             raise ValueError("Box needs at least one dimension")
-        for b in self.dims:
-            if float(b if isinstance(b, (int, float)) else _dim_float(b)) <= 0:
-                raise ValueError("box dimensions must be positive")
+        exact = tuple(parse_length(b) for b in self.dims)
+        lengths = tuple(_finite(e if e is not None else b, "box side")
+                        for e, b in zip(exact, self.dims))
+        if any(b <= 0 for b in lengths):
+            raise ValueError("box dimensions must be positive")
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "lengths", lengths)
+
+    @property
+    def n_dims(self) -> int:
+        return len(self.dims)
+
+    def eigenpairs(self, count: int):
+        """First ``count`` Dirichlet eigenvalues, with their index tuples.
+
+        Returns ``(mus, tuples)`` sorted ascending, ties kept with
+        multiplicity and broken by the index tuple for determinism.
+        """
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        bvals = self.lengths
+        # Any tuple with some m_i > cap has mu > (cap*pi/max_b)^2 >= the count-th
+        # value along the shortest axis, so the cap below is exhaustive.
+        cap = max(2, int(math.ceil(count * max(bvals) / min(bvals))) + 1)
+        cube = itertools.product(range(1, cap + 1), repeat=len(bvals))
+        keyed = ((sum((m * math.pi / b) ** 2 for m, b in zip(tup, bvals)), tup) for tup in cube)
+        kept = heapq.nsmallest(count, keyed)
+        return [mu for mu, _ in kept], [tup for _, tup in kept]
 
 
 @dataclass(frozen=True)
 class External:
-    """User-supplied cross-section eigenvalues, ascending and positive."""
+    """User-supplied cross-section eigenvalues, ascending, positive and finite;
+    no eigenfunctions, so no index tuples."""
 
     mus: tuple = ()
+    n_dims = 1  # with no geometry, counted as a 1-D cross-section
 
     def __init__(self, mus: Sequence[float]):
-        vals = tuple(float(m) for m in mus)
+        vals = tuple(_finite(m, "cross-section eigenvalue") for m in mus)
         if not vals:
             raise ValueError("External needs at least one eigenvalue")
         if vals[0] <= 0:
@@ -84,43 +115,29 @@ class External:
             raise ValueError("cross-section eigenvalues must be nondecreasing")
         object.__setattr__(self, "mus", vals)
 
+    def eigenpairs(self, count: int):
+        """The first ``count`` eigenvalues and no index tuples: ``(mus, None)``."""
+        if len(self.mus) < count:
+            raise ValueError(f"External list has {len(self.mus)} eigenvalues, "
+                             f"J_y={count} requested")
+        return self.mus[:count], None
 
-def _dim_float(b) -> float:
-    exact = parse_length(b)
-    return float(exact) if exact is not None else float(b)
+
+def _finite(value, what: str) -> float:
+    """``float(value)``; ValueError naming ``what`` unless it is finite."""
+    try:
+        if math.isfinite(out := float(value)):
+            return out
+    except OverflowError:
+        pass
+    raise ValueError(f"{what} {value!r} is not a finite number")
 
 
 def load_external_eigenvalues(path) -> External:
     """Read one positive decimal per line; ``#`` starts a comment."""
-    vals = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            vals.append(float(line))
-    return External(vals)
-
-
-def y_eigenvalues_box(dims: Sequence, count: int):
-    """First ``count`` Dirichlet eigenvalues of a box, with index tuples.
-
-    Returns ``(mus, tuples)`` sorted ascending, ties kept with multiplicity
-    and broken by the index tuple for determinism.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    bvals = [_dim_float(b) for b in dims]
-    if any(b <= 0 for b in bvals):
-        raise ValueError("box dimensions must be positive")
-    d = len(bvals)
-    # Any tuple with some m_i > cap has mu > (cap*pi/max_b)^2 >= the count-th
-    # value along the shortest axis, so the cap below is exhaustive.
-    cap = max(2, int(math.ceil(count * max(bvals) / min(bvals))) + 1)
-    cube = itertools.product(range(1, cap + 1), repeat=d)
-    keyed = ((sum((m * math.pi / b) ** 2 for m, b in zip(tup, bvals)), tup) for tup in cube)
-    kept = heapq.nsmallest(count, keyed)
-    return [mu for mu, _ in kept], [tup for _, tup in kept]
+        lines = [raw.split("#", 1)[0].strip() for raw in fh]
+    return External([float(line) for line in lines if line])
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +149,10 @@ class SpectrumSpec:
     """Domain geometry, damping parameter, and truncation orders.
 
     Owns all eigendata: cross-section eigenvalues (floats, with their index
-    tuples on boxes), the x-truncation ``K_x`` and y-truncation ``J_y``, and
-    the critical-set proximity tolerance.
+    tuples ``mu_tuples`` on boxes), the x-truncation ``K_x`` and y-truncation
+    ``J_y``, and the critical-set proximity tolerance.  Only a `Box` knows
+    its eigenfunctions; other modules read them through `box_axes` (the
+    gate), `tuple_tensor` and `tuple_products`, never the tuples or sides.
 
     A spec is not mutated after construction.  It carries its own cache of
     objects derived from it alone (the rate matrix, the critical verdict,
@@ -174,20 +193,10 @@ class SpectrumSpec:
             self._nu_exact = parse_rational(self.nu)
             self.nu_float = float(self._nu_exact)
 
-        if isinstance(self.cross_section, Box):
-            mus, tuples = y_eigenvalues_box(self.cross_section.dims, self.J_y)
-            self.mus = np.asarray(mus)
-            self.mu_tuples = tuples
-        elif isinstance(self.cross_section, External):
-            mus = self.cross_section.mus
-            if len(mus) < self.J_y:
-                raise ValueError(
-                    f"External list has {len(mus)} eigenvalues, J_y={self.J_y} requested"
-                )
-            self.mus = np.asarray(mus[: self.J_y])
-            self.mu_tuples = None
-        else:
+        if not isinstance(self.cross_section, (Box, External)):
             raise TypeError("cross_section must be Box or External")
+        mus, self.mu_tuples = self.cross_section.eigenpairs(self.J_y)
+        self.mus = np.asarray(mus)
 
     def cached(self, key, build):
         """``build()``, computed on the first call with ``key`` and kept by this spec.
@@ -205,9 +214,40 @@ class SpectrumSpec:
     @property
     def n_cross_dims(self) -> int:
         """Dimension of Omega_y (N - 1)."""
-        if isinstance(self.cross_section, Box):
-            return len(self.cross_section.dims)
-        return 1
+        return self.cross_section.n_dims
+
+    # -- eigenfunctions (Box cross-sections only) -------------------------------
+
+    def box_axes(self, what: str) -> list:
+        """(side length, highest sine index of a retained mode) per box axis.
+
+        The one gate of what needs eigenfunctions (omega regions, callable
+        initial data, the nonlinear term, physical evaluation): ValueError
+        "``what`` needs a Box cross-section" on any other cross-section.
+        """
+        if not isinstance(self.cross_section, Box):
+            raise ValueError(f"{what} needs a Box cross-section")
+        return list(zip(self.cross_section.lengths, np.max(self.mu_tuples, axis=0).tolist()))
+
+    def tuple_tensor(self, axis_rows) -> np.ndarray:
+        """(J_y, prod n_i) matrix: row j is the outer product over box axes
+        of ``axis_rows[i][m_i - 1]`` (n_i entries), where (m_1, m_2, ...) is
+        the index tuple of mode j.  Box cross-sections only."""
+        index = np.asarray(self.mu_tuples) - 1
+        out = np.ones((self.J_y, 1))
+        for rows, idx in zip(axis_rows, index.T):
+            out = (out[:, :, None] * np.asarray(rows)[idx][:, None, :]).reshape(self.J_y, -1)
+        return out
+
+    def tuple_products(self, tables, rows: int) -> np.ndarray:
+        """(rows, J_y) matrix: entry (l, j) is the product over box axes, in
+        axis order, of ``tables[i][m_i - 1, m'_i - 1]``, where m and m' are
+        the index tuples of modes l and j.  Box cross-sections only."""
+        index = np.asarray(self.mu_tuples) - 1
+        out = 1.0
+        for table, idx in zip(tables, index.T):
+            out = out * np.asarray(table)[np.ix_(idx[:rows], idx)]
+        return out
 
     def mu(self, j: int) -> float:
         """j-th cross-section eigenvalue, 1-based."""
@@ -314,15 +354,9 @@ def critical_set_check(spec: SpectrumSpec, search_bound: Optional[int] = None) -
     tol = spec.crit_tol * max(1.0, abs(nu))
     a2 = spec.a_float**2
     pi2 = math.pi**2
-    box_dims = None
-    if isinstance(spec.cross_section, Box):
-        box_dims = [parse_length(b) for b in spec.cross_section.dims]
-    exact_ok = (
-        spec._nu_exact is not None
-        and spec._a_exact is not None
-        and box_dims is not None
-        and all(b is not None for b in box_dims)
-    )
+    box_dims = spec.cross_section.exact if isinstance(spec.cross_section, Box) else (None,)
+    exact_ok = (spec._nu_exact is not None and spec._a_exact is not None
+                and all(b is not None for b in box_dims))
 
     best = CriticalVerdict("clear")
     j_cap = search_bound if search_bound is not None else spec.J_y

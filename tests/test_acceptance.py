@@ -56,11 +56,11 @@ def spec_pi(nu, K_x=16, J_y=8):
     return SpectrumSpec(a="pi", nu=nu, cross_section=Box(["pi"]), K_x=K_x, J_y=J_y)
 
 
-def piecewise_constant(kind, grid, values):
+def piecewise_constant(grid, values):
     """Control equal to values[i] on [grid[i], grid[i + 1]]: one degree-0 Legendre segment each."""
     segments = [LegendreSegment(t0=t0, t1=t1, coeffs=np.array([v]))
                 for t0, t1, v in zip(grid[:-1], grid[1:], values)]
-    return ControlSignal(kind, segments)
+    return ControlSignal(segments)
 
 
 # --------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def test_c01_duality_closure():
         phi_T = rng.standard_normal(8)
         grid = np.linspace(0.0, T, 25)
         qv = rng.standard_normal(24)
-        sig = piecewise_constant("boundary_1d", grid, qv)
+        sig = piecewise_constant(grid, qv)
         vT = evolve_controlled(state_1d(spec, 1, coeffs=u0), sig, (0.0, T))
         phi0 = adjoint_solution(phi_T, 0.0, T, rates)
         integral = 0.0

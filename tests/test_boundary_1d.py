@@ -164,7 +164,7 @@ def test_corrupted_control_detected():
         type(s)(t0=s.t0, t1=s.t1, exponents=s.exponents, refs=s.refs, coeffs=1.1 * s.coeffs)
         for s in control.segments
     ]
-    bad = type(control)(kind=control.kind, segments=bad_segments)
+    bad = type(control)(segments=bad_segments)
     out = verify_null(u0, bad, 1.0, spec, 1, K_trunc=8)
     assert out.rel_final_enforced > 1e-3
 

@@ -11,6 +11,7 @@ from kscontrol.cli import main as cli_main
 from kscontrol.config import _FIELDS, ConfigError, parse_config_dict
 from kscontrol.runner import run_scenario
 from kscontrol.serialize import hash_dir
+from kscontrol.spectrum import critical_set_check
 
 
 def base_domain(**over):
@@ -36,7 +37,7 @@ def test_rational_nu_critical_surfaced_at_parse():
         "domain": base_domain(nu="7/1"),
         "control_1d": {"T": 1.0, "u0_modes": {"1": 1.0}},
     })
-    assert sc.params["critical_verdict"] == "critical"
+    assert critical_set_check(sc.spec).kind == "critical"
 
 
 def test_unknown_field_rejected_with_path():
@@ -333,6 +334,26 @@ BAD_INPUTS = [
      _whole_section("control_nd", {"internal": {"point": {"algebraic": [1, 2, -1]}}}),
      "control_nd.geometry"),
     ("default-geometry-K_x-beyond-family", _whole_section("control_nd", None), "domain.K_x"),
+    # the nonlinear term needs the eigenfunctions of a box
+    ("nonlinear-on-external", _demo("nonlinear.json", "domain.cross_section",
+                                    {"external": [j * j for j in range(1, 17)]}),
+     "domain.cross_section"),
+    # literals beyond the float range, or not finite
+    ("box-pi-over-zero", _demo("control_1d.json", "domain.cross_section", {"box": ["pi/0"]}),
+     "domain.cross_section.box"),
+    ("a-overflows", _demo("control_1d.json", "domain.a", "1e400"), "domain.a"),
+    ("T-integer-overflows", _demo("control_1d.json", "control_1d.T", 10**400), "control_1d.T"),
+    ("nu-overflows", _demo("control_1d.json", "domain.nu", "1e400"), "domain.nu"),
+    ("box-side-overflows", _demo("control_1d.json", "domain.cross_section", {"box": ["1e400"]}),
+     "domain.cross_section.box"),
+    ("box-side-nan", _demo("control_1d.json", "domain.cross_section", {"box": [math.nan]}),
+     "domain.cross_section.box"),
+    ("external-nan", _demo("control_1d.json", "domain.cross_section",
+                           {"external": [math.nan, 4.0, 9.0, 16.0]}),
+     "domain.cross_section.external"),
+    ("external-infinite", _demo("control_1d.json", "domain.cross_section",
+                                {"external": [1.0, math.inf, math.inf, math.inf]}),
+     "domain.cross_section.external"),
 ]
 
 

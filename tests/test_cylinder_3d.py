@@ -98,14 +98,24 @@ def test_external_tensor_run_works():
 
 
 def test_external_disables_gramian_mode():
-    # eigenfunction overlaps on omega are unavailable for file-based spectra
+    # an External spectrum has no eigenfunctions: whatever needs them meets
+    # the one Box gate of the spec
+    from kscontrol.modal import evaluate_physical, nonlinear_rhs, project_initial
+
     spec = ext_spec()
-    with pytest.raises(ValueError):
+    needs_box = "needs a Box cross-section"
+    with pytest.raises(ValueError, match=needs_box):
         mass_matrix(spec, (0.3, 1.2), 3)
     c = np.zeros((6, 6))
     c[0, 0] = 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=needs_box):
         run_lr(c, 1.0, spec, BoundaryGamma(omega=(0.3, 1.2)), rho=0.5, beta=4)
+    with pytest.raises(ValueError, match=needs_box):
+        project_initial(lambda x, y: np.sin(x) * np.sin(y), spec)
+    with pytest.raises(ValueError, match=needs_box):
+        nonlinear_rhs(state_nd(spec, c))
+    with pytest.raises(ValueError, match=needs_box):
+        evaluate_physical(state_nd(spec, c), 16, [16])
 
 
 def test_external_nonlinear_needs_box():

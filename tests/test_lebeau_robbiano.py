@@ -8,12 +8,14 @@ from kscontrol.errors import BadRho, BetaTooSmall
 from kscontrol.lebeau_robbiano import (
     BoundaryGamma,
     InternalPoint,
+    _axis_overlap,
     _certify_dissipation,
     active_phase_gramian,
     active_phase_tensor,
     build_schedule,
     default_beta,
     mass_matrix,
+    omega_axes,
     run_lr,
 )
 from kscontrol.modal import evolve_controlled, state_nd
@@ -103,6 +105,31 @@ def test_mass_matrix_box_3d():
         0.3, 1.2, 0.5, 2.0,
     )
     assert M[1, 3] == pytest.approx(val, abs=1e-10)
+
+
+def _mass_matrix_per_entry(spec, omega, rows):
+    """Oracle: one `_axis_overlap` product per (l, j) entry, axis by axis."""
+    axes = omega_axes(spec, omega)
+    M = np.empty((rows, spec.J_y))
+    for l in range(rows):
+        for j in range(spec.J_y):
+            val = 1.0
+            for axis, (c, d, b, _) in enumerate(axes):
+                val *= _axis_overlap(spec.mu_tuples[l][axis], spec.mu_tuples[j][axis], c, d, b)
+            M[l, j] = val
+    return M
+
+
+@pytest.mark.parametrize("dims, omega", [
+    (["pi"], (0.3, 1.2)),
+    (["pi", "pi/2"], ((0.3, 1.2), (0.1, 0.9))),
+    (["pi", 1.5, "2*pi"], ((0.0, 2.0), (0.4, 1.5), (1.0, 5.0))),
+], ids=["1d", "2d", "3d"])
+def test_mass_matrix_gathers_the_per_entry_products_bit_for_bit(dims, omega):
+    spec = SpectrumSpec(a="pi", nu=0, cross_section=Box(dims), K_x=4, J_y=12)
+    M = mass_matrix(spec, omega, 7)
+    assert M.shape == (7, 12)
+    assert np.array_equal(M, _mass_matrix_per_entry(spec, omega, 7))
 
 
 # ---------------------------------------------------------------------------

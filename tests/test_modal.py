@@ -42,11 +42,11 @@ def spec_2d(nu=0, K_x=6, J_y=6):
     return SpectrumSpec(a="pi", nu=nu, cross_section=Box(["pi"]), K_x=K_x, J_y=J_y)
 
 
-def piecewise_constant(kind, grid, values, **kw):
+def piecewise_constant(grid, values, **kw):
     """Control equal to values[i] on [grid[i], grid[i + 1]]: one degree-0 Legendre segment each."""
     segments = [LegendreSegment(t0=t0, t1=t1, coeffs=np.asarray(v, dtype=float)[None])
                 for t0, t1, v in zip(grid[:-1], grid[1:], values)]
-    return ControlSignal(kind, segments, **kw)
+    return ControlSignal(segments, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ def test_semigroup_property_hypothesis(dt1, dt2):
 def test_zero_control_reduces_to_free():
     spec = spec_1d()
     u = state_1d(spec, 1, coeffs=np.ones(8))
-    sig = piecewise_constant("boundary_1d", np.linspace(0, 0.5, 11), np.zeros(10))
+    sig = piecewise_constant(np.linspace(0, 0.5, 11), np.zeros(10))
     v = evolve_controlled(u, sig, (0.0, 0.5))
     w = evolve_free(u, 0.5)
     assert np.allclose(v.coeffs, w.coeffs, rtol=1e-14)
@@ -159,11 +159,11 @@ def test_zero_control_reduces_to_free():
 
 def test_control_signal_rejects_non_finite_values():
     with pytest.raises(ValueError):
-        piecewise_constant("boundary_1d", np.array([0.0, 0.5]), np.array([np.nan]))
+        piecewise_constant(np.array([0.0, 0.5]), np.array([np.nan]))
     seg = ExpSegment(t0=0.0, t1=0.5, exponents=np.array([-1.0, -2.0]),
                      refs=np.zeros(2), coeffs=np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
-        ControlSignal("boundary_1d", [seg])
+        ControlSignal([seg])
 
 
 def test_control_signal_rejects_unordered_segments():
@@ -171,10 +171,10 @@ def test_control_signal_rejects_unordered_segments():
                        coeffs=np.array([1.0]))
     second = ExpSegment(t0=0.5, t1=0.9, exponents=np.array([-1.0]), refs=np.zeros(1),
                         coeffs=np.array([1.0]))
-    assert ControlSignal("boundary_1d", [first, second]).t_end == 0.9
+    assert ControlSignal([first, second]).t_end == 0.9
     for segments in ([], [second, first]):
         with pytest.raises(ValueError):
-            ControlSignal("boundary_1d", segments)
+            ControlSignal(segments)
 
 
 def test_constant_boundary_control_duhamel_closed_form():
@@ -185,7 +185,7 @@ def test_constant_boundary_control_duhamel_closed_form():
     c = 0.37
     T = 0.8
     u = state_1d(spec, 1, coeffs=np.array([0.9]))
-    sig = piecewise_constant("boundary_1d", np.array([0.0, T]), np.array([c]))
+    sig = piecewise_constant(np.array([0.0, T]), np.array([c]))
     v = evolve_controlled(u, sig, (0.0, T))
     expect = math.exp(lam * T) * 0.9 + g * c * (math.exp(lam * T) - 1.0) / lam
     assert v.coeffs[0] == pytest.approx(expect, rel=1e-10)
@@ -198,7 +198,7 @@ def test_constant_pointwise_control_duhamel_closed_form():
     g = math.sqrt(2.0 / math.pi) * math.sin(x0)
     c, T = -0.21, 0.6
     u = state_1d(spec, 1, coeffs=np.array([0.4]))
-    sig = piecewise_constant("pointwise_1d", np.array([0.0, T]), np.array([c]), x0=x0)
+    sig = piecewise_constant(np.array([0.0, T]), np.array([c]), x0=x0)
     v = evolve_pointwise_controlled(u, sig, (0.0, T))
     expect = math.exp(lam * T) * 0.4 + g * c * (math.exp(lam * T) - 1.0) / lam
     assert v.coeffs[0] == pytest.approx(expect, rel=1e-10)
@@ -210,7 +210,7 @@ def test_pointwise_node_of_sine_untouched():
     u = state_1d(spec, 1, coeffs=np.zeros(8))
     grid = np.linspace(0.0, 0.5, 41)
     rng = np.random.default_rng(3)
-    sig = piecewise_constant("pointwise_1d", grid, rng.standard_normal(40), x0=math.pi / 2)
+    sig = piecewise_constant(grid, rng.standard_normal(40), x0=math.pi / 2)
     v = evolve_pointwise_controlled(u, sig, (0.0, 0.5))
     assert np.allclose(v.coeffs[1::2], 0.0, atol=1e-16)
     assert np.any(np.abs(v.coeffs[::2]) > 1e-6)
@@ -227,11 +227,11 @@ def _stepper_case(nd: bool, segment):
     if nd:
         spec = spec_2d()
         state, mass = state_nd(spec), rng.standard_normal((4, spec.J_y))
-        sig = ControlSignal("boundary_nd", [segment], mass=mass)
+        sig = ControlSignal([segment], mass=mass)
     else:
         spec = spec_1d()
         state, mass = state_1d(spec, 1), None
-        sig = ControlSignal("boundary_1d", [segment])
+        sig = ControlSignal([segment])
     return state, sig, boundary_gain_x(spec, state.coeffs.shape[0]), mass
 
 
@@ -292,7 +292,7 @@ def test_stepper_advance_splits_at_segment_endpoints():
     segs = [ExpSegment(0.0, 0.3, np.array([-20.0, 4.0]), np.array([0.0, 0.3]),
                        rng.standard_normal((2, spec.J_y))),
             LegendreSegment(0.3, 0.5, rng.standard_normal((3, spec.J_y)))]
-    sig = ControlSignal("boundary_nd", segs, mass=np.eye(spec.J_y))
+    sig = ControlSignal(segs, mass=np.eye(spec.J_y))
     u = state_nd(spec, rng.standard_normal((6, 6)))
     stepper = ControlStepper(u, sig)
     whole = stepper.advance(u.coeffs, 0.27, 0.33)
@@ -317,7 +317,7 @@ def test_stepper_without_control_is_the_free_flow():
 def test_evolve_controlled_records_within_1e_12():
     spec = spec_1d()
     u = state_1d(spec, 1, coeffs=np.ones(8))
-    sig = piecewise_constant("boundary_1d", np.linspace(0, 0.5, 6), np.ones(5))
+    sig = piecewise_constant(np.linspace(0, 0.5, 6), np.ones(5))
     # record times are breakpoints too; the segment endpoint 0.2 lies within
     # 1e-12 of the record time 0.2 + 5e-13 and is recorded, 0.3 is 1e-9 from
     # 0.3 + 1e-9 and is not
@@ -387,7 +387,7 @@ def test_duality_boundary_1d_random():
         phi_T = rng.standard_normal(8)
         grid = np.linspace(0.0, T, 33)
         qvals = rng.standard_normal(32)
-        sig = piecewise_constant("boundary_1d", grid, qvals)
+        sig = piecewise_constant(grid, qvals)
         u = state_1d(spec, 1, coeffs=v0)
         vT = evolve_controlled(u, sig, (0.0, T))
         phi0 = adjoint_solution(phi_T, 0.0, T, rates)
@@ -416,7 +416,7 @@ def test_duality_pointwise_1d_random():
         phi_T = rng.standard_normal(8)
         grid = np.linspace(0.0, T, 17)
         hvals = rng.standard_normal(16)
-        sig = piecewise_constant("pointwise_1d", grid, hvals, x0=x0)
+        sig = piecewise_constant(grid, hvals, x0=x0)
         u = state_1d(spec, 1, coeffs=v0)
         vT = evolve_pointwise_controlled(u, sig, (0.0, T))
         phi0 = adjoint_solution(phi_T, 0.0, T, rates)
@@ -443,7 +443,7 @@ def test_duality_boundary_nd_random():
         phi_T = rng.standard_normal((5, 4))
         grid = np.linspace(0.0, T, 9)
         qrows = rng.standard_normal((8, 4))
-        sig = piecewise_constant("boundary_nd", grid, qrows, mass=mass)
+        sig = piecewise_constant(grid, qrows, mass=mass)
         u = state_nd(spec, v0)
         vT = evolve_controlled(u, sig, (0.0, T))
         phi0 = phi_T * np.exp(rates * T)
@@ -671,7 +671,7 @@ def test_controlled_evolution_refuses_critical_parameter():
 
     crit = SpectrumSpec(a="pi", nu=7, cross_section=Box(["pi"]), K_x=8, J_y=4)
     u = state_1d(crit, 1, coeffs=np.ones(8))
-    sigp = piecewise_constant("pointwise_1d", np.array([0.0, 0.5]), np.array([1.0]), x0=1.0)
+    sigp = piecewise_constant(np.array([0.0, 0.5]), np.array([1.0]), x0=1.0)
     with pytest.raises(CriticalParameter):
         evolve_pointwise_controlled(u, sigp, (0.0, 0.5))
     # free flow at a critical parameter stays available (counterexample needs it)
@@ -718,7 +718,7 @@ def test_value_at_matches_per_time_loop_bitwise(rows, make):
                 "mixed": [_exp_seg, _leg_seg, _exp_seg]}[make]
     segments = [build(rng, t0, t1, rows)
                 for build, t0, t1 in zip(builders, _ENDS[:-1], _ENDS[1:])]
-    sig = ControlSignal("boundary_nd" if rows else "boundary_1d", segments)
+    sig = ControlSignal(segments)
     # a uniform grid, plus times on the interior endpoints and within 1e-12 of them
     near = [e + d for e in _ENDS for d in (0.0, -9e-13, -1e-13, 1e-13, 9e-13)]
     t = np.concatenate([np.linspace(0.0, 1.0, 257), [x for x in near if 0 <= x <= 1]])
@@ -730,6 +730,6 @@ def test_value_at_matches_per_time_loop_bitwise(rows, make):
 
 
 def test_value_at_refuses_times_outside_the_segments():
-    sig = ControlSignal("boundary_1d", [_leg_seg(np.random.default_rng(0), 0.0, 1.0, 0)])
+    sig = ControlSignal([_leg_seg(np.random.default_rng(0), 0.0, 1.0, 0)])
     with pytest.raises(ValueError, match="outside analytic segments"):
         sig.value_at(np.array([0.5, 1.0 + 2e-12]))

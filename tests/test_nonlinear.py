@@ -416,7 +416,7 @@ def _two_segment_controls(spec):
     exp_seg = ExpSegment(0.1, 0.3037, np.array([-30.0, -2.0, 5.0]),
                          np.array([0.1, 0.1, 0.3037]), 1e-3 * rng.standard_normal((3, J)))
     leg_seg = LegendreSegment(0.3037, 0.55, 1e-3 * rng.standard_normal((4, J)))
-    return [ControlSignal("boundary_nd", [exp_seg, leg_seg], mass=np.eye(J))]
+    return [ControlSignal([exp_seg, leg_seg], mass=np.eye(J))]
 
 
 @pytest.mark.parametrize("case", ["tensor", "gramian", "two-segment"])

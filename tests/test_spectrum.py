@@ -25,7 +25,6 @@ from kscontrol.spectrum import (
     K0_index,
     n0_index,
     weyl_fit,
-    y_eigenvalues_box,
 )
 
 
@@ -104,7 +103,7 @@ def test_monotone_tail_beyond_k_star():
 # ---------------------------------------------------------------------------
 
 def test_box_1d_spectrum():
-    mus, tuples = y_eigenvalues_box(["pi"], 3)
+    mus, tuples = Box(["pi"]).eigenpairs(3)
     assert mus == pytest.approx([1.0, 4.0, 9.0])
     assert tuples == [(1,), (2,), (3,)]
 
@@ -112,14 +111,28 @@ def test_box_1d_spectrum():
 def test_box_2d_spectrum_enumeration_oracle():
     # oracle: enumerate m1^2 + m2^2 for m_i <= 3 and sort
     oracle = sorted(m1**2 + m2**2 for m1 in range(1, 4) for m2 in range(1, 4))[:4]
-    mus, _ = y_eigenvalues_box(["pi", "pi"], 4)
+    mus, _ = Box(["pi", "pi"]).eigenpairs(4)
     assert mus == pytest.approx(oracle)
     assert mus == pytest.approx([2.0, 5.0, 5.0, 8.0])
 
 
 def test_box_unit_interval_scaling():
-    mus, _ = y_eigenvalues_box([1], 2)
+    mus, _ = Box([1]).eigenpairs(2)
     assert mus == pytest.approx([math.pi**2, 4 * math.pi**2])
+
+
+def test_tuple_tensor_is_the_outer_product_per_tuple_bit_for_bit():
+    spec = SpectrumSpec(a="pi", nu=0, cross_section=Box(["pi", "pi/2", 1.5]), K_x=4, J_y=10)
+    rng = np.random.default_rng(5)
+    axes = spec.box_axes("test")
+    rows = [rng.standard_normal((count, 3 + i)) for i, (_, count) in enumerate(axes)]
+    oracle = []
+    for tup in spec.mu_tuples:
+        row = rows[0][tup[0] - 1]
+        for rows_i, m_i in zip(rows[1:], tup[1:]):
+            row = np.multiply.outer(row, rows_i[m_i - 1])
+        oracle.append(row.ravel())
+    assert np.array_equal(spec.tuple_tensor(rows), np.array(oracle))
 
 
 # ---------------------------------------------------------------------------
