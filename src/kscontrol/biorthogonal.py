@@ -27,7 +27,7 @@ from decimal import Decimal
 import numpy as np
 
 from .errors import DuplicateRate, IllConditioned
-from .spectrum import DUPLICATE_REL_TOL
+from .spectrum import DUPLICATE_REL_TOL, line_fit
 
 K_BIO_MAX = 24
 RESIDUAL_TOL = 1e-8
@@ -194,12 +194,10 @@ def cost_fit(exponents, T_grid):
             rows.append((float(T), lam[k], fam.norm(k)))
     z = np.array([lam_k**0.25 + T ** (-1.0 / 3.0) for T, lam_k, _ in rows])
     y = np.log([nrm for _, _, nrm in rows])
-    A = np.vstack([z, np.ones_like(z)]).T
-    sol, res, *_ = np.linalg.lstsq(A, y, rcond=None)
-    fit_residual = float(np.sqrt(np.mean((A @ sol - y) ** 2)))
+    slope, intercept, fit_residual = line_fit(z, y)
     return {
-        "slope": float(sol[0]),
-        "intercept": float(sol[1]),
+        "slope": slope,
+        "intercept": intercept,
         "fit_rms_residual": fit_residual,
         "table": rows,
     }

@@ -32,21 +32,25 @@ from .biorthogonal import K_BIO_MAX
 from .errors import NotCritical
 from .modal import (
     Trace,
-    boundary_gain_x,
     evolve_controlled,
     observe,
     state_1d,
+    x_gain,
 )
 from .moments import MomentSolver
 from .signals import ControlSignal
-from .spectrum import SpectrumSpec, critical_set_check, require_clear
+from .spectrum import SpectrumSpec, critical_set_check, line_fit, require_clear
 
 DEFAULT_K_TRUNC = 8
 
 
 @dataclass
 class SynthesisReport:
-    """Norms, residuals, and truncation accounting of one synthesis."""
+    """Norms, residuals, and truncation accounting of one 1-D synthesis.
+
+    ``T0_hat`` and ``threshold`` are the minimal-time gate of a pointwise
+    synthesis, None for a boundary one.
+    """
 
     control_norm: float
     moment_residual_max: float
@@ -55,6 +59,8 @@ class SynthesisReport:
     c0: float
     K_trunc: int
     targets: np.ndarray = field(repr=False, default=None)
+    T0_hat: Optional[float] = None
+    threshold: Optional[float] = None
 
 
 def synthesize_boundary_control(
@@ -73,28 +79,17 @@ def synthesize_boundary_control(
     positive multiples a^(3/2)/(sqrt(2) k pi) e^{lambda_k T} u0_k.
     """
     require_clear(spec)
-    gains = boundary_gain_x(spec, len(u0))
-    control, sol, tail = _synthesize_1d(u0, T, spec, j, K_trunc, gains)
-    report = SynthesisReport(
-        control_norm=control.norm_l2(),
-        moment_residual_max=sol.residual_max,
-        tail_free_decay=tail,
-        gram_condition=sol.family.gram_condition,
-        c0=sol.c0,
-        K_trunc=len(sol.targets),
-        targets=sol.targets,
-    )
-    return control, report
+    return _synthesize_1d(u0, T, spec, j, K_trunc)
 
 
-def _synthesize_1d(u0, T: float, spec: SpectrumSpec, j: int, K_trunc: int, gains: np.ndarray,
+def _synthesize_1d(u0, T: float, spec: SpectrumSpec, j: int, K_trunc: int,
                   x0: Optional[float] = None):
     """Moment synthesis shared by the 1-D boundary and pointwise controls.
 
-    ``gains`` is the x-modal input gain of the actuator (at least K_trunc
-    entries).  Returns ``(control, MomentSolution, tail)``: the physical
-    control q(t) = h(T - t) on [0, T], the solution with its targets, and
-    the free-decay energy of the modes above K_trunc.
+    The actuator is ``x0``: the boundary when None, else the point, whose
+    x-modal gain `x_gain` gives.  Returns ``(control, SynthesisReport)``: the
+    physical control q(t) = h(T - t) on [0, T], and the report with the
+    targets and the free-decay energy of the modes above K_trunc.
     """
     u0 = np.asarray(u0, dtype=float)
     if K_trunc > K_BIO_MAX:
@@ -102,11 +97,19 @@ def _synthesize_1d(u0, T: float, spec: SpectrumSpec, j: int, K_trunc: int, gains
     K_trunc = min(K_trunc, len(u0))
     rates_full = spec.x_rates(j, len(u0))
     rates = rates_full[:K_trunc]
-    targets = -np.exp(rates * T) * u0[:K_trunc] / gains[:K_trunc]
+    targets = -np.exp(rates * T) * u0[:K_trunc] / x_gain(spec, x0, len(u0))[:K_trunc]
     sol = MomentSolver(rates, T).solve(targets)
     control = ControlSignal([sol.reversed_segment(0.0)], x0=x0)
-    tail = float(np.sum(np.exp(2 * rates_full[K_trunc:] * T) * u0[K_trunc:] ** 2))
-    return control, sol, tail
+    report = SynthesisReport(
+        control_norm=control.norm_l2(),
+        moment_residual_max=sol.residual_max,
+        tail_free_decay=float(np.sum(np.exp(2 * rates_full[K_trunc:] * T) * u0[K_trunc:] ** 2)),
+        gram_condition=sol.family.gram_condition,
+        c0=sol.c0,
+        K_trunc=K_trunc,
+        targets=sol.targets,
+    )
+    return control, report
 
 
 @dataclass
@@ -164,12 +167,12 @@ def cost_scan(
     require_clear(spec)
     T_list = sorted(T_list)
     table = {}
+    gains = x_gain(spec, count=K_trunc)
     for j in j_list:
         rates = spec.x_rates(j, K_trunc)
         for T in T_list:
             solver = MomentSolver(rates, T)
             worst = 0.0
-            gains = boundary_gain_x(spec, K_trunc)
             for k0 in range(K_trunc):
                 targets = np.zeros(K_trunc)
                 targets[k0] = -math.exp(rates[k0] * T) / gains[k0]
@@ -181,9 +184,7 @@ def cost_scan(
     for (j, T), cost in table.items():
         xs.append(j**exponent / T)
         ys.append(math.log(cost))
-    A = np.vstack([xs, np.ones_like(xs)]).T
-    sol_fit, *_ = np.linalg.lstsq(A, np.array(ys), rcond=None)
-    resid = float(np.sqrt(np.mean((A @ sol_fit - np.array(ys)) ** 2)))
+    slope, intercept, resid = line_fit(xs, ys)
     monotone_in_T = all(
         table[(j, T2)] <= table[(j, T1)] * (1 + 1e-12)
         for j in j_list
@@ -191,8 +192,8 @@ def cost_scan(
     )
     return {
         "table": table,
-        "fit_slope": float(sol_fit[0]),
-        "fit_intercept": float(sol_fit[1]),
+        "fit_slope": slope,
+        "fit_intercept": intercept,
         "fit_rms_residual": resid,
         "monotone_in_T": monotone_in_T,
     }

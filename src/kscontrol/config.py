@@ -23,9 +23,10 @@ from mpmath.libmp import NoConvergence
 
 from .biorthogonal import K_BIO_MAX
 from .boundary_1d import DEFAULT_K_TRUNC
-from .errors import ConfigError
+from .errors import BadRho, BetaTooSmall, ConfigError, ThresholdBeyondTruncation
 from .exact import parse_length, parse_rational
 from .lebeau_robbiano import DEFAULT_RHO, BoundaryGamma, InternalPoint, omega_axes
+from .lebeau_robbiano import check_schedule
 from .nonlinear import (
     DEFAULT_C_COST,
     DEFAULT_MAX_ITER,
@@ -225,6 +226,20 @@ def _require_full_section_fits(omega, spec, path):
              f"(K_bio_max), got K_x={spec.K_x}; give an omega or lower K_x")
 
 
+def _schedule(name, base):
+    """``base``, then the frequency-splitting schedule's own range check of
+    ``name``; a K0 beyond the truncation is left to the run."""
+    def check(v, path, spec, params):
+        try:
+            check_schedule(spec, **{name: base(v, path, spec, params)})
+        except (BadRho, BetaTooSmall) as exc:
+            raise ConfigError(path, str(exc))
+        except ThresholdBeyondTruncation:
+            pass
+        return v
+    return check
+
+
 _J = (_integer(1, lambda spec: spec.J_y), 1)
 _SLICE_CONTROL = {
     "j": _J,
@@ -235,8 +250,8 @@ _SLICE_CONTROL = {
 _SPLITTING = {
     "T": (_positive, REQUIRED),
     "u0_modes": (_modes, REQUIRED),
-    "rho": (_number(), DEFAULT_RHO),
-    "beta": (_integer(), None),
+    "rho": (_schedule("rho", _number()), DEFAULT_RHO),
+    "beta": (_schedule("beta", _integer()), None),
     "geometry": (_geometry, BoundaryGamma()),
 }
 # One table per section; after "domain", the sections in task order.

@@ -43,15 +43,14 @@ from .errors import (
 from .modal import (
     ModalSource,
     ModalState,
-    boundary_gain_x,
     evolve_controlled,
-    pointwise_gain_x,
     state_nd,
+    x_gain,
 )
 from .moments import MomentSolver
 from .pointwise import DEFAULT_MARGIN, PointSpec, minimal_time_estimate
 from .signals import ControlSignal, ExpSegment, LegendreSegment, legendre_mode_integrals
-from .spectrum import K0_index, SpectrumSpec, require_clear
+from .spectrum import K0_index, SpectrumSpec, line_fit, require_clear
 
 DEFAULT_RHO = 0.5
 
@@ -92,14 +91,21 @@ class LRSchedule:
     realized_fraction: float
 
 
+def check_schedule(spec: SpectrumSpec, rho: Optional[float] = None,
+                   beta: Optional[int] = None) -> None:
+    """BadRho unless 0 < rho < 1/(N-1), BetaTooSmall unless beta > K0; None
+    skips a value.  A K0 beyond the truncation raises ThresholdBeyondTruncation."""
+    if rho is not None and not 0.0 < rho < 1.0 / spec.n_cross_dims:
+        raise BadRho(f"rho={rho} outside (0, {1.0 / spec.n_cross_dims:.4g})")
+    if beta is not None:
+        K0 = K0_index(spec)
+        if beta <= K0:
+            raise BetaTooSmall(f"beta={beta} must exceed K0={K0} so every cutoff clears it")
+
+
 def build_schedule(T: float, rho: float, beta: int, spec: SpectrumSpec) -> LRSchedule:
     """Window/cutoff schedule with gamma_0 > K0 and the telescoping check."""
-    n_cross = spec.n_cross_dims
-    if not 0.0 < rho < 1.0 / n_cross:
-        raise BadRho(f"rho={rho} outside (0, {1.0 / n_cross:.4g})")
-    K0 = K0_index(spec)
-    if beta <= K0:
-        raise BetaTooSmall(f"beta={beta} must exceed K0={K0} so every cutoff clears it")
+    check_schedule(spec, rho, beta)
     alpha = beta * T * (1.0 - 2.0 ** (-rho)) / 2.0
     windows = []
     a_k = 0.0
@@ -223,23 +229,24 @@ def active_phase_tensor(
             + min(slowest, 0.0) * horizon_left
         if log_at_final > math.log(1e-12 * scale):
             slices.append(j)
-    return _slice_moment_control(end_free, slices, spec, boundary_gain_x(spec), (t0, t1), gamma_eff)
+    return _slice_moment_control(end_free, slices, spec, (t0, t1), gamma_eff)
 
 
 def _slice_moment_control(end_free: np.ndarray, slices, spec: SpectrumSpec,
-                          gains: np.ndarray, window: tuple, rows: int,
+                          window: tuple, rows: int,
                           x0: Optional[float] = None) -> ControlSignal:
     """Per-slice moment solutions assembled into one y-expanded control.
 
-    Row j - 1 (j in ``slices``) is the control that, through the x-gain
-    ``gains``, steers slice j's free end state ``end_free[:, j - 1]`` to zero
-    over ``window``; the other rows are zero.  Rows are the first ``rows``
-    cross-section modes themselves (identity mass).  The solver of each
-    (slice, window length) is built once per spec: Picard iterations repeat
-    the same windows.
+    Row j - 1 (j in ``slices``) is the control that, through the x-gain of
+    the actuator at ``x0`` (None: the boundary), steers slice j's free end
+    state ``end_free[:, j - 1]`` to zero over ``window``; the other rows are
+    zero.  Rows are the first ``rows`` cross-section modes themselves
+    (identity mass).  The solver of each (slice, window length) is built
+    once per spec: Picard iterations repeat the same windows.
     """
     t0, t1 = window
     W = t1 - t0
+    gains = x_gain(spec, x0)
     exps, refs, blocks = [], [], []
     for j in slices:
         solver = spec.cached(("moment_solver", j, W),
@@ -295,7 +302,6 @@ def active_phase_gramian(
     rows = gamma_eff
     P = 2 * spec.K_x
     M = mass_matrix(spec, omega, rows)
-    x_gain = boundary_gain_x(spec) if x0 is None else pointwise_gain_x(spec, x0)
 
     rates = spec.rate_matrix()[:, :gamma_eff]          # (K_x, gamma)
     flat_rates = rates.ravel()
@@ -303,7 +309,7 @@ def active_phase_gramian(
     I = legendre_mode_integrals(flat_rates, P - 1, W)  # (n_killed, P)
     # A[(k,j), (l,p)] = x_gain[k] M[l, j] I[(k,j), p]
     I3 = I.reshape(spec.K_x, gamma_eff, P)
-    A = np.einsum("k,lj,kjp->kjlp", x_gain, M[:, :gamma_eff], I3)
+    A = np.einsum("k,lj,kjp->kjlp", x_gain(spec, x0), M[:, :gamma_eff], I3)
     A = A.reshape(n_killed, rows * P)
 
     end_free = _window_free_end(state, window, source)
@@ -510,12 +516,11 @@ def _run_internal_direct(state, T, spec, geometry, margin, source, record,
     x0 = _resolve_x0(geometry.point, spec, margin, gate=True, T=T)
     if spec.K_x > K_BIO_MAX:
         raise ValueError(f"direct solve kills all K_x={spec.K_x} x-modes; K_x <= {K_BIO_MAX}")
-    gains = pointwise_gain_x(spec, x0)
     end_free = _window_free_end(state, (0.0, T), source)
     scale = max(float(np.linalg.norm(state.coeffs)), float(np.linalg.norm(end_free)), 1e-300)
     slices = [j for j in range(1, spec.J_y + 1)
               if float(np.linalg.norm(end_free[:, j - 1])) > 1e-10 * scale]
-    sig = _slice_moment_control(end_free, slices, spec, gains, (0.0, T), spec.J_y, x0=x0)
+    sig = _slice_moment_control(end_free, slices, spec, (0.0, T), spec.J_y, x0=x0)
     rec = np.asarray(sorted(set(float(t) for t in record))) if record is not None else None
     if rec is not None:
         end, trace = evolve_controlled(state, sig, (0.0, T), source=source, record=rec)
@@ -544,9 +549,7 @@ def _decay_fit(schedule: LRSchedule, window_norms, spec: SpectrumSpec):
             ys.append(math.log(nrm))
     if len(xs) < 2:
         return None
-    A = np.vstack([xs, np.ones_like(xs)]).T
-    sol, *_ = np.linalg.lstsq(A, np.array(ys), rcond=None)
-    return float(sol[0])
+    return line_fit(xs, ys)[0]
 
 
 def _observability_fit(schedule: LRSchedule, reports, spec: SpectrumSpec):
@@ -558,6 +561,5 @@ def _observability_fit(schedule: LRSchedule, reports, spec: SpectrumSpec):
             ys.append(math.log(1.0 / rep.min_eig))
     if len(xs) < 2:
         return {"slope": None, "points": list(zip(xs, ys))}
-    A = np.vstack([xs, np.ones_like(xs)]).T
-    sol, *_ = np.linalg.lstsq(A, np.array(ys), rcond=None)
-    return {"slope": float(sol[0]), "intercept": float(sol[1]), "points": list(zip(xs, ys))}
+    slope, intercept, _ = line_fit(xs, ys)
+    return {"slope": slope, "intercept": intercept, "points": list(zip(xs, ys))}

@@ -127,17 +127,15 @@ class ModalSource:
 # gains
 # ---------------------------------------------------------------------------
 
-def boundary_gain_x(spec: SpectrumSpec, count: Optional[int] = None) -> np.ndarray:
-    """x-modal gain of the boundary input: S_BOUNDARY sqrt(2/a) k pi / a."""
+def x_gain(spec: SpectrumSpec, x0: Optional[float] = None,
+           count: Optional[int] = None) -> np.ndarray:
+    """x-modal gain of the actuator at ``x0`` for k = 1..count (default K_x):
+    the boundary's S_BOUNDARY sqrt(2/a) k pi / a when ``x0`` is None, the
+    point's sqrt(2/a) sin(k pi x0 / a) otherwise."""
     n = count if count is not None else spec.K_x
     ks = np.arange(1, n + 1, dtype=float)
-    return S_BOUNDARY * math.sqrt(2.0 / spec.a_float) * ks * math.pi / spec.a_float
-
-
-def pointwise_gain_x(spec: SpectrumSpec, x0: float, count: Optional[int] = None) -> np.ndarray:
-    """x-modal gain of the point source: sqrt(2/a) sin(k pi x0 / a)."""
-    n = count if count is not None else spec.K_x
-    ks = np.arange(1, n + 1, dtype=float)
+    if x0 is None:
+        return S_BOUNDARY * math.sqrt(2.0 / spec.a_float) * ks * math.pi / spec.a_float
     return math.sqrt(2.0 / spec.a_float) * np.sin(ks * math.pi * x0 / spec.a_float)
 
 
@@ -189,9 +187,7 @@ class ControlStepper:
         self._cache = {}  # ("grow", h), ("legendre", degree, h), ("block", segment index, h)
         if control is not None:
             # the modal forcing is outer(x gain, mass.T @ w(t)), or x gain * w(t) in 1-D
-            n, x0 = state.coeffs.shape[0], control.x0
-            self._x_gain = (boundary_gain_x(state.spec, n) if x0 is None
-                            else pointwise_gain_x(state.spec, x0, n))
+            self._x_gain = x_gain(state.spec, control.x0, state.coeffs.shape[0])
             self._mass = control.mass
             self._ends = np.array([seg.t1 for seg in control.segments])
 
@@ -357,17 +353,10 @@ def adjoint_solution(phi_T: np.ndarray, t: float, T: float, rates: np.ndarray) -
     return np.asarray(phi_T) * np.exp(rates * (T - t))
 
 
-def boundary_observation(coeffs: np.ndarray, spec: SpectrumSpec):
-    """d/dx at x=0: scalar in 1-D, y-modal row on the cylinder."""
-    w = boundary_gain_x(spec, coeffs.shape[0]) / S_BOUNDARY
-    if coeffs.ndim == 1:
-        return float(w @ coeffs)
-    return w @ coeffs
-
-
-def point_observation(coeffs: np.ndarray, spec: SpectrumSpec, x0: float):
-    """Value at x = x0: scalar in 1-D, y-modal row on the cylinder."""
-    w = pointwise_gain_x(spec, x0, coeffs.shape[0])
+def observation(coeffs: np.ndarray, spec: SpectrumSpec, x0: Optional[float] = None):
+    """d/dx at x=0 when ``x0`` is None, else the value at x = x0: a scalar in
+    1-D, a y-modal row on the cylinder."""
+    w = x_gain(spec, x0, coeffs.shape[0]) / (S_BOUNDARY if x0 is None else 1.0)
     if coeffs.ndim == 1:
         return float(w @ coeffs)
     return w @ coeffs
@@ -376,9 +365,9 @@ def point_observation(coeffs: np.ndarray, spec: SpectrumSpec, x0: float):
 def observe(trace: Trace, spec: SpectrumSpec, x0: Optional[float] = None):
     """Boundary and (optionally) point observation series along a trace."""
     out = {"t": trace.times, "norm": trace.norms()}
-    out["boundary"] = np.array([boundary_observation(c, spec) for c in trace.coeffs])
+    out["boundary"] = np.array([observation(c, spec) for c in trace.coeffs])
     if x0 is not None:
-        out["point"] = np.array([point_observation(c, spec, x0) for c in trace.coeffs])
+        out["point"] = np.array([observation(c, spec, x0) for c in trace.coeffs])
     return out
 
 

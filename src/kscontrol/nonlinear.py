@@ -28,7 +28,7 @@ import numpy as np
 from .errors import NoContraction, StepUnconverged
 from .lebeau_robbiano import DEFAULT_RHO, BoundaryGamma, LRRunResult, run_lr
 from .modal import ControlStepper, ModalSource, Trace, nonlinear_rhs, rhs_operator, state_nd
-from .spectrum import SpectrumSpec, require_clear
+from .spectrum import SpectrumSpec, line_fit, require_clear
 
 WEIGHT_FLOOR = 1e-280
 #: weights below this are dominated by the truncation's kill residual, so
@@ -107,10 +107,8 @@ def fit_cost_constant(spec: SpectrumSpec, geometry=None, T_grid=(0.25, 0.5, 1.0)
             worst = max(worst, res.total_control_norm)
         xs.append(1.0 / T)
         ys.append(math.log(max(worst, 1e-300)))
-    A = np.vstack([xs, np.ones_like(xs)]).T
-    sol, *_ = np.linalg.lstsq(A, np.array(ys), rcond=None)
-    return {"C_hat": float(max(sol[0], 1e-3)), "intercept": float(sol[1]),
-            "points": list(zip(xs, ys))}
+    slope, intercept, _ = line_fit(xs, ys)
+    return {"C_hat": max(slope, 1e-3), "intercept": intercept, "points": list(zip(xs, ys))}
 
 
 # ---------------------------------------------------------------------------

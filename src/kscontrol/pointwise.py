@@ -27,7 +27,7 @@ k to be visible at all; see the `liouville` rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Optional
@@ -37,7 +37,6 @@ import numpy as np
 
 from .boundary_1d import DEFAULT_K_TRUNC, _synthesize_1d
 from .errors import BelowMinimalTime, NoWitnessFound, RationalPoint
-from .modal import pointwise_gain_x
 from .spectrum import SpectrumSpec, require_clear
 
 DEFAULT_K_MAX = 10_000
@@ -254,18 +253,6 @@ def minimal_time_estimate(point: PointSpec, a: float = math.pi,
     )
 
 
-@dataclass
-class PointSynthesisReport:
-    control_norm: float
-    moment_residual_max: float
-    tail_free_decay: float
-    gram_condition: float
-    c0: float
-    K_trunc: int
-    T0_hat: float
-    threshold: float
-
-
 def synthesize_point_control(
     u0: np.ndarray,
     T: float,
@@ -281,6 +268,9 @@ def synthesize_point_control(
     The gate is T > (1 + margin) T0_hat; at or below it the synthesis is
     refused with BelowMinimalTime (see `negative_certificate` for the
     witness).  Nothing is claimed about T exactly at the minimal time.
+    Returns ``(ControlSignal, SynthesisReport)``; the report's ``targets``
+    are -e^{lambda_k T} u0_k / (sqrt(2/a) sin(k pi x0/a)), and it carries
+    the gate's ``T0_hat`` and ``threshold``.
     """
     require_clear(spec)
     if point.is_rational:
@@ -292,20 +282,8 @@ def synthesize_point_control(
         raise BelowMinimalTime(
             f"T={T} <= (1+margin) T0_hat = {threshold:.6g}; minimal-time gate refuses synthesis"
         )
-    x0 = estimate.x0_over_a * spec.a_float
-    gains = pointwise_gain_x(spec, x0, len(u0))
-    control, sol, tail = _synthesize_1d(u0, T, spec, j, K_trunc, gains, x0=x0)
-    report = PointSynthesisReport(
-        control_norm=control.norm_l2(),
-        moment_residual_max=sol.residual_max,
-        tail_free_decay=tail,
-        gram_condition=sol.family.gram_condition,
-        c0=sol.c0,
-        K_trunc=len(sol.targets),
-        T0_hat=estimate.T0_hat,
-        threshold=threshold,
-    )
-    return control, report
+    control, report = _synthesize_1d(u0, T, spec, j, K_trunc, x0=estimate.x0_over_a * spec.a_float)
+    return control, replace(report, T0_hat=estimate.T0_hat, threshold=threshold)
 
 
 @dataclass

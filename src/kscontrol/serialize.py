@@ -5,7 +5,7 @@ byte-identical; dict keys are sorted.  Layouts:
 
 * state/trace CSV: ``t,k,j,coeff`` long format (j=0 for 1-D states)
 * observation CSV: ``t,norm,obs_boundary[,obs_point]``
-* control CSV: ``t,q`` (scalar) or ``t,row,value`` (y-expanded rows)
+* control CSV: ``t,q`` (scalar) or ``t,j,value`` (y-expanded rows)
 """
 
 from __future__ import annotations

@@ -526,3 +526,13 @@ def weyl_fit(spec: SpectrumSpec):
     mus = spec.mus[lo - 1 : J]
     slope, intercept = np.polyfit(np.log(js), np.log(mus), 1)
     return {"slope": float(slope), "intercept": float(intercept), "expected": 2.0 / spec.n_cross_dims}
+
+
+def line_fit(xs, ys):
+    """Least-squares line ys ~ slope xs + intercept on A = [xs, 1]:
+    ``(slope, intercept, rms residual)``.  The one fit of the cost and
+    decay diagnostics."""
+    A = np.vstack([xs, np.ones_like(xs)]).T
+    y = np.asarray(ys, dtype=float)
+    sol, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return float(sol[0]), float(sol[1]), float(np.sqrt(np.mean((A @ sol - y) ** 2)))

@@ -69,10 +69,10 @@ def test_targets_zero_state():
 def test_target_prefactor_orthonormal_convention():
     # mu -> 0 family (rates k^4 at a=pi, nu=0): the sqrt(2)-convention value
     # (1/sqrt(2)) e^{-1} differs from the orthonormal one by sqrt(pi) = sqrt(a)
-    from kscontrol.modal import boundary_gain_x
+    from kscontrol.modal import x_gain
 
     spec = spec_box_pi(nu=0)
-    gain1 = boundary_gain_x(spec, 1)[0]
+    gain1 = x_gain(spec, count=1)[0]
     m1 = -math.exp(-1.0) * 1.0 / gain1
     assert m1 == pytest.approx(math.exp(-1.0) * math.sqrt(math.pi / 2.0), rel=1e-12)
     assert m1 == pytest.approx((1 / math.sqrt(2)) * math.exp(-1) * math.sqrt(math.pi), rel=1e-12)
@@ -217,11 +217,11 @@ def test_cost_scan_monotonicity_and_growth():
 def test_cost_single_mode_equals_target_times_family_norm():
     spec = spec_box_pi(nu=0)
     rates = spec.x_rates(1, 1)
-    from kscontrol.modal import boundary_gain_x
+    from kscontrol.modal import x_gain
 
     T = 0.5
     solver = MomentSolver(rates, T)
-    m1 = -math.exp(rates[0] * T) / boundary_gain_x(spec, 1)[0]
+    m1 = -math.exp(rates[0] * T) / x_gain(spec, count=1)[0]
     sol = solver.solve(np.array([m1]))
     expect = abs(m1) * solver.family.norm(0)
     assert sol.norm_l2() == pytest.approx(expect, rel=1e-12)
@@ -253,7 +253,7 @@ def test_counterexample_requires_criticality():
 
 
 def test_pointwise_counterexample_invariant():
-    from kscontrol.modal import evolve_controlled, point_observation
+    from kscontrol.modal import evolve_controlled, observation
 
     spec = spec_box_pi(nu=7, K_x=8)
     x0 = 0.7
@@ -264,5 +264,5 @@ def test_pointwise_counterexample_invariant():
     state = state_1d(spec, 1, coeffs=u0)
     times = np.linspace(0, 1.0, 200)
     _, trace = evolve_controlled(state, None, (0.0, 1.0), record=times)
-    obs = np.array([point_observation(c, spec, x0) for c in trace.coeffs])
+    obs = np.array([observation(c, spec, x0) for c in trace.coeffs])
     assert np.max(np.abs(obs)) <= 1e-12

@@ -306,6 +306,10 @@ BAD_INPUTS = [
      "control_1d.u0_modes"),
     ("rho-string", _demo("control_nd.json", "control_nd.rho", "0.5"), "control_nd.rho"),
     ("beta-fraction", _demo("control_nd.json", "control_nd.beta", 4.5), "control_nd.beta"),
+    # the schedule's ranges: 0 < rho < 1/(N-1) and beta > K0 (K0 = 1 at nu = 0)
+    ("rho-above-range", _demo("control_nd.json", "control_nd.rho", 2.0), "control_nd.rho"),
+    ("rho-zero", _demo("control_nd.json", "control_nd.rho", 0.0), "control_nd.rho"),
+    ("beta-at-K0", _demo("control_nd.json", "control_nd.beta", 1), "control_nd.beta"),
     ("omega-outside-box", _demo("control_nd.json", "control_nd.geometry.boundary.omega",
                                 [0.3, 9.0]), "control_nd.geometry.boundary.omega"),
     ("n_samples-zero", _demo("simulate.json", "simulate.n_samples", 0), "simulate.n_samples"),

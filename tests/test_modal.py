@@ -11,16 +11,16 @@ from kscontrol.modal import (
     ControlStepper,
     ModalSource,
     adjoint_solution,
-    boundary_gain_x,
-    boundary_observation,
     evolve_controlled,
     evolve_free,
     evolve_pointwise_controlled,
     nonlinear_rhs,
+    observation,
     observe,
     project_initial,
     state_1d,
     state_nd,
+    x_gain,
 )
 from kscontrol.signals import (
     ControlSignal,
@@ -232,7 +232,7 @@ def _stepper_case(nd: bool, segment):
         spec = spec_1d()
         state, mass = state_1d(spec, 1), None
         sig = ControlSignal([segment])
-    return state, sig, boundary_gain_x(spec, state.coeffs.shape[0]), mass
+    return state, sig, x_gain(spec, count=state.coeffs.shape[0]), mass
 
 
 def _parent_forcing(state, sig, gain, mass, t0, t1):
@@ -343,7 +343,7 @@ def test_adjoint_single_mode_observation():
     phi_T = np.array([0.0, 1.0, 0.0, 0.0])
     t, T = 0.3, 1.0
     phi = adjoint_solution(phi_T, t, T, rates)
-    obs = boundary_observation(phi, spec)
+    obs = observation(phi, spec)
     expect = math.sqrt(2.0 / math.pi) * (2.0 / math.pi) * 2.0 * 0.0 + \
         math.sqrt(2.0 / math.pi) * (2 * math.pi / math.pi) * math.exp(rates[1] * (T - t))
     assert obs == pytest.approx(expect, rel=1e-12)

@@ -377,11 +377,11 @@ def _reference_replay(u0, controls, T, spec, n_steps):
     piece (steps are cut at segment endpoints) through each segment's
     Duhamel integral at absolute times, then the mass and the x gain.
     """
-    from kscontrol.modal import boundary_gain_x
+    from kscontrol.modal import x_gain
     from kscontrol.signals import phi1, phi2
 
     lam = spec.rate_matrix()
-    gain = boundary_gain_x(spec)
+    gain = x_gain(spec)
     grid = np.linspace(0.0, T, n_steps + 1)
     ends = [0.0, T] + [t for sig in controls for t in (sig.t_start, sig.t_end)]
     grid = np.unique(np.concatenate([grid, ends]))

@@ -5,10 +5,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from kscontrol.boundary_1d import synthesize_boundary_control
 from kscontrol.errors import BelowMinimalTime, NoWitnessFound, RationalPoint
 from kscontrol.modal import evolve_pointwise_controlled, state_1d
 from kscontrol.pointwise import (
     DEFAULT_K_MAX,
+    DEFAULT_MARGIN,
     PointSpec,
     minimal_time_estimate,
     negative_certificate,
@@ -228,6 +230,24 @@ def test_null_control_algebraic_point(est_sqrt2, T):
     state = state_1d(spec, 1, coeffs=u0)
     end = evolve_pointwise_controlled(state, control, (0.0, T))
     assert np.linalg.norm(end.coeffs[:8]) / np.linalg.norm(u0) <= 1e-6
+
+
+def test_point_targets_and_gate_on_the_synthesis_report(est_sqrt2):
+    # a = pi, nu = 0, slice j = 1 (mu_1 = 1): lambda_k = -k^4 - 2 k^2
+    spec = spec_box_pi()
+    u0 = np.linspace(1.0, -0.5, 16)
+    T = 0.1
+    _, rep = synthesize_point_control(
+        u0, T, SQRT2_MINUS_1, spec, 1, K_trunc=8, estimate=est_sqrt2
+    )
+    k = np.arange(1, 9)
+    gain = math.sqrt(2.0 / math.pi) * np.sin(k * math.pi * (math.sqrt(2.0) - 1.0))
+    expect = -np.exp((-(k**4) - 2.0 * k**2) * T) * u0[:8] / gain
+    np.testing.assert_allclose(rep.targets, expect, rtol=1e-12, atol=0)
+    assert rep.T0_hat == est_sqrt2.T0_hat
+    assert rep.threshold == (1.0 + DEFAULT_MARGIN) * est_sqrt2.T0_hat
+    _, boundary = synthesize_boundary_control(u0, T, spec, 1, K_trunc=8)
+    assert boundary.T0_hat is None and boundary.threshold is None
 
 
 def test_cost_grows_as_T_shrinks(est_sqrt2):
