@@ -25,7 +25,7 @@ from .biorthogonal import K_BIO_MAX
 from .boundary_1d import DEFAULT_K_TRUNC
 from .errors import BadRho, BetaTooSmall, ConfigError, ThresholdBeyondTruncation
 from .exact import parse_length, parse_rational
-from .lebeau_robbiano import DEFAULT_RHO, BoundaryGamma, InternalPoint, omega_axes
+from .lebeau_robbiano import BoundaryGamma, InternalPoint, omega_axes
 from .lebeau_robbiano import check_schedule
 from .nonlinear import (
     DEFAULT_C_COST,
@@ -36,8 +36,8 @@ from .nonlinear import (
     WeightPair,
 )
 from .pointwise import DEFAULT_K_MAX, DEFAULT_MARGIN, LIOUVILLE_RULES, PointSpec
-from .spectrum import DEFAULT_CRIT_TOL, DEFAULT_J_Y, DEFAULT_K_X, Box, External, SpectrumSpec
-from .spectrum import load_external_eigenvalues
+from .spectrum import DEFAULT_CRIT_TOL, DEFAULT_J_Y, DEFAULT_K_X, MAX_MODES, Box, External
+from .spectrum import SpectrumSpec, load_external_eigenvalues
 
 REQUIRED = object()
 
@@ -250,7 +250,7 @@ _SLICE_CONTROL = {
 _SPLITTING = {
     "T": (_positive, REQUIRED),
     "u0_modes": (_modes, REQUIRED),
-    "rho": (_schedule("rho", _number()), DEFAULT_RHO),
+    "rho": (_schedule("rho", _number()), None),  # unset: lebeau_robbiano.default_rho
     "beta": (_schedule("beta", _integer()), None),
     "geometry": (_geometry, BoundaryGamma()),
 }
@@ -260,8 +260,8 @@ _FIELDS = {
         "a": (_literal(parse_length, "a positive length or length literal", True), REQUIRED),
         "nu": (_literal(parse_rational, "a finite number or rational literal"), REQUIRED),
         "cross_section": (_cross_section, REQUIRED),
-        "K_x": (_integer(), DEFAULT_K_X),
-        "J_y": (_integer(), DEFAULT_J_Y),
+        "K_x": (_integer(1, MAX_MODES), DEFAULT_K_X),
+        "J_y": (_integer(1, MAX_MODES), DEFAULT_J_Y),
         "crit_tol": (_positive, DEFAULT_CRIT_TOL),
     },
     "spectrum": {},

@@ -131,6 +131,11 @@ def default_beta(spec: SpectrumSpec) -> int:
     return max(2 * K0_index(spec), 4)
 
 
+def default_rho(spec: SpectrumSpec) -> float:
+    """DEFAULT_RHO / (N-1): 0.5 on a 2-D strip, inside (0, 1/(N-1)) on every cylinder."""
+    return DEFAULT_RHO / spec.n_cross_dims
+
+
 # ---------------------------------------------------------------------------
 # mass matrices on omega
 # ---------------------------------------------------------------------------
@@ -388,7 +393,7 @@ def run_lr(
     T: float,
     spec: SpectrumSpec,
     geometry,
-    rho: float = DEFAULT_RHO,
+    rho: Optional[float] = None,
     beta: Optional[int] = None,
     source: Optional[ModalSource] = None,
     margin: float = DEFAULT_MARGIN,
@@ -416,6 +421,7 @@ def run_lr(
     if isinstance(geometry, InternalPoint):
         x0 = _resolve_x0(geometry.point, spec, margin, gate=False)
 
+    rho = rho if rho is not None else default_rho(spec)
     beta = beta if beta is not None else default_beta(spec)
     schedule = build_schedule(T, rho, beta, spec)
     tensor = isinstance(geometry, BoundaryGamma) and geometry.omega is None

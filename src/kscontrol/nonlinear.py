@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NoContraction, StepUnconverged
-from .lebeau_robbiano import DEFAULT_RHO, BoundaryGamma, LRRunResult, run_lr
+from .lebeau_robbiano import BoundaryGamma, LRRunResult, run_lr
 from .modal import ControlStepper, ModalSource, Trace, nonlinear_rhs, rhs_operator, state_nd
 from .spectrum import SpectrumSpec, line_fit, require_clear
 
@@ -90,7 +90,7 @@ class WeightPair:
 
 
 def fit_cost_constant(spec: SpectrumSpec, geometry=None, T_grid=(0.25, 0.5, 1.0),
-                      rho: float = DEFAULT_RHO, beta: Optional[int] = None) -> dict:
+                      rho: Optional[float] = None, beta: Optional[int] = None) -> dict:
     """Fit log total control norm ~ C / T over frequency-splitting runs.
 
     Worst case over the first few basis modes; the slope is the empirical
@@ -151,7 +151,7 @@ def controlled_solve_with_source(
     T: float,
     spec: SpectrumSpec,
     geometry=None,
-    rho: float = DEFAULT_RHO,
+    rho: Optional[float] = None,
     beta: Optional[int] = None,
     grid: Optional[np.ndarray] = None,
     weights: Optional[WeightPair] = None,
@@ -219,7 +219,7 @@ def fixed_point(
     geometry=None,
     tol: float = 1e-9,
     max_iter: int = DEFAULT_MAX_ITER,
-    rho: float = DEFAULT_RHO,
+    rho: Optional[float] = None,
     beta: Optional[int] = None,
     weights: Optional[WeightPair] = None,
     r_guess: Optional[float] = None,

@@ -1,7 +1,11 @@
 """Deterministic CSV/JSON writers for run artifacts.
 
 Floats are rendered with repr-faithful %.17g so identical runs are
-byte-identical; dict keys are sorted.  Layouts:
+byte-identical; dict keys are sorted.  Each array file (trace, observation,
+control) is written with one row template, ``%d`` for an index column and
+``%.17g`` for a value, applied once with ``%`` to all of its fields; the
+small row tables go through `write_csv`, which formats field by field with
+`fmt`.  Both give the same bytes for the same values.  Layouts:
 
 * state/trace CSV: ``t,k,j,coeff`` long format (j=0 for 1-D states)
 * observation CSV: ``t,norm,obs_boundary[,obs_point]``
@@ -51,31 +55,45 @@ def _jsonable(obj):
     return obj
 
 
-def trace_rows(trace):
-    rows = []
-    for t, coeffs in zip(trace.times, trace.coeffs):
-        if coeffs.ndim == 1:
-            for k, v in enumerate(coeffs, start=1):
-                rows.append((t, k, 0, v))
-        else:
-            for k in range(coeffs.shape[0]):
-                for j in range(coeffs.shape[1]):
-                    rows.append((t, k + 1, j + 1, coeffs[k, j]))
-    return rows
+def _write_columns(path, header, columns):
+    """``header``, then one line per row of equal-length ``columns``.
+
+    The whole file is one row template applied once with ``%``: ``%d`` for an
+    integer column and ``%.17g`` for any other, the same conversion `fmt`
+    makes field by field, so the bytes are the same as `write_csv`'s.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0])
+    template = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    flat = [None] * (n * len(columns))
+    for i, col in enumerate(columns):
+        flat[i::len(columns)] = col.tolist()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write((template * n) % tuple(flat))
 
 
 def write_trace_csv(path, trace):
-    write_csv(path, ["t", "k", "j", "coeff"], trace_rows(trace))
+    """One row per (time, k, j); j = 0 for a 1-D state."""
+    c = trace.coeffs
+    n, K = c.shape[:2]
+    J = c.shape[2] if c.ndim == 3 else 1
+    k, j = np.indices((K, J)).reshape(2, -1)
+    _write_columns(path, ["t", "k", "j", "coeff"], [
+        np.repeat(trace.times, K * J),
+        np.tile(k + 1, n),
+        np.tile(j + 1 if c.ndim == 3 else j, n),
+        c.ravel(),
+    ])
 
 
 def write_observation_csv(path, series):
     header = ["t", "norm", "obs_boundary"]
-    cols = [series["t"], series["norm"], np.atleast_1d(series["boundary"])]
+    cols = [series["t"], series["norm"], series["boundary"]]
     if "point" in series:
         header.append("obs_point")
         cols.append(series["point"])
-    rows = list(zip(*cols))
-    write_csv(path, header, rows)
+    _write_columns(path, header, cols)
 
 
 def write_control_csv(path, signal, n_samples: int = 1024):
@@ -83,14 +101,13 @@ def write_control_csv(path, signal, n_samples: int = 1024):
     grid = np.linspace(signal.t_start, signal.t_end, n_samples + 1)
     vals = signal.value_at(grid)
     if vals.ndim == 1:
-        write_csv(path, ["t", "q"], list(zip(grid, vals)))
+        _write_columns(path, ["t", "q"], [grid, vals])
     else:
         # y-expanded signals: one row per (time, y-mode) pair
-        rows = []
-        for t, row in zip(grid, vals):
-            for j, v in enumerate(row, start=1):
-                rows.append((t, j, v))
-        write_csv(path, ["t", "j", "value"], rows)
+        rows = vals.shape[1]
+        j = np.arange(1, rows + 1)
+        _write_columns(path, ["t", "j", "value"],
+                       [np.repeat(grid, rows), np.tile(j, len(grid)), vals.ravel()])
 
 
 def hash_file(path) -> str:

@@ -108,7 +108,12 @@ def legendre_mode_integrals(lam, degree: int, delta: float):
     p = np.arange(degree + 1)
     out = np.empty((len(lam), degree + 1))
     z = -lam * delta / 2.0
-    for i, zi in enumerate(z):
+    # decaying modes, all at once: e^{-z} i_p(z) is scipy's ive up to the half-order factor
+    decaying = z >= 1e-6
+    zd = z[decaying][:, None]
+    out[decaying] = delta * (sps.ive(p + 0.5, zd) * np.sqrt(np.pi / (2.0 * zd)))
+    for i in np.flatnonzero(~decaying):
+        zi = z[i]
         if abs(zi) < 1e-6:
             row = np.zeros(degree + 1)
             row[0] = 1.0 + zi * zi / 6.0
@@ -117,10 +122,6 @@ def legendre_mode_integrals(lam, degree: int, delta: float):
             if degree >= 2:
                 row[2] = zi * zi / 15.0
             out[i] = delta * math.exp(-zi) * row
-        elif zi > 0:
-            # decaying mode: e^{-z} i_p(z) is scipy's ive up to the half-order factor
-            scaled = sps.ive(p + 0.5, zi) * math.sqrt(math.pi / (2.0 * zi))
-            out[i] = delta * scaled
         else:
             # growing mode (small positive rates only): direct evaluation
             vals = np.array([float(sps.spherical_in(int(n), -zi)) for n in p])

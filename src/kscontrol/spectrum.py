@@ -38,6 +38,10 @@ from .exact import ExactLength, ExactScalar, parse_length, parse_rational
 
 DEFAULT_K_X = 32
 DEFAULT_J_Y = 64
+#: largest K_x or J_y a config may ask for (the largest in tests and demos is 256)
+MAX_MODES = 4096
+#: largest index cube `Box.eigenpairs` enumerates; (pi, 2 pi, pi/3) at J_y = 30 needs 5.9e6
+MAX_BOX_TUPLES = 10**7
 DEFAULT_CRIT_TOL = 1e-9
 #: two rates closer than this times the family's largest coincide
 DUPLICATE_REL_TOL = 1e-12
@@ -89,8 +93,12 @@ class Box:
             raise ValueError("count must be >= 1")
         bvals = self.lengths
         # Any tuple with some m_i > cap has mu > (cap*pi/max_b)^2 >= the count-th
-        # value along the shortest axis, so the cap below is exhaustive.
-        cap = max(2, int(math.ceil(count * max(bvals) / min(bvals))) + 1)
+        # value along the shortest axis, so the cap below is exhaustive.  The
+        # clamp keeps an astronomical side ratio finite for the size check.
+        cap = max(2, math.ceil(min(count * max(bvals) / min(bvals), MAX_BOX_TUPLES)) + 1)
+        if cap ** len(bvals) > MAX_BOX_TUPLES:
+            raise ValueError(f"box {list(self.dims)} needs more than {MAX_BOX_TUPLES:.0e} index "
+                             f"tuples for {count} eigenvalues; use closer sides or a smaller J_y")
         cube = itertools.product(range(1, cap + 1), repeat=len(bvals))
         keyed = ((sum((m * math.pi / b) ** 2 for m, b in zip(tup, bvals)), tup) for tup in cube)
         kept = heapq.nsmallest(count, keyed)

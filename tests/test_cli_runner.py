@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kscontrol.cli import main as cli_main
 from kscontrol.config import _FIELDS, ConfigError, parse_config_dict
+from kscontrol.lebeau_robbiano import default_rho
 from kscontrol.runner import run_scenario
 from kscontrol.serialize import hash_dir
 from kscontrol.spectrum import critical_set_check
@@ -358,6 +359,12 @@ BAD_INPUTS = [
     ("external-infinite", _demo("control_1d.json", "domain.cross_section",
                                 {"external": [1.0, math.inf, math.inf, math.inf]}),
      "domain.cross_section.external"),
+    # sizes: at most MAX_MODES modes per axis, and a box enumeration of at most
+    # MAX_BOX_TUPLES index tuples
+    ("K_x-astronomical", _demo("control_1d.json", "domain.K_x", 10**400), "domain.K_x"),
+    ("J_y-beyond-max-modes", _demo("control_1d.json", "domain.J_y", 4097), "domain.J_y"),
+    ("box-sides-astronomically-apart", _demo("control_1d.json", "domain.cross_section",
+                                             {"box": ["pi", 1e-300]}), "domain"),
 ]
 
 
@@ -399,3 +406,26 @@ def test_one_bad_field_parses_or_names_its_path(target, value):
         parse_config_dict(_demo(name, path, value))
     except ConfigError as exc:
         assert exc.field.startswith(path), (exc.field, path, value)
+
+
+# ---------------------------------------------------------------------------
+# defaults that depend on the domain
+# ---------------------------------------------------------------------------
+
+def test_unset_rho_fits_a_3d_cylinder(tmp_path):
+    # unset, rho is DEFAULT_RHO / (N - 1): 0.5 on the strip, 0.25 on a 3-D cylinder,
+    # whose range is (0, 1/2)
+    assert default_rho(parse_config_dict(_demo("control_nd.json", "control_nd.rho",
+                                               _MISSING)).spec) == 0.5
+    cfg = _demo("control_nd.json", "control_nd.rho", _MISSING)
+    cfg["domain"].update(cross_section={"box": ["pi", "pi"]}, J_y=8)
+    cfg["control_nd"]["geometry"] = {"boundary": {"omega": [[0.3, 1.2], [0.5, 2.0]]}}
+    cfg["output"] = {"dir": str(tmp_path / "runs")}
+    cfg_path = tmp_path / "nd3.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["control-nd", "--config", str(cfg_path)]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert manifest["schedule"]["rho"] == 0.25
+    assert manifest["final_rel_norm"] < 1e-12

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sps
 from scipy.integrate import quad
 
 from kscontrol.errors import QuadratureUnderResolved
@@ -77,6 +78,44 @@ def test_legendre_mode_integrals_vs_quadrature():
                 limit=400,
             )
             assert I[p] == pytest.approx(val, rel=1e-9, abs=1e-13)
+
+
+def _legendre_rows_one_by_one(lam, degree, delta):
+    """legendre_mode_integrals evaluated one rate at a time (the oracle)."""
+    p = np.arange(degree + 1)
+    out = np.empty((len(lam), degree + 1))
+    for i, zi in enumerate(-np.asarray(lam, dtype=float) * delta / 2.0):
+        if abs(zi) < 1e-6:
+            row = np.zeros(degree + 1)
+            row[0] = 1.0 + zi * zi / 6.0
+            if degree >= 1:
+                row[1] = zi / 3.0
+            if degree >= 2:
+                row[2] = zi * zi / 15.0
+            out[i] = delta * math.exp(-zi) * row
+        elif zi > 0:
+            out[i] = delta * (sps.ive(p + 0.5, zi) * math.sqrt(math.pi / (2.0 * zi)))
+        else:
+            vals = np.array([float(sps.spherical_in(int(n), -zi)) for n in p])
+            out[i] = delta * math.exp(-zi) * np.where(p % 2 == 0, 1.0, -1.0) * vals
+    return out
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 31])
+@pytest.mark.parametrize("delta", [0.3, 2.0, 0.0125])
+def test_legendre_mode_integrals_bitwise_match_row_by_row(degree, delta):
+    # decaying, |z| < 1e-6 and growing rates interleaved; at delta = 2,
+    # lam = -1e-6 puts z exactly on the 1e-6 edge of the decaying branch
+    lam = [0.0, 1e-9, -1e-9, 0.5, -1e-3, 3.0, -1e-6, -0.7, -12.5, -1e-7,
+           -40.0, -333.3, 2.5e-7, -1200.0, -5e3]
+    got = legendre_mode_integrals(lam, degree=degree, delta=delta)
+    want = _legendre_rows_one_by_one(lam, degree, delta)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # only decaying rows, and only growing or tiny ones
+    for sub in ([-1e-3, -5e3, -0.7], [0.0, 1e-9, 3.0]):
+        assert (legendre_mode_integrals(sub, degree=degree, delta=delta).tobytes()
+                == _legendre_rows_one_by_one(sub, degree, delta).tobytes())
 
 
 def test_exp_segment_duhamel_vs_quadrature():
