@@ -17,9 +17,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
-from mpmath.libmp import NoConvergence
 
 from .biorthogonal import K_BIO_MAX
 from .boundary_1d import DEFAULT_K_TRUNC
@@ -176,6 +174,9 @@ def parse_point(d, path, spec=None, params=None) -> PointSpec:
         _require(isinstance(v, str) and v in LIOUVILLE_RULES, sub,
                  f"unknown rule; available: {sorted(LIOUVILLE_RULES)}")
         point = PointSpec.liouville(v, **opts)
+    import mpmath as mp
+    from mpmath.libmp import NoConvergence
+
     try:
         with mp.workdps(point.dps + 20):
             point.value()

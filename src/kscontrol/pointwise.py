@@ -30,14 +30,16 @@ import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import mpmath as mp
 import numpy as np
 
 from .boundary_1d import DEFAULT_K_TRUNC, _synthesize_1d
 from .errors import BelowMinimalTime, NoWitnessFound, RationalPoint
 from .spectrum import SpectrumSpec, require_clear
+
+if TYPE_CHECKING:  # imported where used: most runs never read a point
+    import mpmath as mp
 
 DEFAULT_K_MAX = 10_000
 DEFAULT_MARGIN = 0.10
@@ -108,12 +110,16 @@ class PointSpec:
     def value(self) -> mp.mpf:
         """x0/a at the rule's working precision (mp.dps must already be set); ValueError
         unless it lies in (0, 1)."""
+        import mpmath as mp
+
         z = self._ratio()
         if not 0 < z < 1:
             raise ValueError(f"x0/a = {mp.nstr(z, 8)} must lie in (0, 1)")
         return z
 
     def _ratio(self) -> mp.mpf:
+        import mpmath as mp
+
         if self.kind == "rational":
             fr = self.data[0]
             return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
@@ -197,6 +203,8 @@ def _neg_log_sin_scan(ratio: Fraction, k_max: int):
     suffices; near them the logarithm is taken in mp at 128 bits
     (|log sin(pi d)| = |log(pi d)| + O(d^2)).
     """
+    import mpmath as mp
+
     P, Q = ratio.numerator, ratio.denominator
     near = Q // 10**8  # D > near  <=>  D/Q > 1e-8
     with mp.workprec(Q.bit_length()):
@@ -225,6 +233,8 @@ def minimal_time_estimate(point: PointSpec, a: float = math.pi,
     Raises RationalPoint for rational x0/a (some sine vanishes exactly and
     pointwise control is impossible).
     """
+    import mpmath as mp
+
     if point.is_rational:
         raise RationalPoint("x0/a is rational: pointwise control impossible")
     km = k_max if k_max is not None else point.k_max

@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy import special as sps
 
 # Sign of the boundary input as seen by the modal ODE: frozen once by the
 # duality calibration test in tests/test_modal.py.  With orthonormal sines
@@ -103,7 +102,15 @@ def legendre_mode_integrals(lam, degree: int, delta: float):
     Via int_{-1}^{1} e^{z tau} P_p(tau) dtau = 2 i_p(z) (modified spherical
     Bessel), with the exponentially scaled form for stability at large decay
     rates.  Returns array (len(lam), degree + 1).
+
+    scipy is imported here, not at module level: its import costs several
+    times numpy's, and most runs never evaluate a Legendre segment.  A new
+    use of scipy in the package imports it inside the function that needs
+    it, likewise (tests/test_cli_runner.py checks that importing the CLI
+    leaves scipy unloaded).
     """
+    from scipy import special as sps
+
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     p = np.arange(degree + 1)
     out = np.empty((len(lam), degree + 1))

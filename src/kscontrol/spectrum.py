@@ -40,6 +40,9 @@ DEFAULT_K_X = 32
 DEFAULT_J_Y = 64
 #: largest K_x or J_y a config may ask for (the largest in tests and demos is 256)
 MAX_MODES = 4096
+#: largest K_x * J_y: a spectrum run writes one modes.csv row per (k, j) mode
+#: (the largest in tests, demos and the benchmark is 16 x 128)
+MAX_MODE_COUNT = 2**20
 #: largest index cube `Box.eigenpairs` enumerates; (pi, 2 pi, pi/3) at J_y = 30 needs 5.9e6
 MAX_BOX_TUPLES = 10**7
 DEFAULT_CRIT_TOL = 1e-9
@@ -188,6 +191,9 @@ class SpectrumSpec:
     def __post_init__(self):
         if self.K_x < 1 or self.J_y < 1:
             raise ValueError("truncation orders must be >= 1")
+        if self.K_x * self.J_y > MAX_MODE_COUNT:
+            raise ValueError(f"K_x * J_y = {self.K_x * self.J_y} exceeds "
+                             f"{MAX_MODE_COUNT} modes (spectrum.MAX_MODE_COUNT)")
         if self.crit_tol <= 0:
             raise ValueError("crit_tol must be positive")
         self._a_exact = parse_length(self.a)

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -359,10 +361,12 @@ BAD_INPUTS = [
     ("external-infinite", _demo("control_1d.json", "domain.cross_section",
                                 {"external": [1.0, math.inf, math.inf, math.inf]}),
      "domain.cross_section.external"),
-    # sizes: at most MAX_MODES modes per axis, and a box enumeration of at most
-    # MAX_BOX_TUPLES index tuples
+    # sizes: at most MAX_MODES modes per axis, MAX_MODE_COUNT modes in all, and a
+    # box enumeration of at most MAX_BOX_TUPLES index tuples
     ("K_x-astronomical", _demo("control_1d.json", "domain.K_x", 10**400), "domain.K_x"),
     ("J_y-beyond-max-modes", _demo("control_1d.json", "domain.J_y", 4097), "domain.J_y"),
+    ("modes-beyond-max-mode-count",
+     {"task": "spectrum", "domain": base_domain(K_x=2048, J_y=2048)}, "domain"),
     ("box-sides-astronomically-apart", _demo("control_1d.json", "domain.cross_section",
                                              {"box": ["pi", 1e-300]}), "domain"),
 ]
@@ -429,3 +433,45 @@ def test_unset_rho_fits_a_3d_cylinder(tmp_path):
     assert manifest["status"] == "ok"
     assert manifest["schedule"]["rho"] == 0.25
     assert manifest["final_rel_norm"] < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the paper's nonlinear setting: control on {0} x omega, omega a strict subset
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["nonlinear_omega.json", "nonlinear_3d.json"])
+def test_strict_omega_nonlinear_config_meets_c10a(tmp_path, name):
+    # c10a's bar on N = 2 and N = 3, through ksctl; the Gramian phases evaluate
+    # Legendre integrals, so this also runs the deferred scipy import end to end
+    cfg = json.loads((DEMO_CONFIGS / name).read_text())
+    cfg["output"] = {"dir": str(tmp_path / "runs")}
+    cfg_path = tmp_path / name
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["nonlinear", "--config", str(cfg_path)]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    ver = json.loads((run_dir / "verification.json").read_text())
+    assert ver["stop_reason"] == "tol"
+    assert ver["ratios"] and all(r < 0.9 for r in ver["ratios"])
+    assert ver["nonlinear_final_rel"] <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+# ---------------------------------------------------------------------------
+
+def test_cli_import_leaves_scipy_and_mpmath_unloaded():
+    # scipy costs several times numpy's import and is needed only by Legendre
+    # integrals, mpmath only by pointwise actuators, so each is imported inside
+    # the functions that use it.  A fresh interpreter is needed: this one has
+    # both loaded by the tests.
+    import kscontrol
+
+    src = str(pathlib.Path(kscontrol.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "import kscontrol.config, kscontrol.runner, kscontrol.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
