@@ -99,7 +99,7 @@ def _synthesize_1d(u0, T: float, spec: SpectrumSpec, j: int, K_trunc: int,
     rates = rates_full[:K_trunc]
     targets = -np.exp(rates * T) * u0[:K_trunc] / x_gain(spec, x0, len(u0))[:K_trunc]
     sol = MomentSolver(rates, T).solve(targets)
-    control = ControlSignal([sol.reversed_segment(0.0)], x0=x0)
+    control = ControlSignal(sol.reversed_segment(0.0), x0=x0)
     report = SynthesisReport(
         control_norm=control.norm_l2(),
         moment_residual_max=sol.residual_max,

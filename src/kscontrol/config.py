@@ -33,9 +33,10 @@ from .nonlinear import (
     MIN_SIM_STEPS,
     WeightPair,
 )
-from .pointwise import DEFAULT_K_MAX, DEFAULT_MARGIN, LIOUVILLE_RULES, PointSpec
-from .spectrum import DEFAULT_CRIT_TOL, DEFAULT_J_Y, DEFAULT_K_X, MAX_MODES, Box, External
-from .spectrum import SpectrumSpec, load_external_eigenvalues
+from .pointwise import DEFAULT_K_MAX, DEFAULT_MARGIN, LIOUVILLE_RULES, MAX_ALGEBRAIC_DEGREE
+from .pointwise import MAX_LIOUVILLE_DEPTH, PointSpec
+from .spectrum import DEFAULT_CRIT_TOL, DEFAULT_J_Y, DEFAULT_K_X, MAX_K_MAX, MAX_MODES, MAX_SIM_STEPS
+from .spectrum import MAX_TRACE_ROWS, Box, External, SpectrumSpec, load_external_eigenvalues
 
 REQUIRED = object()
 
@@ -76,9 +77,9 @@ def _is_number(v):  # finite, and an integer too large for a float is not
 # ---------------------------------------------------------------------------
 
 def _integer(lo=1, hi=None):
-    """Integer in [lo, hi]; ``hi`` may be a function of the spec."""
+    """Integer in [lo, hi]; ``hi`` may be a function of (spec, params)."""
     def check(v, path, spec, params):
-        top = hi(spec) if callable(hi) else hi
+        top = hi(spec, params) if callable(hi) else hi
         _require(_is_int(v) and lo <= v <= (math.inf if top is None else top), path,
                  f"must be an integer >= {lo}" + ("" if top is None else f" and <= {top}"))
         return v
@@ -143,8 +144,9 @@ def _modes(v, path, spec, params):
     return u0
 
 
-# point kind -> its optional integer fields and their lower bounds
-_POINT_KINDS = {"rational": {}, "real": {}, "algebraic": {"root_index": 0}, "liouville": {"depth": 1}}
+# point kind -> its optional integer fields and their (lower, upper) bounds
+_POINT_KINDS = {"rational": {}, "real": {}, "algebraic": {"root_index": (0, None)},
+                "liouville": {"depth": (1, MAX_LIOUVILLE_DEPTH)}}
 
 
 def parse_point(d, path, spec=None, params=None) -> PointSpec:
@@ -155,8 +157,8 @@ def parse_point(d, path, spec=None, params=None) -> PointSpec:
     kind = kinds[0]
     _known_keys(d, {kind, *_POINT_KINDS[kind]}, path)
     v, sub = d[kind], f"{path}.{kind}"
-    opts = {k: _integer(lo)(d[k], f"{path}.{k}", spec, params)
-            for k, lo in _POINT_KINDS[kind].items() if k in d}
+    opts = {k: _integer(*bounds)(d[k], f"{path}.{k}", spec, params)
+            for k, bounds in _POINT_KINDS[kind].items() if k in d}
     if kind == "rational":
         try:
             num, den = (int(s) for s in str(v).split("/"))
@@ -166,8 +168,9 @@ def parse_point(d, path, spec=None, params=None) -> PointSpec:
     elif kind == "real":
         point = PointSpec.real(v)
     elif kind == "algebraic":
-        _require(isinstance(v, list) and len(v) >= 2 and all(map(_is_int, v)), sub,
-                 "integer polynomial coefficients, highest degree first")
+        _require(isinstance(v, list) and 2 <= len(v) <= MAX_ALGEBRAIC_DEGREE + 1
+                 and all(map(_is_int, v)), sub,
+                 f"integer coefficients, highest degree first, of degree 1 to {MAX_ALGEBRAIC_DEGREE}")
         point = PointSpec.algebraic(v, **opts)
         sub = f"{path}.root_index" if opts else sub
     else:
@@ -241,7 +244,7 @@ def _schedule(name, base):
     return check
 
 
-_J = (_integer(1, lambda spec: spec.J_y), 1)
+_J = (_integer(1, lambda spec, params: spec.J_y), 1)
 _SLICE_CONTROL = {
     "j": _J,
     "T": (_positive, REQUIRED),
@@ -274,7 +277,7 @@ _FIELDS = {
         "point": (parse_point, REQUIRED),
         "margin": (_number(0.0), DEFAULT_MARGIN),
     },
-    "minimal_time": {"point": (parse_point, REQUIRED), "k_max": (_integer(), DEFAULT_K_MAX)},
+    "minimal_time": {"point": (parse_point, REQUIRED), "k_max": (_integer(1, MAX_K_MAX), DEFAULT_K_MAX)},
     "control_nd": _SPLITTING,
     "nonlinear": {
         **_SPLITTING,
@@ -283,7 +286,7 @@ _FIELDS = {
         "C_cost": (_number(), DEFAULT_C_COST),
         "tol": (_positive, 1e-6),
         "max_iter": (_integer(), DEFAULT_MAX_ITER),
-        "sim_steps": (_integer(lo=MIN_SIM_STEPS), DEFAULT_SIM_STEPS),
+        "sim_steps": (_integer(MIN_SIM_STEPS, MAX_SIM_STEPS), DEFAULT_SIM_STEPS),
         "r_guess": (_positive, None),
     },
     "simulate": {
@@ -291,7 +294,8 @@ _FIELDS = {
         "T": (_positive, 1.0),
         "u0_modes": (_modes, None),
         "random_modes": (_integer(), 4),
-        "n_samples": (_integer(2), 129),
+        "n_samples": (_integer(2, lambda spec, params: MAX_TRACE_ROWS // (  # a row per mode
+            spec.K_x * (spec.J_y if params["j"] is None else 1))), 129),
     },
 }
 TASKS = tuple(section.replace("_", "-") for section in list(_FIELDS)[1:])
@@ -332,10 +336,15 @@ def parse_config_dict(raw: dict) -> Scenario:
     section = task.replace("-", "_")
     _known_keys(raw, {"task", "seed", "domain", "output", section}, "")
     _require("domain" in raw, "domain", "missing required section")
+    domain = _resolve("domain", raw["domain"], None)
     try:
-        spec = SpectrumSpec(**_resolve("domain", raw["domain"], None))
+        spec = SpectrumSpec(**domain)
     except (ValueError, TypeError) as exc:
-        raise ConfigError("domain", str(exc))
+        try:  # a domain that builds with one cross-section mode has too many of them
+            SpectrumSpec(**dict(domain, J_y=1))
+        except (ValueError, TypeError):
+            raise ConfigError("domain", str(exc))
+        raise ConfigError("domain.J_y", str(exc))
     if task == "nonlinear":  # the quadratic term needs the cross-section's eigenfunctions
         try:
             spec.box_axes("the nonlinear task")

@@ -271,7 +271,7 @@ def _slice_moment_control(end_free: np.ndarray, slices, spec: SpectrumSpec,
         t0=t0, t1=t1,
         exponents=np.concatenate(exps), refs=np.concatenate(refs), coeffs=np.vstack(blocks),
     )
-    return ControlSignal([segment], x0=x0, mass=np.eye(rows, spec.J_y))
+    return ControlSignal(segment, x0=x0, mass=np.eye(rows, spec.J_y))
 
 
 @dataclass
@@ -340,7 +340,7 @@ def active_phase_gramian(
     theta = (theta_tilde * D_full).reshape(rows, P)
 
     seg = LegendreSegment(t0=t0, t1=t1, coeffs=theta.T.copy())
-    sig = ControlSignal([seg], x0=x0, mass=M)
+    sig = ControlSignal(seg, x0=x0, mass=M)
     report = GramianReport(
         gamma=gamma_eff, n_killed=n_killed,
         min_eig=sv_min**2, max_eig=sv_max**2, lstsq_residual=resid,

@@ -2,8 +2,9 @@
 
 States are modal coefficient arrays in the orthonormal sine basis: a vector
 (K,) for 1-D problems, a matrix (K_x, J_y) on the cylinder.  The linear flow
-is diagonal, so every evolution step is an exact exponential update; controls
-enter through the closed-form Duhamel integrals of their analytic segments.
+is diagonal, so every evolution step is an exact exponential update; a
+control enters through the closed-form Duhamel integral of its analytic
+segment.
 Sources are piecewise linear in time and integrated exactly by phi1/phi2
 updates.
 
@@ -161,19 +162,19 @@ class ControlStepper:
     Built once per signal and reused for every step: the x gain and the
     row-to-mode ``mass`` are resolved once, and e^{lam h} and the Legendre
     mode integrals are cached per distinct step length h.  Two forcings of a
-    step inside one segment:
+    step inside the signal's window:
 
     * `forcing` evaluates the segment's `mode_duhamel` at the step's absolute
       times, then applies ``mass`` and the gain.  `evolve_controlled` uses
       it, so syntheses keep their arithmetic bit for bit.
-    * `step_forcing`, the closed-loop replay's, also caches each exponential
+    * `step_forcing`, the closed-loop replay's, also caches an exponential
       segment's Duhamel block per h, with step-anchored references: each
       exponential is referenced to the step's start if it decays and to the
       step's end if it grows.  The block already holds the gain, ``mass`` and
       the segment's coefficients, so a step starting at t0 costs the scale
       vector e^{b (t0 + rho h - r)} (rho = 1 for growing b, else 0; entries
       <= 1 under the reference discipline of `signals`) and one
-      matrix-vector product.  Legendre segments take `forcing`.  On the
+      matrix-vector product.  A Legendre segment takes `forcing`.  On the
       ``nonlinear-tensor`` benchmark (2-core VM, reference CPU speed) a
       replay on `forcing` alone has a median ``wall_s`` of 0.62 s, one on
       the block 0.39 s, against 0.77 s for a replay that called
@@ -184,12 +185,11 @@ class ControlStepper:
         self.control = control
         self.rates = state.rates
         self._lam = state.rates.ravel()
-        self._cache = {}  # ("grow", h), ("legendre", degree, h), ("block", segment index, h)
+        self._cache = {}  # ("grow", h), ("legendre", degree, h), ("block", h)
         if control is not None:
             # the modal forcing is outer(x gain, mass.T @ w(t)), or x gain * w(t) in 1-D
             self._x_gain = x_gain(state.spec, control.x0, state.coeffs.shape[0])
             self._mass = control.mass
-            self._ends = np.array([seg.t1 for seg in control.segments])
 
     def growth(self, h: float) -> np.ndarray:
         """e^{lam h}, cached per step length."""
@@ -197,38 +197,8 @@ class ControlStepper:
 
     def forcing(self, t0: float, t1: float) -> np.ndarray:
         """int_{t0}^{t1} e^{lam (t1 - s)} (modal input of the control)(s) ds
-        over a step inside one segment, evaluated at absolute times."""
-        return self._segment_forcing(self.control._segment_for(0.5 * (t0 + t1))[1], t0, t1)
-
-    def step_forcing(self, t0: float, t1: float) -> np.ndarray:
-        """The same integral by the step-anchored block of an exponential
-        segment, cached per step length."""
-        i, seg = self.control._segment_for(0.5 * (t0 + t1))
-        if isinstance(seg, LegendreSegment):
-            return self._segment_forcing(seg, t0, t1)
-        h = t1 - t0
-        block = self._cached(("block", i, h), lambda: self._anchored_block(seg, h))
-        anchor = np.where(seg.exponents > 0, t1, t0)
-        return (block @ np.exp(seg.exponents * (anchor - seg.refs))).reshape(self.rates.shape)
-
-    def advance(self, coeffs: np.ndarray, t0: float, t1: float) -> np.ndarray:
-        """The replay's exact controlled flow of ``coeffs`` over [t0, t1],
-        split at any segment endpoint inside the step."""
-        if self.control is None:
-            return coeffs * self.growth(t1 - t0)
-        inner = self._ends[(self._ends > t0 + 1e-14) & (self._ends < t1 - 1e-14)]
-        for a, b in zip((t0, *inner), (*inner, t1)):
-            coeffs = coeffs * self.growth(b - a) + self.step_forcing(a, b)
-        return coeffs
-
-    def _cached(self, key, build):
-        out = self._cache.get(key)
-        if out is None:
-            out = self._cache[key] = build()
-        return out
-
-    def _segment_forcing(self, seg, t0: float, t1: float) -> np.ndarray:
-        lam = self.rates
+        over a step inside the window, evaluated at absolute times."""
+        seg, lam = self.control.segment, self.rates
         if isinstance(seg, LegendreSegment):
             duh = seg.mode_duhamel(self._lam, t0, t1, integrals=self._legendre_integrals)
         else:
@@ -237,6 +207,30 @@ class ControlStepper:
             return duh.reshape(lam.shape) * (self._x_gain if lam.ndim == 1 else self._x_gain[:, None])
         duh3 = duh.reshape(lam.shape + (duh.shape[1],))
         return np.einsum("kjr,rj->kj", duh3, self._mass) * self._x_gain[:, None]
+
+    def step_forcing(self, t0: float, t1: float) -> np.ndarray:
+        """The same integral by the step-anchored block of an exponential
+        segment, cached per step length."""
+        seg = self.control.segment
+        if isinstance(seg, LegendreSegment):
+            return self.forcing(t0, t1)
+        h = t1 - t0
+        block = self._cached(("block", h), lambda: self._anchored_block(seg, h))
+        anchor = np.where(seg.exponents > 0, t1, t0)
+        return (block @ np.exp(seg.exponents * (anchor - seg.refs))).reshape(self.rates.shape)
+
+    def advance(self, coeffs: np.ndarray, t0: float, t1: float) -> np.ndarray:
+        """The replay's exact controlled flow of ``coeffs`` over a step
+        [t0, t1] inside the window."""
+        if self.control is None:
+            return coeffs * self.growth(t1 - t0)
+        return coeffs * self.growth(t1 - t0) + self.step_forcing(t0, t1)
+
+    def _cached(self, key, build):
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = build()
+        return out
 
     def _legendre_integrals(self, degree: int, h: float) -> np.ndarray:
         return self._cached(("legendre", degree, h),
@@ -252,12 +246,8 @@ class ControlStepper:
         return (duh.reshape(len(reduced), -1, len(b)) * reduced).reshape(duh.shape)
 
 
-def _breakpoints(t0, t1, control, source, record):
+def _breakpoints(t0, t1, source, record):
     pts = {t0, t1}
-    if control is not None:
-        for seg in control.segments:
-            pts.add(seg.t0)
-            pts.add(seg.t1)
     if source is not None:
         for t in source.times:
             pts.add(float(t))
@@ -290,22 +280,23 @@ def evolve_controlled(
 ):
     """Evolve over ``window`` under control and/or source, exactly per piece.
 
-    The window is cut at every segment endpoint, source time and record time,
-    and each piece is one exact update: diagonal flow, the control's
-    closed-form Duhamel integral through one `ControlStepper` built for this
-    call, and the phi1/phi2 update of the source.  Returns the end state, or
+    The window is cut at every source time and record time, and each piece
+    is one exact update: diagonal flow, the closed-form Duhamel integral of
+    the control's segment through one `ControlStepper` built for this call,
+    and the phi1/phi2 update of the source.  Returns the end state, or
     ``(state, Trace)`` when ``record`` times are given; a breakpoint within
-    1e-12 of a record time is recorded.  The control's segments must cover
-    the window.
+    1e-12 of a record time is recorded.  The control's segment must cover
+    the window: a control over several windows is evolved one signal at a
+    time.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not math.isclose(t0, state.time, rel_tol=0, abs_tol=1e-10):
         raise ValueError(f"window start {t0} != state time {state.time}")
     if control is not None and (control.t_start > t0 + 1e-12 or control.t_end < t1 - 1e-12):
-        raise ValueError("control segments do not cover the window")
+        raise ValueError("control segment does not cover the window")
     stepper = ControlStepper(state, control)
 
-    pts = _breakpoints(t0, t1, control, source, record)
+    pts = _breakpoints(t0, t1, source, record)
     keep = _recorded(pts, record) if record is not None else None
     lam = state.rates
     coeffs = state.coeffs

@@ -36,7 +36,7 @@ import numpy as np
 
 from .boundary_1d import DEFAULT_K_TRUNC, _synthesize_1d
 from .errors import BelowMinimalTime, NoWitnessFound, RationalPoint
-from .spectrum import SpectrumSpec, require_clear
+from .spectrum import MAX_K_MAX, SpectrumSpec, require_clear
 
 if TYPE_CHECKING:  # imported where used: most runs never read a point
     import mpmath as mp
@@ -62,6 +62,9 @@ LIOUVILLE_RULES = {
     "classic10": ("sum_{n<=depth} 10^(-n!)", 800),
     "quartic_anchor3": ("1/3 + sum_{n<=depth} 10^(-36 n!)", 320),
 }
+#: Largest Liouville depth (terms past n = 7 lie below either rule's precision) and algebraic
+#: degree; parse time grows with both (past 30 s at depth 10**6 or degree 100 on a 2-core VM)
+MAX_LIOUVILLE_DEPTH, MAX_ALGEBRAIC_DEGREE = 12, 32
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,8 @@ class PointSpec:
     @staticmethod
     def algebraic(poly_coeffs, root_index: int = 0, k_max: int = DEFAULT_K_MAX) -> "PointSpec":
         """Root of an integer polynomial (coefficients highest degree first)."""
+        if len(poly_coeffs) - 1 > MAX_ALGEBRAIC_DEGREE:
+            raise ValueError(f"polynomial degree {len(poly_coeffs) - 1} exceeds {MAX_ALGEBRAIC_DEGREE}")
         return PointSpec("algebraic", (tuple(int(c) for c in poly_coeffs), root_index), k_max)
 
     @staticmethod
@@ -95,6 +100,8 @@ class PointSpec:
                   k_max: int = DEFAULT_K_MAX) -> "PointSpec":
         if rule not in LIOUVILLE_RULES:
             raise ValueError(f"unknown Liouville rule {rule!r}")
+        if depth > MAX_LIOUVILLE_DEPTH:
+            raise ValueError(f"Liouville depth {depth} exceeds {MAX_LIOUVILLE_DEPTH}")
         return PointSpec("liouville", (rule, depth), k_max)
 
     @property
@@ -238,6 +245,8 @@ def minimal_time_estimate(point: PointSpec, a: float = math.pi,
     if point.is_rational:
         raise RationalPoint("x0/a is rational: pointwise control impossible")
     km = k_max if k_max is not None else point.k_max
+    if km > MAX_K_MAX:
+        raise ValueError(f"k_max={km} exceeds {MAX_K_MAX}")
     with mp.workdps(point.dps + 20):
         z = point.value()
         neg_log = _neg_log_sin_scan(_exact_ratio(point, z), km)

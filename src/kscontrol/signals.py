@@ -1,11 +1,12 @@
 """Control signals: exact analytic segments in time.
 
-Every control is a list of consecutive segments, each a sum of exponentials
-(moment method) or a Legendre series (Gramian steering) on its window.
-Closed-loop verification integrates them against the modal flow in closed
-form, so the only numerical error downstream of a synthesis is the
-linear-algebra residual of the synthesis itself.  Export samples
-`ControlSignal.value_at` on a uniform grid.
+Every control is one segment on its window: a sum of exponentials (moment
+method) or a Legendre series (Gramian steering).  A run that controls over
+several windows keeps one signal per window.  Closed-loop verification
+integrates the segment against the modal flow in closed form, so the only
+numerical error downstream of a synthesis is the linear-algebra residual of
+the synthesis itself.  Export samples `ControlSignal.value_at` on a uniform
+grid.
 
 Overflow discipline: every stored exponential carries its own reference time
 (window start for decaying terms, window end for growing ones) so evaluation
@@ -32,7 +33,6 @@ S_BOUNDARY = -1.0
 def phi1(z):
     """(e^z - 1)/z with the removable singularity filled."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
     small = np.abs(z) < 1e-8
     zs = np.where(small, 1.0, z)
     out = np.expm1(zs) / zs
@@ -238,27 +238,25 @@ class LegendreSegment:
 
 @dataclass
 class ControlSignal:
-    """An exact analytic control: consecutive `ExpSegment`s or `LegendreSegment`s.
+    """An exact analytic control: one `ExpSegment` or `LegendreSegment`.
 
-    The segments cover [t_start, t_end] with strictly increasing endpoints.
-    The control acts at x = ``x0``, or on the boundary x = 0 when ``x0`` is
-    None.  N-D signals carry row data: a segment's value is the row vector
-    (R,) of coefficients of the first R cross-section modes restricted to
-    the control region, and ``mass[r, j]`` maps row coefficients to y-modal
+    The segment's window [t0, t1] is the signal's [t_start, t_end].  The
+    control acts at x = ``x0``, or on the boundary x = 0 when ``x0`` is None.
+    N-D signals carry row data: the segment's value is the row vector (R,)
+    of coefficients of the first R cross-section modes restricted to the
+    control region, and ``mass[r, j]`` maps row coefficients to y-modal
     gains, so ``mass[:, :R]`` is the rows' Gram matrix `row_gram`.
     """
 
-    segments: list
+    segment: object
     x0: Optional[float] = None
     mass: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.segments = list(self.segments)
-        ends = [seg.t0 for seg in self.segments[:1]] + [seg.t1 for seg in self.segments]
-        if len(ends) < 2 or np.any(np.diff(ends) <= 0):
-            raise ValueError("control segment endpoints must be strictly increasing")
-        values = [self.segments[0].value(ends[0])] + [seg.value(seg.t1) for seg in self.segments]
-        if not np.all(np.isfinite(values)):
+        seg = self.segment
+        if not seg.t0 < seg.t1:
+            raise ValueError("control segment needs t0 < t1")
+        if not np.all(np.isfinite([seg.value(seg.t0), seg.value(seg.t1)])):
             raise ValueError("control values must be finite")
 
     @property
@@ -268,16 +266,15 @@ class ControlSignal:
 
     @property
     def t_start(self) -> float:
-        return float(self.segments[0].t0)
+        return float(self.segment.t0)
 
     @property
     def t_end(self) -> float:
-        return float(self.segments[-1].t1)
+        return float(self.segment.t1)
 
     def norm_l2(self) -> float:
-        """L2 norm over the covered window, in closed form."""
-        total = sum(seg.l2_squared(self.row_gram) for seg in self.segments)
-        return math.sqrt(max(total, 0.0))
+        """L2 norm over the window, in closed form."""
+        return math.sqrt(max(self.segment.l2_squared(self.row_gram), 0.0))
 
     def _row_square(self, vals):
         if vals.ndim == 1:
@@ -287,33 +284,20 @@ class ControlSignal:
         return np.einsum("sr,rq,sq->s", vals, self.row_gram, vals)
 
     def value_at(self, t):
-        """Evaluate the control at times t.
+        """Evaluate the control at times t, each within 1e-12 of the window.
 
-        Each time goes to the first segment whose window, widened by 1e-12,
-        holds it (as in `_segment_for`); each segment builds its basis once for
-        all its times.  The product with the coefficients stays one row per
-        time, so every value has the bits of ``seg.value(t_i)``: a batched
-        matrix product rounds differently.
+        The segment builds its basis once for all times.  The product with
+        the coefficients stays one row per time, so every value has the bits
+        of ``segment.value(t_i)``: a batched matrix product rounds differently.
         """
+        seg = self.segment
         tt = np.atleast_1d(np.asarray(t, dtype=float))
-        owner = np.full(len(tt), -1)
-        for i, seg in enumerate(self.segments):
-            owner[(owner < 0) & (seg.t0 - 1e-12 <= tt) & (tt <= seg.t1 + 1e-12)] = i
-        if np.any(owner < 0):
-            raise ValueError(f"t={tt[np.argmax(owner < 0)]} outside analytic segments")
-        out = np.zeros((len(tt),) + self.segments[0].coeffs.shape[1:])
-        for i in np.unique(owner):
-            seg, rows = self.segments[i], np.flatnonzero(owner == i)
-            # contiguous rows, laid out like a one-time basis (legvander's is not)
-            B = np.ascontiguousarray(seg.basis(tt[rows]))
-            for r, row in enumerate(rows):
-                out[row] = (B[r:r + 1] @ seg.coeffs)[0]
+        inside = (seg.t0 - 1e-12 <= tt) & (tt <= seg.t1 + 1e-12)
+        if not np.all(inside):
+            raise ValueError(f"t={tt[np.argmin(inside)]} outside analytic segments")
+        # contiguous rows, laid out like a one-time basis (legvander's is not)
+        B = np.ascontiguousarray(seg.basis(tt))
+        out = np.empty((len(tt),) + seg.coeffs.shape[1:])
+        for r in range(len(tt)):
+            out[r] = (B[r:r + 1] @ seg.coeffs)[0]
         return out if np.ndim(t) else out[0]
-
-    def _segment_for(self, t: float):
-        """(i, segments[i]) for the first segment whose window, widened by
-        1e-12, holds t."""
-        for i, seg in enumerate(self.segments):
-            if seg.t0 - 1e-12 <= t <= seg.t1 + 1e-12:
-                return i, seg
-        raise ValueError(f"t={t} outside analytic segments")

@@ -45,6 +45,11 @@ MAX_MODES = 4096
 MAX_MODE_COUNT = 2**20
 #: largest index cube `Box.eigenpairs` enumerates; (pi, 2 pi, pi/3) at J_y = 30 needs 5.9e6
 MAX_BOX_TUPLES = 10**7
+#: largest k_max, sim_steps and simulate trace rows (n_samples K_x J_y, or n_samples K_x on a
+#: slice); the largest in tests, demos and the benchmark are 10**5, 1000 and 65 x 64
+MAX_K_MAX = 2**20
+MAX_SIM_STEPS = 10**5
+MAX_TRACE_ROWS = 2**24
 DEFAULT_CRIT_TOL = 1e-9
 #: two rates closer than this times the family's largest coincide
 DUPLICATE_REL_TOL = 1e-12

@@ -57,10 +57,10 @@ def spec_pi(nu, K_x=16, J_y=8):
 
 
 def piecewise_constant(grid, values):
-    """Control equal to values[i] on [grid[i], grid[i + 1]]: one degree-0 Legendre segment each."""
-    segments = [LegendreSegment(t0=t0, t1=t1, coeffs=np.array([v]))
-                for t0, t1, v in zip(grid[:-1], grid[1:], values)]
-    return ControlSignal(segments)
+    """Controls equal to values[i] on [grid[i], grid[i + 1]]: one signal of one
+    degree-0 Legendre segment per window."""
+    return [ControlSignal(LegendreSegment(t0=t0, t1=t1, coeffs=np.array([v])))
+            for t0, t1, v in zip(grid[:-1], grid[1:], values)]
 
 
 # --------------------------------------------------------------------------
@@ -80,8 +80,9 @@ def test_c01_duality_closure():
         phi_T = rng.standard_normal(8)
         grid = np.linspace(0.0, T, 25)
         qv = rng.standard_normal(24)
-        sig = piecewise_constant(grid, qv)
-        vT = evolve_controlled(state_1d(spec, 1, coeffs=u0), sig, (0.0, T))
+        vT = state_1d(spec, 1, coeffs=u0)
+        for sig in piecewise_constant(grid, qv):  # evolved window by window
+            vT = evolve_controlled(vT, sig, (sig.t_start, sig.t_end))
         phi0 = adjoint_solution(phi_T, 0.0, T, rates)
         integral = 0.0
         for i in range(24):

@@ -160,11 +160,9 @@ def test_corrupted_control_detected():
     u0 = np.zeros(16)
     u0[0] = 1.0
     control, _ = synthesize_boundary_control(u0, 1.0, spec, 1, K_trunc=8)
-    bad_segments = [
-        type(s)(t0=s.t0, t1=s.t1, exponents=s.exponents, refs=s.refs, coeffs=1.1 * s.coeffs)
-        for s in control.segments
-    ]
-    bad = type(control)(segments=bad_segments)
+    s = control.segment
+    bad = type(control)(
+        type(s)(t0=s.t0, t1=s.t1, exponents=s.exponents, refs=s.refs, coeffs=1.1 * s.coeffs))
     out = verify_null(u0, bad, 1.0, spec, 1, K_trunc=8)
     assert out.rel_final_enforced > 1e-3
 

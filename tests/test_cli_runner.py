@@ -366,9 +366,25 @@ BAD_INPUTS = [
     ("K_x-astronomical", _demo("control_1d.json", "domain.K_x", 10**400), "domain.K_x"),
     ("J_y-beyond-max-modes", _demo("control_1d.json", "domain.J_y", 4097), "domain.J_y"),
     ("modes-beyond-max-mode-count",
-     {"task": "spectrum", "domain": base_domain(K_x=2048, J_y=2048)}, "domain"),
+     {"task": "spectrum", "domain": base_domain(K_x=2048, J_y=2048)}, "domain.J_y"),
     ("box-sides-astronomically-apart", _demo("control_1d.json", "domain.cross_section",
                                              {"box": ["pi", 1e-300]}), "domain"),
+    ("J_y-beyond-box-tuples", _demo("nonlinear_3d.json", "domain.J_y", 4096), "domain.J_y"),
+    # counts bounded by spectrum.MAX_K_MAX, MAX_SIM_STEPS and MAX_TRACE_ROWS: each
+    # value below asks numpy for a 7.28 TiB array when let through
+    ("k_max-beyond-max", _demo("minimal_time.json", "minimal_time.k_max", 10**12),
+     "minimal_time.k_max"),
+    ("sim_steps-beyond-max", _demo("nonlinear.json", "nonlinear.sim_steps", 10**12),
+     "nonlinear.sim_steps"),
+    ("n_samples-beyond-trace-rows", _demo("simulate.json", "simulate.n_samples", 10**12),
+     "simulate.n_samples"),
+    # point fields whose parse time grows with their size (over 30 s each when let through)
+    ("liouville-depth-beyond-max", _demo("minimal_time.json", _POINT,
+                                         {"liouville": "quartic_anchor3", "depth": 10**6}),
+     f"{_POINT}.depth"),
+    ("algebraic-degree-beyond-max", _demo("minimal_time.json", _POINT,
+                                          {"algebraic": [1] + [0] * 98 + [1, -1]}),
+     f"{_POINT}.algebraic"),
 ]
 
 
@@ -394,7 +410,7 @@ FIELD_TARGETS = [
 ]
 BAD_VALUES = st.one_of(
     st.sampled_from(["x", "0.5", [], [1, 2], {}, {"bogus": 1}, True, None]),  # wrong type
-    st.sampled_from([0, -1, -0.5, 0.5, -1e300]),  # out of range or not an integer
+    st.sampled_from([0, -1, -0.5, 0.5, -1e300, 4096, 10**9, 1e300]),  # out of range or not an integer
     st.sampled_from([math.nan, math.inf, -math.inf]),  # non-finite
     st.just(_MISSING),
 )
@@ -403,7 +419,6 @@ BAD_VALUES = st.one_of(
 @given(target=st.sampled_from(FIELD_TARGETS), value=BAD_VALUES)
 @settings(max_examples=200, deadline=None)
 def test_one_bad_field_parses_or_names_its_path(target, value):
-    # Huge magnitudes are left out: parse cost grows with K_x, J_y and nu.
     name, section, key = target
     path = f"{section}.{key}"
     try:

@@ -44,10 +44,18 @@ def spec_2d(nu=0, K_x=6, J_y=6):
 
 
 def piecewise_constant(grid, values, **kw):
-    """Control equal to values[i] on [grid[i], grid[i + 1]]: one degree-0 Legendre segment each."""
-    segments = [LegendreSegment(t0=t0, t1=t1, coeffs=np.asarray(v, dtype=float)[None])
-                for t0, t1, v in zip(grid[:-1], grid[1:], values)]
-    return ControlSignal(segments, **kw)
+    """Controls equal to values[i] on [grid[i], grid[i + 1]]: one signal of one
+    degree-0 Legendre segment per window."""
+    return [ControlSignal(LegendreSegment(t0=t0, t1=t1, coeffs=np.asarray(v, dtype=float)[None]),
+                          **kw)
+            for t0, t1, v in zip(grid[:-1], grid[1:], values)]
+
+
+def evolve_windows(state, signals, evolve=evolve_controlled):
+    """``evolve`` through consecutive signals, one window at a time."""
+    for sig in signals:
+        state = evolve(state, sig, (sig.t_start, sig.t_end))
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +198,8 @@ def test_semigroup_property_hypothesis(dt1, dt2):
 def test_zero_control_reduces_to_free():
     spec = spec_1d()
     u = state_1d(spec, 1, coeffs=np.ones(8))
-    sig = piecewise_constant(np.linspace(0, 0.5, 11), np.zeros(10))
-    v = evolve_controlled(u, sig, (0.0, 0.5))
+    sigs = piecewise_constant(np.linspace(0, 0.5, 11), np.zeros(10))
+    v = evolve_windows(u, sigs)
     w = evolve_free(u, 0.5)
     assert np.allclose(v.coeffs, w.coeffs, rtol=1e-14)
 
@@ -202,18 +210,18 @@ def test_control_signal_rejects_non_finite_values():
     seg = ExpSegment(t0=0.0, t1=0.5, exponents=np.array([-1.0, -2.0]),
                      refs=np.zeros(2), coeffs=np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
-        ControlSignal([seg])
+        ControlSignal(seg)
 
 
-def test_control_signal_rejects_unordered_segments():
-    first = ExpSegment(t0=0.0, t1=0.5, exponents=np.array([-1.0]), refs=np.zeros(1),
-                       coeffs=np.array([1.0]))
-    second = ExpSegment(t0=0.5, t1=0.9, exponents=np.array([-1.0]), refs=np.zeros(1),
-                        coeffs=np.array([1.0]))
-    assert ControlSignal([first, second]).t_end == 0.9
-    for segments in ([], [second, first]):
-        with pytest.raises(ValueError):
-            ControlSignal(segments)
+def test_control_signal_refuses_t1_not_after_t0():
+    def seg(t0, t1):
+        return ExpSegment(t0=t0, t1=t1, exponents=np.array([-1.0]), refs=np.zeros(1),
+                          coeffs=np.array([1.0]))
+
+    assert ControlSignal(seg(0.5, 0.9)).t_end == 0.9
+    for t0, t1 in ((0.9, 0.5), (0.5, 0.5), (math.nan, 0.5)):
+        with pytest.raises(ValueError, match="t0 < t1"):
+            ControlSignal(seg(t0, t1))
 
 
 def test_constant_boundary_control_duhamel_closed_form():
@@ -224,8 +232,8 @@ def test_constant_boundary_control_duhamel_closed_form():
     c = 0.37
     T = 0.8
     u = state_1d(spec, 1, coeffs=np.array([0.9]))
-    sig = piecewise_constant(np.array([0.0, T]), np.array([c]))
-    v = evolve_controlled(u, sig, (0.0, T))
+    sigs = piecewise_constant(np.array([0.0, T]), np.array([c]))
+    v = evolve_windows(u, sigs)
     expect = math.exp(lam * T) * 0.9 + g * c * (math.exp(lam * T) - 1.0) / lam
     assert v.coeffs[0] == pytest.approx(expect, rel=1e-10)
 
@@ -237,8 +245,8 @@ def test_constant_pointwise_control_duhamel_closed_form():
     g = math.sqrt(2.0 / math.pi) * math.sin(x0)
     c, T = -0.21, 0.6
     u = state_1d(spec, 1, coeffs=np.array([0.4]))
-    sig = piecewise_constant(np.array([0.0, T]), np.array([c]), x0=x0)
-    v = evolve_pointwise_controlled(u, sig, (0.0, T))
+    sigs = piecewise_constant(np.array([0.0, T]), np.array([c]), x0=x0)
+    v = evolve_windows(u, sigs, evolve_pointwise_controlled)
     expect = math.exp(lam * T) * 0.4 + g * c * (math.exp(lam * T) - 1.0) / lam
     assert v.coeffs[0] == pytest.approx(expect, rel=1e-10)
 
@@ -249,8 +257,8 @@ def test_pointwise_node_of_sine_untouched():
     u = state_1d(spec, 1, coeffs=np.zeros(8))
     grid = np.linspace(0.0, 0.5, 41)
     rng = np.random.default_rng(3)
-    sig = piecewise_constant(grid, rng.standard_normal(40), x0=math.pi / 2)
-    v = evolve_pointwise_controlled(u, sig, (0.0, 0.5))
+    sigs = piecewise_constant(grid, rng.standard_normal(40), x0=math.pi / 2)
+    v = evolve_windows(u, sigs, evolve_pointwise_controlled)
     assert np.allclose(v.coeffs[1::2], 0.0, atol=1e-16)
     assert np.any(np.abs(v.coeffs[::2]) > 1e-6)
 
@@ -266,18 +274,18 @@ def _stepper_case(nd: bool, segment):
     if nd:
         spec = spec_2d()
         state, mass = state_nd(spec), rng.standard_normal((4, spec.J_y))
-        sig = ControlSignal([segment], mass=mass)
+        sig = ControlSignal(segment, mass=mass)
     else:
         spec = spec_1d()
         state, mass = state_1d(spec, 1), None
-        sig = ControlSignal([segment])
+        sig = ControlSignal(segment)
     return state, sig, x_gain(spec, count=state.coeffs.shape[0]), mass
 
 
 def _parent_forcing(state, sig, gain, mass, t0, t1):
     """The per-piece formula: mode_duhamel at absolute times, then mass, then the gain."""
     lam = state.rates
-    duh = sig.segments[0].mode_duhamel(lam.ravel(), t0, t1)
+    duh = sig.segment.mode_duhamel(lam.ravel(), t0, t1)
     if mass is None:
         return duh * gain
     return np.einsum("kjr,rj->kj", duh.reshape(lam.shape + (mass.shape[0],)), mass) * gain[:, None]
@@ -324,23 +332,25 @@ def test_stepper_legendre_segment_matches_per_piece_formula(nd):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_stepper_advance_splits_at_segment_endpoints():
-    # a step across the interior endpoint equals the two exact pieces
+def test_stepper_advance_walks_consecutive_signals():
+    # the replay's walk across two consecutive one-segment signals, one stepper
+    # each, equals their exact window-by-window evolution
     spec = spec_2d()
     rng = np.random.default_rng(5)
-    segs = [ExpSegment(0.0, 0.3, np.array([-20.0, 4.0]), np.array([0.0, 0.3]),
-                       rng.standard_normal((2, spec.J_y))),
-            LegendreSegment(0.3, 0.5, rng.standard_normal((3, spec.J_y)))]
-    sig = ControlSignal(segs, mass=np.eye(spec.J_y))
+    sigs = [ControlSignal(ExpSegment(0.0, 0.3, np.array([-20.0, 4.0]), np.array([0.0, 0.3]),
+                                     rng.standard_normal((2, spec.J_y))), mass=np.eye(spec.J_y)),
+            ControlSignal(LegendreSegment(0.3, 0.5, rng.standard_normal((3, spec.J_y))),
+                          mass=np.eye(spec.J_y))]
     u = state_nd(spec, rng.standard_normal((6, 6)))
-    stepper = ControlStepper(u, sig)
-    whole = stepper.advance(u.coeffs, 0.27, 0.33)
-    first = u.coeffs * np.exp(u.rates * (0.3 - 0.27)) + stepper.step_forcing(0.27, 0.3)
-    second = first * np.exp(u.rates * (0.33 - 0.3)) + stepper.step_forcing(0.3, 0.33)
-    assert np.array_equal(whole, second)
-    evolved = evolve_controlled(u.copy(), sig, (0.0, 0.5))
+    steppers = [ControlStepper(u, sig) for sig in sigs]
+    for stepper, (a, b) in zip(steppers, [(0.27, 0.3), (0.3, 0.33)]):
+        step = u.coeffs * np.exp(u.rates * (b - a)) + stepper.step_forcing(a, b)
+        assert np.array_equal(stepper.advance(u.coeffs, a, b), step)
+    evolved = evolve_windows(u.copy(), sigs)
+    grid = np.union1d(np.linspace(0.0, 0.5, 8), [0.3])
     walked = u.coeffs
-    for a, b in zip(np.linspace(0.0, 0.5, 8)[:-1], np.linspace(0.0, 0.5, 8)[1:]):
+    for a, b in zip(grid[:-1], grid[1:]):
+        stepper = steppers[0] if b <= 0.3 else steppers[1]
         walked = stepper.advance(walked, float(a), float(b))
     scale = np.max(np.abs(evolved.coeffs))
     assert np.max(np.abs(walked - evolved.coeffs)) <= 1e-13 * scale
@@ -356,11 +366,13 @@ def test_stepper_without_control_is_the_free_flow():
 def test_evolve_controlled_records_within_1e_12():
     spec = spec_1d()
     u = state_1d(spec, 1, coeffs=np.ones(8))
-    sig = piecewise_constant(np.linspace(0, 0.5, 6), np.ones(5))
-    # record times are breakpoints too; the segment endpoint 0.2 lies within
+    (sig,) = piecewise_constant(np.array([0.0, 0.5]), np.ones(1))
+    src = ModalSource(times=np.linspace(0, 0.5, 6), values=np.zeros((6, 8)))
+    # record times are breakpoints too; the source time 0.2 lies within
     # 1e-12 of the record time 0.2 + 5e-13 and is recorded, 0.3 is 1e-9 from
     # 0.3 + 1e-9 and is not
-    _, trace = evolve_controlled(u, sig, (0.0, 0.5), record=[0.0, 0.2 + 5e-13, 0.3 + 1e-9, 0.5])
+    _, trace = evolve_controlled(u, sig, (0.0, 0.5), source=src,
+                                 record=[0.0, 0.2 + 5e-13, 0.3 + 1e-9, 0.5])
     assert trace.times.tolist() == [0.0, 0.2, 0.2 + 5e-13, 0.3 + 1e-9, 0.5]
     assert trace.coeffs.shape == (5, 8)
 
@@ -426,9 +438,9 @@ def test_duality_boundary_1d_random():
         phi_T = rng.standard_normal(8)
         grid = np.linspace(0.0, T, 33)
         qvals = rng.standard_normal(32)
-        sig = piecewise_constant(grid, qvals)
+        sigs = piecewise_constant(grid, qvals)
         u = state_1d(spec, 1, coeffs=v0)
-        vT = evolve_controlled(u, sig, (0.0, T))
+        vT = evolve_windows(u, sigs)
         phi0 = adjoint_solution(phi_T, 0.0, T, rates)
         # int q phi_x(t,0) dt, exact per piecewise-constant sample
         w = math.sqrt(2.0 / math.pi) * np.arange(1, 9) * math.pi / math.pi
@@ -455,9 +467,9 @@ def test_duality_pointwise_1d_random():
         phi_T = rng.standard_normal(8)
         grid = np.linspace(0.0, T, 17)
         hvals = rng.standard_normal(16)
-        sig = piecewise_constant(grid, hvals, x0=x0)
+        sigs = piecewise_constant(grid, hvals, x0=x0)
         u = state_1d(spec, 1, coeffs=v0)
-        vT = evolve_pointwise_controlled(u, sig, (0.0, T))
+        vT = evolve_windows(u, sigs, evolve_pointwise_controlled)
         phi0 = adjoint_solution(phi_T, 0.0, T, rates)
         integral = 0.0
         for i in range(16):
@@ -482,9 +494,9 @@ def test_duality_boundary_nd_random():
         phi_T = rng.standard_normal((5, 4))
         grid = np.linspace(0.0, T, 9)
         qrows = rng.standard_normal((8, 4))
-        sig = piecewise_constant(grid, qrows, mass=mass)
+        sigs = piecewise_constant(grid, qrows, mass=mass)
         u = state_nd(spec, v0)
-        vT = evolve_controlled(u, sig, (0.0, T))
+        vT = evolve_windows(u, sigs)
         phi0 = phi_T * np.exp(rates * T)
         integral = 0.0
         for i in range(8):
@@ -710,7 +722,7 @@ def test_controlled_evolution_refuses_critical_parameter():
 
     crit = SpectrumSpec(a="pi", nu=7, cross_section=Box(["pi"]), K_x=8, J_y=4)
     u = state_1d(crit, 1, coeffs=np.ones(8))
-    sigp = piecewise_constant(np.array([0.0, 0.5]), np.array([1.0]), x0=1.0)
+    (sigp,) = piecewise_constant(np.array([0.0, 0.5]), np.array([1.0]), x0=1.0)
     with pytest.raises(CriticalParameter):
         evolve_pointwise_controlled(u, sigp, (0.0, 0.5))
     # free flow at a critical parameter stays available (counterexample needs it)
@@ -718,16 +730,14 @@ def test_controlled_evolution_refuses_critical_parameter():
 
 
 # ---------------------------------------------------------------------------
-# ControlSignal.value_at: one basis per segment, the per-time arithmetic kept
+# ControlSignal.value_at: one basis per call, the per-time arithmetic kept
 # ---------------------------------------------------------------------------
 
 def _value_at_per_time(sig, t):
-    """The per-time loop value_at replaced: first matching segment, one
-    seg.value call per time."""
+    """The per-time loop value_at replaced: one segment.value call per time."""
     out = None
     for i, ti in enumerate(t):
-        _, seg = sig._segment_for(ti)
-        v = seg.value(ti)
+        v = sig.segment.value(ti)
         if out is None:
             out = np.zeros((len(t),) + np.shape(v))
         out[i] = v
@@ -750,25 +760,24 @@ def _leg_seg(rng, t0, t1, rows):
 
 
 @pytest.mark.parametrize("rows", [0, 3], ids=["scalar", "rows"])
-@pytest.mark.parametrize("make", ["exp", "legendre", "mixed"])
+@pytest.mark.parametrize("make", ["exp", "legendre"])
 def test_value_at_matches_per_time_loop_bitwise(rows, make):
     rng = np.random.default_rng(11)
-    builders = {"exp": [_exp_seg] * 3, "legendre": [_leg_seg] * 3,
-                "mixed": [_exp_seg, _leg_seg, _exp_seg]}[make]
-    segments = [build(rng, t0, t1, rows)
-                for build, t0, t1 in zip(builders, _ENDS[:-1], _ENDS[1:])]
-    sig = ControlSignal(segments)
-    # a uniform grid, plus times on the interior endpoints and within 1e-12 of them
+    build = {"exp": _exp_seg, "legendre": _leg_seg}[make]
+    sigs = [ControlSignal(build(rng, t0, t1, rows)) for t0, t1 in zip(_ENDS[:-1], _ENDS[1:])]
+    # a uniform grid, plus times on the window ends and within 1e-12 of them
     near = [e + d for e in _ENDS for d in (0.0, -9e-13, -1e-13, 1e-13, 9e-13)]
-    t = np.concatenate([np.linspace(0.0, 1.0, 257), [x for x in near if 0 <= x <= 1]])
-    got = sig.value_at(t)
-    ref = _value_at_per_time(sig, t)
-    assert got.shape == ref.shape == (len(t),) + ((rows,) if rows else ())
-    assert got.tobytes() == ref.tobytes()
-    assert np.array_equal(sig.value_at(0.3), ref[np.flatnonzero(t == 0.3)[0]])
+    grid = np.concatenate([np.linspace(0.0, 1.0, 257), [x for x in near if 0 <= x <= 1]])
+    for sig in sigs:
+        t = grid[(sig.t_start - 1e-12 <= grid) & (grid <= sig.t_end + 1e-12)]
+        got = sig.value_at(t)
+        ref = _value_at_per_time(sig, t)
+        assert got.shape == ref.shape == (len(t),) + ((rows,) if rows else ())
+        assert got.tobytes() == ref.tobytes()
+    assert np.array_equal(sigs[0].value_at(0.3), sigs[0].segment.value(0.3))
 
 
 def test_value_at_refuses_times_outside_the_segments():
-    sig = ControlSignal([_leg_seg(np.random.default_rng(0), 0.0, 1.0, 0)])
+    sig = ControlSignal(_leg_seg(np.random.default_rng(0), 0.0, 1.0, 0))
     with pytest.raises(ValueError, match="outside analytic segments"):
         sig.value_at(np.array([0.5, 1.0 + 2e-12]))

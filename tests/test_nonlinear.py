@@ -316,10 +316,8 @@ def test_fixed_point_identical_on_equal_specs():
     assert a.deltas == b.deltas and a.ratios == b.ratios
     assert len(a.controls) == len(b.controls)
     for sa, sb in zip(a.controls, b.controls):
-        assert len(sa.segments) == len(sb.segments)
-        for ga, gb in zip(sa.segments, sb.segments):
-            assert np.array_equal(ga.exponents, gb.exponents)
-            assert np.array_equal(ga.coeffs, gb.coeffs)
+        assert np.array_equal(sa.segment.exponents, sb.segment.exponents)
+        assert np.array_equal(sa.segment.coeffs, sb.segment.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +372,8 @@ def _reference_replay(u0, controls, T, spec, n_steps):
     """The ETD2 replay written out step by step from `mode_duhamel`.
 
     Same grid and formula as `nonlinear_simulate`; the control enters per
-    piece (steps are cut at segment endpoints) through each segment's
-    Duhamel integral at absolute times, then the mass and the x gain.
+    step through its covering signal's Duhamel integral at absolute times,
+    then the mass and the x gain.
     """
     from kscontrol.modal import x_gain
     from kscontrol.signals import phi1, phi2
@@ -389,17 +387,12 @@ def _reference_replay(u0, controls, T, spec, n_steps):
     norms = [float(np.linalg.norm(u))]
     for t0, t1 in zip(grid[:-1], grid[1:]):
         h = t1 - t0
-        lc = u.copy()
+        lc = u * np.exp(lam * h)
         sig = next((s for s in controls
                     if s.t_start - 1e-12 <= t0 and t1 <= s.t_end + 1e-12), None)
-        cuts = [t0, t1] if sig is None else sorted(
-            {t0, t1} | {seg.t1 for seg in sig.segments if t0 < seg.t1 < t1})
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            lc = lc * np.exp(lam * (b - a))
-            if sig is not None:
-                seg = next(g for g in sig.segments if g.t0 <= 0.5 * (a + b) <= g.t1)
-                duh = seg.mode_duhamel(lam.ravel(), a, b).reshape(lam.shape + (-1,))
-                lc = lc + np.einsum("kjr,rj->kj", duh, sig.mass) * gain[:, None]
+        if sig is not None:
+            duh = sig.segment.mode_duhamel(lam.ravel(), t0, t1).reshape(lam.shape + (-1,))
+            lc = lc + np.einsum("kjr,rj->kj", duh, sig.mass) * gain[:, None]
         N0 = nonlinear_rhs(state_nd(spec, u))
         pred = lc + h * phi1(lam * h) * N0
         N1 = nonlinear_rhs(state_nd(spec, pred))
@@ -409,14 +402,15 @@ def _reference_replay(u0, controls, T, spec, n_steps):
 
 
 def _two_segment_controls(spec):
-    """One signal of an exponential and a Legendre segment; the endpoint
-    0.3037 between them lies inside a replay step of either step count."""
+    """Two consecutive one-segment signals, an exponential and a Legendre
+    one; the end 0.3037 between them lies inside a step of the uniform
+    grid of either step count, so the replay cuts the grid there."""
     rng = np.random.default_rng(21)
     J = spec.J_y
     exp_seg = ExpSegment(0.1, 0.3037, np.array([-30.0, -2.0, 5.0]),
                          np.array([0.1, 0.1, 0.3037]), 1e-3 * rng.standard_normal((3, J)))
     leg_seg = LegendreSegment(0.3037, 0.55, 1e-3 * rng.standard_normal((4, J)))
-    return [ControlSignal([exp_seg, leg_seg], mass=np.eye(J))]
+    return [ControlSignal(exp_seg, mass=np.eye(J)), ControlSignal(leg_seg, mass=np.eye(J))]
 
 
 @pytest.mark.parametrize("case", ["tensor", "gramian", "two-segment"])

@@ -11,12 +11,14 @@ from kscontrol.modal import evolve_pointwise_controlled, state_1d
 from kscontrol.pointwise import (
     DEFAULT_K_MAX,
     DEFAULT_MARGIN,
+    MAX_ALGEBRAIC_DEGREE,
+    MAX_LIOUVILLE_DEPTH,
     PointSpec,
     minimal_time_estimate,
     negative_certificate,
     synthesize_point_control,
 )
-from kscontrol.spectrum import Box, SpectrumSpec
+from kscontrol.spectrum import MAX_K_MAX, Box, SpectrumSpec
 
 
 def spec_box_pi(nu=0, K_x=16):
@@ -75,6 +77,18 @@ def test_decimal_real_raises_at_its_denominator(text, q):
     if q > 2:
         rep = minimal_time_estimate(PointSpec.real(text), math.pi, k_max=q - 1)
         assert rep.x0_over_a == float(text)
+
+
+def test_point_and_scan_sizes_are_bounded():
+    # one past each bound is refused before any work, the bound itself is not
+    with pytest.raises(ValueError, match="depth"):
+        PointSpec.liouville("classic10", depth=MAX_LIOUVILLE_DEPTH + 1)
+    with pytest.raises(ValueError, match="degree"):
+        PointSpec.algebraic([1] * (MAX_ALGEBRAIC_DEGREE + 1) + [-1])
+    with pytest.raises(ValueError, match="k_max"):
+        minimal_time_estimate(SQRT2_MINUS_1, math.pi, k_max=MAX_K_MAX + 1)
+    PointSpec.liouville("classic10", depth=MAX_LIOUVILLE_DEPTH)
+    PointSpec.algebraic([1] * MAX_ALGEBRAIC_DEGREE + [-1])
 
 
 def test_sqrt2_tail_estimate_small(est_sqrt2):
