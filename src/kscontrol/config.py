@@ -5,8 +5,8 @@ pi-literals ("pi", "pi/2", "2*pi"), nu accepts rationals as strings ("7/1",
 "6.5").  Every field of the domain and of each task section is declared
 once in ``_FIELDS``: a check that turns the raw value into the object the
 runner uses, and the default (``REQUIRED`` when there is none; a null value
-counts as unset).  Unknown fields and invalid values raise ConfigError with
-their dotted path.
+counts as unset, and a numeric default goes through the check too).  Unknown
+fields and invalid values raise ConfigError with their dotted path.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .nonlinear import (
 from .pointwise import DEFAULT_K_MAX, DEFAULT_MARGIN, LIOUVILLE_RULES, MAX_ALGEBRAIC_DEGREE
 from .pointwise import MAX_LIOUVILLE_DEPTH, PointSpec
 from .spectrum import DEFAULT_CRIT_TOL, DEFAULT_J_Y, DEFAULT_K_X, MAX_K_MAX, MAX_MODES, MAX_SIM_STEPS
-from .spectrum import MAX_TRACE_ROWS, Box, External, SpectrumSpec, load_external_eigenvalues
+from .spectrum import MAX_NU_SCALE, MAX_TRACE_ROWS, Box, External, SpectrumSpec
+from .spectrum import load_external_eigenvalues
 
 REQUIRED = object()
 
@@ -309,11 +310,14 @@ def _resolve(section: str, raw, spec) -> dict:
     params = {}
     for name, (check, default) in table.items():
         path = f"{section}.{name}"
-        if raw.get(name) is not None:
-            params[name] = check(raw[name], path, spec, params)
-        else:
+        value = raw.get(name)
+        if value is None:
             _require(default is not REQUIRED, path, "missing required field")
-            params[name] = default
+            if not _is_number(default):  # None, or an object the run builds itself
+                params[name] = default
+                continue
+            value = default  # a numeric default meets its field's bounds too
+        params[name] = check(value, path, spec, params)
     return params
 
 
@@ -345,6 +349,13 @@ def parse_config_dict(raw: dict) -> Scenario:
         except (ValueError, TypeError):
             raise ConfigError("domain", str(exc))
         raise ConfigError("domain.J_y", str(exc))
+    # the critical-set scan visits about nu a^2 / pi^2 (k, l) pairs per slice; the
+    # larger factor names the field
+    r2 = (spec.a_float / math.pi) * (spec.a_float / math.pi)  # inf, not OverflowError
+    _require(spec.nu_float <= 0 or spec.nu_float * r2 <= MAX_NU_SCALE,
+             "domain.a" if r2 > spec.nu_float else "domain.nu",
+             f"nu a^2/pi^2 = {spec.nu_float * r2:.3g} exceeds {MAX_NU_SCALE:.0e} "
+             "(spectrum.MAX_NU_SCALE): the critical-set scan grows linearly in it")
     if task == "nonlinear":  # the quadratic term needs the cross-section's eigenfunctions
         try:
             spec.box_axes("the nonlinear task")

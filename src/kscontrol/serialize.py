@@ -2,10 +2,12 @@
 
 Floats are rendered with repr-faithful %.17g so identical runs are
 byte-identical; dict keys are sorted.  Each array file (trace, observation,
-control) is written with one row template, ``%d`` for an index column and
-``%.17g`` for a value, applied once with ``%`` to all of its fields; the
-small row tables go through `write_csv`, which formats field by field with
-`fmt`.  Both give the same bytes for the same values.  Layouts:
+control) is one template applied once with ``%`` to all of its values: each
+time stamp is formatted once per file (``%.17g``, or ``%d`` for an integer
+time column) and joined with literal per-row suffixes such as
+``",3,2,%.17g"`` that carry the index columns.  The small row tables go
+through `write_csv`, which formats field by field with `fmt`.  Both give the
+same bytes for the same values.  Layouts:
 
 * state/trace CSV: ``t,k,j,coeff`` long format (j=0 for 1-D states)
 * observation CSV: ``t,norm,obs_boundary[,obs_point]``
@@ -55,59 +57,52 @@ def _jsonable(obj):
     return obj
 
 
-def _write_columns(path, header, columns):
-    """``header``, then one line per row of equal-length ``columns``.
+def _write_rows(path, header, times, suffixes, values):
+    """``header``, then one line per (time, suffix) pair, times outermost.
 
-    The whole file is one row template applied once with ``%``: ``%d`` for an
-    integer column and ``%.17g`` for any other, the same conversion `fmt`
-    makes field by field, so the bytes are the same as `write_csv`'s.
+    Each time is formatted once (``%d`` for an integer dtype, else
+    ``%.17g``) and prefixed to every suffix, a literal such as
+    ``",3,2,%.17g"``; the file is then applied once with ``%`` to
+    ``values.ravel()``, one value per line in file order.  ``%`` makes the
+    conversion `fmt` makes field by field, so the bytes are the same as
+    `write_csv`'s.
     """
-    columns = [np.asarray(c) for c in columns]
-    n = len(columns[0])
-    template = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-    flat = [None] * (n * len(columns))
-    for i, col in enumerate(columns):
-        flat[i::len(columns)] = col.tolist()
+    times = np.asarray(times)
+    stamp = "%d" if times.dtype.kind in "iu" else "%.17g"
+    lines = ["", *(suffix + "\n" for suffix in suffixes)]
+    template = "".join((stamp % t).join(lines) for t in times.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write((template * n) % tuple(flat))
+        fh.write(template % tuple(np.ravel(values).tolist()))
 
 
 def write_trace_csv(path, trace):
     """One row per (time, k, j); j = 0 for a 1-D state."""
     c = trace.coeffs
-    n, K = c.shape[:2]
-    J = c.shape[2] if c.ndim == 3 else 1
-    k, j = np.indices((K, J)).reshape(2, -1)
-    _write_columns(path, ["t", "k", "j", "coeff"], [
-        np.repeat(trace.times, K * J),
-        np.tile(k + 1, n),
-        np.tile(j + 1 if c.ndim == 3 else j, n),
-        c.ravel(),
-    ])
+    js = range(1, c.shape[2] + 1) if c.ndim == 3 else [0]
+    _write_rows(path, ["t", "k", "j", "coeff"], trace.times,
+                [",%d,%d,%%.17g" % (k, j) for k in range(1, c.shape[1] + 1) for j in js], c)
 
 
 def write_observation_csv(path, series):
     header = ["t", "norm", "obs_boundary"]
-    cols = [series["t"], series["norm"], series["boundary"]]
+    cols = [series["norm"], series["boundary"]]
     if "point" in series:
         header.append("obs_point")
         cols.append(series["point"])
-    _write_columns(path, header, cols)
+    _write_rows(path, header, series["t"], [",%.17g" * len(cols)], np.column_stack(cols))
 
 
 def write_control_csv(path, signal, n_samples: int = 1024):
-    """The control sampled at n_samples + 1 uniform times of its window."""
+    """The control sampled at n_samples + 1 uniform times of its window; a
+    y-expanded signal has one row per (time, y-mode) pair."""
     grid = np.linspace(signal.t_start, signal.t_end, n_samples + 1)
     vals = signal.value_at(grid)
     if vals.ndim == 1:
-        _write_columns(path, ["t", "q"], [grid, vals])
+        _write_rows(path, ["t", "q"], grid, [",%.17g"], vals)
     else:
-        # y-expanded signals: one row per (time, y-mode) pair
-        rows = vals.shape[1]
-        j = np.arange(1, rows + 1)
-        _write_columns(path, ["t", "j", "value"],
-                       [np.repeat(grid, rows), np.tile(j, len(grid)), vals.ravel()])
+        _write_rows(path, ["t", "j", "value"], grid,
+                    [",%d,%%.17g" % j for j in range(1, vals.shape[1] + 1)], vals)
 
 
 def hash_file(path) -> str:

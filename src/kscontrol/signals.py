@@ -103,6 +103,14 @@ def legendre_mode_integrals(lam, degree: int, delta: float):
     Bessel), with the exponentially scaled form for stability at large decay
     rates.  Returns array (len(lam), degree + 1).
 
+    The decaying rows (z = -lam delta / 2 >= 1e-6) come from one broadcast
+    ``ive`` call on the distinct values of z, scattered back to every rate
+    that shares one: on the pi x pi cylinder the x- and y-spectra coincide,
+    so rate(k, j) = rate(j, k) and its 256 rates at K_x = J_y = 16 hold 130
+    values.  Each element goes through the same operations as it would
+    alone, so every row keeps its bits.  The rare |z| < 1e-6 and growing
+    rows are evaluated one by one.
+
     scipy is imported here, not at module level: its import costs several
     times numpy's, and most runs never evaluate a Legendre segment.  A new
     use of scipy in the package imports it inside the function that needs
@@ -115,10 +123,12 @@ def legendre_mode_integrals(lam, degree: int, delta: float):
     p = np.arange(degree + 1)
     out = np.empty((len(lam), degree + 1))
     z = -lam * delta / 2.0
-    # decaying modes, all at once: e^{-z} i_p(z) is scipy's ive up to the half-order factor
+    # decaying modes, each distinct z once: e^{-z} i_p(z) is scipy's ive up to
+    # the half-order factor
     decaying = z >= 1e-6
-    zd = z[decaying][:, None]
-    out[decaying] = delta * (sps.ive(p + 0.5, zd) * np.sqrt(np.pi / (2.0 * zd)))
+    zd, row = np.unique(z[decaying], return_inverse=True)
+    zd = zd[:, None]
+    out[decaying] = (delta * (sps.ive(p + 0.5, zd) * np.sqrt(np.pi / (2.0 * zd))))[row]
     for i in np.flatnonzero(~decaying):
         zi = z[i]
         if abs(zi) < 1e-6:

@@ -50,6 +50,10 @@ MAX_BOX_TUPLES = 10**7
 MAX_K_MAX = 2**20
 MAX_SIM_STEPS = 10**5
 MAX_TRACE_ROWS = 2**24
+#: largest nu a^2 / pi^2: `critical_set_check` scans of that order of (k, l) pairs per slice
+#: it visits (0.5 s at nu = 1e6 on a pi box, J_y = 4); the largest in tests, demos and the
+#: benchmark is 9
+MAX_NU_SCALE = 10**6
 DEFAULT_CRIT_TOL = 1e-9
 #: two rates closer than this times the family's largest coincide
 DUPLICATE_REL_TOL = 1e-12

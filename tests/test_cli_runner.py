@@ -378,6 +378,12 @@ BAD_INPUTS = [
      "nonlinear.sim_steps"),
     ("n_samples-beyond-trace-rows", _demo("simulate.json", "simulate.n_samples", 10**12),
      "simulate.n_samples"),
+    # unset, n_samples is 129: 129 x 512 x 512 trace rows exceed MAX_TRACE_ROWS
+    ("n_samples-default-beyond-trace-rows",
+     {"task": "simulate", "domain": base_domain(K_x=512, J_y=512)}, "simulate.n_samples"),
+    # nu a^2 / pi^2 bounded by spectrum.MAX_NU_SCALE; the larger factor names the field
+    ("nu-beyond-critical-scan", _demo("control_1d.json", "domain.nu", 10**7), "domain.nu"),
+    ("a-beyond-critical-scan", _demo("simulate.json", "domain.a", "1000*pi"), "domain.a"),
     # point fields whose parse time grows with their size (over 30 s each when let through)
     ("liouville-depth-beyond-max", _demo("minimal_time.json", _POINT,
                                          {"liouville": "quartic_anchor3", "depth": 10**6}),

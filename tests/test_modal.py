@@ -120,8 +120,13 @@ def test_legendre_mode_integrals_bitwise_match_row_by_row(degree, delta):
     want = _legendre_rows_one_by_one(lam, degree, delta)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-    # only decaying rows, and only growing or tiny ones
-    for sub in ([-1e-3, -5e3, -0.7], [0.0, 1e-9, 3.0]):
+    # only decaying rows, and only growing or tiny ones; then rates that repeat:
+    # exact duplicates in every branch, and the pi x pi rate matrix at
+    # K_x = J_y = 16, whose 256 rates hold 130 distinct values (rate(k, j) = rate(j, k))
+    square = spec_2d(K_x=16, J_y=16).rate_matrix().ravel()
+    assert len(np.unique(square)) == 130
+    repeats = [-0.7, 0.0, 3.0, -0.7, 1e-9, -12.5, 0.0, 3.0, -1e-7, -12.5, 1e-9, -1e-7, -0.7]
+    for sub in ([-1e-3, -5e3, -0.7], [0.0, 1e-9, 3.0], repeats, square):
         assert (legendre_mode_integrals(sub, degree=degree, delta=delta).tobytes()
                 == _legendre_rows_one_by_one(sub, degree, delta).tobytes())
 

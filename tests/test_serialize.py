@@ -1,8 +1,9 @@
 """The array writers against a field-by-field oracle.
 
-Each array file is written with one row template applied to all of its
-fields at once; the oracle below formats every field on its own, the way the
-row tables are written (`fmt`), and the two must give the same bytes.
+Each array file is written as one template, each time stamp formatted once,
+applied to all of its values at once; the oracle below formats every field
+on its own, the way the row tables are written (`fmt`), and the two must
+give the same bytes.
 """
 
 import math
@@ -114,6 +115,42 @@ def test_observation_csv_matches_per_field_formatting(tmp_path, with_point, inte
     }
     if with_point:
         series["point"] = _cycle(n, shift=3)
+    path = tmp_path / "observations.csv"
+    write_observation_csv(path, series)
+    assert path.read_bytes() == _observation_oracle(series)
+
+
+# time stamps are formatted once per file: signed zeros, non-finite and repeated
+# times, and an integer time column, which is written with %d
+SPECIAL_TIMES = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, 1.5, -0.0, 5e-324,
+                          1.0 / 3.0, 1e16 + 2.0])
+TIME_COLUMNS = pytest.mark.parametrize("times", [SPECIAL_TIMES, np.arange(-3, 8)],
+                                       ids=["special", "integer"])
+
+
+@TIME_COLUMNS
+@pytest.mark.parametrize("state_shape", [(3,), (2, 5)])
+def test_trace_csv_time_column(tmp_path, times, state_shape):
+    trace = Trace(times=times, coeffs=_cycle((len(times), *state_shape), shift=5))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    assert path.read_bytes() == _trace_oracle(trace)
+
+
+@TIME_COLUMNS
+@pytest.mark.parametrize("shape_tail", [(), (1,), (4,)])
+def test_control_csv_time_column(tmp_path, monkeypatch, times, shape_tail):
+    # the writer samples the window with np.linspace, which cannot give these times
+    monkeypatch.setattr(np, "linspace", lambda start, stop, num: times[:num])
+    signal = _Sampled(0.0, 1.0, shape_tail, shift=4)
+    path = tmp_path / "control.csv"
+    write_control_csv(path, signal, n_samples=len(times) - 1)
+    assert path.read_bytes() == _control_oracle(signal, len(times) - 1)
+
+
+@TIME_COLUMNS
+def test_observation_csv_time_column(tmp_path, times):
+    series = {"t": times, "norm": _cycle(len(times), shift=6), "boundary": _cycle(len(times))}
     path = tmp_path / "observations.csv"
     write_observation_csv(path, series)
     assert path.read_bytes() == _observation_oracle(series)
