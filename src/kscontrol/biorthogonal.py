@@ -9,10 +9,10 @@ exponentials exactly when ``C = G^{-1}`` with the Gram matrix
 
 Within the exponential span this family is the unique one of minimal L2
 norm, and ``||q_m||^2 = (G^{-1})[m, m]``.  Gram matrices of exponentials
-are notoriously ill-conditioned, so construction carries a precision
-ladder: plain double solve with one step of iterative refinement, then an
-extended-precision (`decimal`, 60 digits) rebuild when the condition number
-exceeds 1e12, and an IllConditioned error when even that cannot certify the
+are notoriously ill-conditioned, so every family is built one way: the Gram
+is inverted by Gauss-Jordan in `decimal` at 60 digits, the inverse rounded to
+doubles, and the rounded coefficients certified against the 60-digit Gram.
+An IllConditioned error fires when even that cannot certify the
 biorthogonality residual.
 """
 
@@ -31,7 +31,6 @@ from .spectrum import DUPLICATE_REL_TOL, line_fit
 
 K_BIO_MAX = 24
 RESIDUAL_TOL = 1e-8
-EXTENDED_PRECISION_COND = 1e12
 FAIL_COND = 1e14
 EXTENDED_DIGITS = 60
 
@@ -99,7 +98,7 @@ class BiorthogonalFamily:
 def _gram_mp(lam, T):
     """The Gram matrix as lists of `Decimal` at the context precision, from the n
     exponentials E_i = exp(-lam_i T): G[i][k] = (1 - E_i E_k) / (lam_i + lam_k).
-    `build_family` calls it exactly once per extended-precision escalation."""
+    `build_family` calls it exactly once per family."""
     E = [(-x * T).exp() for x in lam]
     return [[(1 - Ei * Ek) / (li + lk) for lk, Ek in zip(lam, E)] for li, Ei in zip(lam, E)]
 
@@ -127,49 +126,36 @@ def _inverse(G):
 
 
 def build_family(exponents, T: float) -> BiorthogonalFamily:
-    """Solve G C^T = I and certify the biorthogonality residual.
+    """Invert the Gram in extended precision and certify the biorthogonality residual.
 
-    The solve is Jacobi-preconditioned (most of the raw condition number is
-    diagonal dynamic range of the rates), refined once, and rebuilt in
-    extended precision (`decimal`, 60 digits) past condition 1e12.  The
-    certified ``residual_max`` is what the returned double-precision
-    coefficients actually achieve; for families with huge rate spread it is
-    limited to roughly cond * eps even when the inverse is computed exactly,
-    which is why moment syntheses certify their own (target-weighted)
-    residual instead.
+    G^{-1} is computed by Gauss-Jordan in `decimal` at 60 digits; rounded to
+    doubles it matches a 60-digit mpmath inverse bit for bit, and the
+    coefficients come back C-ordered whatever the family.  The certified
+    ``residual_max`` is what the returned double-precision coefficients
+    actually achieve against the 60-digit Gram; for families with huge rate
+    spread it is limited to roughly cond * eps even though the inverse is
+    computed exactly, which is why moment syntheses certify their own
+    (target-weighted) residual instead.
     IllConditioned fires when the condition number exceeds 1e14 and the
     residual misses 1e-8: the truncation must shrink or precision increase.
     """
     lam = np.asarray(exponents, dtype=float)
     if len(lam) > K_BIO_MAX:
         raise ValueError(f"family size {len(lam)} exceeds K_bio_max={K_BIO_MAX}")
-    G = gram_matrix(lam, T)
-    n = len(lam)
-    cond = float(np.linalg.cond(G))
-    d = np.sqrt(np.diag(G))
-    Gs = G / d[:, None] / d[None, :]
-    Cs = np.linalg.solve(Gs, np.eye(n))
-    C = (Cs / d[:, None] / d[None, :]).T
-    # one step of iterative refinement through the scaled system
-    R = np.eye(n) - G @ C.T
-    dC = np.linalg.solve(Gs, R / d[:, None]) / d[None, :]
-    C = C + dC.T
-    residual = float(np.max(np.abs(G @ C.T - np.eye(n))))
-
-    if residual > RESIDUAL_TOL or cond > EXTENDED_PRECISION_COND:
-        with decimal.localcontext() as ctx:
-            ctx.prec = EXTENDED_DIGITS
-            G_x = _gram_mp([Decimal(x) for x in lam], Decimal(float(T)))
-            # G^{-1} = C^T: column i of the inverse is row i of C
-            C = np.array(list(zip(*_inverse(G_x))), dtype=float)
-            # residual of the float-rounded coefficients against the exact Gram
-            C_back = [[Decimal(x) for x in row] for row in C.tolist()]
-            residual = 0.0
-            for i, g_row in enumerate(G_x):
-                for k, c_row in enumerate(C_back):
-                    target = 1.0 if i == k else 0.0
-                    prod = float(sum(map(Decimal.__mul__, g_row, c_row)))
-                    residual = max(residual, abs(prod - target))
+    cond = float(np.linalg.cond(gram_matrix(lam, T)))
+    with decimal.localcontext() as ctx:
+        ctx.prec = EXTENDED_DIGITS
+        G_x = _gram_mp([Decimal(x) for x in lam], Decimal(float(T)))
+        # G^{-1} = C^T: column i of the inverse is row i of C
+        C = np.array(list(zip(*_inverse(G_x))), dtype=float)
+        # residual of the float-rounded coefficients against the exact Gram
+        C_back = [[Decimal(x) for x in row] for row in C.tolist()]
+        residual = 0.0
+        for i, g_row in enumerate(G_x):
+            for k, c_row in enumerate(C_back):
+                target = 1.0 if i == k else 0.0
+                prod = float(sum(map(Decimal.__mul__, g_row, c_row)))
+                residual = max(residual, abs(prod - target))
     if cond > FAIL_COND and residual > RESIDUAL_TOL:
         raise IllConditioned(
             f"Gram condition {cond:.3e}, residual {residual:.3e} after extended precision"

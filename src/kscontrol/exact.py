@@ -9,7 +9,7 @@ Q + Q*pi^2 whenever the user supplies rational data:
 * nu is rational.
 
 `ExactScalar` stores the pair (rat, pi2) meaning ``rat + pi2 * pi**2`` and
-supports the exact equality tests needed by the dichotomy.  Anything the
+supports the exact arithmetic the dichotomy needs.  Anything the
 user supplies as a bare float is non-exact and only ever compared within
 tolerance.
 """
@@ -39,9 +39,6 @@ class ExactScalar:
 
     def scale(self, c: Fraction) -> "ExactScalar":
         return ExactScalar(self.rat * c, self.pi2 * c)
-
-    def is_zero(self) -> bool:
-        return self.rat == 0 and self.pi2 == 0
 
     @staticmethod
     def rational(q) -> "ExactScalar":

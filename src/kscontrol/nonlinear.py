@@ -255,7 +255,6 @@ def fixed_point(
         )
     grid = source_grid(T, weights)
     source = None
-    prev_f = None
     prev_delta = None
     delta0 = None
     deltas, ratios, bad_streak = [], [], 0
@@ -266,7 +265,7 @@ def fixed_point(
         )
         f_vals = np.array([nonlinear_rhs(state_nd(spec, c)) for c in solve.trace.coeffs])
         new_source = ModalSource(times=solve.trace.times.copy(), values=f_vals)
-        delta, floor = _source_delta(new_source, prev_f, weights, spec)
+        delta, floor = _source_delta(new_source, source, weights, spec)
         deltas.append(delta)
         if delta0 is None:
             delta0 = delta
@@ -287,7 +286,6 @@ def fixed_point(
             stop = "tol"
         if stop is not None:
             break
-        prev_f = new_source
         prev_delta = delta
         source = new_source
     else:
@@ -318,7 +316,9 @@ def fixed_point(
 def _source_delta(new: ModalSource, old: Optional[ModalSource], weights: WeightPair,
                   spec: SpectrumSpec) -> tuple:
     """(delta, F_hat): ||(f_new - f_old)/rho_F|| on the window where the weight
-    is meaningful, and the rounding floor that delta cannot go below.
+    is meaningful, and the rounding floor that delta cannot go below.  Both
+    iterates are sampled at the same `source_grid` times, so they are
+    compared node by node.
 
     Beyond rho_F < EVAL_FLOOR the trajectory sits at the truncation's kill
     residual and the ratio would measure floor noise, not contraction.  On
@@ -328,12 +328,14 @@ def _source_delta(new: ModalSource, old: Optional[ModalSource], weights: WeightP
     over the same nodes, Lambda+ = max(0, largest rate).
     """
     t = new.times
+    if old is not None and not np.array_equal(old.times, t):
+        raise ValueError("Picard iterates must share one time grid")
     rhoF = weights.rhoF(t)
     mask = rhoF >= EVAL_FLOOR
     if not np.any(mask):
         return 0.0, 0.0
     t, rhoF, vals = t[mask], rhoF[mask], new.values[mask]
-    diff = vals if old is None else vals - np.array([old.value_at(ti) for ti in t])
+    diff = vals if old is None else vals - old.values[mask]
     kap = (np.arange(1, spec.K_x + 1, dtype=float) * math.pi / spec.a_float) ** 2
     s = kap[:, None] + spec.mus[None, :]  # kappa_k + mu_j: the Dirichlet symbol
 

@@ -210,16 +210,14 @@ class LegendreSegment:
 
         ``integrals(degree, delta)``, when given, returns
         `legendre_mode_integrals` of ``lam``; a caller stepping many pieces
-        of equal length passes a cached one.
+        of equal length passes a cached one.  The polynomials restricted to
+        [t0, t1] are re-expanded in the Legendre basis of [t0, t1] (exact,
+        degree-preserving) and integrated there, whether or not [t0, t1] is
+        the whole window.
         """
         deg = self.coeffs.shape[0] - 1
         if integrals is None:
             integrals = functools.partial(legendre_mode_integrals, lam)
-        if math.isclose(t0, self.t0) and math.isclose(t1, self.t1):
-            I = integrals(deg, self.t1 - self.t0)
-            return I @ self.coeffs
-        # partial span: re-expand the restricted polynomials in the Legendre
-        # basis of [t0, t1] (exact, degree-preserving), then integrate there
         R = self._restriction_matrix(t0, t1)
         I = integrals(deg, t1 - t0)
         return I @ (R @ self.coeffs)

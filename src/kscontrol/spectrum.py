@@ -371,7 +371,8 @@ def critical_set_check(spec: SpectrumSpec, search_bound: Optional[int] = None) -
     Exact (rational) inputs give an exact Critical/Clear decision; floats are
     classified Near when within ``crit_tol`` (relative to max(1, |nu|)).
     The exact mu_j of a box is built from its index tuple, only for the
-    slices the scan visits.
+    slices the scan visits, and the exact decision is made once per slice
+    (`_exact_pair`).
     """
     nu = spec.nu_float
     tol = spec.crit_tol * max(1.0, abs(nu))
@@ -397,19 +398,39 @@ def critical_set_check(spec: SpectrumSpec, search_bound: Optional[int] = None) -
             for m, b in zip(spec.mu_tuples[j - 1], box_dims):
                 mu_exact = mu_exact + b.pi_over_length_squared().scale(Fraction(m * m))
             two_mu_minus_nu = mu_exact.scale(Fraction(2)) - ExactScalar.rational(spec._nu_exact)
+            pair = _exact_pair(two_mu_minus_nu, spec._a_exact.pi_over_length_squared(), k_hi)
+            if pair is not None:
+                return CriticalVerdict("critical", j, *pair, 0.0)
         for k in range(1, k_hi + 1):
             for l in range(k + 1, k_hi + 1):
                 cand = 2.0 * mu + pi2 * (k * k + l * l) / a2
                 dist = abs(nu - cand)
-                if exact_ok:
-                    diff = two_mu_minus_nu + spec._a_exact.pi_over_length_squared().scale(
-                        Fraction(k * k + l * l)
-                    )
-                    if diff.is_zero():
-                        return CriticalVerdict("critical", j, k, l, 0.0)
                 if dist <= tol and dist < best.distance:
                     best = CriticalVerdict("near", j, k, l, dist)
     return best
+
+
+def _exact_pair(v: ExactScalar, c: ExactScalar, k_hi: int) -> Optional[tuple]:
+    """The first (k, l), 1 <= k < l <= k_hi in scan order, with v + c (k^2 + l^2) = 0.
+
+    c = (pi/a)^2 has exactly one nonzero part, so the other part of v must
+    vanish and n = -v/c must be an integer; then k^2 + l^2 = n is solved by
+    taking integer square roots, smallest k first.
+    """
+    if c.rat:
+        other, n = v.pi2, -v.rat / c.rat
+    else:
+        other, n = v.rat, -v.pi2 / c.pi2
+    if other or n.denominator != 1:
+        return None
+    n = n.numerator
+    k = 1
+    while 2 * k * k < n:
+        l = math.isqrt(n - k * k)
+        if l * l == n - k * k and l <= k_hi:
+            return k, l
+        k += 1
+    return None
 
 
 def require_clear(spec: SpectrumSpec):

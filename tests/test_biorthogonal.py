@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from kscontrol.biorthogonal import (
-    EXTENDED_PRECISION_COND,
     FAIL_COND,
     K_BIO_MAX,
     RESIDUAL_TOL,
@@ -212,36 +211,28 @@ def test_residual_within_double_precision_scope_K12():
 
 
 # ---------------------------------------------------------------------------
-# the extended rung against the mpmath rung it replaced
+# the decimal inverse against an independent mpmath one
 # ---------------------------------------------------------------------------
 
 def mpmath_family(lam, T):
-    """The precision ladder with its former extended rung: a 60-digit mpmath
-    Gram built from n^2 exponentials, inverted by mp.matrix LU.  Returns
-    (coeffs, residual_max, cond) or raises IllConditioned."""
+    """The Gram built from n^2 exponentials at 60 digits in mpmath and inverted
+    by mp.matrix LU, for every family.  Returns (coeffs, residual_max, cond)
+    or raises IllConditioned at `build_family`'s gate."""
     lam = np.asarray(lam, dtype=float)
     n = len(lam)
-    G = gram_matrix(lam, T)
-    cond = float(np.linalg.cond(G))
-    d = np.sqrt(np.diag(G))
-    Gs = G / d[:, None] / d[None, :]
-    C = (np.linalg.solve(Gs, np.eye(n)) / d[:, None] / d[None, :]).T
-    dC = np.linalg.solve(Gs, (np.eye(n) - G @ C.T) / d[:, None]) / d[None, :]
-    C = C + dC.T
-    residual = float(np.max(np.abs(G @ C.T - np.eye(n))))
-    if residual > RESIDUAL_TOL or cond > EXTENDED_PRECISION_COND:
-        with mp.workdps(60):
-            lam_mp = [mp.mpf(x) for x in lam]
-            G_mp = mp.matrix(n, n)
-            for i in range(n):
-                for k in range(n):
-                    s = lam_mp[i] + lam_mp[k]
-                    G_mp[i, k] = (1 - mp.e ** (-s * mp.mpf(T))) / s
-            C_mp = (G_mp**-1).T
-            C = np.array([[float(C_mp[i, k]) for k in range(n)] for i in range(n)])
-            prod = G_mp * mp.matrix(C.tolist()).T
-            residual = max(abs(float(prod[i, k]) - (1.0 if i == k else 0.0))
-                           for i in range(n) for k in range(n))
+    cond = float(np.linalg.cond(gram_matrix(lam, T)))
+    with mp.workdps(60):
+        lam_mp = [mp.mpf(x) for x in lam]
+        G_mp = mp.matrix(n, n)
+        for i in range(n):
+            for k in range(n):
+                s = lam_mp[i] + lam_mp[k]
+                G_mp[i, k] = (1 - mp.e ** (-s * mp.mpf(T))) / s
+        C_mp = (G_mp**-1).T
+        C = np.array([[float(C_mp[i, k]) for k in range(n)] for i in range(n)])
+        prod = G_mp * mp.matrix(C.tolist()).T
+        residual = max(abs(float(prod[i, k]) - (1.0 if i == k else 0.0))
+                       for i in range(n) for k in range(n))
     if cond > FAIL_COND and residual > RESIDUAL_TOL:
         raise IllConditioned(f"Gram condition {cond:.3e}, residual {residual:.3e}")
     return C, residual, cond
@@ -260,9 +251,10 @@ def _quartic_families(count, seed=0):
 
 def test_extended_rung_reproduces_mpmath_bits():
     # Any inverse accurate far beyond 53 bits rounds to the same doubles, so
-    # the decimal rung must give the mpmath rung's coefficients and certified
-    # residual bit for bit, and raise exactly where it raised.
-    sides = {"double": 0, "extended": 0, "ill": 0}
+    # the decimal inverse must give mpmath's coefficients and certified
+    # residual bit for bit on every family, well or badly conditioned, and
+    # raise exactly where the oracle raises.
+    sides = {"cond<=1e12": 0, "cond>1e12": 0, "ill": 0}
     for lam, T in _quartic_families(100):
         try:
             C, residual, cond = mpmath_family(lam, T)
@@ -276,9 +268,9 @@ def test_extended_rung_reproduces_mpmath_bits():
         assert fam.residual_max == residual, (len(lam), T)
         # the memory layout too: a transposed copy holds the same values but
         # routes later products through other BLAS paths
-        assert fam.coeffs.strides == C.strides
-        sides["extended" if cond > EXTENDED_PRECISION_COND else "double"] += 1
-    assert sides["double"] >= 10 and sides["extended"] >= 10 and sides["ill"] >= 1, sides
+        assert fam.coeffs.strides == C.strides and fam.coeffs.flags.c_contiguous
+        sides["cond>1e12" if cond > 1e12 else "cond<=1e12"] += 1
+    assert sides["cond<=1e12"] >= 10 and sides["cond>1e12"] >= 10 and sides["ill"] >= 1, sides
 
 
 def test_past_fail_cond_raises_on_both_rungs():

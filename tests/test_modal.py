@@ -144,6 +144,16 @@ def test_exp_segment_duhamel_vs_quadrature():
         assert got == pytest.approx(val, rel=1e-10, abs=1e-14)
 
 
+def test_legendre_segment_duhamel_vs_quadrature():
+    # the whole window and a sub-span take the same restriction path
+    seg = LegendreSegment(t0=0.2, t1=0.9, coeffs=np.array([2.0, -0.7, 0.4, 0.25, -0.1]))
+    for t0, t1 in ((0.2, 0.9), (0.35, 0.8)):
+        for lam in (-300.0, -1.0, 0.5):
+            got = seg.mode_duhamel(np.array([lam]), t0, t1)[0]
+            val, _ = quad(lambda s: math.exp(lam * (t1 - s)) * seg.value(s), t0, t1, limit=400)
+            assert got == pytest.approx(val, rel=1e-10, abs=1e-14), (t0, t1, lam)
+
+
 def test_exp_segment_l2_vs_quadrature():
     seg = ExpSegment(
         t0=0.0, t1=1.0,

@@ -264,6 +264,93 @@ def test_critical_set_float_side_never_critical(dims, nu_twin):
             assert (v.j, v.k, v.l) == (1, 1, 2)
 
 
+# Exact lengths as (literal, scale, pi power).
+_EXACT_LENGTHS = [("pi", Fraction(1), 1), ("pi/2", Fraction(1, 2), 1),
+                  ("3/2*pi", Fraction(3, 2), 1), ("1", Fraction(1), 0),
+                  ("3/2", Fraction(3, 2), 0), ("2", Fraction(2), 0)]
+
+
+def _pi_over_squared(scale, pi_power):
+    """(pi / L)^2 as (rational part, pi^2 part)."""
+    return (1 / scale**2, Fraction(0)) if pi_power else (Fraction(0), 1 / scale**2)
+
+
+def _pair_loop_critical(spec, sides, a, nu):
+    """The first (j, k, l) in scan order with 2 mu_j + (pi/a)^2 (k^2 + l^2) = nu
+    exactly, by trying every pair of every slice; None when there is none."""
+    c_rat, c_pi2 = _pi_over_squared(*a)
+    for j, tup in enumerate(spec.mu_tuples, start=1):
+        v_rat, v_pi2 = -nu, Fraction(0)
+        for m, side in zip(tup, sides):
+            r, p = _pi_over_squared(*side)
+            v_rat, v_pi2 = v_rat + 2 * m * m * r, v_pi2 + 2 * m * m * p
+        # every solution has k^2 + l^2 <= n_max
+        n_max = (nu - 2 * spec.mu(j)) * spec.a_float**2 / math.pi**2 + 2
+        l_hi = math.isqrt(max(int(n_max), 0)) + 1
+        for k in range(1, l_hi + 1):
+            for l in range(k + 1, l_hi + 1):
+                n = k * k + l * l
+                if v_rat + c_rat * n == 0 and v_pi2 + c_pi2 * n == 0:
+                    return j, k, l
+    return None
+
+
+def _seeded_exact_inputs(count, seed):
+    """(sides, a, nu) with exact lengths from _EXACT_LENGTHS; about half aim nu
+    at a critical value 2 mu_j + (pi/a)^2 (k^2 + l^2)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_dims = int(rng.integers(1, 3))
+        sides = [_EXACT_LENGTHS[i] for i in rng.integers(0, len(_EXACT_LENGTHS), n_dims)]
+        a = _EXACT_LENGTHS[int(rng.integers(0, len(_EXACT_LENGTHS)))]
+        spec = SpectrumSpec(a=a[0], nu=0, cross_section=Box([s[0] for s in sides]),
+                            K_x=4, J_y=6)
+        tup = spec.mu_tuples[int(rng.integers(0, 6))]
+        k, l = sorted(rng.choice(np.arange(1, 7), 2, replace=False).tolist())
+        c_rat, c_pi2 = _pi_over_squared(a[1], a[2])
+        v = [sum(2 * m * m * _pi_over_squared(s[1], s[2])[i] for m, s in zip(tup, sides))
+             for i in (0, 1)]
+        aim = (v[0] + c_rat * (k * k + l * l), v[1] + c_pi2 * (k * k + l * l))
+        if rng.random() < 0.5 and aim[1] == 0:
+            yield sides, a, aim[0]
+        else:
+            yield sides, a, Fraction(int(rng.integers(0, 400)), int(rng.integers(1, 5)))
+
+
+def test_critical_set_matches_pair_loop_on_seeded_exact_inputs():
+    pi, half_pi = _EXACT_LENGTHS[0], _EXACT_LENGTHS[1]
+    # n = k^2 + l^2 with two pairs, where the scan order picks the first:
+    # 65 = 1 + 64 = 16 + 49 and 85 = 4 + 81 = 36 + 49
+    two_pairs = [([pi], pi, Fraction(2 + 65)), ([pi, half_pi], half_pi, Fraction(10 + 4 * 85))]
+    hits = {"critical": 0, "rational a": 0, "rational side": 0}
+    for sides, a, nu in two_pairs + list(_seeded_exact_inputs(40, seed=19)):
+        spec = SpectrumSpec(a=a[0], nu=f"{nu.numerator}/{nu.denominator}",
+                            cross_section=Box([s[0] for s in sides]), K_x=4, J_y=6)
+        want = _pair_loop_critical(spec, [s[1:] for s in sides], a[1:], nu)
+        got = critical_set_check(spec)
+        assert (got.kind == "critical") == (want is not None), (sides, a, nu)
+        if want is not None:
+            assert (got.j, got.k, got.l) == want
+        hits["critical"] += want is not None
+        hits["rational a"] += a[2] == 0
+        hits["rational side"] += any(s[2] == 0 for s in sides)
+    assert all(count >= 5 for count in hits.values()), hits
+
+
+def test_critical_set_at_the_nu_bound_matches_pair_loop():
+    # nu = 10^6 on a pi box: 2 mu_j + k^2 + l^2 = 10^6 first at j = 4, by a
+    # plain integer pair loop over the slices before it
+    spec = spec_pi_box(nu=10**6, K_x=8, J_y=4)
+    v = critical_set_check(spec)
+    assert (v.kind, v.j, v.k, v.l) == ("critical", 4, 452, 892)
+    for j in range(1, 5):
+        n = 10**6 - 2 * j * j
+        first = next(((k, l) for k in range(1, 708) for l in range(k + 1, 1001)
+                      if k * k + l * l == n), None)
+        assert (first is None) == (j < 4), j
+    assert first == (452, 892)
+
+
 # ---------------------------------------------------------------------------
 # thresholds
 # ---------------------------------------------------------------------------

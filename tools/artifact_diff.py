@@ -9,8 +9,10 @@ benchmark workload at each seed, read from HEAD_TREE's
 its own ``--out``, one process per run and the BLAS pool at one thread
 unless OPENBLAS_NUM_THREADS is set.  For each run it prints both exit codes
 and the artifacts whose bytes differ; ``timings.json`` is left out, being
-the one artifact a rerun may change.  Exits 0 when every run has equal exit
-codes and equal artifacts, else 1.
+the one artifact a rerun may change.  When ``manifest.json`` differs, it
+also prints each changed scalar leaf (``path: base -> head``) and, for each
+changed list of numbers, its largest relative change.  Exits 0 when every
+run has equal exit codes and equal artifacts, else 1.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import glob
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -44,19 +47,59 @@ def _inputs(head, seeds):
 
 
 def _run(tree, cfg_path, task, out):
-    """Exit code of one ksctl run, and {file name: sha256} of its run directory."""
+    """Exit code of one ksctl run, {file name: sha256} of its run directory,
+    and its parsed manifest (None without one)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
     proc = subprocess.run([sys.executable, "-m", "kscontrol.cli", task, "--config", cfg_path,
                            "--out", out], env=env, capture_output=True, text=True)
     runs = sorted(glob.glob(os.path.join(out, "run-*")))
-    digests = {}
+    digests, manifest = {}, None
     for run_dir in runs[-1:]:
         for name in sorted(os.listdir(run_dir)):
             if name not in IGNORED:
                 with open(os.path.join(run_dir, name), "rb") as fh:
-                    digests[name] = hashlib.sha256(fh.read()).hexdigest()
-    return proc.returncode, digests
+                    data = fh.read()
+                digests[name] = hashlib.sha256(data).hexdigest()
+                if name == "manifest.json":
+                    manifest = json.loads(data)
+    return proc.returncode, digests, manifest
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _leaves(node, path=""):
+    """{path: value} of a JSON tree; a list of numbers is one leaf."""
+    if isinstance(node, dict):
+        items = ((f"{path}.{key}" if path else str(key), val) for key, val in node.items())
+    elif isinstance(node, list) and not (node and all(map(_is_number, node))):
+        items = ((f"{path}[{i}]", val) for i, val in enumerate(node))
+    else:
+        return {path: node}
+    out = {}
+    for sub, val in items:
+        out.update(_leaves(val, sub))
+    return out
+
+
+def _manifest_changes(base, head):
+    """One line per leaf of the manifest that differs between the two runs."""
+    a, b = _leaves(base), _leaves(head)
+    lines = []
+    for path in sorted(a.keys() | b.keys()):
+        va, vb = a.get(path, "(absent)"), b.get(path, "(absent)")
+        if repr(va) == repr(vb):  # repr, so that NaN equals NaN
+            continue
+        if (isinstance(va, list) and isinstance(vb, list) and len(va) == len(vb)
+                and all(map(_is_number, va + vb))):
+            rel = max(abs(y - x) / abs(x) if x else math.inf for x, y in zip(va, vb)
+                      if repr(x) != repr(y))
+            lines.append(f"{path}: list of {len(va)}, largest relative change {rel:.3g}")
+        else:
+            lines.append(f"{path}: {va!r} \u2192 {vb!r}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -72,13 +115,17 @@ def main(argv=None) -> int:
             cfg_path = os.path.join(tmp, f"{i:03d}.json")
             with open(cfg_path, "w", encoding="utf-8") as fh:
                 json.dump(cfg, fh)
-            (rc_a, a), (rc_b, b) = (_run(tree, cfg_path, cfg["task"], os.path.join(tmp, f"{i:03d}-{side}"))
-                                    for side, tree in (("base", args.base), ("head", args.head)))
+            (rc_a, a, man_a), (rc_b, b, man_b) = (
+                _run(tree, cfg_path, cfg["task"], os.path.join(tmp, f"{i:03d}-{side}"))
+                for side, tree in (("base", args.base), ("head", args.head)))
             changed = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
             same = rc_a == rc_b and not changed
             runs, differing = runs + 1, differing + (not same)
             what = "differ: " + ", ".join(changed) if changed else f"{len(a)} artifacts identical"
             print(f"{'same' if same else 'DIFF'} {label:<48} exit {rc_a} {rc_b}  {what}", flush=True)
+            if "manifest.json" in changed and man_a is not None and man_b is not None:
+                for line in _manifest_changes(man_a, man_b):
+                    print(f"    {line}", flush=True)
     print(f"artifact_diff: {runs} runs, {differing} differing (timings.json ignored)")
     return 1 if differing else 0
 
