@@ -28,7 +28,6 @@ from .modal import (
     Trace,
     evolve_controlled,
     evolve_free,
-    evolve_pointwise_controlled,
     nonlinear_rhs,
     observe,
     project_initial,
@@ -66,7 +65,6 @@ __all__ = [
     "critical_set_check",
     "evolve_controlled",
     "evolve_free",
-    "evolve_pointwise_controlled",
     "fixed_point",
     "gram_matrix",
     "minimal_time_estimate",

@@ -107,15 +107,18 @@ def _inverse(G):
     """G^{-1} by Gauss-Jordan on [G | I] at the context precision.
 
     G is symmetric positive definite, so the pivots are positive and no
-    pivoting is needed.  Before step j the left block's first j columns are
-    done and the right block's columns past n + j are still those of I, so
-    step j only updates columns j + 1 .. n + j.
+    pivoting is needed; a pivot that is not (all of G is 0 once lam T <
+    1e-60) raises IllConditioned.  Before step j the left block's first j
+    columns are done and the right block's columns past n + j are still
+    those of I, so step j only updates columns j + 1 .. n + j.
     """
     n = len(G)
     one, zero = Decimal(1), Decimal(0)
     A = [row + [one if k == i else zero for k in range(n)] for i, row in enumerate(G)]
     for j in range(n):
         cols = slice(j + 1, n + j + 1)
+        if not A[j][j] > 0:
+            raise IllConditioned(f"Gram pivot {j} is not positive at {EXTENDED_DIGITS} digits")
         inv = one / A[j][j]
         span = A[j][cols] = [x * inv for x in A[j][cols]]
         for i, row in enumerate(A):

@@ -37,7 +37,7 @@ from .pointwise import DEFAULT_K_MAX, DEFAULT_MARGIN, LIOUVILLE_RULES, MAX_ALGEB
 from .pointwise import MAX_LIOUVILLE_DEPTH, PointSpec
 from .spectrum import DEFAULT_CRIT_TOL, DEFAULT_J_Y, DEFAULT_K_X, MAX_K_MAX, MAX_MODES, MAX_SIM_STEPS
 from .spectrum import MAX_NU_SCALE, MAX_TRACE_ROWS, Box, External, SpectrumSpec
-from .spectrum import load_external_eigenvalues
+from .spectrum import MAX_RATE, load_external_eigenvalues
 
 REQUIRED = object()
 
@@ -92,7 +92,7 @@ def _number(lo=-math.inf, open_lo=False):
     def check(v, path, spec, params):
         _require(_is_number(v), path, "must be a finite number")
         _require(v > lo or v == lo and not open_lo, path, f"must be {'>' if open_lo else '>='} {lo}")
-        return v
+        return float(v)  # an int past int64 reaches numpy as an object array
     return check
 
 
@@ -235,13 +235,14 @@ def _schedule(name, base):
     """``base``, then the frequency-splitting schedule's own range check of
     ``name``; a K0 beyond the truncation is left to the run."""
     def check(v, path, spec, params):
+        value = base(v, path, spec, params)
         try:
-            check_schedule(spec, **{name: base(v, path, spec, params)})
+            check_schedule(spec, **{name: value})
         except (BadRho, BetaTooSmall) as exc:
             raise ConfigError(path, str(exc))
         except ThresholdBeyondTruncation:
             pass
-        return v
+        return value
     return check
 
 
@@ -356,6 +357,15 @@ def parse_config_dict(raw: dict) -> Scenario:
              "domain.a" if r2 > spec.nu_float else "domain.nu",
              f"nu a^2/pi^2 = {spec.nu_float * r2:.3g} exceeds {MAX_NU_SCALE:.0e} "
              "(spectrum.MAX_NU_SCALE): the critical-set scan grows linearly in it")
+    # the minimal-time scan and the critical-set check take a^4; every rate
+    # -s^2 + nu s, s = (k pi/a)^2 + mu_j, stays below spectrum.MAX_RATE
+    _require(spec.a_float <= sys.float_info.max ** 0.25, "domain.a", "a^4 exceeds the float range")
+    x = spec.K_x * math.pi / spec.a_float
+    kap, mu, nu = x * x, float(np.max(spec.mus)), abs(spec.nu_float)  # inf, not OverflowError
+    fastest = (kap + mu) * (kap + mu + nu)  # the largest term names the field
+    _require(fastest <= MAX_RATE, "domain.nu" if nu > kap + mu else
+             "domain.a" if kap >= mu else "domain.cross_section",
+             f"the fastest rate {fastest:.3g} exceeds {MAX_RATE:.0e}")
     if task == "nonlinear":  # the quadratic term needs the cross-section's eigenfunctions
         try:
             spec.box_axes("the nonlinear task")
@@ -371,6 +381,12 @@ def parse_config_dict(raw: dict) -> Scenario:
     _require(isinstance(output_dir, str) and output_dir, "output.dir", "must be a nonempty string")
 
     params = _resolve(section, raw.get(section, {}), spec)
+    if "T" in params and task != "biortho":  # e^(rate t) and rate t stay floats for t <= T
+        T, j, ln_max = params["T"], params.get("j"), math.log(sys.float_info.max)
+        top = float(np.max(spec.x_rates(j) if j is not None else spec.rate_matrix()))
+        _require(top * T <= ln_max and fastest * T <= MAX_RATE, f"{section}.T",
+                 f"T times the largest growth rate {top:.6g} exceeds ln(float max) = "
+                 f"{ln_max:.6g}, or T times the fastest rate {fastest:.3g} exceeds {MAX_RATE:.0e}")
     if "geometry" in _FIELDS[section] and raw.get(section, {}).get("geometry") is None:
         # the default geometry is the whole cross-section, so K_x is what is wrong
         _require_full_section_fits(None, spec, "domain.K_x")

@@ -89,7 +89,8 @@ class QuadratureUnderResolved(KSControlError):
 
 
 class GramianSingular(KSControlError):
-    """Steering Gramian numerically singular: modes indistinguishable on omega."""
+    """Steering Gramian numerically singular (modes indistinguishable on omega),
+    or not finite (a window too long for its Legendre mode integrals)."""
 
 
 class DissipationViolated(KSControlError):
@@ -99,6 +100,11 @@ class DissipationViolated(KSControlError):
 class StepUnconverged(KSControlError):
     """Step-halving changed the nonlinear end state beyond tolerance, or the
     replay left the finite range."""
+
+
+class NotFinite(KSControlError):
+    """A float operation of the run overflowed, divided by zero or gave an
+    invalid value (such as inf - inf): the inputs leave the float range."""
 
 
 class BadRho(KSControlError):

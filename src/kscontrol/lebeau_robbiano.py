@@ -43,6 +43,7 @@ from .errors import (
 from .modal import (
     ModalSource,
     ModalState,
+    Trace,
     evolve_controlled,
     state_nd,
     x_gain,
@@ -192,9 +193,7 @@ def mass_matrix(spec: SpectrumSpec, omega: Optional[tuple], rows: int) -> np.nda
 
 def _window_free_end(state: ModalState, window, source) -> np.ndarray:
     """End-of-window coefficients under zero control (source included)."""
-    probe = state.copy()
-    end = evolve_controlled(probe, None, window, source=source)
-    return end.coeffs
+    return evolve_controlled(state, None, window, source=source).coeffs
 
 
 def active_phase_tensor(
@@ -312,6 +311,8 @@ def active_phase_gramian(
     flat_rates = rates.ravel()
     n_killed = flat_rates.size
     I = legendre_mode_integrals(flat_rates, P - 1, W)  # (n_killed, P)
+    if not np.all(np.isfinite(I)):  # scipy's ive is nan once |rate| W / 2 passes about 1e10
+        raise GramianSingular(f"Legendre mode integrals not finite over a window of length {W:.3g}")
     # A[(k,j), (l,p)] = x_gain[k] M[l, j] I[(k,j), p]
     I3 = I.reshape(spec.K_x, gamma_eff, P)
     A = np.einsum("k,lj,kjp->kjlp", x_gain(spec, x0), M[:, :gamma_eff], I3)
@@ -372,6 +373,28 @@ def _certify_dissipation(spec: SpectrumSpec, gamma_eff: int, high_before: float,
 # end-to-end runs
 # ---------------------------------------------------------------------------
 
+class _Spans:
+    """A run evolved span after span.  Each span records the ``record`` times
+    left by the spans before it, up to its own end (within 1e-12), so a
+    boundary between two spans is recorded once; no ``record``, no trace."""
+
+    def __init__(self, record: Optional[Sequence[float]]):
+        self.record, self.times, self.coeffs = record, [], []
+        self.rest = np.unique(np.asarray([] if record is None else record, dtype=float))
+
+    def evolve(self, state: ModalState, control, window: tuple, source) -> ModalState:
+        mine = self.rest <= window[1] + 1e-12
+        end, tr = evolve_controlled(state, control, window, source=source, record=self.rest[mine])
+        self.rest = self.rest[~mine]
+        self.times.extend(tr.times.tolist())
+        self.coeffs.extend(tr.coeffs)
+        return end
+
+    def trace(self) -> Optional[Trace]:
+        if self.record is not None:
+            return Trace(times=np.array(self.times), coeffs=np.array(self.coeffs))
+
+
 @dataclass
 class LRRunResult:
     schedule: Optional[LRSchedule]
@@ -406,7 +429,7 @@ def run_lr(
     otherwise); interior actuation on the full cross-section is a direct
     per-slice pointwise moment solve on [0, T] gated by the minimal-time
     estimate, and on a strict subset it runs Gramian windows with the
-    pointwise gain.
+    pointwise gain.  The ``trace`` holds the run once at each ``record`` time.
     """
     require_clear(spec)
     state = u0 if isinstance(u0, ModalState) else state_nd(spec, u0)
@@ -426,19 +449,7 @@ def run_lr(
     schedule = build_schedule(T, rho, beta, spec)
     tensor = isinstance(geometry, BoundaryGamma) and geometry.omega is None
 
-    rec_times = np.asarray(sorted(set(float(t) for t in record))) if record is not None else None
-    trace_t, trace_c = [], []
-
-    def _record_span(t_lo, t_hi, run_state, control, src):
-        nonlocal state
-        if rec_times is None:
-            state = evolve_controlled(run_state, control, (t_lo, t_hi), source=src)
-            return
-        pts = rec_times[(rec_times >= t_lo - 1e-12) & (rec_times <= t_hi + 1e-12)]
-        state, tr = evolve_controlled(run_state, control, (t_lo, t_hi), source=src, record=pts)
-        trace_t.extend(tr.times.tolist())
-        trace_c.extend(list(tr.coeffs))
-
+    spans = _Spans(record)
     window_norms = [state.norm]
     control_norms = []
     controls = []
@@ -456,31 +467,23 @@ def run_lr(
                 state, (w.a_k, t_mid), spec, w.gamma, geometry.omega, x0=x0, source=source
             )
             gram_reports.append(rep)
-        _record_span(w.a_k, t_mid, state, sig, source)
+        state = spans.evolve(state, sig, (w.a_k, t_mid), source)
         killed = float(np.linalg.norm(state.coeffs[:, :gamma_eff]))
         kill_residuals.append(killed / max(u0_norm, 1e-300))
         controls.append(sig)
         control_norms.append(sig.norm_l2())
         # passive span with the dissipation certificate on the high component
         high_before = float(np.linalg.norm(state.coeffs[:, gamma_eff:]))
-        _record_span(t_mid, w.a_k + 2 * w.T_k, state, None, source)
+        state = spans.evolve(state, None, (t_mid, w.a_k + 2 * w.T_k), source)
         _certify_dissipation(spec, gamma_eff, high_before, state.coeffs, w.T_k, source)
         window_norms.append(state.norm)
     if state.time < T - 1e-12:
-        _record_span(state.time, T, state, None, source)
+        state = spans.evolve(state, None, (state.time, T), source)
         window_norms.append(state.norm)
 
     total = math.sqrt(sum(c * c for c in control_norms))
     slope = _decay_fit(schedule, window_norms, spec)
     obs_fit = _observability_fit(schedule, gram_reports, spec) if gram_reports else None
-    trace = None
-    if rec_times is not None:
-        from .modal import Trace
-
-        tt = np.array(trace_t)
-        cc = np.array(trace_c)
-        _, keep = np.unique(np.round(tt, 12), return_index=True)
-        trace = Trace(times=tt[keep], coeffs=cc[keep])
     return LRRunResult(
         schedule=schedule,
         window_norms=window_norms,
@@ -492,7 +495,7 @@ def run_lr(
         gramian_reports=gram_reports,
         decay_fit_slope=slope,
         observability_fit=obs_fit,
-        trace=trace,
+        trace=spans.trace(),
         kill_residuals=kill_residuals,
     )
 
@@ -527,12 +530,8 @@ def _run_internal_direct(state, T, spec, geometry, margin, source, record,
     slices = [j for j in range(1, spec.J_y + 1)
               if float(np.linalg.norm(end_free[:, j - 1])) > 1e-10 * scale]
     sig = _slice_moment_control(end_free, slices, spec, (0.0, T), spec.J_y, x0=x0)
-    rec = np.asarray(sorted(set(float(t) for t in record))) if record is not None else None
-    if rec is not None:
-        end, trace = evolve_controlled(state, sig, (0.0, T), source=source, record=rec)
-    else:
-        end = evolve_controlled(state, sig, (0.0, T), source=source)
-        trace = None
+    spans = _Spans(record)
+    end = spans.evolve(state, sig, (0.0, T), source)
     return LRRunResult(
         schedule=None,
         window_norms=[u0_norm, end.norm],
@@ -541,7 +540,7 @@ def _run_internal_direct(state, T, spec, geometry, margin, source, record,
         final_norm=end.norm,
         final_rel_norm=end.norm / max(u0_norm, 1e-300),
         controls=[sig],
-        trace=trace,
+        trace=spans.trace(),
     )
 
 

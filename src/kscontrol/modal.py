@@ -15,7 +15,8 @@ The modal input coefficients, derived from the transposition identity:
 * pointwise control at x0:
   du_{kj}/dt = Lambda_{kj} u_{kj} + sqrt(2/a) sin(k pi x0/a) <h, psi_j>_omega
 
-Both signs are guarded by the duality calibration tests.
+Both signs are guarded by the duality calibration tests.  Evolution refuses no
+parameter; `boundary_1d.verify_null` judges, and guards, a 1-D null claim.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def evolve_controlled(
     ``(state, Trace)`` when ``record`` times are given; a breakpoint within
     1e-12 of a record time is recorded.  The control's segment must cover
     the window: a control over several windows is evolved one signal at a
-    time.
+    time.  ``state`` itself is left unchanged.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not math.isclose(t0, state.time, rel_tol=0, abs_tol=1e-10):
@@ -316,21 +317,6 @@ def evolve_controlled(
     if record is None:
         return cur
     return cur, Trace(times=pts[keep], coeffs=np.array(rec_c))
-
-
-def evolve_pointwise_controlled(state, control, window, **kw):
-    """Controlled evolution through the point input at ``control.x0``.
-
-    Refuses Critical/Near parameters: at a rate collision no control acts on
-    the invariant two-mode subspace, so controlled-solve claims would be
-    vacuous (free flow remains available).
-    """
-    from .spectrum import require_clear
-
-    if control.x0 is None or not (0.0 < control.x0 < state.spec.a_float):
-        raise ValueError("expected a pointwise control signal with x0 inside (0, a)")
-    require_clear(state.spec)
-    return evolve_controlled(state, control, window, **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ reproducible from the manifest inputs alone.
 Exit codes follow the exception taxonomy: 0 success, 2 configuration, 3
 critical parameter, 4 below minimal time, 5 ill-conditioned, 6 no
 contraction, 1 anything else.  Partial outputs are flushed before an error
-exit.
+exit.  A float overflow, division by zero or invalid value in a run raises
+NotFinite (exit 1) instead of going on with inf or nan.
 """
 
 from __future__ import annotations
@@ -20,17 +21,18 @@ import hashlib
 import json
 import os
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
+from .boundary_1d import synthesize_boundary_control, verify_null
 from .config import Scenario
-from .errors import KSControlError, NoContraction
+from .errors import KSControlError, NoContraction, NotFinite, ThresholdBeyondTruncation
 from .lebeau_robbiano import run_lr
 from .modal import evolve_controlled, observe, state_1d, state_nd
 from .serialize import write_control_csv, write_csv, write_json, write_observation_csv, write_trace_csv
 from .spectrum import Box, K0_index, c0_shift, critical_set_check, n0_index, weyl_fit
-from .errors import ThresholdBeyondTruncation
 
 
 def _config_hash(scenario: Scenario) -> str:
@@ -65,7 +67,11 @@ def run_scenario(scenario: Scenario, out_dir=None, seed=None):
         )
     t0 = time.perf_counter()
     try:
-        _HANDLERS[scenario.task](scenario, seed, run_dir, manifest)
+        try:  # numpy raises where it would warn and go on with inf or nan
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                _HANDLERS[scenario.task](scenario, seed, run_dir, manifest)
+        except (FloatingPointError, OverflowError) as exc:
+            raise NotFinite(f"{type(exc).__name__}: {exc}") from exc
         manifest["status"] = "ok"
     except KSControlError as exc:
         manifest["status"] = "error"
@@ -131,27 +137,26 @@ def _task_biortho(sc: Scenario, seed, run_dir, manifest):
 
 
 def _task_control_1d(sc: Scenario, seed, run_dir, manifest):
-    from .boundary_1d import synthesize_boundary_control, verify_null
-
     p = sc.params
-    spec = sc.spec
-    j, T, K_trunc, u0 = p["j"], p["T"], p["K_trunc"], p["u0_modes"]
-    control, rep = synthesize_boundary_control(u0, T, spec, j, K_trunc=K_trunc)
+    control, rep = synthesize_boundary_control(p["u0_modes"], p["T"], sc.spec, p["j"],
+                                               K_trunc=p["K_trunc"])
+    manifest["report"] = _closed_loop_1d(sc, run_dir, control, rep)
+
+
+def _closed_loop_1d(sc: Scenario, run_dir, control, rep) -> dict:
+    """Both 1-D tasks' tail: control.csv, the verdict of `verify_null`, the closed
+    loop at 129 times as trace.csv, and the report (every SynthesisReport field
+    but ``targets``, and the verdict's ``final_rel_enforced`` and ``final_rel_all``)."""
+    p, spec = sc.params, sc.spec
+    j, T, u0 = p["j"], p["T"], p["u0_modes"]
     write_control_csv(os.path.join(run_dir, "control.csv"), control)
-    out = verify_null(u0, control, T, spec, j, K_trunc=K_trunc)
-    state = state_1d(spec, j, coeffs=u0)
-    times = np.linspace(0.0, T, 129)
-    _, trace = evolve_controlled(state, control, (0.0, T), record=times)
+    out = verify_null(u0, control, T, spec, j, K_trunc=rep.K_trunc)
+    _, trace = evolve_controlled(state_1d(spec, j, coeffs=u0), control, (0.0, T),
+                                 record=np.linspace(0.0, T, 129))
     write_trace_csv(os.path.join(run_dir, "trace.csv"), trace)
-    manifest["report"] = {
-        "control_norm": rep.control_norm,
-        "moment_residual_max": rep.moment_residual_max,
-        "tail_free_decay": rep.tail_free_decay,
-        "gram_condition": rep.gram_condition,
-        "c0": rep.c0,
-        "final_rel_enforced": out.rel_final_enforced,
-        "final_rel_all": out.rel_final_all,
-    }
+    report = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "targets"}
+    report.update(final_rel_enforced=out.rel_final_enforced, final_rel_all=out.rel_final_all)
+    return report
 
 
 def _task_minimal_time(sc: Scenario, seed, run_dir, manifest):
@@ -172,18 +177,16 @@ def _task_minimal_time(sc: Scenario, seed, run_dir, manifest):
 
 def _task_control_point(sc: Scenario, seed, run_dir, manifest):
     from .errors import BelowMinimalTime
-    from .modal import evolve_pointwise_controlled
     from .pointwise import minimal_time_estimate, negative_certificate, synthesize_point_control
 
-    p = sc.params
-    spec = sc.spec
-    j, T, K_trunc, u0 = p["j"], p["T"], p["K_trunc"], p["u0_modes"]
+    p, spec = sc.params, sc.spec
+    j, T = p["j"], p["T"]
     est = minimal_time_estimate(p["point"], spec.a_float)
     manifest["T0_hat"] = est.T0_hat
     try:
-        control, rep = synthesize_point_control(
-            u0, T, p["point"], spec, j, K_trunc=K_trunc, margin=p["margin"], estimate=est,
-        )
+        control, rep = synthesize_point_control(p["u0_modes"], T, p["point"], spec, j,
+                                                K_trunc=p["K_trunc"], margin=p["margin"],
+                                                estimate=est)
     except BelowMinimalTime:
         try:
             w = negative_certificate(p["point"], spec, j, T, estimate=est)
@@ -192,19 +195,7 @@ def _task_control_point(sc: Scenario, seed, run_dir, manifest):
         except KSControlError:
             pass
         raise
-    write_control_csv(os.path.join(run_dir, "control.csv"), control)
-    state = state_1d(spec, j, coeffs=u0)
-    end, trace = evolve_pointwise_controlled(
-        state, control, (0.0, T), record=np.linspace(0.0, T, 129)
-    )
-    write_trace_csv(os.path.join(run_dir, "trace.csv"), trace)
-    manifest["report"] = {
-        "control_norm": rep.control_norm,
-        "moment_residual_max": rep.moment_residual_max,
-        "threshold": rep.threshold,
-        "final_rel_enforced": float(np.linalg.norm(end.coeffs[:K_trunc]))
-        / max(float(np.linalg.norm(u0)), 1e-300),
-    }
+    manifest["report"] = _closed_loop_1d(sc, run_dir, control, rep)
 
 
 def _task_control_nd(sc: Scenario, seed, run_dir, manifest):

@@ -54,6 +54,9 @@ MAX_TRACE_ROWS = 2**24
 #: it visits (0.5 s at nu = 1e6 on a pi box, J_y = 4); the largest in tests, demos and the
 #: benchmark is 9
 MAX_NU_SCALE = 10**6
+#: largest |rate| and T |rate| a config may ask for: a run's products of rates and times
+#: stay floats
+MAX_RATE = 1e300
 DEFAULT_CRIT_TOL = 1e-9
 #: two rates closer than this times the family's largest coincide
 DUPLICATE_REL_TOL = 1e-12

@@ -260,10 +260,8 @@ def test_c08_minimal_time_dichotomy():
         control, _ = synthesize_point_control(
             u0, T, algebraic, spec, 1, K_trunc=8, estimate=est_a
         )
-        from kscontrol.modal import evolve_pointwise_controlled
-
-        end = evolve_pointwise_controlled(state_1d(spec, 1, coeffs=u0), control, (0.0, T))
-        worst = max(worst, float(np.linalg.norm(end.coeffs[:8])) / np.linalg.norm(u0))
+        out = verify_null(u0, control, T, spec, 1, K_trunc=8)
+        worst = max(worst, out.rel_final_enforced)
 
     liou = PointSpec.liouville("quartic_anchor3", depth=6)
     est_l = minimal_time_estimate(liou, math.pi, k_max=10_000)

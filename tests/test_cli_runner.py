@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -431,6 +432,33 @@ def test_one_bad_field_parses_or_names_its_path(target, value):
         parse_config_dict(_demo(name, path, value))
     except ConfigError as exc:
         assert exc.field.startswith(path), (exc.field, path, value)
+
+
+# ---------------------------------------------------------------------------
+# seeded mutations of every demo config: a defined exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+def _load_fuzz_configs():
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "fuzz_configs.py"
+    spec = importlib.util.spec_from_file_location("_fuzz_configs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_FUZZ = _load_fuzz_configs()
+# the inputs that once ended in a traceback or a silent inf, then seeded mutations
+FUZZ_CASES = _FUZZ.fixed_cases() + _FUZZ.mutations(seed=1, count=200)
+
+
+@pytest.mark.parametrize("task, cfg", [c[1:] for c in FUZZ_CASES], ids=[c[0] for c in FUZZ_CASES])
+def test_mutated_demo_config_ends_in_its_exit_code(tmp_path, task, cfg):
+    # any exception but a KSControlError escapes cli_main and fails the test, and
+    # the suite makes a numpy RuntimeWarning an error
+    cfg_path, out = tmp_path / "case.json", tmp_path / "runs"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli_main([task, "--config", str(cfg_path), "--out", str(out)])
+    assert _FUZZ.failure(rc, "", str(out)) is None
 
 
 # ---------------------------------------------------------------------------

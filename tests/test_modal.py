@@ -14,7 +14,6 @@ from kscontrol.modal import (
     adjoint_solution,
     evolve_controlled,
     evolve_free,
-    evolve_pointwise_controlled,
     nonlinear_rhs,
     observation,
     observe,
@@ -51,10 +50,10 @@ def piecewise_constant(grid, values, **kw):
             for t0, t1, v in zip(grid[:-1], grid[1:], values)]
 
 
-def evolve_windows(state, signals, evolve=evolve_controlled):
-    """``evolve`` through consecutive signals, one window at a time."""
+def evolve_windows(state, signals):
+    """`evolve_controlled` through consecutive signals, one window at a time."""
     for sig in signals:
-        state = evolve(state, sig, (sig.t_start, sig.t_end))
+        state = evolve_controlled(state, sig, (sig.t_start, sig.t_end))
     return state
 
 
@@ -261,7 +260,7 @@ def test_constant_pointwise_control_duhamel_closed_form():
     c, T = -0.21, 0.6
     u = state_1d(spec, 1, coeffs=np.array([0.4]))
     sigs = piecewise_constant(np.array([0.0, T]), np.array([c]), x0=x0)
-    v = evolve_windows(u, sigs, evolve_pointwise_controlled)
+    v = evolve_windows(u, sigs)
     expect = math.exp(lam * T) * 0.4 + g * c * (math.exp(lam * T) - 1.0) / lam
     assert v.coeffs[0] == pytest.approx(expect, rel=1e-10)
 
@@ -273,7 +272,7 @@ def test_pointwise_node_of_sine_untouched():
     grid = np.linspace(0.0, 0.5, 41)
     rng = np.random.default_rng(3)
     sigs = piecewise_constant(grid, rng.standard_normal(40), x0=math.pi / 2)
-    v = evolve_windows(u, sigs, evolve_pointwise_controlled)
+    v = evolve_windows(u, sigs)
     assert np.allclose(v.coeffs[1::2], 0.0, atol=1e-16)
     assert np.any(np.abs(v.coeffs[::2]) > 1e-6)
 
@@ -484,7 +483,7 @@ def test_duality_pointwise_1d_random():
         hvals = rng.standard_normal(16)
         sigs = piecewise_constant(grid, hvals, x0=x0)
         u = state_1d(spec, 1, coeffs=v0)
-        vT = evolve_windows(u, sigs, evolve_pointwise_controlled)
+        vT = evolve_windows(u, sigs)
         phi0 = adjoint_solution(phi_T, 0.0, T, rates)
         integral = 0.0
         for i in range(16):
@@ -733,13 +732,14 @@ def test_source_linear_ramp_vs_quadrature():
 
 
 def test_controlled_evolution_refuses_critical_parameter():
+    from kscontrol.boundary_1d import verify_null
     from kscontrol.errors import CriticalParameter
 
     crit = SpectrumSpec(a="pi", nu=7, cross_section=Box(["pi"]), K_x=8, J_y=4)
     u = state_1d(crit, 1, coeffs=np.ones(8))
     (sigp,) = piecewise_constant(np.array([0.0, 0.5]), np.array([1.0]), x0=1.0)
     with pytest.raises(CriticalParameter):
-        evolve_pointwise_controlled(u, sigp, (0.0, 0.5))
+        verify_null(u.coeffs, sigp, 0.5, crit, 1)
     # free flow at a critical parameter stays available (counterexample needs it)
     evolve_free(u, 0.1)
 

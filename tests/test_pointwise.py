@@ -5,9 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from kscontrol.boundary_1d import synthesize_boundary_control
+from kscontrol.boundary_1d import synthesize_boundary_control, verify_null
 from kscontrol.errors import BelowMinimalTime, NoWitnessFound, RationalPoint
-from kscontrol.modal import evolve_pointwise_controlled, state_1d
 from kscontrol.pointwise import (
     DEFAULT_K_MAX,
     DEFAULT_MARGIN,
@@ -241,9 +240,7 @@ def test_null_control_algebraic_point(est_sqrt2, T):
         u0, T, SQRT2_MINUS_1, spec, 1, K_trunc=8, estimate=est_sqrt2
     )
     assert rep.moment_residual_max <= 1e-8
-    state = state_1d(spec, 1, coeffs=u0)
-    end = evolve_pointwise_controlled(state, control, (0.0, T))
-    assert np.linalg.norm(end.coeffs[:8]) / np.linalg.norm(u0) <= 1e-6
+    assert verify_null(u0, control, T, spec, 1, K_trunc=8).rel_final_enforced <= 1e-6
 
 
 def test_point_targets_and_gate_on_the_synthesis_report(est_sqrt2):
