@@ -363,8 +363,9 @@ def parse_config_dict(raw: dict) -> Scenario:
     x = spec.K_x * math.pi / spec.a_float
     kap, mu, nu = x * x, float(np.max(spec.mus)), abs(spec.nu_float)  # inf, not OverflowError
     fastest = (kap + mu) * (kap + mu + nu)  # the largest term names the field
-    _require(fastest <= MAX_RATE, "domain.nu" if nu > kap + mu else
-             "domain.a" if kap >= mu else "domain.cross_section",
+    fastest_field = ("domain.nu" if nu > kap + mu else
+                     "domain.a" if kap >= mu else "domain.cross_section")
+    _require(fastest <= MAX_RATE, fastest_field,
              f"the fastest rate {fastest:.3g} exceeds {MAX_RATE:.0e}")
     if task == "nonlinear":  # the quadratic term needs the cross-section's eigenfunctions
         try:
@@ -384,9 +385,13 @@ def parse_config_dict(raw: dict) -> Scenario:
     if "T" in params and task != "biortho":  # e^(rate t) and rate t stay floats for t <= T
         T, j, ln_max = params["T"], params.get("j"), math.log(sys.float_info.max)
         top = float(np.max(spec.x_rates(j) if j is not None else spec.rate_matrix()))
-        _require(top * T <= ln_max and fastest * T <= MAX_RATE, f"{section}.T",
+        # the larger factor names the field: T, or the domain field that sets the
+        # rate (a growth rate -s^2 + nu s is at most nu^2/4, so nu sets the largest)
+        _require(top * T <= ln_max, f"{section}.T" if T >= top else "domain.nu",
                  f"T times the largest growth rate {top:.6g} exceeds ln(float max) = "
-                 f"{ln_max:.6g}, or T times the fastest rate {fastest:.3g} exceeds {MAX_RATE:.0e}")
+                 f"{ln_max:.6g}")
+        _require(fastest * T <= MAX_RATE, f"{section}.T" if T >= fastest else fastest_field,
+                 f"T times the fastest rate {fastest:.3g} exceeds {MAX_RATE:.0e}")
     if "geometry" in _FIELDS[section] and raw.get(section, {}).get("geometry") is None:
         # the default geometry is the whole cross-section, so K_x is what is wrong
         _require_full_section_fits(None, spec, "domain.K_x")
