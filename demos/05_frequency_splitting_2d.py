@@ -37,7 +37,8 @@ res_g = run_lr(u0, 1.0, spec, BoundaryGamma(omega=(0.3, 1.2)), rho=0.5, beta=4)
 print("\nstrict subset omega=(0.3, 1.2) (Gramian steering):")
 print(f"  final relative norm {res_g.final_rel_norm:.2e}, total ||q|| = {res_g.total_control_norm:.4g}")
 for rep in res_g.gramian_reports:
-    print(f"  gamma={rep.gamma}: Gramian eigenvalues [{rep.min_eig:.3e}, {rep.max_eig:.3e}]")
+    print(f"  gamma={rep.gamma}: Gramian eigenvalues [{rep.min_eig:.3e}, {rep.max_eig:.3e}], "
+          f"rank {rep.rank} of {rep.n_killed}")
 if res_g.observability_fit and res_g.observability_fit.get("slope") is not None:
     print(f"  log(1/min_eig) vs sqrt(mu_gamma) slope {res_g.observability_fit['slope']:.3f} "
           "(spectral-inequality shape)")

@@ -90,7 +90,8 @@ class QuadratureUnderResolved(KSControlError):
 
 class GramianSingular(KSControlError):
     """Steering Gramian numerically singular (modes indistinguishable on omega),
-    or not finite (a window too long for its Legendre mode integrals)."""
+    or not finite (a growing mode's Legendre mode integrals beyond the float
+    range over its window)."""
 
 
 class DissipationViolated(KSControlError):

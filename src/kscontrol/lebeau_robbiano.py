@@ -191,6 +191,13 @@ def mass_matrix(spec: SpectrumSpec, omega: Optional[tuple], rows: int) -> np.nda
 # active phases
 # ---------------------------------------------------------------------------
 
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm as max|x| ||x / max|x|||: `np.linalg.norm` squares the
+    entries, so it returns 0.0 once the largest is below about 1e-154."""
+    top = float(np.max(np.abs(x), initial=0.0))
+    return top * float(np.linalg.norm(x / top)) if top > 0.0 else 0.0
+
+
 def _window_free_end(state: ModalState, window, source) -> np.ndarray:
     """End-of-window coefficients under zero control (source included)."""
     return evolve_controlled(state, None, window, source=source).coeffs
@@ -223,7 +230,7 @@ def active_phase_tensor(
         )
     horizon_left = max((t_final if t_final is not None else t1) - t1, 0.0)
     end_free = _window_free_end(state, window, source)
-    scale = max(float(np.linalg.norm(state.coeffs)), float(np.linalg.norm(end_free)), 1e-300)
+    scale = max(_norm(state.coeffs), _norm(end_free), 1e-300)
     slices = []
     for j in range(1, gamma_eff + 1):
         # content that dies on its own by t_final needs no moment solve
@@ -275,11 +282,17 @@ def _slice_moment_control(end_free: np.ndarray, slices, spec: SpectrumSpec,
 
 @dataclass
 class GramianReport:
+    """One Gramian window.  ``rank`` counts the directions the steering solve
+    kept (singular values above 1e-13 of the largest); ``min_eig`` and
+    ``max_eig`` are the squares of the smallest and largest singular values,
+    kept or not."""
+
     gamma: int
     n_killed: int
     min_eig: float
     max_eig: float
     lstsq_residual: float
+    rank: int
 
 
 def active_phase_gramian(
@@ -311,7 +324,7 @@ def active_phase_gramian(
     flat_rates = rates.ravel()
     n_killed = flat_rates.size
     I = legendre_mode_integrals(flat_rates, P - 1, W)  # (n_killed, P)
-    if not np.all(np.isfinite(I)):  # scipy's ive is nan once |rate| W / 2 passes about 1e10
+    if not np.all(np.isfinite(I)):  # a growing mode's e^{rate W} beyond the float range
         raise GramianSingular(f"Legendre mode integrals not finite over a window of length {W:.3g}")
     # A[(k,j), (l,p)] = x_gain[k] M[l, j] I[(k,j), p]
     I3 = I.reshape(spec.K_x, gamma_eff, P)
@@ -320,7 +333,7 @@ def active_phase_gramian(
 
     end_free = _window_free_end(state, window, source)
     b = -end_free[:, :gamma_eff].ravel()
-    scale = max(float(np.linalg.norm(state.coeffs)), float(np.linalg.norm(b)), 1e-300)
+    scale = max(_norm(state.coeffs), _norm(b), 1e-300)
 
     p_idx = np.arange(P)
     D = np.sqrt(W / (2.0 * p_idx + 1.0))               # L2 norms of Legendre basis
@@ -344,7 +357,7 @@ def active_phase_gramian(
     sig = ControlSignal(seg, x0=x0, mass=M)
     report = GramianReport(
         gamma=gamma_eff, n_killed=n_killed,
-        min_eig=sv_min**2, max_eig=sv_max**2, lstsq_residual=resid,
+        min_eig=sv_min**2, max_eig=sv_max**2, lstsq_residual=resid, rank=int(rank),
     )
     return sig, report
 
@@ -526,7 +539,7 @@ def _run_internal_direct(state, T, spec, geometry, margin, source, record,
     if spec.K_x > K_BIO_MAX:
         raise ValueError(f"direct solve kills all K_x={spec.K_x} x-modes; K_x <= {K_BIO_MAX}")
     end_free = _window_free_end(state, (0.0, T), source)
-    scale = max(float(np.linalg.norm(state.coeffs)), float(np.linalg.norm(end_free)), 1e-300)
+    scale = max(_norm(state.coeffs), _norm(end_free), 1e-300)
     slices = [j for j in range(1, spec.J_y + 1)
               if float(np.linalg.norm(end_free[:, j - 1])) > 1e-10 * scale]
     sig = _slice_moment_control(end_free, slices, spec, (0.0, T), spec.J_y, x0=x0)

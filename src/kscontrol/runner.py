@@ -228,7 +228,7 @@ def _task_control_nd(sc: Scenario, seed, run_dir, manifest):
     if res.gramian_reports:
         manifest["gramian"] = [
             {"gamma": r.gamma, "min_eig": r.min_eig, "max_eig": r.max_eig,
-             "lstsq_residual": r.lstsq_residual}
+             "lstsq_residual": r.lstsq_residual, "rank": r.rank}
             for r in res.gramian_reports
         ]
 

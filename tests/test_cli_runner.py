@@ -490,8 +490,7 @@ def test_unset_rho_fits_a_3d_cylinder(tmp_path):
 
 @pytest.mark.parametrize("name", ["nonlinear_omega.json", "nonlinear_3d.json"])
 def test_strict_omega_nonlinear_config_meets_c10a(tmp_path, name):
-    # c10a's bar on N = 2 and N = 3, through ksctl; the Gramian phases evaluate
-    # Legendre integrals, so this also runs the deferred scipy import end to end
+    # c10a's bar on N = 2 and N = 3, through ksctl, on Gramian phases
     cfg = json.loads((DEMO_CONFIGS / name).read_text())
     cfg["output"] = {"dir": str(tmp_path / "runs")}
     cfg_path = tmp_path / name
@@ -504,15 +503,67 @@ def test_strict_omega_nonlinear_config_meets_c10a(tmp_path, name):
     assert ver["nonlinear_final_rel"] <= 1e-5
 
 
+def _run_demo(tmp_path, cfg):
+    """Run ``cfg`` through ``ksctl`` into tmp_path; its exit code and manifest."""
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "runs"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli_main([cfg["task"], "--config", str(cfg_path), "--out", str(out)])
+    (run_dir,) = out.iterdir()
+    return rc, json.loads((run_dir / "manifest.json").read_text())
+
+
+def test_gramian_window_at_the_float_floor_is_steered(tmp_path):
+    # at T = 300 the state falls below 1e-154 by a late window, where
+    # np.linalg.norm underflows to 0.0; the steering gate's scale must not, or
+    # a residual of 3.5e-231 is judged against the 1e-300 floor (GramianSingular)
+    rc, manifest = _run_demo(tmp_path, _demo("control_nd.json", "control_nd.T", 300.0))
+    assert rc == 0
+    assert manifest["final_rel_norm"] <= 1e-6
+
+
+def test_gramian_report_records_the_rank_of_the_steering_solve(tmp_path):
+    # the solve has K_x gamma rows (the killed modes) and 2 K_x gamma columns
+    # (gamma control rows of 2 K_x Legendre polynomials each)
+    cfg = json.loads((DEMO_CONFIGS / "control_nd.json").read_text())
+    rc, manifest = _run_demo(tmp_path, cfg)
+    assert rc == 0
+    K_x = cfg["domain"]["K_x"]
+    assert manifest["gramian"]
+    for rep in manifest["gramian"]:
+        assert 0 < rep["rank"] <= K_x * rep["gamma"]
+
+
+def test_gramian_runs_need_no_scipy(tmp_path):
+    # scipy is a test-only dependency: both Gramian demo tasks run with every
+    # import of it failing.  A fresh interpreter is needed: this one has scipy
+    # loaded by the tests.
+    import kscontrol
+
+    src = str(pathlib.Path(kscontrol.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from kscontrol.cli import main\n"
+            "task, cfg, out = sys.argv[1:]\n"
+            "sys.exit(main([task, '--config', cfg, '--out', out]))\n")
+    for name in ("control_nd.json", "nonlinear_omega.json"):
+        cfg = DEMO_CONFIGS / name
+        task = json.loads(cfg.read_text())["task"]
+        proc = subprocess.run([sys.executable, "-c", code, task, str(cfg), str(tmp_path / name)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, (name, proc.stderr[-2000:])
+
+
 # ---------------------------------------------------------------------------
 # start-up cost
 # ---------------------------------------------------------------------------
 
 def test_cli_import_leaves_scipy_and_mpmath_unloaded():
-    # scipy costs several times numpy's import and is needed only by Legendre
-    # integrals, mpmath only by pointwise actuators, so each is imported inside
-    # the functions that use it.  A fresh interpreter is needed: this one has
-    # both loaded by the tests.
+    # scipy costs several times numpy's import and no run needs it; mpmath is
+    # needed only by pointwise actuators, so it is imported inside the
+    # functions that use it.  A fresh interpreter is needed: this one has both
+    # loaded by the tests.
     import kscontrol
 
     src = str(pathlib.Path(kscontrol.__file__).resolve().parents[1])

@@ -1,10 +1,11 @@
+import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special as sps
 from scipy.integrate import quad
 
 from kscontrol.errors import QuadratureUnderResolved
@@ -87,47 +88,49 @@ def test_legendre_mode_integrals_vs_quadrature():
             assert I[p] == pytest.approx(val, rel=1e-9, abs=1e-13)
 
 
-def _legendre_rows_one_by_one(lam, degree, delta):
-    """legendre_mode_integrals evaluated one rate at a time (the oracle)."""
-    p = np.arange(degree + 1)
-    out = np.empty((len(lam), degree + 1))
-    for i, zi in enumerate(-np.asarray(lam, dtype=float) * delta / 2.0):
-        if abs(zi) < 1e-6:
-            row = np.zeros(degree + 1)
-            row[0] = 1.0 + zi * zi / 6.0
-            if degree >= 1:
-                row[1] = zi / 3.0
-            if degree >= 2:
-                row[2] = zi * zi / 15.0
-            out[i] = delta * math.exp(-zi) * row
-        elif zi > 0:
-            out[i] = delta * (sps.ive(p + 0.5, zi) * math.sqrt(math.pi / (2.0 * zi)))
-        else:
-            vals = np.array([float(sps.spherical_in(int(n), -zi)) for n in p])
-            out[i] = delta * math.exp(-zi) * np.where(p % 2 == 0, 1.0, -1.0) * vals
-    return out
+@functools.lru_cache(maxsize=None)
+def _mode_integral_oracle(z: float, degree: int) -> tuple:
+    """e^{-z} i_p(z), p = 0..degree, at 40 digits: i_p(z) = sqrt(pi/2z) I_{p+1/2}(z),
+    and i_p(-w) = (-1)^p i_p(w)."""
+    with mp.workdps(40):
+        if z == 0.0:
+            return (mp.mpf(1),) + (mp.mpf(0),) * degree
+        w = abs(mp.mpf(z))
+        scale = mp.exp(-mp.mpf(z)) * mp.sqrt(mp.pi / (2 * w))
+        return tuple(scale * mp.besseli(p + mp.mpf(1) / 2, w) * (-1 if z < 0 and p % 2 else 1)
+                     for p in range(degree + 1))
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2, 31])
+@pytest.mark.parametrize("degree", [0, 1, 2, 31, 63])
 @pytest.mark.parametrize("delta", [0.3, 2.0, 0.0125])
 def test_legendre_mode_integrals_bitwise_match_row_by_row(degree, delta):
-    # decaying, |z| < 1e-6 and growing rates interleaved; at delta = 2,
-    # lam = -1e-6 puts z exactly on the 1e-6 edge of the decaying branch
-    lam = [0.0, 1e-9, -1e-9, 0.5, -1e-3, 3.0, -1e-6, -0.7, -12.5, -1e-7,
-           -40.0, -333.3, 2.5e-7, -1200.0, -5e3]
+    # z = -lam delta / 2: decaying over [1e-8, 1e8], on both sides of the
+    # crossover between the two quadrature rules, z = 0, |z| < 1e-6, and
+    # growing up to 2|z| = 700
+    z = np.concatenate([np.geomspace(1e-8, 1e8, 25), [0.0, 5e-7, -5e-7, -1e-7, 11.9, 12.0,
+                                                      12.1, 31.5, 31.6],
+                        -np.geomspace(1e-3, 350.0, 7)])
+    lam = -2.0 * z / delta
     got = legendre_mode_integrals(lam, degree=degree, delta=delta)
-    want = _legendre_rows_one_by_one(lam, degree, delta)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-    # only decaying rows, and only growing or tiny ones; then rates that repeat:
-    # exact duplicates in every branch, and the pi x pi rate matrix at
+    assert got.shape == (len(lam), degree + 1)
+    # normwise (row max) against the 40-digit oracle at the z the kernel sees
+    for row, zi in zip(got, -lam * delta / 2.0):
+        want = [delta * v for v in _mode_integral_oracle(float(zi), degree)]
+        err = max(abs(mp.mpf(g) - v) for g, v in zip(row, want)) / max(abs(v) for v in want)
+        assert err <= 5e-14, (zi, float(err))
+    # each row has the bits the rate gets alone, and rates that repeat get equal
+    # rows: exact duplicates in every branch, and the pi x pi rate matrix at
     # K_x = J_y = 16, whose 256 rates hold 130 distinct values (rate(k, j) = rate(j, k))
+    for row, lam_i in zip(got, lam):
+        assert legendre_mode_integrals([lam_i], degree=degree, delta=delta).tobytes() == row.tobytes()
     square = spec_2d(K_x=16, J_y=16).rate_matrix().ravel()
     assert len(np.unique(square)) == 130
     repeats = [-0.7, 0.0, 3.0, -0.7, 1e-9, -12.5, 0.0, 3.0, -1e-7, -12.5, 1e-9, -1e-7, -0.7]
-    for sub in ([-1e-3, -5e3, -0.7], [0.0, 1e-9, 3.0], repeats, square):
-        assert (legendre_mode_integrals(sub, degree=degree, delta=delta).tobytes()
-                == _legendre_rows_one_by_one(sub, degree, delta).tobytes())
+    for sub in (repeats, square):
+        rows = legendre_mode_integrals(sub, degree=degree, delta=delta)
+        alone = {x: legendre_mode_integrals([x], degree=degree, delta=delta)[0].tobytes()
+                 for x in sub}
+        assert [r.tobytes() for r in rows] == [alone[x] for x in sub]
 
 
 def test_exp_segment_duhamel_vs_quadrature():

@@ -1,6 +1,6 @@
 """Compare the artifacts of two kscontrol source trees, run by run.
 
-    python tools/artifact_diff.py BASE_TREE HEAD_TREE [--seeds 1 2]
+    python tools/artifact_diff.py BASE_TREE HEAD_TREE [--seeds 1 2] [--verdicts]
 
 Runs ``ksctl`` from each tree's ``src`` on the same inputs: every
 ``demos/configs/*.json`` of HEAD_TREE, and the scenario list of each
@@ -13,6 +13,11 @@ the one artifact a rerun may change.  When ``manifest.json`` differs, it
 also prints each changed scalar leaf (``path: base -> head``) and, for each
 changed list of numbers, its largest relative change.  Exits 0 when every
 run has equal exit codes and equal artifacts, else 1.
+
+With ``--verdicts``, a change that moves artifacts on purpose is checked
+for equal verdicts instead: it exits 0 when every run has equal exit codes
+and each closed-loop residual of its manifest (`VERDICT_KEYS`) moves by at
+most `VERDICT_ATOL`, still listing every artifact that differs.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ import sys
 import tempfile
 
 IGNORED = {"timings.json"}
+# the closed-loop residuals, relative to the initial norm, that judge a run
+VERDICT_KEYS = ("final_rel_norm", "nonlinear_final_rel", "report.final_rel_enforced")
+VERDICT_ATOL = 1e-12
 
 
 def _inputs(head, seeds):
@@ -102,14 +110,31 @@ def _manifest_changes(base, head):
     return lines
 
 
+def _verdict_moves(base, head):
+    """One line per `VERDICT_KEYS` entry of the two manifests that is present
+    in only one, or moves by more than `VERDICT_ATOL`."""
+    a, b = _leaves(base or {}), _leaves(head or {})
+    lines = []
+    for key in VERDICT_KEYS:
+        va, vb = a.get(key), b.get(key)
+        if va is None and vb is None:
+            continue
+        if not (_is_number(va) and _is_number(vb) and abs(vb - va) <= VERDICT_ATOL):
+            lines.append(f"verdict {key}: {va!r} \u2192 {vb!r}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="source tree of the base commit")
     parser.add_argument("head", help="source tree of the change")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2],
                         help="benchmark seeds (default: 1 2)")
+    parser.add_argument("--verdicts", action="store_true",
+                        help=f"pass on equal exit codes and closed-loop residuals "
+                             f"within {VERDICT_ATOL:g}, though artifacts differ")
     args = parser.parse_args(argv)
-    runs = differing = 0
+    runs = differing = failing = 0
     with tempfile.TemporaryDirectory(prefix="artifact-diff-") as tmp:
         for i, (label, cfg) in enumerate(_inputs(args.head, args.seeds)):
             cfg_path = os.path.join(tmp, f"{i:03d}.json")
@@ -120,14 +145,20 @@ def main(argv=None) -> int:
                 for side, tree in (("base", args.base), ("head", args.head)))
             changed = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
             same = rc_a == rc_b and not changed
-            runs, differing = runs + 1, differing + (not same)
+            moves = _verdict_moves(man_a, man_b) if args.verdicts else []
+            passed = (rc_a == rc_b and not moves) if args.verdicts else same
+            runs, differing, failing = runs + 1, differing + (not same), failing + (not passed)
             what = "differ: " + ", ".join(changed) if changed else f"{len(a)} artifacts identical"
             print(f"{'same' if same else 'DIFF'} {label:<48} exit {rc_a} {rc_b}  {what}", flush=True)
             if "manifest.json" in changed and man_a is not None and man_b is not None:
                 for line in _manifest_changes(man_a, man_b):
                     print(f"    {line}", flush=True)
+            for line in moves:
+                print(f"    {line}", flush=True)
     print(f"artifact_diff: {runs} runs, {differing} differing (timings.json ignored)")
-    return 1 if differing else 0
+    if args.verdicts:
+        print(f"artifact_diff: {failing} runs with a different exit code or verdict")
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":
