@@ -76,10 +76,9 @@ class BiorthogonalFamily:
         return np.exp(-np.multiply.outer(tt, self.exponents)) @ self.coeffs[m]
 
     def norm(self, m: int) -> float:
-        """Exact L2(0, T) norm of q_m via the Gram quadratic form."""
-        G = gram_matrix(self.exponents, self.horizon)
-        row = self.coeffs[m]
-        return math.sqrt(float(row @ G @ row))
+        """L2(0, T) norm of q_m: ||q_m||^2 = (G^{-1})[m, m], the diagonal of
+        the 60-digit inverse rounded once to a double."""
+        return math.sqrt(float(self.coeffs[m, m]))
 
     def to_json(self) -> str:
         return json.dumps(

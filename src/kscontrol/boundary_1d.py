@@ -32,6 +32,7 @@ from .biorthogonal import K_BIO_MAX
 from .errors import NotCritical
 from .modal import (
     Trace,
+    coeff_norm,
     evolve_controlled,
     observe,
     state_1d,
@@ -142,10 +143,10 @@ def verify_null(
     u0 = np.asarray(u0, dtype=float)
     state = state_1d(spec, j, coeffs=u0, time=control.t_start, count=len(u0))
     end = evolve_controlled(state, control, (control.t_start, control.t_start + T))
-    denom = float(np.linalg.norm(u0)) or 1.0
+    denom = coeff_norm(u0) or 1.0
     return NullReport(
-        rel_final_enforced=float(np.linalg.norm(end.coeffs[:K_trunc])) / denom,
-        rel_final_all=float(np.linalg.norm(end.coeffs)) / denom,
+        rel_final_enforced=coeff_norm(end.coeffs[:K_trunc]) / denom,
+        rel_final_all=end.norm / denom,
     )
 
 

@@ -44,6 +44,7 @@ from .modal import (
     ModalSource,
     ModalState,
     Trace,
+    coeff_norm,
     evolve_controlled,
     state_nd,
     x_gain,
@@ -191,13 +192,6 @@ def mass_matrix(spec: SpectrumSpec, omega: Optional[tuple], rows: int) -> np.nda
 # active phases
 # ---------------------------------------------------------------------------
 
-def _norm(x: np.ndarray) -> float:
-    """The 2-norm as max|x| ||x / max|x|||: `np.linalg.norm` squares the
-    entries, so it returns 0.0 once the largest is below about 1e-154."""
-    top = float(np.max(np.abs(x), initial=0.0))
-    return top * float(np.linalg.norm(x / top)) if top > 0.0 else 0.0
-
-
 def _window_free_end(state: ModalState, window, source) -> np.ndarray:
     """End-of-window coefficients under zero control (source included)."""
     return evolve_controlled(state, None, window, source=source).coeffs
@@ -214,11 +208,12 @@ def active_phase_tensor(
     """Per-slice boundary moment controls assembled into one y-expanded signal.
 
     Decoupling: with the control expanded in the cross-section eigenbasis,
-    each y-mode j <= gamma sees an independent 1-D problem with the
-    zeroth-order-shifted slice rates.  Slices whose free end state is (or
-    will be, by ``t_final``, under their own dissipation) negligible are
-    skipped: controlling them is the dissipation's job, and their clustered
-    rate families are exactly the numerically hostile ones.
+    each y-mode j <= gamma sees an independent 1-D problem whose rates are
+    column j of `SpectrumSpec.rate_matrix`, the rates the flow evolves.
+    Slices whose free end state is (or will be, by ``t_final``, under their
+    own dissipation) negligible are skipped: controlling them is the
+    dissipation's job, and their clustered rate families are exactly the
+    numerically hostile ones.
     """
     require_clear(spec)
     t0, t1 = float(window[0]), float(window[1])
@@ -230,12 +225,12 @@ def active_phase_tensor(
         )
     horizon_left = max((t_final if t_final is not None else t1) - t1, 0.0)
     end_free = _window_free_end(state, window, source)
-    scale = max(_norm(state.coeffs), _norm(end_free), 1e-300)
+    scale = max(state.norm, coeff_norm(end_free), 1e-300)
     slices = []
     for j in range(1, gamma_eff + 1):
         # content that dies on its own by t_final needs no moment solve
-        slice_norm = float(np.linalg.norm(end_free[:, j - 1]))
-        slowest = float(np.max(spec.slice_rates(j)))
+        slice_norm = coeff_norm(end_free[:, j - 1])
+        slowest = float(np.max(spec.rate_matrix()[:, j - 1]))
         log_at_final = (math.log(slice_norm) if slice_norm > 0 else -math.inf) \
             + min(slowest, 0.0) * horizon_left
         if log_at_final > math.log(1e-12 * scale):
@@ -252,8 +247,9 @@ def _slice_moment_control(end_free: np.ndarray, slices, spec: SpectrumSpec,
     the actuator at ``x0`` (None: the boundary), steers slice j's free end
     state ``end_free[:, j - 1]`` to zero over ``window``; the other rows are
     zero.  Rows are the first ``rows`` cross-section modes themselves
-    (identity mass).  The solver of each (slice, window length) is built
-    once per spec: Picard iterations repeat the same windows.
+    (identity mass).  The solver of each (slice, window length), on column
+    j of `SpectrumSpec.rate_matrix`, is built once per spec: Picard
+    iterations repeat the same windows.
     """
     t0, t1 = window
     W = t1 - t0
@@ -261,7 +257,7 @@ def _slice_moment_control(end_free: np.ndarray, slices, spec: SpectrumSpec,
     exps, refs, blocks = [], [], []
     for j in slices:
         solver = spec.cached(("moment_solver", j, W),
-                             lambda: MomentSolver(spec.slice_rates(j), W))
+                             lambda: MomentSolver(spec.rate_matrix()[:, j - 1], W))
         sol = solver.solve(-end_free[:, j - 1] / gains)
         seg = sol.reversed_segment(t0)
         exps.append(seg.exponents)
@@ -333,7 +329,7 @@ def active_phase_gramian(
 
     end_free = _window_free_end(state, window, source)
     b = -end_free[:, :gamma_eff].ravel()
-    scale = max(_norm(state.coeffs), _norm(b), 1e-300)
+    scale = max(state.norm, coeff_norm(b), 1e-300)
 
     p_idx = np.arange(P)
     D = np.sqrt(W / (2.0 * p_idx + 1.0))               # L2 norms of Legendre basis
@@ -375,7 +371,7 @@ def _certify_dissipation(spec: SpectrumSpec, gamma_eff: int, high_before: float,
         return
     rate = spec.y_shift(gamma_eff + 1)
     bound = math.exp(rate * span) * high_before * (1.0 + 1e-10)
-    high_after = float(np.linalg.norm(end_coeffs[:, gamma_eff:]))
+    high_after = coeff_norm(end_coeffs[:, gamma_eff:])
     if high_after > bound:
         raise DissipationViolated(
             f"high-mode norm {high_after:.3e} exceeds bound {bound:.3e} over a span of {span:.6g}"
@@ -481,12 +477,12 @@ def run_lr(
             )
             gram_reports.append(rep)
         state = spans.evolve(state, sig, (w.a_k, t_mid), source)
-        killed = float(np.linalg.norm(state.coeffs[:, :gamma_eff]))
+        killed = coeff_norm(state.coeffs[:, :gamma_eff])
         kill_residuals.append(killed / max(u0_norm, 1e-300))
         controls.append(sig)
         control_norms.append(sig.norm_l2())
         # passive span with the dissipation certificate on the high component
-        high_before = float(np.linalg.norm(state.coeffs[:, gamma_eff:]))
+        high_before = coeff_norm(state.coeffs[:, gamma_eff:])
         state = spans.evolve(state, None, (t_mid, w.a_k + 2 * w.T_k), source)
         _certify_dissipation(spec, gamma_eff, high_before, state.coeffs, w.T_k, source)
         window_norms.append(state.norm)
@@ -539,9 +535,8 @@ def _run_internal_direct(state, T, spec, geometry, margin, source, record,
     if spec.K_x > K_BIO_MAX:
         raise ValueError(f"direct solve kills all K_x={spec.K_x} x-modes; K_x <= {K_BIO_MAX}")
     end_free = _window_free_end(state, (0.0, T), source)
-    scale = max(_norm(state.coeffs), _norm(end_free), 1e-300)
-    slices = [j for j in range(1, spec.J_y + 1)
-              if float(np.linalg.norm(end_free[:, j - 1])) > 1e-10 * scale]
+    scale = max(state.norm, coeff_norm(end_free), 1e-300)
+    slices = [j for j in range(1, spec.J_y + 1) if coeff_norm(end_free[:, j - 1]) > 1e-10 * scale]
     sig = _slice_moment_control(end_free, slices, spec, (0.0, T), spec.J_y, x0=x0)
     spans = _Spans(record)
     end = spans.evolve(state, sig, (0.0, T), source)

@@ -13,13 +13,12 @@ exponential span, returned as an exact sum of exponentials.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .biorthogonal import BiorthogonalFamily, build_family
-from .signals import ExpSegment
+from .signals import ControlSignal, ExpSegment
 from .spectrum import c0_shift
 
 MOMENT_RESIDUAL_TOL = 1e-8  # certified relative to max(1, max |target|)
@@ -43,8 +42,7 @@ class MomentSolution:
         return np.exp(np.multiply.outer(tt, self.exponents)) @ self.coeffs
 
     def norm_l2(self) -> float:
-        seg = self.segment(0.0)
-        return math.sqrt(max(seg.l2_squared(), 0.0))
+        return ControlSignal(self.segment(0.0)).norm_l2()
 
     def segment(self, t_offset: float) -> ExpSegment:
         """ExpSegment for h(t - t_offset) on [t_offset, t_offset + T]."""

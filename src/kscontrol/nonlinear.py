@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NoContraction, StepUnconverged
 from .lebeau_robbiano import BoundaryGamma, LRRunResult, run_lr
-from .modal import ControlStepper, ModalSource, Trace, nonlinear_rhs, rhs_operator, state_nd
+from .modal import ControlStepper, ModalSource, coeff_norm, nonlinear_rhs, rhs_operator, state_nd
 from .spectrum import SpectrumSpec, line_fit, require_clear
 
 WEIGHT_FLOOR = 1e-280
@@ -139,10 +139,10 @@ def source_grid(T: float, weights: WeightPair) -> np.ndarray:
 
 @dataclass
 class SourceSolveResult:
+    """The run (its ``trace`` holds the record times) and ||q(t)|| along them."""
+
     lr: LRRunResult
-    trace: Trace
     control_norm_series: tuple
-    final_rel_norm: float
 
 
 def controlled_solve_with_source(
@@ -167,16 +167,8 @@ def controlled_solve_with_source(
     weights = weights if weights is not None else WeightPair(T=T)
     rec = grid if grid is not None else source_grid(T, weights)
     res = run_lr(u0, T, spec, geometry, rho=rho, beta=beta, source=source, record=rec)
-    trace = res.trace
-    ct = trace.times
-    cv = _control_norm_series(res, ct)
-    u0n = float(np.linalg.norm(u0))
-    return SourceSolveResult(
-        lr=res,
-        trace=trace,
-        control_norm_series=(ct, cv),
-        final_rel_norm=res.final_norm / max(u0n, 1e-300),
-    )
+    ct = res.trace.times
+    return SourceSolveResult(lr=res, control_norm_series=(ct, _control_norm_series(res, ct)))
 
 
 def _control_norm_series(res: LRRunResult, times: np.ndarray) -> np.ndarray:
@@ -248,9 +240,9 @@ def fixed_point(
     geometry = geometry if geometry is not None else BoundaryGamma(None)
     weights = weights if weights is not None else WeightPair(T=T)
     u0 = np.asarray(u0, dtype=float)
-    if r_guess is not None and float(np.linalg.norm(u0)) > r_guess:
+    if r_guess is not None and coeff_norm(u0) > r_guess:
         raise NoContraction(
-            f"||u0|| = {np.linalg.norm(u0):.3e} exceeds the locality radius {r_guess:.3e}",
+            f"||u0|| = {coeff_norm(u0):.3e} exceeds the locality radius {r_guess:.3e}",
             "radius",
         )
     grid = source_grid(T, weights)
@@ -263,8 +255,8 @@ def fixed_point(
         solve = controlled_solve_with_source(
             u0, source, T, spec, geometry, rho=rho, beta=beta, grid=grid, weights=weights
         )
-        f_vals = np.array([nonlinear_rhs(state_nd(spec, c)) for c in solve.trace.coeffs])
-        new_source = ModalSource(times=solve.trace.times.copy(), values=f_vals)
+        f_vals = np.array([nonlinear_rhs(state_nd(spec, c)) for c in solve.lr.trace.coeffs])
+        new_source = ModalSource(times=solve.lr.trace.times.copy(), values=f_vals)
         delta, floor = _source_delta(new_source, source, weights, spec)
         deltas.append(delta)
         if delta0 is None:
@@ -304,7 +296,7 @@ def fixed_point(
         deltas=deltas,
         ratios=ratios,
         controls=solve.lr.controls,
-        linear_final_rel=solve.final_rel_norm,
+        linear_final_rel=solve.lr.final_rel_norm,
         nonlinear_final_rel=nonlinear_rel,
         nonlinear_norm_series=norm_series,
         weights=weights,
@@ -343,7 +335,7 @@ def _source_delta(new: ModalSource, old: Optional[ModalSource], weights: WeightP
         return math.sqrt(float(np.trapezoid((dual / rhoF) ** 2, t)))
 
     def dual_norm(v):
-        return np.sqrt(np.sum((v / s[None, :, :]) ** 2, axis=(1, 2)))
+        return coeff_norm(v / s[None, :, :], axis=(1, 2))
 
     F = dual_norm(vals)
     growth = np.exp(max(0.0, float(spec.rate_matrix().max())) * t)
@@ -426,7 +418,7 @@ def nonlinear_simulate(
     run2 = _etd_run(u0, controls, T, spec, 2 * n_steps)
     # the end state may sit at the integrator's error floor, so halving
     # convergence is measured against the problem scale ||u0||
-    scale = max(float(np.linalg.norm(u0)), run["final_norm"], run2["final_norm"], 1e-300)
+    scale = max(coeff_norm(u0), run["final_norm"], run2["final_norm"], 1e-300)
     if abs(run["final_norm"] - run2["final_norm"]) > 1e-6 * scale:
         raise StepUnconverged(
             f"final norms {run['final_norm']:.6e} vs {run2['final_norm']:.6e} under halving"
@@ -456,7 +448,7 @@ def _etd_run(u0, controls, T, spec, n_steps):
 
     steps = {}  # step length h -> (h phi1(lam h), h phi2(lam h))
     u = state.coeffs
-    norms = [float(np.linalg.norm(u))]
+    norms = [coeff_norm(u)]
     stepper, current = None, None
     for t0, t1, k in zip(starts.tolist(), ends.tolist(), cover.tolist()):
         h = t1 - t0
@@ -471,11 +463,11 @@ def _etd_run(u0, controls, T, spec, n_steps):
         N0 = rhs(u)
         pred = lc + hp1 * N0
         u = pred + hp2 * (rhs(pred) - N0)
-        norm = float(np.linalg.norm(u))
+        norm = coeff_norm(u)
         if not math.isfinite(norm):
             raise StepUnconverged(f"replay state not finite at t={t1:.6g} ({n_steps} steps)")
         norms.append(norm)
-    u0n = max(float(np.linalg.norm(u0)), 1e-300)
+    u0n = max(coeff_norm(u0), 1e-300)
     return {
         "final_norm": norms[-1],
         "final_rel_norm": norms[-1] / u0n,

@@ -95,10 +95,9 @@ def _task_spectrum(sc: Scenario, seed, run_dir, manifest):
     write_csv(os.path.join(run_dir, "cross_section.csv"), ["j", "mu", "lambda_y"],
               [(j, spec.mu(j), spec.y_shift(j)) for j in range(1, spec.J_y + 1)])
     rows = []
-    for j in range(1, spec.J_y + 1):
-        for k in range(1, spec.K_x + 1):
-            r = spec.mode_rate(k, j)
-            rows.append((k, j, r.lambda_x, r.lambda_y_shift, r.total))
+    for j, totals in enumerate(spec.rate_matrix().T.tolist(), start=1):
+        for k, total in enumerate(totals, start=1):
+            rows.append((k, j, spec.x_eigenvalue(k, j), spec.y_shift(j), total))
     write_csv(os.path.join(run_dir, "modes.csv"),
               ["k", "j", "lambda_x", "lambda_y_shift", "total"], rows)
     manifest["verdict"] = _verdict(spec)

@@ -6,12 +6,14 @@ All other modules pull their rates from here.  Conventions:
   and likewise for box cross-sections in y.  (The common sqrt(2) convention is
   orthonormal only on unit intervals; duality identities in the tests close
   exactly because of this choice.)
-* ``x_eigenvalue(k, spec, j) = -k^4 pi^4/a^4 + (nu - 2 mu_j) k^2 pi^2/a^2`` is
+* ``spec.x_rates(j)``, entry k - 1, is ``-k^4 pi^4/a^4 + (nu - 2 mu_j) k^2 pi^2/a^2``:
   the rate of the 1-D problem whose second-order coefficient is shifted by the
   j-th cross-section eigenvalue.
-* ``mode_rate(spec, k, j).total`` adds the zeroth-order shift
-  ``-(mu_j^2 - nu mu_j)`` and equals ``-(kappa+mu_j)^2 + nu (kappa+mu_j)``
-  with ``kappa = k^2 pi^2 / a^2``: the full cylinder rate of mode (k, j).
+* ``spec.rate_matrix()``, entry (k - 1, j - 1), is
+  ``-(kappa+mu_j)^2 + nu (kappa+mu_j)`` with ``kappa = k^2 pi^2 / a^2``: the
+  full cylinder rate of mode (k, j), the 1-D rate plus the zeroth-order shift
+  ``-(mu_j^2 - nu mu_j)`` in exact arithmetic.  It is the one float rate of a
+  cylinder mode: every evolution and synthesis on the cylinder reads it.
 
 The critical set is ``{2 mu_j + pi^2 (k^2+l^2)/a^2 : k != l}``; membership is
 decided exactly in Q + Q*pi^2 whenever the inputs allow it, otherwise within
@@ -300,21 +302,12 @@ class SpectrumSpec:
         mu = self.mu(j)
         return -(mu * mu - self.nu_float * mu)
 
-    def mode_rate(self, k: int, j: int) -> "ModeRate":
-        lx = self.x_eigenvalue(k, j)
-        ls = self.y_shift(j)
-        return ModeRate(k=k, j=j, lambda_x=lx, lambda_y_shift=ls, total=lx + ls)
-
     def x_rates(self, j: int, count: Optional[int] = None) -> np.ndarray:
         """Vector of 1-D rates for slice j (no zeroth-order shift)."""
         n = count if count is not None else self.K_x
         ks = np.arange(1, n + 1, dtype=float)
         kap = (ks * math.pi / self.a_float) ** 2
         return -kap * kap + (self.nu_float - 2.0 * self.mu(j)) * kap
-
-    def slice_rates(self, j: int, count: Optional[int] = None) -> np.ndarray:
-        """Full tensor rates of slice j (1-D rates plus the zeroth-order shift)."""
-        return self.x_rates(j, count) + self.y_shift(j)
 
     def rate_matrix(self) -> np.ndarray:
         """(K_x, J_y) matrix of tensor rates Lambda_{k,j}, read-only."""
@@ -327,17 +320,6 @@ class SpectrumSpec:
         total = -s * s + self.nu_float * s
         total.flags.writeable = False
         return total
-
-
-@dataclass(frozen=True)
-class ModeRate:
-    """Decomposed rate of tensor mode (k, j); units 1/time."""
-
-    k: int
-    j: int
-    lambda_x: float
-    lambda_y_shift: float
-    total: float
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +553,7 @@ def weyl_fit(spec: SpectrumSpec):
     lo = max(1, J // 2)
     js = np.arange(lo, J + 1, dtype=float)
     mus = spec.mus[lo - 1 : J]
-    slope, intercept = np.polyfit(np.log(js), np.log(mus), 1)
+    slope, intercept, _ = line_fit(np.log(js), np.log(mus))
     return {"slope": float(slope), "intercept": float(intercept), "expected": 2.0 / spec.n_cross_dims}
 
 

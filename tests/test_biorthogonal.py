@@ -112,6 +112,22 @@ def test_norm_against_quadrature():
         assert math.sqrt(val) == pytest.approx(fam.norm(m), abs=1e-8)
 
 
+def test_norm_is_the_diagonal_of_the_extended_inverse():
+    # ||q_m||^2 = (G^{-1})[m, m]; at cond ~ 1e12 a Gram quadratic form of the
+    # rounded coefficients loses ~8e-9 to cancellation, the diagonal does not
+    lam = ks_exponents(16, nu=6.5)  # slice 1 of the pi box, two growing modes
+    lam = lam - lam.min() + 1.0       # the c0 shift
+    T = 0.25
+    fam = build_family(lam, T)
+    assert fam.gram_condition > 1e12
+    with mp.workdps(60):
+        x = [mp.mpf(float(v)) for v in lam]
+        G = mp.matrix([[(1 - mp.exp(-(a + b) * T)) / (a + b) for b in x] for a in x])
+        inv = G**-1
+        for m in range(len(lam)):
+            assert fam.norm(m) == pytest.approx(float(mp.sqrt(inv[m, m])), rel=1e-12)
+
+
 def test_norm_invariant_under_reordering():
     lam = np.array([1.0, 16.0, 81.0])
     T = 0.9

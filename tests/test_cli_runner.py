@@ -519,6 +519,9 @@ def test_gramian_window_at_the_float_floor_is_steered(tmp_path):
     rc, manifest = _run_demo(tmp_path, _demo("control_nd.json", "control_nd.T", 300.0))
     assert rc == 0
     assert manifest["final_rel_norm"] <= 1e-6
+    # the recorded norms are the true tiny values, not np.linalg.norm's 0.0
+    assert manifest["window_norms"][1] > 0.0 and manifest["window_norms"][2] > 0.0
+    assert manifest["kill_residuals"][1] > 0.0
 
 
 def test_gramian_report_records_the_rank_of_the_steering_solve(tmp_path):

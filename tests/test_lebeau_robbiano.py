@@ -238,6 +238,18 @@ def passive_span(state, window, spec, gamma):
     return end
 
 
+def test_tensor_phase_solves_each_slice_at_the_rates_the_flow_evolves():
+    # every solved slice's moment solver holds column j of rate_matrix() bit
+    # for bit: the synthesis kills each mode at the rate that evolves it
+    spec = spec_2d(nu="6.5", K_x=16, J_y=4)
+    c = np.random.default_rng(5).standard_normal((16, 4))
+    W = 0.05  # short enough that no slice dies on its own
+    active_phase_tensor(state_nd(spec, c), (0.0, W), spec, gamma=4)
+    for j in range(1, 5):
+        solver = spec.cached(("moment_solver", j, W), lambda: pytest.fail(f"slice {j} not solved"))
+        assert np.array_equal(solver.rates, spec.rate_matrix()[:, j - 1])
+
+
 def test_passive_phase_identity_dt0():
     spec = spec_2d()
     state = state_nd(spec, np.ones((8, 8)) * 1e-3)
@@ -251,7 +263,7 @@ def test_passive_phase_single_high_mode_exact_rate():
     c[0, 5] = 1.0  # j = 6 > gamma = 4
     state = state_nd(spec, c)
     end = passive_span(state, (0.0, 0.05), spec, gamma=4)
-    lam = spec.mode_rate(1, 6).total
+    lam = spec.rate_matrix()[0, 5]
     assert end.coeffs[0, 5] == pytest.approx(math.exp(lam * 0.05), rel=1e-12)
 
 

@@ -164,12 +164,20 @@ def test_exp_segment_l2_vs_quadrature():
         coeffs=np.array([1.0, 3.0]),
     )
     val, _ = quad(lambda s: seg.value(s) ** 2, 0.0, 1.0, limit=200)
-    assert seg.l2_squared() == pytest.approx(val, rel=1e-12)
+    assert ControlSignal(seg).norm_l2() ** 2 == pytest.approx(val, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # free flow
 # ---------------------------------------------------------------------------
+
+def test_state_norm_below_the_squaring_floor():
+    # np.linalg.norm squares the entries and returns 0.0 at this scale
+    spec = spec_2d()
+    c = np.random.default_rng(9).standard_normal((spec.K_x, spec.J_y))
+    tiny = state_nd(spec, 1e-200 * c)
+    assert tiny.norm == pytest.approx(1e-200 * state_nd(spec, c).norm, rel=1e-15, abs=0.0)
+
 
 def test_evolve_free_identity():
     spec = spec_1d()

@@ -77,15 +77,17 @@ def test_x_eigenvalue_index_out_of_range():
 
 
 def test_mode_rate_tensor_identity():
-    # total rate equals -(kappa+mu)^2 + nu (kappa+mu) to 1e-12 relative
+    # the one mode rate, rate_matrix()[k-1, j-1], is -(kappa+mu)^2 + nu (kappa+mu)
+    # and the 1-D rate plus the zeroth-order shift, each to a few ulps
     spec = spec_pi_box(nu="6.5", K_x=12, J_y=12)
+    rates = spec.rate_matrix()
     for k in (1, 3, 7, 12):
         for j in (1, 2, 5, 12):
-            r = spec.mode_rate(k, j)
             s = spec.kappa(k) + spec.mu(j)
-            expect = -s * s + spec.nu_float * s
-            assert r.total == pytest.approx(expect, rel=1e-12)
-            assert r.lambda_x == spec.x_eigenvalue(k, j)
+            ulp = math.ulp(abs(rates[k - 1, j - 1]))
+            assert abs(rates[k - 1, j - 1] - (-s * s + spec.nu_float * s)) <= 4 * ulp
+            assert abs(rates[k - 1, j - 1] - (spec.x_rates(j)[k - 1] + spec.y_shift(j))) <= 4 * ulp
+            assert spec.x_rates(j)[k - 1] == spec.x_eigenvalue(k, j)
 
 
 def test_monotone_tail_beyond_k_star():

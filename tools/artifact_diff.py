@@ -11,8 +11,10 @@ unless OPENBLAS_NUM_THREADS is set.  For each run it prints both exit codes
 and the artifacts whose bytes differ; ``timings.json`` is left out, being
 the one artifact a rerun may change.  When ``manifest.json`` differs, it
 also prints each changed scalar leaf (``path: base -> head``) and, for each
-changed list of numbers, its largest relative change.  Exits 0 when every
-run has equal exit codes and equal artifacts, else 1.
+changed list of numbers, its largest relative change; for each differing
+CSV, how many of its numeric fields changed and the largest relative
+change.  Exits 0 when every run has equal exit codes and equal artifacts,
+else 1.
 
 With ``--verdicts``, a change that moves artifacts on purpose is checked
 for equal verdicts instead: it exits 0 when every run has equal exit codes
@@ -56,13 +58,13 @@ def _inputs(head, seeds):
 
 def _run(tree, cfg_path, task, out):
     """Exit code of one ksctl run, {file name: sha256} of its run directory,
-    and its parsed manifest (None without one)."""
+    its parsed manifest (None without one) and {file name: text} of its CSVs."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
     proc = subprocess.run([sys.executable, "-m", "kscontrol.cli", task, "--config", cfg_path,
                            "--out", out], env=env, capture_output=True, text=True)
     runs = sorted(glob.glob(os.path.join(out, "run-*")))
-    digests, manifest = {}, None
+    digests, manifest, csvs = {}, None, {}
     for run_dir in runs[-1:]:
         for name in sorted(os.listdir(run_dir)):
             if name not in IGNORED:
@@ -71,7 +73,9 @@ def _run(tree, cfg_path, task, out):
                 digests[name] = hashlib.sha256(data).hexdigest()
                 if name == "manifest.json":
                     manifest = json.loads(data)
-    return proc.returncode, digests, manifest
+                elif name.endswith(".csv"):
+                    csvs[name] = data.decode()
+    return proc.returncode, digests, manifest, csvs
 
 
 def _is_number(x):
@@ -110,6 +114,33 @@ def _manifest_changes(base, head):
     return lines
 
 
+def _csv_change(base, head):
+    """How many numeric fields of two CSV texts differ, and the largest
+    relative change; the first difference that is not a number instead."""
+    lines_a, lines_b = base.splitlines(), head.splitlines()
+    if len(lines_a) != len(lines_b):
+        return f"{len(lines_a)} \u2192 {len(lines_b)} lines"
+    fields = changed = 0
+    rel = 0.0
+    for line_a, line_b in zip(lines_a, lines_b):
+        row_a, row_b = line_a.split(","), line_b.split(",")
+        fields += len(row_a)
+        if line_a == line_b:
+            continue
+        if len(row_a) != len(row_b):
+            return f"line {line_a!r} \u2192 {line_b!r}"
+        for x, y in zip(row_a, row_b):
+            if x == y:
+                continue
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                return f"field {x!r} \u2192 {y!r}"
+            changed += 1
+            rel = max(rel, abs(y - x) / abs(x) if x else math.inf)
+    return f"{changed} of {fields} fields changed, largest relative change {rel:.3g}"
+
+
 def _verdict_moves(base, head):
     """One line per `VERDICT_KEYS` entry of the two manifests that is present
     in only one, or moves by more than `VERDICT_ATOL`."""
@@ -140,7 +171,7 @@ def main(argv=None) -> int:
             cfg_path = os.path.join(tmp, f"{i:03d}.json")
             with open(cfg_path, "w", encoding="utf-8") as fh:
                 json.dump(cfg, fh)
-            (rc_a, a, man_a), (rc_b, b, man_b) = (
+            (rc_a, a, man_a, csv_a), (rc_b, b, man_b, csv_b) = (
                 _run(tree, cfg_path, cfg["task"], os.path.join(tmp, f"{i:03d}-{side}"))
                 for side, tree in (("base", args.base), ("head", args.head)))
             changed = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
@@ -153,6 +184,9 @@ def main(argv=None) -> int:
             if "manifest.json" in changed and man_a is not None and man_b is not None:
                 for line in _manifest_changes(man_a, man_b):
                     print(f"    {line}", flush=True)
+            for name in changed:
+                if name in csv_a and name in csv_b:
+                    print(f"    {name}: {_csv_change(csv_a[name], csv_b[name])}", flush=True)
             for line in moves:
                 print(f"    {line}", flush=True)
     print(f"artifact_diff: {runs} runs, {differing} differing (timings.json ignored)")
