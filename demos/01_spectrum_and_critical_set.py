@@ -25,8 +25,8 @@ for nu in (7, "6.5", 0):
     print(f"nu = {nu}: verdict {v.kind}", end="")
     if not v.is_clear:
         print(f" at (j={v.j}, k={v.k}, l={v.l})", end="")
-        lam_k = spec.x_eigenvalue(v.k, v.j)
-        lam_l = spec.x_eigenvalue(v.l, v.j)
+        rates = spec.x_rates(v.j, v.l)
+        lam_k, lam_l = float(rates[v.k - 1]), float(rates[v.l - 1])
         print(f"; colliding rates {lam_k} == {lam_l}", end="")
     print()
 

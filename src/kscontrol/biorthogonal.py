@@ -26,8 +26,8 @@ from decimal import Decimal
 
 import numpy as np
 
-from .errors import DuplicateRate, IllConditioned
-from .spectrum import DUPLICATE_REL_TOL, line_fit
+from .errors import IllConditioned
+from .spectrum import gap_check, line_fit
 
 K_BIO_MAX = 24
 RESIDUAL_TOL = 1e-8
@@ -42,17 +42,9 @@ def gram_matrix(exponents, T: float) -> np.ndarray:
         raise ValueError("exponents must be strictly positive")
     if T <= 0:
         raise ValueError("T must be positive")
-    _reject_duplicates(lam)
+    gap_check(lam)  # DuplicateRate on coincident exponents
     s = lam[:, None] + lam[None, :]
     return -np.expm1(-s * T) / s
-
-
-def _reject_duplicates(lam: np.ndarray):
-    scale = float(np.max(lam))
-    srt = np.sort(lam)
-    gaps = np.diff(srt)
-    if len(gaps) and float(np.min(gaps)) <= DUPLICATE_REL_TOL * scale:
-        raise DuplicateRate("coincident exponents in the family")
 
 
 @dataclass

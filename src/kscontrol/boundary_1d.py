@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .biorthogonal import K_BIO_MAX
 from .errors import NotCritical
 from .modal import (
     Trace,
@@ -93,8 +92,6 @@ def _synthesize_1d(u0, T: float, spec: SpectrumSpec, j: int, K_trunc: int,
     targets and the free-decay energy of the modes above K_trunc.
     """
     u0 = np.asarray(u0, dtype=float)
-    if K_trunc > K_BIO_MAX:
-        raise ValueError(f"K_trunc={K_trunc} exceeds K_bio_max={K_BIO_MAX}")
     K_trunc = min(K_trunc, len(u0))
     rates_full = spec.x_rates(j, len(u0))
     rates = rates_full[:K_trunc]
@@ -232,8 +229,8 @@ def critical_counterexample(
     if verdict.kind != "critical":
         raise NotCritical(f"verdict is {verdict.kind}; counterexample needs exact criticality")
     j, k0, l0 = verdict.j, verdict.k, verdict.l
-    lam_k = spec.x_eigenvalue(k0, j)
-    lam_l = spec.x_eigenvalue(l0, j)
+    rates = spec.x_rates(j, l0)
+    lam_k, lam_l = float(rates[k0 - 1]), float(rates[l0 - 1])
     expected = (k0 * l0) ** 2 * math.pi**4 / spec.a_float**4
     K = max(spec.K_x, l0)
     u0 = np.zeros(K)

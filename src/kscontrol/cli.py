@@ -3,9 +3,7 @@
     ksctl <task> --config <file> [--out dir] [--seed n]
 
 The task argument must match the config's task field (a guard against
-running the wrong file).  KSCTL_THREADS is honored by recording it in the
-manifest; all computations are sequential by construction so determinism
-never depends on it.
+running the wrong file).
 """
 
 from __future__ import annotations

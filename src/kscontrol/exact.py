@@ -21,9 +21,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-
 @dataclass(frozen=True)
 class ExactScalar:
     """A value ``rat + pi2 * pi**2`` with Fraction coefficients."""
@@ -76,11 +73,7 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     if isinstance(text, float):
         return Fraction(text).limit_denominator(10**12)
-    s = str(text).strip()
-    if _RATIONAL_RE.match(s):
-        return Fraction(s)
-    # decimal literal such as "6.5"
-    return Fraction(s)
+    return Fraction(str(text).strip())
 
 
 def parse_length(value) -> ExactLength | None:

@@ -27,19 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .biorthogonal import K_BIO_MAX
-from .errors import (
-    BadRho,
-    BelowMinimalTime,
-    BetaTooSmall,
-    DissipationViolated,
-    GramianSingular,
-    RationalPoint,
-)
+from .errors import BadRho, BetaTooSmall, DissipationViolated, GramianSingular
 from .modal import (
     ModalSource,
     ModalState,
@@ -50,7 +42,7 @@ from .modal import (
     x_gain,
 )
 from .moments import MomentSolver
-from .pointwise import DEFAULT_MARGIN, PointSpec, minimal_time_estimate
+from .pointwise import PointSpec, minimal_time_gate
 from .signals import ControlSignal, ExpSegment, LegendreSegment, legendre_mode_integrals
 from .spectrum import K0_index, SpectrumSpec, line_fit, require_clear
 
@@ -68,7 +60,7 @@ class BoundaryGamma:
 class InternalPoint:
     """Interior actuation on {x0} x omega; the point is given as the ratio x0/a."""
 
-    point: Union[PointSpec, float]
+    point: PointSpec
     omega: Optional[tuple] = None
 
 
@@ -90,7 +82,6 @@ class LRSchedule:
     alpha: float
     windows: list
     coast_start: float
-    realized_fraction: float
 
 
 def check_schedule(spec: SpectrumSpec, rho: Optional[float] = None,
@@ -122,11 +113,7 @@ def build_schedule(T: float, rho: float, beta: int, spec: SpectrumSpec) -> LRSch
         k += 1
         if k > 200:  # safety; cannot happen with J_y <= 2^200 beta
             break
-    realized = a_k / T
-    return LRSchedule(
-        T=T, rho=rho, beta=beta, alpha=alpha, windows=windows,
-        coast_start=a_k, realized_fraction=realized,
-    )
+    return LRSchedule(T=T, rho=rho, beta=beta, alpha=alpha, windows=windows, coast_start=a_k)
 
 
 def default_beta(spec: SpectrumSpec) -> int:
@@ -218,11 +205,6 @@ def active_phase_tensor(
     require_clear(spec)
     t0, t1 = float(window[0]), float(window[1])
     gamma_eff = min(gamma, spec.J_y)
-    if spec.K_x > K_BIO_MAX:
-        raise ValueError(
-            f"tensor active phase kills all {spec.K_x} x-modes per slice; "
-            f"K_x must be <= K_bio_max={K_BIO_MAX}"
-        )
     horizon_left = max((t_final if t_final is not None else t1) - t1, 0.0)
     end_free = _window_free_end(state, window, source)
     scale = max(state.norm, coeff_norm(end_free), 1e-300)
@@ -280,8 +262,8 @@ def _slice_moment_control(end_free: np.ndarray, slices, spec: SpectrumSpec,
 class GramianReport:
     """One Gramian window.  ``rank`` counts the directions the steering solve
     kept (singular values above 1e-13 of the largest); ``min_eig`` and
-    ``max_eig`` are the squares of the smallest and largest singular values,
-    kept or not."""
+    ``max_eig`` are the squares of the smallest kept and the largest singular
+    values, so min_eig / max_eig >= 1e-26 measures what the window can steer."""
 
     gamma: int
     n_killed: int
@@ -340,6 +322,7 @@ def active_phase_gramian(
     theta_tilde, res, rank, sv = np.linalg.lstsq(A_tilde, b, rcond=1e-13)
     sv_min = float(sv.min()) if len(sv) else 0.0
     sv_max = float(sv.max()) if len(sv) else 0.0
+    sv_kept = float(sv[rank - 1]) if rank else 0.0  # lstsq sorts sv descending
     resid = float(np.max(np.abs(A_tilde @ theta_tilde - b)))
     if resid > 1e-8 * scale:
         raise GramianSingular(
@@ -353,7 +336,7 @@ def active_phase_gramian(
     sig = ControlSignal(seg, x0=x0, mass=M)
     report = GramianReport(
         gamma=gamma_eff, n_killed=n_killed,
-        min_eig=sv_min**2, max_eig=sv_max**2, lstsq_residual=resid, rank=int(rank),
+        min_eig=sv_kept**2, max_eig=sv_max**2, lstsq_residual=resid, rank=int(rank),
     )
     return sig, report
 
@@ -428,7 +411,6 @@ def run_lr(
     rho: Optional[float] = None,
     beta: Optional[int] = None,
     source: Optional[ModalSource] = None,
-    margin: float = DEFAULT_MARGIN,
     record: Optional[Sequence[float]] = None,
 ) -> LRRunResult:
     """Steer u0 to (truncated) rest at time T under the given actuation.
@@ -436,8 +418,8 @@ def run_lr(
     Dispatches on geometry: boundary actuation runs the Lebeau-Robbiano
     alternation (tensor phases for the full cross-section, Gramian phases
     otherwise); interior actuation on the full cross-section is a direct
-    per-slice pointwise moment solve on [0, T] gated by the minimal-time
-    estimate, and on a strict subset it runs Gramian windows with the
+    per-slice pointwise moment solve on [0, T] behind `minimal_time_gate`,
+    and on a strict subset it runs Gramian windows with the
     pointwise gain.  The ``trace`` holds the run once at each ``record`` time.
     """
     require_clear(spec)
@@ -445,13 +427,11 @@ def run_lr(
     u0_norm = state.norm
 
     if isinstance(geometry, InternalPoint) and geometry.omega is None:
-        return _run_internal_direct(
-            state, T, spec, geometry, margin, source, record, u0_norm
-        )
+        return _run_internal_direct(state, T, spec, geometry, source, record, u0_norm)
 
     x0 = None
     if isinstance(geometry, InternalPoint):
-        x0 = _resolve_x0(geometry.point, spec, margin, gate=False)
+        x0 = minimal_time_gate(geometry.point, spec).x0_over_a * spec.a_float
 
     rho = rho if rho is not None else default_rho(spec)
     beta = beta if beta is not None else default_beta(spec)
@@ -509,31 +489,9 @@ def run_lr(
     )
 
 
-def _resolve_x0(point, spec: SpectrumSpec, margin, gate: bool, T: Optional[float] = None):
-    """x0 (absolute) from a PointSpec or ratio, optionally minimal-time gated.
-
-    The minimal-time scan runs once per (spec, point), however many runs
-    (Picard iterations, radius probes) share the spec.
-    """
-    if isinstance(point, PointSpec):
-        if point.is_rational:
-            raise RationalPoint("x0/a rational: interior control impossible")
-        est = spec.cached(("minimal_time", point),
-                          lambda: minimal_time_estimate(point, spec.a_float))
-        if gate and T is not None and T <= (1.0 + margin) * est.T0_hat:
-            raise BelowMinimalTime(
-                f"T={T} <= (1+margin) T0_hat = {(1.0 + margin) * est.T0_hat:.6g}"
-            )
-        return est.x0_over_a * spec.a_float
-    return float(point) * spec.a_float
-
-
-def _run_internal_direct(state, T, spec, geometry, margin, source, record,
-                         u0_norm) -> LRRunResult:
+def _run_internal_direct(state, T, spec, geometry, source, record, u0_norm) -> LRRunResult:
     """Interior actuation on the full cross-section: direct per-slice moments."""
-    x0 = _resolve_x0(geometry.point, spec, margin, gate=True, T=T)
-    if spec.K_x > K_BIO_MAX:
-        raise ValueError(f"direct solve kills all K_x={spec.K_x} x-modes; K_x <= {K_BIO_MAX}")
+    x0 = minimal_time_gate(geometry.point, spec, T).x0_over_a * spec.a_float
     end_free = _window_free_end(state, (0.0, T), source)
     scale = max(state.norm, coeff_norm(end_free), 1e-300)
     slices = [j for j in range(1, spec.J_y + 1) if coeff_norm(end_free[:, j - 1]) > 1e-10 * scale]

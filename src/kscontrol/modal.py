@@ -42,6 +42,9 @@ from .spectrum import SpectrumSpec
 
 #: `coeff_norm` recomputes a 2-norm at or below this from the max-scaled entries
 TINY_NORM = 1e-140
+#: above this largest entry the squares of a norm can overflow, so
+#: `nonlinear._source_delta` scales by the largest entry first
+HUGE_NORM = 1e150
 
 
 def coeff_norm(x, axis=None):
@@ -96,7 +99,7 @@ def state_1d(
     count: Optional[int] = None,
 ) -> ModalState:
     """1-D state for cross-mode j of the plain fourth-order problem (rates
-    ``x_eigenvalue``)."""
+    ``spec.x_rates(j, count)``)."""
     n = count if count is not None else spec.K_x
     rates = spec.x_rates(j, n)
     c = np.zeros(n) if coeffs is None else np.asarray(coeffs, dtype=float).copy()

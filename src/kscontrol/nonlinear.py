@@ -27,7 +27,15 @@ import numpy as np
 
 from .errors import NoContraction, StepUnconverged
 from .lebeau_robbiano import BoundaryGamma, LRRunResult, run_lr
-from .modal import ControlStepper, ModalSource, coeff_norm, nonlinear_rhs, rhs_operator, state_nd
+from .modal import (
+    HUGE_NORM,
+    ControlStepper,
+    ModalSource,
+    coeff_norm,
+    nonlinear_rhs,
+    rhs_operator,
+    state_nd,
+)
 from .spectrum import SpectrumSpec, line_fit, require_clear
 
 WEIGHT_FLOOR = 1e-280
@@ -317,7 +325,9 @@ def _source_delta(new: ModalSource, old: Optional[ModalSource], weights: WeightP
     the last nodes before that cut, 1/rho_F amplifies the rounding of the
     state: with F(t) = ||f_new(t)/(kappa + mu)|| the dual norm of the new
     iterate, F_hat = eps sqrt(K_x J_y) ||e^{Lambda+ t} sqrt(F(t) max F)/rho_F||
-    over the same nodes, Lambda+ = max(0, largest rate).
+    over the same nodes, Lambda+ = max(0, largest rate).  Far outside the
+    local regime the squares of both would overflow, so above HUGE_NORM they
+    are taken of max-scaled values (and sqrt(F max F) as sqrt(F) sqrt(max F)).
     """
     t = new.times
     if old is not None and not np.array_equal(old.times, t):
@@ -328,19 +338,24 @@ def _source_delta(new: ModalSource, old: Optional[ModalSource], weights: WeightP
         return 0.0, 0.0
     t, rhoF, vals = t[mask], rhoF[mask], new.values[mask]
     diff = vals if old is None else vals - old.values[mask]
-    kap = (np.arange(1, spec.K_x + 1, dtype=float) * math.pi / spec.a_float) ** 2
-    s = kap[:, None] + spec.mus[None, :]  # kappa_k + mu_j: the Dirichlet symbol
+    s = spec.laplacian()
 
     def weighted(dual):
-        return math.sqrt(float(np.trapezoid((dual / rhoF) ** 2, t)))
+        x = dual / rhoF
+        top = float(np.max(np.abs(x)))
+        if top > HUGE_NORM:
+            return top * math.sqrt(float(np.trapezoid((x / top) ** 2, t)))
+        return math.sqrt(float(np.trapezoid(x ** 2, t)))
 
     def dual_norm(v):
         return coeff_norm(v / s[None, :, :], axis=(1, 2))
 
     F = dual_norm(vals)
+    F_max = float(F.max())
+    root = np.sqrt(F) * math.sqrt(F_max) if F_max > HUGE_NORM else np.sqrt(F * F_max)
     growth = np.exp(max(0.0, float(spec.rate_matrix().max())) * t)
     eps = float(np.finfo(float).eps)
-    floor = eps * math.sqrt(s.size) * weighted(growth * np.sqrt(F * F.max()))
+    floor = eps * math.sqrt(s.size) * weighted(growth * root)
     return weighted(dual_norm(diff)), floor
 
 

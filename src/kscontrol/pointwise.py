@@ -73,36 +73,34 @@ class PointSpec:
 
     kind: str  # rational | real | algebraic | liouville
     data: tuple
-    k_max: int = DEFAULT_K_MAX
 
     @staticmethod
-    def rational(p: int, q: int, k_max: int = DEFAULT_K_MAX) -> "PointSpec":
-        return PointSpec("rational", (Fraction(p, q),), k_max)
+    def rational(p: int, q: int) -> "PointSpec":
+        return PointSpec("rational", (Fraction(p, q),))
 
     @staticmethod
-    def real(value, k_max: int = DEFAULT_K_MAX) -> "PointSpec":
+    def real(value) -> "PointSpec":
         """The number ``str(value)`` spells.  A decimal is rational, so the scan reads
         it as its exact reduced fraction P/Q and raises RationalPoint at k = Q when
         Q <= k_max ("0.1" at k = 10, "0.123" at k = 1000).  `value` refuses a string
         with more than REAL_MAX_DIGITS (1000) digits on either side of the decimal
         point or a written denominator above 10**REAL_MAX_DIGITS."""
-        return PointSpec("real", (str(value),), k_max)
+        return PointSpec("real", (str(value),))
 
     @staticmethod
-    def algebraic(poly_coeffs, root_index: int = 0, k_max: int = DEFAULT_K_MAX) -> "PointSpec":
+    def algebraic(poly_coeffs, root_index: int = 0) -> "PointSpec":
         """Root of an integer polynomial (coefficients highest degree first)."""
         if len(poly_coeffs) - 1 > MAX_ALGEBRAIC_DEGREE:
             raise ValueError(f"polynomial degree {len(poly_coeffs) - 1} exceeds {MAX_ALGEBRAIC_DEGREE}")
-        return PointSpec("algebraic", (tuple(int(c) for c in poly_coeffs), root_index), k_max)
+        return PointSpec("algebraic", (tuple(int(c) for c in poly_coeffs), root_index))
 
     @staticmethod
-    def liouville(rule: str = "quartic_anchor3", depth: int = 6,
-                  k_max: int = DEFAULT_K_MAX) -> "PointSpec":
+    def liouville(rule: str = "quartic_anchor3", depth: int = 6) -> "PointSpec":
         if rule not in LIOUVILLE_RULES:
             raise ValueError(f"unknown Liouville rule {rule!r}")
         if depth > MAX_LIOUVILLE_DEPTH:
             raise ValueError(f"Liouville depth {depth} exceeds {MAX_LIOUVILLE_DEPTH}")
-        return PointSpec("liouville", (rule, depth), k_max)
+        return PointSpec("liouville", (rule, depth))
 
     @property
     def is_rational(self) -> bool:
@@ -234,8 +232,8 @@ def _neg_log_sin_scan(ratio: Fraction, k_max: int):
 
 
 def minimal_time_estimate(point: PointSpec, a: float = math.pi,
-                          k_max: Optional[int] = None) -> MinimalTimeReport:
-    """Scan s_k and report the running-max minimal-time estimate.
+                          k_max: int = DEFAULT_K_MAX) -> MinimalTimeReport:
+    """Scan s_k for k <= k_max and report the running-max minimal-time estimate.
 
     Raises RationalPoint for rational x0/a (some sine vanishes exactly and
     pointwise control is impossible).
@@ -244,19 +242,18 @@ def minimal_time_estimate(point: PointSpec, a: float = math.pi,
 
     if point.is_rational:
         raise RationalPoint("x0/a is rational: pointwise control impossible")
-    km = k_max if k_max is not None else point.k_max
-    if km > MAX_K_MAX:
-        raise ValueError(f"k_max={km} exceeds {MAX_K_MAX}")
+    if k_max > MAX_K_MAX:
+        raise ValueError(f"k_max={k_max} exceeds {MAX_K_MAX}")
     with mp.workdps(point.dps + 20):
         z = point.value()
-        neg_log = _neg_log_sin_scan(_exact_ratio(point, z), km)
+        neg_log = _neg_log_sin_scan(_exact_ratio(point, z), k_max)
         z_float = float(z)
-    ks = np.arange(1, km + 1, dtype=float)
+    ks = np.arange(1, k_max + 1, dtype=float)
     quartic = ks**4 * math.pi**4 / a**4
     s = neg_log / quartic
     running = np.maximum.accumulate(s)
     argmax = int(np.argmax(s)) + 1
-    tail = float(np.max(s[km // 2 - 1 :]))
+    tail = float(np.max(s[k_max // 2 - 1 :]))
     spikes = [int(k) for k in ks[neg_log >= 1.0]]
     return MinimalTimeReport(
         k=ks.astype(int),
@@ -266,10 +263,29 @@ def minimal_time_estimate(point: PointSpec, a: float = math.pi,
         T0_hat=float(s[argmax - 1]),
         T0_argmax=argmax,
         T0_tail=tail,
-        still_growing=argmax >= km // 2,
+        still_growing=argmax >= k_max // 2,
         spikes=spikes,
         x0_over_a=z_float,
     )
+
+
+def minimal_time_gate(point: PointSpec, spec: SpectrumSpec, T: Optional[float] = None,
+                      margin: float = DEFAULT_MARGIN) -> MinimalTimeReport:
+    """The one minimal-time gate of interior control at ``point``.
+
+    Returns the `minimal_time_estimate` to DEFAULT_K_MAX, scanned once per
+    (spec, point) however many syntheses, certificates and runs share them;
+    it raises RationalPoint for a rational x0/a.  Given ``T``, it refuses
+    T <= (1 + margin) T0_hat with BelowMinimalTime.
+    """
+    estimate = spec.cached(("minimal_time", point),
+                           lambda: minimal_time_estimate(point, spec.a_float))
+    threshold = (1.0 + margin) * estimate.T0_hat
+    if T is not None and T <= threshold:
+        raise BelowMinimalTime(
+            f"T={T} <= (1+margin) T0_hat = {threshold:.6g}; minimal-time gate refuses synthesis"
+        )
+    return estimate
 
 
 def synthesize_point_control(
@@ -280,29 +296,22 @@ def synthesize_point_control(
     j: int,
     K_trunc: int = DEFAULT_K_TRUNC,
     margin: float = DEFAULT_MARGIN,
-    estimate: Optional[MinimalTimeReport] = None,
 ):
     """Pointwise control nulling modes k <= K_trunc for T above the gate.
 
-    The gate is T > (1 + margin) T0_hat; at or below it the synthesis is
-    refused with BelowMinimalTime (see `negative_certificate` for the
-    witness).  Nothing is claimed about T exactly at the minimal time.
-    Returns ``(ControlSignal, SynthesisReport)``; the report's ``targets``
-    are -e^{lambda_k T} u0_k / (sqrt(2/a) sin(k pi x0/a)), and it carries
-    the gate's ``T0_hat`` and ``threshold``.
+    The gate (`minimal_time_gate`) is T > (1 + margin) T0_hat; at or below
+    it the synthesis is refused with BelowMinimalTime (see
+    `negative_certificate` for the witness).  Nothing is claimed about T
+    exactly at the minimal time.  Returns ``(ControlSignal,
+    SynthesisReport)``; the report's ``targets`` are
+    -e^{lambda_k T} u0_k / (sqrt(2/a) sin(k pi x0/a)), and it carries the
+    gate's ``T0_hat`` and ``threshold``.
     """
     require_clear(spec)
-    if point.is_rational:
-        raise RationalPoint("x0/a is rational: pointwise control impossible")
-    if estimate is None:
-        estimate = minimal_time_estimate(point, spec.a_float)
-    threshold = (1.0 + margin) * estimate.T0_hat
-    if T <= threshold:
-        raise BelowMinimalTime(
-            f"T={T} <= (1+margin) T0_hat = {threshold:.6g}; minimal-time gate refuses synthesis"
-        )
+    estimate = minimal_time_gate(point, spec, T, margin)
     control, report = _synthesize_1d(u0, T, spec, j, K_trunc, x0=estimate.x0_over_a * spec.a_float)
-    return control, replace(report, T0_hat=estimate.T0_hat, threshold=threshold)
+    return control, replace(report, T0_hat=estimate.T0_hat,
+                            threshold=(1.0 + margin) * estimate.T0_hat)
 
 
 @dataclass
@@ -319,7 +328,6 @@ def negative_certificate(
     spec: SpectrumSpec,
     j: int,
     T: float,
-    estimate: Optional[MinimalTimeReport] = None,
 ) -> BlowupWitness:
     """Observability blow-up witnesses for T below the scanned minimal time.
 
@@ -329,15 +337,14 @@ def negative_certificate(
     exploding along the witness set.  NoWitnessFound means the scan depth is
     inconclusive at this horizon.
     """
-    if estimate is None:
-        estimate = minimal_time_estimate(point, spec.a_float)
+    estimate = minimal_time_gate(point, spec)
     witnesses = np.nonzero(estimate.s > T)[0]
     if len(witnesses) == 0:
         raise NoWitnessFound(
             f"no scanned k has s_k > T = {T}; inconclusive at depth k_max={len(estimate.s)}"
         )
     ks = witnesses + 1
-    lam = np.array([spec.x_eigenvalue(int(k), j) for k in ks])
+    lam = spec.x_rates(j, int(ks[-1]))[witnesses]
     # log ratio = 2 lambda_k T + 2 (-log|sin|)
     log_ratio = 2.0 * lam * T + 2.0 * estimate.neg_log_sin[witnesses]
     log10_ratio = log_ratio / math.log(10.0)

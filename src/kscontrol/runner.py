@@ -57,7 +57,6 @@ def run_scenario(scenario: Scenario, out_dir=None, seed=None):
         "seed": seed,
         "config": scenario.raw,
         "versions": {"kscontrol": __version__, "numpy": np.__version__},
-        "threads_env": os.environ.get("KSCTL_THREADS"),
     }
     if scenario.task.startswith("control") or scenario.task == "nonlinear":
         manifest["truncation_note"] = (
@@ -96,8 +95,8 @@ def _task_spectrum(sc: Scenario, seed, run_dir, manifest):
               [(j, spec.mu(j), spec.y_shift(j)) for j in range(1, spec.J_y + 1)])
     rows = []
     for j, totals in enumerate(spec.rate_matrix().T.tolist(), start=1):
-        for k, total in enumerate(totals, start=1):
-            rows.append((k, j, spec.x_eigenvalue(k, j), spec.y_shift(j), total))
+        for k, (lam_x, total) in enumerate(zip(spec.x_rates(j).tolist(), totals), start=1):
+            rows.append((k, j, lam_x, spec.y_shift(j), total))
     write_csv(os.path.join(run_dir, "modes.csv"),
               ["k", "j", "lambda_x", "lambda_y_shift", "total"], rows)
     manifest["verdict"] = _verdict(spec)
@@ -176,19 +175,17 @@ def _task_minimal_time(sc: Scenario, seed, run_dir, manifest):
 
 def _task_control_point(sc: Scenario, seed, run_dir, manifest):
     from .errors import BelowMinimalTime
-    from .pointwise import minimal_time_estimate, negative_certificate, synthesize_point_control
+    from .pointwise import minimal_time_gate, negative_certificate, synthesize_point_control
 
     p, spec = sc.params, sc.spec
     j, T = p["j"], p["T"]
-    est = minimal_time_estimate(p["point"], spec.a_float)
-    manifest["T0_hat"] = est.T0_hat
+    manifest["T0_hat"] = minimal_time_gate(p["point"], spec).T0_hat
     try:
         control, rep = synthesize_point_control(p["u0_modes"], T, p["point"], spec, j,
-                                                K_trunc=p["K_trunc"], margin=p["margin"],
-                                                estimate=est)
+                                                K_trunc=p["K_trunc"], margin=p["margin"])
     except BelowMinimalTime:
         try:
-            w = negative_certificate(p["point"], spec, j, T, estimate=est)
+            w = negative_certificate(p["point"], spec, j, T)
             write_json(os.path.join(run_dir, "witness.json"),
                        {"k": w.k, "log10_ratio": w.log10_ratio, "T": w.T, "T0_hat": w.T0_hat})
         except KSControlError:

@@ -9,8 +9,11 @@ All other modules pull their rates from here.  Conventions:
 * ``spec.x_rates(j)``, entry k - 1, is ``-k^4 pi^4/a^4 + (nu - 2 mu_j) k^2 pi^2/a^2``:
   the rate of the 1-D problem whose second-order coefficient is shifted by the
   j-th cross-section eigenvalue.
+* ``spec.laplacian()``, entry (k - 1, j - 1), is ``kappa_k + mu_j`` with
+  ``kappa_k = k^2 pi^2 / a^2``: the Dirichlet Laplacian's eigenvalue of mode
+  (k, j), which the nonlinear term's dual norm divides by.
 * ``spec.rate_matrix()``, entry (k - 1, j - 1), is
-  ``-(kappa+mu_j)^2 + nu (kappa+mu_j)`` with ``kappa = k^2 pi^2 / a^2``: the
+  ``-(kappa_k+mu_j)^2 + nu (kappa_k+mu_j)``, computed from ``laplacian()``: the
   full cylinder rate of mode (k, j), the 1-D rate plus the zeroth-order shift
   ``-(mu_j^2 - nu mu_j)`` in exact arithmetic.  It is the one float rate of a
   cylinder mode: every evolution and synthesis on the cylinder reads it.
@@ -283,19 +286,7 @@ class SpectrumSpec:
             raise IndexOutOfRange(f"j={j} outside eigenvalue list of length {len(self.mus)}")
         return float(self.mus[j - 1])
 
-    def kappa(self, k: int) -> float:
-        """x-Laplacian eigenvalue (k pi / a)^2."""
-        return (k * math.pi / self.a_float) ** 2
-
     # -- rates ----------------------------------------------------------------
-
-    def x_eigenvalue(self, k: int, j: int) -> float:
-        """Rate -k^4 pi^4/a^4 + (nu - 2 mu_j) k^2 pi^2/a^2 of the 1-D problem."""
-        if k < 1:
-            raise IndexOutOfRange(f"k={k} must be >= 1")
-        mu = self.mu(j)
-        kap = self.kappa(k)
-        return -kap * kap + (self.nu_float - 2.0 * mu) * kap
 
     def y_shift(self, j: int) -> float:
         """Zeroth-order rate -(mu_j^2 - nu mu_j) of the j-th slice."""
@@ -303,20 +294,31 @@ class SpectrumSpec:
         return -(mu * mu - self.nu_float * mu)
 
     def x_rates(self, j: int, count: Optional[int] = None) -> np.ndarray:
-        """Vector of 1-D rates for slice j (no zeroth-order shift)."""
+        """Vector of 1-D rates -k^4 pi^4/a^4 + (nu - 2 mu_j) k^2 pi^2/a^2 for
+        slice j (no zeroth-order shift), k = 1..count (default K_x)."""
         n = count if count is not None else self.K_x
         ks = np.arange(1, n + 1, dtype=float)
         kap = (ks * math.pi / self.a_float) ** 2
         return -kap * kap + (self.nu_float - 2.0 * self.mu(j)) * kap
+
+    def laplacian(self) -> np.ndarray:
+        """(K_x, J_y) matrix of kappa_k + mu_j, kappa_k = (k pi / a)^2: the
+        Dirichlet Laplacian's eigenvalue of mode (k, j), read-only."""
+        return self.cached("laplacian", self._build_laplacian)
+
+    def _build_laplacian(self) -> np.ndarray:
+        ks = np.arange(1, self.K_x + 1, dtype=float)
+        kap = (ks * math.pi / self.a_float) ** 2
+        s = kap[:, None] + self.mus[None, :]
+        s.flags.writeable = False
+        return s
 
     def rate_matrix(self) -> np.ndarray:
         """(K_x, J_y) matrix of tensor rates Lambda_{k,j}, read-only."""
         return self.cached("rate_matrix", self._build_rate_matrix)
 
     def _build_rate_matrix(self) -> np.ndarray:
-        ks = np.arange(1, self.K_x + 1, dtype=float)
-        kap = (ks * math.pi / self.a_float) ** 2
-        s = kap[:, None] + self.mus[None, :]
+        s = self.laplacian()
         total = -s * s + self.nu_float * s
         total.flags.writeable = False
         return total
@@ -524,24 +526,25 @@ def gap_check(rates: Sequence[float]):
     |Lambda_{k+1} - Lambda_k| over consecutive indices (the slope constant of
     the |Lambda_k - Lambda_l| >= rho |k - l| hypothesis).  Raises
     DuplicateRate when two rates coincide within DUPLICATE_REL_TOL relative:
-    the parameter is then effectively critical.
+    the parameter is then effectively critical.  The one duplicate-rate test
+    (`biorthogonal.gram_matrix` calls it too).  Sorted, the closest pair is
+    adjacent, and rounding is monotone, so ``rho_hat`` is the pairwise
+    minimum bit for bit.
     """
     arr = np.asarray(rates, dtype=float)
-    n = len(arr)
-    if n < 2:
+    if len(arr) < 2:
         return math.inf, math.inf
     scale = float(np.max(np.abs(arr))) or 1.0
-    rho = math.inf
-    for i in range(n):
-        for m in range(i + 1, n):
-            gap = abs(arr[i] - arr[m])
-            if gap <= DUPLICATE_REL_TOL * scale:
-                raise DuplicateRate(
-                    f"rates {i + 1} and {m + 1} coincide ({arr[i]:.6e} vs {arr[m]:.6e})"
-                )
-            rho = min(rho, gap)
+    order = np.argsort(arr)
+    gaps = np.diff(arr[order])
+    i = int(np.argmin(gaps))
+    if gaps[i] <= DUPLICATE_REL_TOL * scale:
+        lo, hi = sorted((int(order[i]), int(order[i + 1])))
+        raise DuplicateRate(
+            f"rates {lo + 1} and {hi + 1} coincide ({arr[lo]:.6e} vs {arr[hi]:.6e})"
+        )
     linear = float(np.min(np.abs(np.diff(arr))))
-    return rho, linear
+    return float(gaps[i]), linear
 
 
 def weyl_fit(spec: SpectrumSpec):

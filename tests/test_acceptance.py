@@ -33,7 +33,7 @@ from kscontrol.modal import (
 from kscontrol.nonlinear import fixed_point
 from kscontrol.pointwise import (
     PointSpec,
-    minimal_time_estimate,
+    minimal_time_gate,
     negative_certificate,
     synthesize_point_control,
 )
@@ -251,21 +251,18 @@ def test_c07_lr_end_to_end():
 def test_c08_minimal_time_dichotomy():
     spec = spec_pi(nu=0)
     algebraic = PointSpec.algebraic([1, 2, -1], root_index=0)
-    est_a = minimal_time_estimate(algebraic, math.pi, k_max=10_000)
     worst = 0.0
     for T in (0.1, 1.0):
         u0 = np.zeros(16)
         u0[0] = 1.0
         u0[1] = 1.0
-        control, _ = synthesize_point_control(
-            u0, T, algebraic, spec, 1, K_trunc=8, estimate=est_a
-        )
+        control, _ = synthesize_point_control(u0, T, algebraic, spec, 1, K_trunc=8)
         out = verify_null(u0, control, T, spec, 1, K_trunc=8)
         worst = max(worst, out.rel_final_enforced)
 
     liou = PointSpec.liouville("quartic_anchor3", depth=6)
-    est_l = minimal_time_estimate(liou, math.pi, k_max=10_000)
-    w = negative_certificate(liou, spec, 1, est_l.T0_hat / 2, estimate=est_l)
+    est_l = minimal_time_gate(liou, spec)
+    w = negative_certificate(liou, spec, 1, est_l.T0_hat / 2)
     i = list(w.k).index(3)
     ratio_ok = w.log10_ratio[i] >= 10.0
     ok = worst <= 1e-6 and est_l.T0_hat >= 0.5 and ratio_ok

@@ -64,6 +64,12 @@ def test_gram_rejects_duplicates():
         gram_matrix([1.0, 1.0 + 1e-15], T=1.0)
 
 
+def test_gram_rejects_duplicates_through_gap_check():
+    # the one duplicate-rate test names the coinciding pair in input order
+    with pytest.raises(DuplicateRate, match=r"^rates 1 and 3 coincide"):
+        gram_matrix([2.0, 5.0, 2.0 * (1.0 + 1e-14)], T=1.0)
+
+
 def test_gram_rejects_nonpositive():
     with pytest.raises(ValueError):
         gram_matrix([-1.0, 2.0], T=1.0)

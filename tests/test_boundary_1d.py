@@ -136,7 +136,7 @@ def test_free_decay_pattern_zero_control():
     u0[1] = 2.0
     state = state_1d(spec, 1, coeffs=u0)
     end = evolve_free(state, 0.5)
-    lam2 = spec.x_eigenvalue(2, 1)
+    lam2 = spec.x_rates(1)[1]
     assert end.coeffs[1] == pytest.approx(2.0 * math.exp(lam2 * 0.5), rel=1e-13)
     assert np.count_nonzero(end.coeffs) == 1
 

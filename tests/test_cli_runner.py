@@ -188,7 +188,7 @@ def test_simulate_free_decay_rates(tmp_path):
     manifest, run_dir = run_scenario(sc, out_dir=str(tmp_path))
     import math
 
-    lam2 = sc.spec.x_eigenvalue(2, 1)
+    lam2 = sc.spec.x_rates(1)[1]
     expect = math.exp(lam2 * 0.5)
     assert manifest["free_decay"]["final_norm"] == pytest.approx(expect, rel=1e-10)
     assert manifest["free_decay"]["slowest_active_rate"] == pytest.approx(lam2)
@@ -534,6 +534,26 @@ def test_gramian_report_records_the_rank_of_the_steering_solve(tmp_path):
     assert manifest["gramian"]
     for rep in manifest["gramian"]:
         assert 0 < rep["rank"] <= K_x * rep["gamma"]
+
+
+def test_gramian_min_eig_is_a_direction_the_window_steers(tmp_path):
+    # min_eig is the square of the smallest singular value the 1e-13 cut keeps,
+    # so min_eig / max_eig >= 1e-26 (the smallest overall gave about 1e-32)
+    rc, manifest = _run_demo(tmp_path, json.loads((DEMO_CONFIGS / "control_nd.json").read_text()))
+    assert rc == 0
+    assert manifest["gramian"]
+    for rep in manifest["gramian"]:
+        assert rep["min_eig"] / rep["max_eig"] >= 1e-26
+
+
+def test_nonlinear_datum_far_outside_the_local_regime_ends_by_the_ratio_test(tmp_path):
+    # with (1,1) = 1e10 the weighted source increments pass 1e154, where their
+    # squares overflowed (NotFinite, exit 1) before the ratio test could decide
+    cfg = _demo("nonlinear.json", "nonlinear.u0_modes", {"1,1": 1e10})
+    cfg["domain"].update(K_x=8, J_y=4)
+    rc, manifest = _run_demo(tmp_path, cfg)
+    assert rc == 6
+    assert manifest["error"]["reason"] == "ratio"
 
 
 def test_gramian_runs_need_no_scipy(tmp_path):

@@ -20,7 +20,7 @@ def test_3d_rates_tensor_identity():
     spec = spec_3d()
     # mu list starts 2, 5, 5, 8 for the unit-pi square
     assert spec.mus[:4] == pytest.approx([2.0, 5.0, 5.0, 8.0])
-    s = spec.kappa(2) + spec.mu(3)
+    s = (2 * math.pi / spec.a_float) ** 2 + spec.mu(3)
     assert spec.rate_matrix()[1, 2] == pytest.approx(-s * s, rel=1e-12)
 
 

@@ -194,7 +194,7 @@ def test_single_mode_decay_rate():
     dt = 1e-3
     v = evolve_free(u, dt)
     rate = math.log(abs(v.coeffs[2])) / dt
-    assert rate == pytest.approx(spec.x_eigenvalue(3, 1), rel=1e-12)
+    assert rate == pytest.approx(spec.x_rates(1)[2], rel=1e-12)
 
 
 def test_semigroup_composition():
@@ -252,7 +252,7 @@ def test_control_signal_refuses_t1_not_after_t0():
 def test_constant_boundary_control_duhamel_closed_form():
     # single retained mode: v_k(T) = e^{lam T} v0 + g c (e^{lam T} - 1)/lam
     spec = spec_1d(K_x=1, mu=1.0)
-    lam = spec.x_eigenvalue(1, 1)
+    lam = spec.x_rates(1)[0]
     g = -math.sqrt(2.0 / math.pi) * 1.0 * math.pi / math.pi  # S_BOUNDARY included
     c = 0.37
     T = 0.8
@@ -265,7 +265,7 @@ def test_constant_boundary_control_duhamel_closed_form():
 
 def test_constant_pointwise_control_duhamel_closed_form():
     spec = spec_1d(K_x=1, mu=1.0)
-    lam = spec.x_eigenvalue(1, 1)
+    lam = spec.x_rates(1)[0]
     x0 = 1.1
     g = math.sqrt(2.0 / math.pi) * math.sin(x0)
     c, T = -0.21, 0.6
@@ -441,7 +441,7 @@ def test_observe_trace_series():
     times = np.linspace(0.0, 0.2, 6)
     _, trace = evolve_controlled(u, None, (0.0, 0.2), record=times)
     series = observe(trace, spec, x0=1.0)
-    lam = spec.x_eigenvalue(1, 1)
+    lam = spec.x_rates(1)[0]
     expect_b = math.sqrt(2 / math.pi) * (math.pi / math.pi) * np.exp(lam * times)
     assert np.allclose(series["boundary"], expect_b, rtol=1e-12)
     expect_p = math.sqrt(2 / math.pi) * math.sin(1.0) * np.exp(lam * times)

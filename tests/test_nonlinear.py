@@ -287,16 +287,16 @@ def test_fixed_point_builds_each_window_family_once(monkeypatch):
 def test_fixed_point_scans_the_interior_point_once(monkeypatch):
     # every Picard iteration gates on the same minimal time: the spec keeps
     # one scan per point, so three iterations call the estimator once
-    import kscontrol.lebeau_robbiano as lr
+    import kscontrol.pointwise as pw
 
     calls = []
-    original = lr.minimal_time_estimate
+    original = pw.minimal_time_estimate
 
     def counting(point, a, *args):
         calls.append(point)
         return original(point, a, *args)
 
-    monkeypatch.setattr(lr, "minimal_time_estimate", counting)
+    monkeypatch.setattr(pw, "minimal_time_estimate", counting)
     spec = spec_2d()
     c = np.zeros((8, 8))
     c[0, 0] = 1e-3

@@ -7,6 +7,7 @@ import pytest
 
 from kscontrol.boundary_1d import synthesize_boundary_control, verify_null
 from kscontrol.errors import BelowMinimalTime, NoWitnessFound, RationalPoint
+from kscontrol.lebeau_robbiano import InternalPoint, run_lr
 from kscontrol.pointwise import (
     DEFAULT_K_MAX,
     DEFAULT_MARGIN,
@@ -14,6 +15,7 @@ from kscontrol.pointwise import (
     MAX_LIOUVILLE_DEPTH,
     PointSpec,
     minimal_time_estimate,
+    minimal_time_gate,
     negative_certificate,
     synthesize_point_control,
 )
@@ -222,23 +224,19 @@ def test_sqrt2_scan_at_hundred_thousand(est_sqrt2):
 # synthesis
 # ---------------------------------------------------------------------------
 
-def test_zero_data_zero_control(est_sqrt2):
+def test_zero_data_zero_control():
     spec = spec_box_pi()
-    control, rep = synthesize_point_control(
-        np.zeros(16), 1.0, SQRT2_MINUS_1, spec, 1, K_trunc=8, estimate=est_sqrt2
-    )
+    control, rep = synthesize_point_control(np.zeros(16), 1.0, SQRT2_MINUS_1, spec, 1, K_trunc=8)
     assert rep.control_norm == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("T", [0.1, 1.0])
-def test_null_control_algebraic_point(est_sqrt2, T):
+def test_null_control_algebraic_point(T):
     spec = spec_box_pi()
     u0 = np.zeros(16)
     u0[0] = 1.0
     u0[1] = 1.0
-    control, rep = synthesize_point_control(
-        u0, T, SQRT2_MINUS_1, spec, 1, K_trunc=8, estimate=est_sqrt2
-    )
+    control, rep = synthesize_point_control(u0, T, SQRT2_MINUS_1, spec, 1, K_trunc=8)
     assert rep.moment_residual_max <= 1e-8
     assert verify_null(u0, control, T, spec, 1, K_trunc=8).rel_final_enforced <= 1e-6
 
@@ -248,9 +246,7 @@ def test_point_targets_and_gate_on_the_synthesis_report(est_sqrt2):
     spec = spec_box_pi()
     u0 = np.linspace(1.0, -0.5, 16)
     T = 0.1
-    _, rep = synthesize_point_control(
-        u0, T, SQRT2_MINUS_1, spec, 1, K_trunc=8, estimate=est_sqrt2
-    )
+    _, rep = synthesize_point_control(u0, T, SQRT2_MINUS_1, spec, 1, K_trunc=8)
     k = np.arange(1, 9)
     gain = math.sqrt(2.0 / math.pi) * np.sin(k * math.pi * (math.sqrt(2.0) - 1.0))
     expect = -np.exp((-(k**4) - 2.0 * k**2) * T) * u0[:8] / gain
@@ -261,16 +257,14 @@ def test_point_targets_and_gate_on_the_synthesis_report(est_sqrt2):
     assert boundary.T0_hat is None and boundary.threshold is None
 
 
-def test_cost_grows_as_T_shrinks(est_sqrt2):
+def test_cost_grows_as_T_shrinks():
     spec = spec_box_pi()
     u0 = np.zeros(16)
     u0[0] = 1.0
     u0[1] = 1.0
     norms = {}
     for T in (0.1, 1.0):
-        _, rep = synthesize_point_control(
-            u0, T, SQRT2_MINUS_1, spec, 1, K_trunc=8, estimate=est_sqrt2
-        )
+        _, rep = synthesize_point_control(u0, T, SQRT2_MINUS_1, spec, 1, K_trunc=8)
         norms[T] = rep.control_norm
     assert norms[0.1] > norms[1.0]
 
@@ -281,9 +275,47 @@ def test_below_minimal_time_refused(est_liouville):
     u0[0] = 1.0
     with pytest.raises(BelowMinimalTime):
         synthesize_point_control(
-            u0, est_liouville.T0_hat, PointSpec.liouville(), spec, 1,
-            K_trunc=8, estimate=est_liouville,
+            u0, est_liouville.T0_hat, PointSpec.liouville(), spec, 1, K_trunc=8
         )
+
+
+def test_one_scan_per_spec_and_point(monkeypatch):
+    # the synthesis, its witness and an interior run on one spec pass one
+    # gate, which scans the point once
+    import kscontrol.pointwise as pw
+
+    calls = []
+    original = pw.minimal_time_estimate
+
+    def counting(point, a, *args):
+        calls.append(point)
+        return original(point, a, *args)
+
+    monkeypatch.setattr(pw, "minimal_time_estimate", counting)
+    spec = spec_box_pi(K_x=8)
+    u0 = np.zeros(8)
+    u0[0] = 1.0
+    synthesize_point_control(u0, 1.0, SQRT2_MINUS_1, spec, 1)
+    with pytest.raises(NoWitnessFound):
+        negative_certificate(SQRT2_MINUS_1, spec, 1, T=0.2)
+    c = np.zeros((8, 4))
+    c[0, 0] = 1.0
+    run_lr(c, 1.0, spec, InternalPoint(SQRT2_MINUS_1, None))
+    assert calls == [SQRT2_MINUS_1]
+
+
+def test_interior_paths_refuse_at_the_same_horizon_with_the_same_message():
+    spec = spec_box_pi(K_x=8)
+    point = PointSpec.liouville()  # T0_hat ~ 1.01
+    T = (1.0 + DEFAULT_MARGIN) * minimal_time_gate(point, spec).T0_hat
+    with pytest.raises(BelowMinimalTime) as on_slice:
+        synthesize_point_control(np.ones(8), T, point, spec, 1)
+    c = np.zeros((8, 4))
+    c[0, 0] = 1.0
+    with pytest.raises(BelowMinimalTime) as on_cylinder:
+        run_lr(c, T, spec, InternalPoint(point, None))
+    assert str(on_cylinder.value) == str(on_slice.value)
+    assert "minimal-time gate refuses synthesis" in str(on_slice.value)
 
 
 def test_rational_point_synthesis_refused():
@@ -299,17 +331,17 @@ def test_rational_point_synthesis_refused():
 def test_blowup_witness_liouville(est_liouville):
     spec = spec_box_pi()
     T = est_liouville.T0_hat / 2
-    w = negative_certificate(PointSpec.liouville(), spec, 1, T, estimate=est_liouville)
+    w = negative_certificate(PointSpec.liouville(), spec, 1, T)
     assert 3 in w.k
     i = list(w.k).index(3)
     assert w.log10_ratio[i] >= 10.0
     assert w.ratio_cap[i] >= 1e10
 
 
-def test_no_witness_for_algebraic(est_sqrt2):
+def test_no_witness_for_algebraic():
     spec = spec_box_pi()
     with pytest.raises(NoWitnessFound):
-        negative_certificate(SQRT2_MINUS_1, spec, 1, T=0.2, estimate=est_sqrt2)
+        negative_certificate(SQRT2_MINUS_1, spec, 1, T=0.2)
 
 
 def test_witness_ratio_monotone_along_spikes(est_liouville):
@@ -317,12 +349,8 @@ def test_witness_ratio_monotone_along_spikes(est_liouville):
     # first); along the resonant subsequence itself the blow-up grows as T
     # drops, checked by comparing two horizons
     spec = spec_box_pi()
-    w1 = negative_certificate(
-        PointSpec.liouville(), spec, 1, est_liouville.T0_hat / 2, estimate=est_liouville
-    )
-    w2 = negative_certificate(
-        PointSpec.liouville(), spec, 1, est_liouville.T0_hat / 4, estimate=est_liouville
-    )
+    w1 = negative_certificate(PointSpec.liouville(), spec, 1, est_liouville.T0_hat / 2)
+    w2 = negative_certificate(PointSpec.liouville(), spec, 1, est_liouville.T0_hat / 4)
     i1 = list(w1.k).index(3)
     i2 = list(w2.k).index(3)
     assert w2.log10_ratio[i2] > w1.log10_ratio[i1]

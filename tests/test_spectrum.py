@@ -54,26 +54,40 @@ def test_x_eigenvalue_direct_substitution():
     # so use the formula with an explicit tiny workaround: mu enters linearly)
     spec = SpectrumSpec(a="pi", nu=0, cross_section=External([1.0]), K_x=4, J_y=1)
     # lambda_k = -k^4 + (nu - 2 mu) k^2; with mu=1, nu=0: -1 - 2 = -3
-    assert spec.x_eigenvalue(1, 1) == pytest.approx(-3.0)
+    assert spec.x_rates(1)[0] == pytest.approx(-3.0)
     # reconstruct the mu=0 case from linearity in mu: lambda(mu=0) = lambda(mu) + 2 mu k^2
-    lam_mu0 = spec.x_eigenvalue(1, 1) + 2.0 * 1.0 * 1.0
+    lam_mu0 = spec.x_rates(1)[0] + 2.0 * 1.0 * 1.0
     assert lam_mu0 == pytest.approx(-1.0)
 
 
 def test_x_eigenvalue_k2_nu5_mu1():
     spec = SpectrumSpec(a="pi", nu=5, cross_section=External([1.0]), K_x=4, J_y=1)
-    assert spec.x_eigenvalue(2, 1) == pytest.approx(-16.0 + 3.0 * 4.0)
+    assert spec.x_rates(1)[1] == pytest.approx(-16.0 + 3.0 * 4.0)
 
 
 def test_x_eigenvalue_a1_mu_pi_squared():
     spec = SpectrumSpec(a=1, nu=0, cross_section=External([math.pi**2]), K_x=4, J_y=1)
-    assert spec.x_eigenvalue(3, 1) == pytest.approx(-99.0 * math.pi**4, rel=1e-13)
+    assert spec.x_rates(1)[2] == pytest.approx(-99.0 * math.pi**4, rel=1e-13)
 
 
 def test_x_eigenvalue_index_out_of_range():
     spec = SpectrumSpec(a="pi", nu=0, cross_section=External([1.0]), K_x=4, J_y=1)
     with pytest.raises(IndexOutOfRange):
-        spec.x_eigenvalue(1, 2)
+        spec.x_rates(2)
+
+
+def _kappa(spec, k):
+    """Scalar oracle of the x-Laplacian eigenvalue (k pi / a)^2, squared as
+    one rounded product (a float's ``** 2`` goes through libm's pow, which
+    is off by one ulp at k = 2207 on a = 1)."""
+    q = k * math.pi / spec.a_float
+    return q * q
+
+
+def _x_rate(spec, k, j):
+    """Scalar oracle of the 1-D rate -kappa^2 + (nu - 2 mu_j) kappa."""
+    kap = _kappa(spec, k)
+    return -kap * kap + (spec.nu_float - 2.0 * spec.mu(j)) * kap
 
 
 def test_mode_rate_tensor_identity():
@@ -83,11 +97,22 @@ def test_mode_rate_tensor_identity():
     rates = spec.rate_matrix()
     for k in (1, 3, 7, 12):
         for j in (1, 2, 5, 12):
-            s = spec.kappa(k) + spec.mu(j)
+            s = _kappa(spec, k) + spec.mu(j)
+            assert spec.laplacian()[k - 1, j - 1] == s
             ulp = math.ulp(abs(rates[k - 1, j - 1]))
             assert abs(rates[k - 1, j - 1] - (-s * s + spec.nu_float * s)) <= 4 * ulp
             assert abs(rates[k - 1, j - 1] - (spec.x_rates(j)[k - 1] + spec.y_shift(j))) <= 4 * ulp
-            assert spec.x_rates(j)[k - 1] == spec.x_eigenvalue(k, j)
+            assert spec.x_rates(j)[k - 1] == _x_rate(spec, k, j)
+
+
+def test_x_rates_match_the_scalar_oracle_bitwise_to_k_1e4():
+    # modes.csv's lambda_x and the witness rates read x_rates: every k <= 1e4
+    # keeps the bits of the scalar formula on slices of three spectra
+    for a, nu, dims in (("pi", "6.5", ("pi",)), (1, 0, ("pi/2",)), ("2*pi", 40, ("pi", 2))):
+        spec = SpectrumSpec(a=a, nu=nu, cross_section=Box(dims), K_x=4, J_y=3)
+        for j in (1, 2, 3):
+            rates = spec.x_rates(j, 10_000).tolist()
+            assert rates == [_x_rate(spec, k, j) for k in range(1, 10_001)]
 
 
 def test_monotone_tail_beyond_k_star():
@@ -95,7 +120,7 @@ def test_monotone_tail_beyond_k_star():
     spec = SpectrumSpec(a="pi", nu=40, cross_section=External([1.0]), K_x=24, J_y=1)
     c = (spec.nu_float - 2.0 * spec.mu(1)) * spec.a_float**2 / (2.0 * math.pi**2)
     ks = int(math.floor(math.sqrt(c))) + 1 if c > 0 else 1
-    lam = [spec.x_eigenvalue(k, 1) for k in range(1, 25)]
+    lam = spec.x_rates(1, 24)
     for k in range(ks, 24):
         assert lam[k] < lam[k - 1]
 
@@ -169,8 +194,7 @@ def test_critical_iff_rate_collision():
     # criticality <=> two x-eigenvalues collide for that j
     spec = spec_pi_box(nu=7)
     v = critical_set_check(spec)
-    lam_k = spec.x_eigenvalue(v.k, v.j)
-    lam_l = spec.x_eigenvalue(v.l, v.j)
+    lam_k, lam_l = spec.x_rates(v.j, v.l)[[v.k - 1, v.l - 1]]
     assert lam_k == pytest.approx(lam_l, rel=1e-14)
     # and the common value is k0^2 l0^2 pi^4 / a^4 = 4
     assert lam_k == pytest.approx(4.0)
@@ -427,6 +451,27 @@ def test_gap_pure_quartic():
     rho, linear = gap_check(rates)
     assert rho == pytest.approx(15.0)
     assert linear == pytest.approx(15.0)
+
+
+def _gap_oracle(rates):
+    """O(n^2) oracle: the smallest |L_i - L_m| over all pairs, and over consecutive indices."""
+    arr = [float(x) for x in rates]
+    rho = min(abs(x - y) for i, x in enumerate(arr) for y in arr[i + 1:])
+    return rho, min(abs(y - x) for x, y in zip(arr, arr[1:]))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_gap_check_matches_the_pairwise_oracle_bitwise(seed):
+    # unsorted families: random reals over many scales, and shuffled 1-D spectra
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    if seed % 2:
+        rates = rng.standard_normal(n) * 10.0 ** float(rng.integers(-3, 8))
+    else:
+        spec = SpectrumSpec(a="pi", nu=float(rng.uniform(0, 30)), cross_section=Box(["pi"]),
+                            K_x=n, J_y=4)
+        rates = rng.permutation(-spec.x_rates(int(rng.integers(1, 5))))
+    assert gap_check(rates) == _gap_oracle(rates)
 
 
 def test_gap_duplicate_on_critical_pair():

@@ -13,7 +13,10 @@ the one artifact a rerun may change.  When ``manifest.json`` differs, it
 also prints each changed scalar leaf (``path: base -> head``) and, for each
 changed list of numbers, its largest relative change; for each differing
 CSV, how many of its numeric fields changed and the largest relative
-change.  Exits 0 when every run has equal exit codes and equal artifacts,
+change.  A change in a list or a CSV is measured against the largest base
+magnitude of that list or file (`_relative`), so a field that is 0.0 at the
+base reads finite; only a list or file that is all zero at the base reads
+inf.  Exits 0 when every run has equal exit codes and equal artifacts,
 else 1.
 
 With ``--verdicts``, a change that moves artifacts on purpose is checked
@@ -96,6 +99,11 @@ def _leaves(node, path=""):
     return out
 
 
+def _relative(change, scale):
+    """``change / scale``: inf when the scale is 0 and something changed."""
+    return change / scale if scale else (math.inf if change else 0.0)
+
+
 def _manifest_changes(base, head):
     """One line per leaf of the manifest that differs between the two runs."""
     a, b = _leaves(base), _leaves(head)
@@ -106,8 +114,8 @@ def _manifest_changes(base, head):
             continue
         if (isinstance(va, list) and isinstance(vb, list) and len(va) == len(vb)
                 and all(map(_is_number, va + vb))):
-            rel = max(abs(y - x) / abs(x) if x else math.inf for x, y in zip(va, vb)
-                      if repr(x) != repr(y))
+            rel = _relative(max(abs(y - x) for x, y in zip(va, vb) if repr(x) != repr(y)),
+                            max(map(abs, va)))
             lines.append(f"{path}: list of {len(va)}, largest relative change {rel:.3g}")
         else:
             lines.append(f"{path}: {va!r} \u2192 {vb!r}")
@@ -116,29 +124,37 @@ def _manifest_changes(base, head):
 
 def _csv_change(base, head):
     """How many numeric fields of two CSV texts differ, and the largest
-    relative change; the first difference that is not a number instead."""
+    change relative to the file's largest base magnitude; the first
+    difference that is not a number instead."""
     lines_a, lines_b = base.splitlines(), head.splitlines()
     if len(lines_a) != len(lines_b):
         return f"{len(lines_a)} \u2192 {len(lines_b)} lines"
     fields = changed = 0
-    rel = 0.0
+    change = scale = 0.0
     for line_a, line_b in zip(lines_a, lines_b):
         row_a, row_b = line_a.split(","), line_b.split(",")
         fields += len(row_a)
-        if line_a == line_b:
-            continue
         if len(row_a) != len(row_b):
             return f"line {line_a!r} \u2192 {line_b!r}"
         for x, y in zip(row_a, row_b):
+            try:
+                x_num = float(x)
+            except ValueError:  # a header or label
+                x_num = None
+            else:
+                scale = max(scale, abs(x_num))
             if x == y:
                 continue
             try:
-                x, y = float(x), float(y)
+                y_num = float(y)
             except ValueError:
+                y_num = None
+            if x_num is None or y_num is None:
                 return f"field {x!r} \u2192 {y!r}"
             changed += 1
-            rel = max(rel, abs(y - x) / abs(x) if x else math.inf)
-    return f"{changed} of {fields} fields changed, largest relative change {rel:.3g}"
+            change = max(change, abs(y_num - x_num))
+    return (f"{changed} of {fields} fields changed, largest relative change "
+            f"{_relative(change, scale):.3g}")
 
 
 def _verdict_moves(base, head):
