@@ -10,9 +10,11 @@ exponentials exactly when ``C = G^{-1}`` with the Gram matrix
 Within the exponential span this family is the unique one of minimal L2
 norm, and ``||q_m||^2 = (G^{-1})[m, m]``.  Gram matrices of exponentials
 are notoriously ill-conditioned, so every family is built one way: the Gram
-is inverted by Gauss-Jordan in `decimal` at 60 digits, the inverse rounded to
-doubles, and the rounded coefficients certified against the 60-digit Gram.
-An IllConditioned error fires when even that cannot certify the
+is factored once as L D L^T in `decimal` at 60 digits.  A moment synthesis
+solves against that factorization, rounding G^{-1} m to doubles once; the
+explicit inverse is solved from it and rounded to doubles only where it is
+read, and so is its certificate against the 60-digit Gram.  An
+IllConditioned error fires when even that cannot certify the
 biorthogonality residual.
 """
 
@@ -21,8 +23,9 @@ from __future__ import annotations
 import decimal
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import cached_property
 
 import numpy as np
 
@@ -49,18 +52,66 @@ def gram_matrix(exponents, T: float) -> np.ndarray:
 
 @dataclass
 class BiorthogonalFamily:
-    """Coefficients of the minimal-norm biorthogonal family.
+    """The minimal-norm biorthogonal family, held as the 60-digit factorization
+    G = L D L^T of its Gram.
 
     ``q_m(t) = sum_k coeffs[m, k] exp(-exponents[k] t)`` and the analytic
     moments ``int_0^T exp(-exponents[k] t) q_m(t) dt`` equal the identity up
-    to ``residual_max``.
+    to ``residual_max``.  Moment syntheses read only :meth:`solve`; the
+    explicit inverse ``coeffs`` and its certificate ``residual_max`` are
+    computed from the factorization on first read.
     """
 
     exponents: np.ndarray
     horizon: float
-    coeffs: np.ndarray
-    residual_max: float
     gram_condition: float
+    gram: list = field(repr=False)    # the 60-digit Gram, rows of Decimal
+    lower: list = field(repr=False)   # row i of L: its entries left of the diagonal
+    pivots: list = field(repr=False)  # the diagonal of D, all positive
+
+    def solve(self, m) -> np.ndarray:
+        """G^{-1} m at 60 digits, rounded once to doubles."""
+        if len(m) != len(self.pivots):
+            raise ValueError(f"{len(m)} moments for a family of {len(self.pivots)}")
+        with decimal.localcontext() as ctx:
+            ctx.prec = EXTENDED_DIGITS
+            return np.array([float(x) for x in self._solve([Decimal(float(v)) for v in m])])
+
+    def _solve(self, x):
+        """G^{-1} x for a list x of Decimal, which it overwrites: L y = x, then
+        L^T z = y / D."""
+        for i, row in enumerate(self.lower):
+            x[i] -= sum(map(Decimal.__mul__, row, x))
+        x = [v / d for v, d in zip(x, self.pivots)]
+        for i in reversed(range(len(x))):
+            xi = x[i]
+            for k, l_ik in enumerate(self.lower[i]):
+                x[k] -= l_ik * xi
+        return x
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """C = (G^{-1})^T, C-ordered: row m is G^{-1} solved on the m-th unit vector."""
+        n = len(self.pivots)
+        one, zero = Decimal(1), Decimal(0)
+        with decimal.localcontext() as ctx:
+            ctx.prec = EXTENDED_DIGITS
+            return np.array([self._solve([one if k == m else zero for k in range(n)])
+                             for m in range(n)], dtype=float)
+
+    @cached_property
+    def residual_max(self) -> float:
+        """max |G C^T - I| of the double-rounded ``coeffs`` against the 60-digit Gram."""
+        C_back = [[Decimal(x) for x in row] for row in self.coeffs.tolist()]
+        residual = 0.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = EXTENDED_DIGITS
+            for i, g_row in enumerate(self.gram):
+                for k, c_row in enumerate(C_back):
+                    target = 1.0 if i == k else 0.0
+                    prod = float(sum(map(Decimal.__mul__, g_row, c_row)))
+                    residual = max(residual, abs(prod - target))
+        return residual
 
     def evaluate(self, m: int, t) -> np.ndarray:
         """q_m(t), vectorized in t (m is 0-based)."""
@@ -94,44 +145,45 @@ def _gram_mp(lam, T):
     return [[(1 - Ei * Ek) / (li + lk) for lk, Ek in zip(lam, E)] for li, Ei in zip(lam, E)]
 
 
-def _inverse(G):
-    """G^{-1} by Gauss-Jordan on [G | I] at the context precision.
+def _ldl(G):
+    """(L, D) with G = L D L^T at the context precision, row by row: L's rows
+    hold their entries left of the unit diagonal.
 
     G is symmetric positive definite, so the pivots are positive and no
     pivoting is needed; a pivot that is not (all of G is 0 once lam T <
-    1e-60) raises IllConditioned.  Before step j the left block's first j
-    columns are done and the right block's columns past n + j are still
-    those of I, so step j only updates columns j + 1 .. n + j.
+    1e-60) raises IllConditioned.  Row i first forms a[j] = L[i][j] D[j]
+    for j < i, so its i^2/2 multiply-adds give n^3/6 in all.
     """
-    n = len(G)
-    one, zero = Decimal(1), Decimal(0)
-    A = [row + [one if k == i else zero for k in range(n)] for i, row in enumerate(G)]
-    for j in range(n):
-        cols = slice(j + 1, n + j + 1)
-        if not A[j][j] > 0:
-            raise IllConditioned(f"Gram pivot {j} is not positive at {EXTENDED_DIGITS} digits")
-        inv = one / A[j][j]
-        span = A[j][cols] = [x * inv for x in A[j][cols]]
-        for i, row in enumerate(A):
-            f = row[j]
-            if i != j and f:
-                row[cols] = [a - f * p for a, p in zip(row[cols], span)]
-    return [row[n:] for row in A]
+    lower, pivots = [], []
+    for i, g_row in enumerate(G):
+        a = []
+        for j in range(i):
+            a.append(g_row[j] - sum(map(Decimal.__mul__, a, lower[j])))
+        row = [x / d for x, d in zip(a, pivots)]
+        d = g_row[i] - sum(map(Decimal.__mul__, a, row))
+        if not d > 0:
+            raise IllConditioned(f"Gram pivot {i} is not positive at {EXTENDED_DIGITS} digits")
+        lower.append(row)
+        pivots.append(d)
+    return lower, pivots
 
 
 def build_family(exponents, T: float) -> BiorthogonalFamily:
-    """Invert the Gram in extended precision and certify the biorthogonality residual.
+    """Factor the Gram once as L D L^T in extended precision.
 
-    G^{-1} is computed by Gauss-Jordan in `decimal` at 60 digits; rounded to
-    doubles it matches a 60-digit mpmath inverse bit for bit, and the
-    coefficients come back C-ordered whatever the family.  The certified
-    ``residual_max`` is what the returned double-precision coefficients
+    The factorization is computed in `decimal` at 60 digits.  `solve` rounds
+    G^{-1} m to doubles once, which is what moment syntheses use; ``coeffs``,
+    the explicit inverse, is solved from the same factorization on first
+    read and, rounded to doubles, matches a 60-digit mpmath inverse bit for
+    bit, C-ordered whatever the family.  Its certified ``residual_max``,
+    also computed on first read, is what those double-precision coefficients
     actually achieve against the 60-digit Gram; for families with huge rate
     spread it is limited to roughly cond * eps even though the inverse is
     computed exactly, which is why moment syntheses certify their own
     (target-weighted) residual instead.
     IllConditioned fires when the condition number exceeds 1e14 and the
     residual misses 1e-8: the truncation must shrink or precision increase.
+    Only such a family computes its certificate at build time.
     """
     lam = np.asarray(exponents, dtype=float)
     if len(lam) > K_BIO_MAX:
@@ -140,23 +192,14 @@ def build_family(exponents, T: float) -> BiorthogonalFamily:
     with decimal.localcontext() as ctx:
         ctx.prec = EXTENDED_DIGITS
         G_x = _gram_mp([Decimal(x) for x in lam], Decimal(float(T)))
-        # G^{-1} = C^T: column i of the inverse is row i of C
-        C = np.array(list(zip(*_inverse(G_x))), dtype=float)
-        # residual of the float-rounded coefficients against the exact Gram
-        C_back = [[Decimal(x) for x in row] for row in C.tolist()]
-        residual = 0.0
-        for i, g_row in enumerate(G_x):
-            for k, c_row in enumerate(C_back):
-                target = 1.0 if i == k else 0.0
-                prod = float(sum(map(Decimal.__mul__, g_row, c_row)))
-                residual = max(residual, abs(prod - target))
-    if cond > FAIL_COND and residual > RESIDUAL_TOL:
+        lower, pivots = _ldl(G_x)
+    fam = BiorthogonalFamily(exponents=lam, horizon=float(T), gram_condition=cond,
+                             gram=G_x, lower=lower, pivots=pivots)
+    if cond > FAIL_COND and fam.residual_max > RESIDUAL_TOL:
         raise IllConditioned(
-            f"Gram condition {cond:.3e}, residual {residual:.3e} after extended precision"
+            f"Gram condition {cond:.3e}, residual {fam.residual_max:.3e} after extended precision"
         )
-    return BiorthogonalFamily(
-        exponents=lam, horizon=float(T), coeffs=C, residual_max=residual, gram_condition=cond
-    )
+    return fam
 
 
 def cost_fit(exponents, T_grid):

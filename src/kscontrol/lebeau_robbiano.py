@@ -166,13 +166,24 @@ def mass_matrix(spec: SpectrumSpec, omega: Optional[tuple], rows: int) -> np.nda
     """M[l, j] = <psi_l, psi_j>_{L2(omega)} for row modes l <= rows.
 
     ``omega`` as in `omega_axes`; None means the full cross-section (identity
-    overlaps).  M gathers one table of `_axis_overlap` per box axis.
+    overlaps).  M gathers one table of `_axis_overlap` per box axis; the
+    tables depend on the spec and omega alone, so the spec keeps them.
     """
     if omega is None:
         return np.eye(rows, spec.J_y)
-    tables = [[[_axis_overlap(m, mp_, c, d, b) for mp_ in range(1, n + 1)] for m in range(1, n + 1)]
-              for c, d, b, n in omega_axes(spec, omega)]
-    return spec.tuple_products(tables, rows)
+    axes = tuple(omega_axes(spec, omega))
+    return spec.tuple_products(spec.cached(("overlaps", axes), lambda: _overlap_tables(axes)), rows)
+
+
+def _overlap_tables(axes) -> list:
+    """One read-only (n, n) table of `_axis_overlap` per (c, d, b, n) axis."""
+    tables = []
+    for c, d, b, n in axes:
+        table = np.array([[_axis_overlap(m, mp_, c, d, b) for mp_ in range(1, n + 1)]
+                          for m in range(1, n + 1)])
+        table.flags.writeable = False
+        tables.append(table)
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,9 @@ class MomentSolver:
     """Reusable solver for one rate family and horizon.
 
     Builds the biorthogonal family once; each call to :meth:`solve` combines
-    it linearly with a target vector (the moment map is linear).
+    it linearly with a target vector (the moment map is linear) by one
+    solve against the family's 60-digit factorization, so the explicit
+    inverse and its certificate are never formed.
     """
 
     def __init__(self, rates, T: float):
@@ -88,11 +90,13 @@ class MomentSolver:
     def solve(self, targets) -> MomentSolution:
         """Combine the family with a target vector and certify the residual.
 
-        The certified quantity is the analytic moment residual of the
-        assembled control against *these* targets: that is what bounds the
-        closed-loop end state, and it stays tiny even when the family's raw
-        delta-matrix residual is limited by conditioning (the ill-conditioned
-        directions pair with exponentially dead targets).
+        The coefficients are G^{-1} m from the family's 60-digit
+        factorization, rounded once to doubles.  The certified quantity is
+        the analytic moment residual of the assembled control against *these*
+        targets: that is what bounds the closed-loop end state, and it stays
+        tiny even when the family's raw delta-matrix residual is limited by
+        conditioning (the ill-conditioned directions pair with exponentially
+        dead targets).
         """
         from .errors import IllConditioned
 
@@ -101,8 +105,9 @@ class MomentSolver:
             raise ValueError("rates and targets must have equal length")
         if not np.all(np.isfinite(m)):
             raise ValueError("moment targets must be finite")
-        # h(t) = e^{-c0 t} sum_k m_k q_k(t),  q_k = sum_l C[k,l] e^{-shifted_l t}
-        coeffs = self.family.coeffs.T @ m
+        # h(t) = e^{-c0 t} sum_k m_k q_k(t),  q_k = sum_l C[k,l] e^{-shifted_l t},
+        # and C^T m = G^{-1} m
+        coeffs = self.family.solve(m)
         sol = MomentSolution(
             rates=self.rates, targets=m, horizon=self.horizon, c0=self.c0,
             family=self.family, exponents=self.exponents.copy(), coeffs=coeffs,

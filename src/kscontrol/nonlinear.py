@@ -241,8 +241,13 @@ def fixed_point(
     is outside the local regime.  Exhausting ``max_iter`` also raises
     NoContraction (reason ``"cap"``), even when every ratio is well below
     0.9; that alone does not show a loss of contraction, only a cap too low
-    for the observed rate.  On convergence the control is replayed through
-    the independent nonlinear simulator.
+    for the observed rate.  An iteration after the first whose state, source
+    or delta leaves the float range (a FloatingPointError under
+    ``np.errstate``, inf or nan without it) has diverged before the ratio
+    test had its three ratios, and also raises NoContraction (``"ratio"``);
+    in the first, linear iteration it raises FloatingPointError either way.
+    On convergence the control is replayed through the independent
+    nonlinear simulator.
     """
     require_clear(spec)
     geometry = geometry if geometry is not None else BoundaryGamma(None)
@@ -260,12 +265,23 @@ def fixed_point(
     deltas, ratios, bad_streak = [], [], 0
     solve = stop = None
     for n in range(max_iter):
-        solve = controlled_solve_with_source(
-            u0, source, T, spec, geometry, rho=rho, beta=beta, grid=grid, weights=weights
-        )
-        f_vals = np.array([nonlinear_rhs(state_nd(spec, c)) for c in solve.lr.trace.coeffs])
-        new_source = ModalSource(times=solve.lr.trace.times.copy(), values=f_vals)
-        delta, floor = _source_delta(new_source, source, weights, spec)
+        try:
+            solve = controlled_solve_with_source(
+                u0, source, T, spec, geometry, rho=rho, beta=beta, grid=grid, weights=weights
+            )
+            f_vals = np.array([nonlinear_rhs(state_nd(spec, c)) for c in solve.lr.trace.coeffs])
+            new_source = ModalSource(times=solve.lr.trace.times.copy(), values=f_vals)
+            delta, floor = _source_delta(new_source, source, weights, spec)
+            if not (math.isfinite(delta) and np.all(np.isfinite(f_vals))):
+                raise FloatingPointError("Picard source or increment is not finite")
+        except (FloatingPointError, OverflowError) as exc:
+            if n == 0:  # the linear solve: not a contraction question
+                raise
+            raise NoContraction(
+                f"Picard iteration {n + 1} left the float range (deltas {deltas[-3:]}): "
+                "initial data outside the local regime",
+                "ratio",
+            ) from exc
         deltas.append(delta)
         if delta0 is None:
             delta0 = delta

@@ -345,8 +345,9 @@ class ControlSignal:
         """Evaluate the control at times t, each within 1e-12 of the window.
 
         The segment builds its basis once for all times.  The product with
-        the coefficients stays one row per time, so every value has the bits
-        of ``segment.value(t_i)``: a batched matrix product rounds differently.
+        the coefficients is one stacked row product per time, so every value
+        has the bits of ``segment.value(t_i)``: one (N, E) matrix product
+        rounds differently.
         """
         seg = self.segment
         tt = np.atleast_1d(np.asarray(t, dtype=float))
@@ -355,7 +356,5 @@ class ControlSignal:
             raise ValueError(f"t={tt[np.argmin(inside)]} outside analytic segments")
         # contiguous rows, laid out like a one-time basis (legvander's is not)
         B = np.ascontiguousarray(seg.basis(tt))
-        out = np.empty((len(tt),) + seg.coeffs.shape[1:])
-        for r in range(len(tt)):
-            out[r] = (B[r:r + 1] @ seg.coeffs)[0]
+        out = np.matmul(B[:, None, :], seg.coeffs)[:, 0]
         return out if np.ndim(t) else out[0]

@@ -295,6 +295,42 @@ def test_extended_rung_reproduces_mpmath_bits():
     assert sides["cond<=1e12"] >= 10 and sides["cond>1e12"] >= 10 and sides["ill"] >= 1, sides
 
 
+def test_solve_reproduces_mpmath_bits():
+    # G^{-1} m from the 60-digit factorization, rounded once, against
+    # mpmath's 60-digit LU solve on the same families
+    rng = np.random.default_rng(1)
+    solved = 0
+    for lam, T in _quartic_families(100):
+        try:
+            fam = build_family(lam, T)
+        except IllConditioned:
+            continue
+        m = rng.standard_normal(len(lam)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        with mp.workdps(60):
+            x = [mp.mpf(float(v)) for v in lam]
+            G = mp.matrix([[(1 - mp.e ** (-(a + b) * mp.mpf(T))) / (a + b) for b in x] for a in x])
+            sol = mp.lu_solve(G, mp.matrix([mp.mpf(float(v)) for v in m]))
+            expect = np.array([float(sol[i]) for i in range(len(lam))])
+        assert fam.solve(m).tobytes() == expect.tobytes(), (len(lam), T)
+        solved += 1
+    assert solved >= 20
+    with pytest.raises(ValueError):
+        fam.solve(m[:-1])
+
+
+def test_moment_solve_leaves_the_inverse_and_certificate_unbuilt():
+    from kscontrol.moments import MomentSolver
+
+    solver = MomentSolver(-ks_exponents(8, nu=2.0), 0.5)
+    solver.solve(np.linspace(1.0, -1.0, 8))
+    fam = solver.family
+    assert "coeffs" not in vars(fam) and "residual_max" not in vars(fam)
+    # both are still there to read, and equal to a fresh family's
+    fresh = build_family(fam.exponents, fam.horizon)
+    assert fam.residual_max == fresh.residual_max <= RESIDUAL_TOL
+    assert np.array_equal(fam.coeffs, fresh.coeffs)
+
+
 def test_past_fail_cond_raises_on_both_rungs():
     lam, T = np.arange(1.0, K_BIO_MAX + 1) ** 4, 0.1
     assert float(np.linalg.cond(gram_matrix(lam, T))) > FAIL_COND

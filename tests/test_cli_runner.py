@@ -548,12 +548,16 @@ def test_gramian_min_eig_is_a_direction_the_window_steers(tmp_path):
 
 def test_nonlinear_datum_far_outside_the_local_regime_ends_by_the_ratio_test(tmp_path):
     # with (1,1) = 1e10 the weighted source increments pass 1e154, where their
-    # squares overflowed (NotFinite, exit 1) before the ratio test could decide
-    cfg = _demo("nonlinear.json", "nonlinear.u0_modes", {"1,1": 1e10})
-    cfg["domain"].update(K_x=8, J_y=4)
-    rc, manifest = _run_demo(tmp_path, cfg)
-    assert rc == 6
-    assert manifest["error"]["reason"] == "ratio"
+    # squares overflowed (NotFinite, exit 1) before the ratio test could decide;
+    # with 1e20 the fourth Picard iterate itself leaves the float range
+    for datum in (1e10, 1e20):
+        cfg = _demo("nonlinear.json", "nonlinear.u0_modes", {"1,1": datum})
+        cfg["domain"].update(K_x=8, J_y=4)
+        run = tmp_path / f"{datum:g}"
+        run.mkdir()
+        rc, manifest = _run_demo(run, cfg)
+        assert rc == 6, (datum, manifest.get("error"))
+        assert manifest["error"]["reason"] == "ratio"
 
 
 def test_gramian_runs_need_no_scipy(tmp_path):

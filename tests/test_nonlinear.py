@@ -150,6 +150,20 @@ def test_fixed_point_nocontraction_at_measured_boundary():
     assert exc.value.reason == "ratio"
 
 
+def test_fixed_point_iterate_outside_the_float_range_without_errstate():
+    # with numpy left to go on with inf and nan: a later iterate that leaves
+    # the float range is a loss of contraction, the first, linear one is not
+    spec = SpectrumSpec(a="pi", nu=0, cross_section=Box(["pi"]), K_x=8, J_y=4)
+    c = np.zeros((8, 4))
+    c[0, 0] = 1e20
+    with np.errstate(all="ignore"), pytest.raises(NoContraction, match="float range") as exc:
+        fixed_point(c, 1.0, spec, BoundaryGamma(None), beta=4, verify=False)
+    assert exc.value.reason == "ratio"
+    c[0, 0] = 1e100
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+        fixed_point(c, 1.0, spec, BoundaryGamma(None), beta=4, verify=False)
+
+
 def test_fixed_point_max_iter_cap_has_its_own_reason():
     # scale 4 converges in 17 iterations, so a cap of 16 stops it first
     spec = spec_2d()

@@ -28,3 +28,15 @@ def test_artifact_diff_measures_a_zero_base_field_against_its_file():
     assert math.isinf(_largest_change(ad._csv_change("q\n0.0\n", "q\n1e-3\n")))
     (line,) = ad._manifest_changes({"x": [0.0, 0.0]}, {"x": [0.0, 1.0]})
     assert math.isinf(_largest_change(line))
+
+
+def test_artifact_diff_verdicts_compare_the_linear_and_moment_residuals():
+    ad = _artifact_diff()
+    base = {"linear_final_rel": 1e-10, "report": {"moment_residual_max": 2e-12}}
+    assert ad._verdict_moves(base, base) == []
+    within = {"linear_final_rel": 1e-10 + 1e-13, "report": {"moment_residual_max": 2e-12 + 1e-13}}
+    assert ad._verdict_moves(base, within) == []
+    moved = {"linear_final_rel": 1e-10 + 1e-11, "report": {"moment_residual_max": 2e-12 + 1e-11}}
+    lines = ad._verdict_moves(base, moved)
+    assert len(lines) == 2
+    assert "linear_final_rel" in lines[0] and "report.moment_residual_max" in lines[1]

@@ -39,8 +39,10 @@ import sys
 import tempfile
 
 IGNORED = {"timings.json"}
-# the closed-loop residuals, relative to the initial norm, that judge a run
-VERDICT_KEYS = ("final_rel_norm", "nonlinear_final_rel", "report.final_rel_enforced")
+# the closed-loop residuals, relative to the initial norm, that judge a run,
+# and the moment residual that a 1-D synthesis certifies
+VERDICT_KEYS = ("final_rel_norm", "linear_final_rel", "nonlinear_final_rel",
+                "report.final_rel_enforced", "report.moment_residual_max")
 VERDICT_ATOL = 1e-12
 
 
