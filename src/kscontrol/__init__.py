@@ -5,7 +5,7 @@ Library layout (one module per subsystem):
 
 * ``spectrum``        eigendata, critical set, counting/gap diagnostics
 * ``biorthogonal``    minimal-norm biorthogonal exponential families
-* ``modal``           exact-in-time spectral evolution, adjoint, nonlinearity
+* ``modal``           exact-in-time spectral evolution, observations, nonlinearity
 * ``moments``         analytic moment-problem solver
 * ``boundary_1d``     1-D boundary control, cost scans, counterexamples
 * ``pointwise``       minimal time estimation and interior point control
@@ -27,10 +27,8 @@ from .modal import (
     ModalState,
     Trace,
     evolve_controlled,
-    evolve_free,
     nonlinear_rhs,
     observe,
-    project_initial,
     state_1d,
     state_nd,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "critical_counterexample",
     "critical_set_check",
     "evolve_controlled",
-    "evolve_free",
     "fixed_point",
     "gram_matrix",
     "minimal_time_estimate",
@@ -72,7 +69,6 @@ __all__ = [
     "nonlinear_rhs",
     "nonlinear_simulate",
     "observe",
-    "project_initial",
     "run_lr",
     "state_1d",
     "state_nd",

@@ -113,11 +113,6 @@ class BiorthogonalFamily:
                     residual = max(residual, abs(prod - target))
         return residual
 
-    def evaluate(self, m: int, t) -> np.ndarray:
-        """q_m(t), vectorized in t (m is 0-based)."""
-        tt = np.asarray(t, dtype=float)
-        return np.exp(-np.multiply.outer(tt, self.exponents)) @ self.coeffs[m]
-
     def norm(self, m: int) -> float:
         """L2(0, T) norm of q_m: ||q_m||^2 = (G^{-1})[m, m], the diagonal of
         the 60-digit inverse rounded once to a double."""

@@ -84,10 +84,6 @@ class NoWitnessFound(KSControlError):
     """Minimal-time scan found no blow-up witness at the requested horizon."""
 
 
-class QuadratureUnderResolved(KSControlError):
-    """Sampling density below the resolution rule for the retained modes."""
-
-
 class GramianSingular(KSControlError):
     """Steering Gramian numerically singular (modes indistinguishable on omega),
     or not finite (a growing mode's Legendre mode integrals beyond the float

@@ -27,13 +27,11 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import QuadratureUnderResolved
 from .signals import (
     S_BOUNDARY,
     ControlSignal,
     LegendreSegment,
     exp_sum_integral,
-    gauss_legendre,
     legendre_mode_integrals,
     phi1,
     phi2,
@@ -77,9 +75,6 @@ class ModalState:
     time: float
     spec: SpectrumSpec
     rates: np.ndarray
-
-    def copy(self) -> "ModalState":
-        return replace(self, coeffs=self.coeffs.copy())
 
     @property
     def norm(self) -> float:
@@ -173,18 +168,6 @@ def x_gain(spec: SpectrumSpec, x0: Optional[float] = None,
 # ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
-
-def evolve_free(state: ModalState, dt: float) -> ModalState:
-    """Exact diagonal flow over dt >= 0."""
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    if dt == 0.0:
-        return state.copy()
-    new = state.copy()
-    new.coeffs = state.coeffs * np.exp(state.rates * dt)
-    new.time = state.time + dt
-    return new
-
 
 class ControlStepper:
     """Exact steps of one state shape under one control signal, or none.
@@ -317,9 +300,12 @@ def evolve_controlled(
     ``(state, Trace)`` when ``record`` times are given; a breakpoint within
     1e-12 of a record time is recorded.  The control's segment must cover
     the window: a control over several windows is evolved one signal at a
-    time.  ``state`` itself is left unchanged.
+    time.  ``state`` itself is left unchanged.  A window that ends before it
+    starts, or at nan, raises ValueError.
     """
     t0, t1 = float(window[0]), float(window[1])
+    if not t0 <= t1:  # also refuses a nan end
+        raise ValueError(f"window ({t0}, {t1}) needs t0 <= t1")
     if not math.isclose(t0, state.time, rel_tol=0, abs_tol=1e-10):
         raise ValueError(f"window start {t0} != state time {state.time}")
     if control is not None and (control.t_start > t0 + 1e-12 or control.t_end < t1 - 1e-12):
@@ -349,15 +335,8 @@ def evolve_controlled(
 
 
 # ---------------------------------------------------------------------------
-# adjoint and observations
+# observations
 # ---------------------------------------------------------------------------
-
-def adjoint_solution(phi_T: np.ndarray, t: float, T: float, rates: np.ndarray) -> np.ndarray:
-    """phi(t) = exp(rates (T - t)) phi_T for 0 <= t <= T."""
-    if not 0.0 <= t <= T + 1e-12:
-        raise ValueError("need 0 <= t <= T")
-    return np.asarray(phi_T) * np.exp(rates * (T - t))
-
 
 def observation(coeffs: np.ndarray, spec: SpectrumSpec, x0: Optional[float] = None):
     """d/dx at x=0 when ``x0`` is None, else the value at x = x0: a scalar in
@@ -378,17 +357,11 @@ def observe(trace: Trace, spec: SpectrumSpec, x0: Optional[float] = None):
 
 
 # ---------------------------------------------------------------------------
-# projection of initial data
+# nonlinear term
 # ---------------------------------------------------------------------------
 
-def _gauss_nodes(n: int, length: float):
-    """`gauss_legendre` with n nodes, mapped to (0, length)."""
-    x, w = gauss_legendre(n)
-    return 0.5 * length * (x + 1.0), 0.5 * length * w
-
-
 class _AxisRows(NamedTuple):
-    """Quadrature nodes on one axis and the orthonormal sine rows there."""
+    """Midpoint nodes on one axis and the orthonormal sine rows there."""
 
     length: float
     nodes: np.ndarray
@@ -397,63 +370,20 @@ class _AxisRows(NamedTuple):
     C: np.ndarray  # dS/ds
 
 
-def _axis_rows(spec: SpectrumSpec, nodes_for, what: str) -> list:
-    """`_AxisRows` of the x axis, then of each box axis of the cross-section.
-
-    ``nodes_for(axis, length, count)`` returns the (nodes, weights) of an
-    axis whose highest retained sine index is ``count``: K_x on x, the
-    largest tuple entry on a box axis.  ``what`` names the caller for the
-    Box gate.
-    """
+def _axis_rows(spec: SpectrumSpec) -> list:
+    """`_AxisRows` of the x axis, then of each box axis of the cross-section,
+    on 2 count + 2 midpoint nodes, where ``count`` is the axis's highest
+    retained sine index: K_x on x, the largest tuple entry on a box axis."""
     out = []
-    for axis, (length, count) in enumerate([(spec.a_float, spec.K_x)] + spec.box_axes(what)):
-        nodes, weights = nodes_for(axis, length, count)
+    for length, count in [(spec.a_float, spec.K_x)] + spec.box_axes("nonlinear term"):
+        n = 2 * count + 2
+        nodes, weights = (np.arange(n) + 0.5) * length / n, np.full(n, length / n)
         ms = np.arange(1, count + 1)
         arg = np.outer(ms, nodes) * math.pi / length
         S = math.sqrt(2.0 / length) * np.sin(arg)
         C = math.sqrt(2.0 / length) * (ms[:, None] * math.pi / length) * np.cos(arg)
         out.append(_AxisRows(length, nodes, weights, S, C))
     return out
-
-
-def project_initial(
-    u0,
-    spec: SpectrumSpec,
-    n_points: Optional[int] = None,
-) -> ModalState:
-    """Modal coefficients of initial data on the cylinder.
-
-    ``u0`` may be a coefficient array (passed through) or a callable
-    ``u0(x, *y)``; callables are integrated against the orthonormal basis by
-    tensor Gauss-Legendre quadrature with at least 4 points per wavelength of
-    the highest retained mode (>= 2 K points per axis).
-    """
-    if not callable(u0):
-        return state_nd(spec, np.asarray(u0, dtype=float))
-
-    def gauss(axis, length, count):
-        n = n_points if n_points is not None else max(4 * count, 48)
-        if n < 2 * count:
-            raise QuadratureUnderResolved(
-                f"{n} points on axis {axis} (x is axis 0) < 2 x {count} modes "
-                "(4 points per wavelength rule)"
-            )
-        return _gauss_nodes(n, length)
-
-    x, *y_axes = _axis_rows(spec, gauss, "callable projection")
-    grids = np.meshgrid(x.nodes, *(ax.nodes for ax in y_axes), indexing="ij")
-    vals = u0(*grids)
-    partial = np.tensordot(x.S * x.weights[None, :], vals, axes=([1], [0]))  # (K_x, ny...)
-    Y = spec.tuple_tensor([ax.S * ax.weights[None, :] for ax in y_axes])
-    return state_nd(spec, partial.reshape(spec.K_x, -1) @ Y.T)
-
-
-# ---------------------------------------------------------------------------
-# nonlinear term
-# ---------------------------------------------------------------------------
-
-def _midpoint_nodes(n: int, length: float):
-    return (np.arange(n) + 0.5) * length / n, np.full(n, length / n)
 
 
 def _sine_projection_matrix(K: int, length: float, nodes: np.ndarray, weights: np.ndarray):
@@ -500,16 +430,8 @@ class _RhsOperator(NamedTuple):
         return self.proj_x @ f @ self.proj_y_T
 
 
-def _rhs_operator(spec: SpectrumSpec, grid_resolution: Optional[int]) -> _RhsOperator:
-    def midpoint(axis, length, count):
-        n = grid_resolution if grid_resolution is not None else 2 * count + 2
-        if n < 2 * count:
-            raise QuadratureUnderResolved(
-                f"{n} grid points on axis {axis} (x is axis 0) < 2 x {count} modes"
-            )
-        return _midpoint_nodes(n, length)
-
-    x, *y_axes = _axis_rows(spec, midpoint, "nonlinear term")
+def _rhs_operator(spec: SpectrumSpec) -> _RhsOperator:
+    x, *y_axes = _axis_rows(spec)
     y_sines = [ax.S for ax in y_axes]
     # d/dy_i: derivative rows on axis i, sine rows on the others
     y_derivs = [spec.tuple_tensor(y_sines[:axis] + [ax.C] + y_sines[axis + 1:])
@@ -524,37 +446,22 @@ def _rhs_operator(spec: SpectrumSpec, grid_resolution: Optional[int]) -> _RhsOpe
     )
 
 
-def rhs_operator(spec: SpectrumSpec, grid_resolution: Optional[int] = None) -> _RhsOperator:
-    """The grid matrices of `nonlinear_rhs`, built once per (spec,
-    ``grid_resolution``).  Calling the result on a coefficient array is the
-    array-level core of `nonlinear_rhs`: no state copy, no validation."""
-    return spec.cached(("nonlinear_rhs", grid_resolution),
-                       lambda: _rhs_operator(spec, grid_resolution))
+def rhs_operator(spec: SpectrumSpec) -> _RhsOperator:
+    """The grid matrices of `nonlinear_rhs`, built once per spec.  Calling the
+    result on a coefficient array is the array-level core of `nonlinear_rhs`:
+    no state copy, no validation."""
+    return spec.cached("nonlinear_rhs", lambda: _rhs_operator(spec))
 
 
-def nonlinear_rhs(state: ModalState, grid_resolution: Optional[int] = None) -> np.ndarray:
+def nonlinear_rhs(state: ModalState) -> np.ndarray:
     """Projection of -1/2 |grad u|^2 onto the retained sine basis.
 
-    Pseudospectral on a tensor midpoint grid.  The squared gradient is a pure
+    Pseudospectral on a tensor midpoint grid of 2K + 2 points per axis, K the
+    axis's highest retained sine index.  The squared gradient is a pure
     cosine polynomial of degree <= 2K per axis, so with >= 2K + 1 points per
     axis its retained projection is computed without aliasing error.  The
-    grid matrices are built once per (spec, ``grid_resolution``).
+    grid matrices are built once per spec.
     """
     if state.is_1d:
         raise ValueError("nonlinear term is defined on the cylinder (use state_nd)")
-    return rhs_operator(state.spec, grid_resolution)(state.coeffs)
-
-
-def evaluate_physical(state: ModalState, nx: int, ny: Sequence[int]):
-    """Sample u on a tensor midpoint grid (diagnostics and Parseval checks)."""
-    sizes = [nx, *ny]
-    x, *y_axes = _axis_rows(
-        state.spec, lambda axis, length, count: _midpoint_nodes(sizes[axis], length),
-        "physical evaluation",
-    )
-    P0 = state.spec.tuple_tensor([ax.S for ax in y_axes])
-    grid_vals = x.S.T @ (state.coeffs @ P0)
-    wy_full = y_axes[0].weights
-    for ax in y_axes[1:]:
-        wy_full = np.multiply.outer(wy_full, ax.weights)
-    return grid_vals, x.weights, wy_full.ravel()
+    return rhs_operator(state.spec)(state.coeffs)

@@ -37,10 +37,6 @@ class MomentSolution:
     coeffs: np.ndarray
     residual_max: float
 
-    def value(self, t):
-        tt = np.asarray(t, dtype=float)
-        return np.exp(np.multiply.outer(tt, self.exponents)) @ self.coeffs
-
     def norm_l2(self) -> float:
         return ControlSignal(self.segment(0.0)).norm_l2()
 

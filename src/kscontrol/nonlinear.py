@@ -80,21 +80,21 @@ class WeightPair:
         if not self.C_cost > 0:
             raise ValueError("C_cost must be positive")
 
-    def rhoF(self, t):
-        return self._weight(t, (1.0 + self.p) * self.q_w**2 * self.C_cost / (self.q_w - 1.0))
+    @property
+    def _rhoF_coef(self) -> float:
+        """(1+p) q^2 C / (q-1), the coefficient of rho_F's exponent."""
+        return (1.0 + self.p) * self.q_w**2 * self.C_cost / (self.q_w - 1.0)
 
-    def _weight(self, t, coef):
+    def rhoF(self, t):
         tt = np.asarray(t, dtype=float)
-        out = np.zeros_like(tt)
         inside = tt < self.T
-        arg = np.where(inside, coef / np.maximum(self.T - tt, 1e-300), np.inf)
+        arg = np.where(inside, self._rhoF_coef / np.maximum(self.T - tt, 1e-300), np.inf)
         out = np.where(inside & (arg < 700.0), np.exp(-np.minimum(arg, 700.0)), 0.0)
         return out if np.ndim(t) else float(out)
 
     def safe_horizon(self) -> float:
         """Largest t for which rho_F stays above the representable floor."""
-        coef = (1.0 + self.p) * self.q_w**2 * self.C_cost / (self.q_w - 1.0)
-        return self.T - coef / (-math.log(WEIGHT_FLOOR))
+        return self.T - self._rhoF_coef / (-math.log(WEIGHT_FLOOR))
 
 
 def fit_cost_constant(spec: SpectrumSpec, geometry=None, T_grid=(0.25, 0.5, 1.0),
@@ -161,20 +161,20 @@ def controlled_solve_with_source(
     geometry=None,
     rho: Optional[float] = None,
     beta: Optional[int] = None,
-    grid: Optional[np.ndarray] = None,
     weights: Optional[WeightPair] = None,
 ) -> SourceSolveResult:
     """Null-controlled solve with the source integrated exactly per window.
 
     Reduces to a plain frequency-splitting run for zero source.  The window
     syntheses target the free-plus-source end state, so the source is
-    annihilated along with the state, window by window.
+    annihilated along with the state, window by window.  The run records its
+    state at the `source_grid` times of ``weights``.
     """
     require_clear(spec)
     geometry = geometry if geometry is not None else BoundaryGamma(None)
     weights = weights if weights is not None else WeightPair(T=T)
-    rec = grid if grid is not None else source_grid(T, weights)
-    res = run_lr(u0, T, spec, geometry, rho=rho, beta=beta, source=source, record=rec)
+    res = run_lr(u0, T, spec, geometry, rho=rho, beta=beta, source=source,
+                 record=source_grid(T, weights))
     ct = res.trace.times
     return SourceSolveResult(lr=res, control_norm_series=(ct, _control_norm_series(res, ct)))
 
@@ -204,7 +204,6 @@ class FixedPointResult:
     controls: list = field(repr=False, default_factory=list)
     linear_final_rel: float = math.nan
     nonlinear_final_rel: float = math.nan
-    nonlinear_norm_series: tuple = field(repr=False, default=None)
     weights: WeightPair = None
     #: "tol" (delta < tol * delta_0) or "floor" (stalled at the rounding floor)
     stop_reason: str = "tol"
@@ -258,7 +257,6 @@ def fixed_point(
             f"||u0|| = {coeff_norm(u0):.3e} exceeds the locality radius {r_guess:.3e}",
             "radius",
         )
-    grid = source_grid(T, weights)
     source = None
     prev_delta = None
     delta0 = None
@@ -267,7 +265,7 @@ def fixed_point(
     for n in range(max_iter):
         try:
             solve = controlled_solve_with_source(
-                u0, source, T, spec, geometry, rho=rho, beta=beta, grid=grid, weights=weights
+                u0, source, T, spec, geometry, rho=rho, beta=beta, weights=weights
             )
             f_vals = np.array([nonlinear_rhs(state_nd(spec, c)) for c in solve.lr.trace.coeffs])
             new_source = ModalSource(times=solve.lr.trace.times.copy(), values=f_vals)
@@ -309,11 +307,9 @@ def fixed_point(
                             "cap")
 
     nonlinear_rel = math.nan
-    norm_series = None
     if verify:
         sim = nonlinear_simulate(u0, solve.lr.controls, T, spec, n_steps=sim_steps)
         nonlinear_rel = sim["final_rel_norm"]
-        norm_series = sim["norm_series"]
     return FixedPointResult(
         converged=True,
         iterations=len(deltas),
@@ -322,7 +318,6 @@ def fixed_point(
         controls=solve.lr.controls,
         linear_final_rel=solve.lr.final_rel_norm,
         nonlinear_final_rel=nonlinear_rel,
-        nonlinear_norm_series=norm_series,
         weights=weights,
         stop_reason=stop,
         delta_floor=floor,
@@ -373,49 +368,6 @@ def _source_delta(new: ModalSource, old: Optional[ModalSource], weights: WeightP
     eps = float(np.finfo(float).eps)
     floor = eps * math.sqrt(s.size) * weighted(growth * root)
     return weighted(dual_norm(diff)), floor
-
-
-def estimate_radius(T: float, spec: SpectrumSpec, geometry=None, scale0: float = 1e-3,
-                    n_bisect: int = 6, **kw) -> float:
-    """Bisect the largest initial-data scale at which the iteration contracts.
-
-    The probe direction is the lowest tensor mode; existence of a positive
-    radius is a theorem, its value is not, hence this runtime search.  A
-    probe fails when the ratio test (or an ``r_guess`` in ``kw``) stops the
-    iteration.  A probe that hits the ``max_iter`` cap has not decided
-    either way, so it re-raises NoContraction (reason ``"cap"``) asking for
-    a larger ``max_iter``.
-    """
-    base = np.zeros((spec.K_x, spec.J_y))
-    base[0, 0] = 1.0
-
-    def contracts(s):
-        try:
-            fixed_point(s * base, T, spec, geometry, verify=False, **kw)
-            return True
-        except NoContraction as exc:
-            if exc.reason == "cap":
-                raise NoContraction(
-                    f"scale {s:.6g} reached the max_iter cap before the ratio test decided; "
-                    f"raise max_iter ({exc})", "cap") from exc
-            return False
-
-    lo, hi = 0.0, None
-    s = scale0
-    for _ in range(40):
-        if not contracts(s):
-            hi = s
-            break
-        lo, s = s, s * 4.0
-    if hi is None:
-        return lo
-    for _ in range(n_bisect):
-        mid = math.sqrt(lo * hi) if lo > 0 else hi / 4.0
-        if contracts(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -252,9 +252,9 @@ class SpectrumSpec:
     def box_axes(self, what: str) -> list:
         """(side length, highest sine index of a retained mode) per box axis.
 
-        The one gate of what needs eigenfunctions (omega regions, callable
-        initial data, the nonlinear term, physical evaluation): ValueError
-        "``what`` needs a Box cross-section" on any other cross-section.
+        The one gate of what needs eigenfunctions (omega regions and the
+        nonlinear term): ValueError "``what`` needs a Box cross-section" on
+        any other cross-section.
         """
         if not isinstance(self.cross_section, Box):
             raise ValueError(f"{what} needs a Box cross-section")

@@ -11,7 +11,7 @@ from kscontrol.boundary_1d import (
     verify_null,
 )
 from kscontrol.errors import CriticalParameter, NotCritical
-from kscontrol.modal import evolve_free, state_1d
+from kscontrol.modal import evolve_controlled, state_1d
 from kscontrol.moments import MomentSolver
 from kscontrol.spectrum import Box, SpectrumSpec
 
@@ -28,9 +28,10 @@ def test_moment_solution_matches_quadrature():
     rates = np.array([-1.0, -16.0, -81.0])
     targets = np.array([0.4, -0.2, 0.05])
     sol = MomentSolver(rates, 0.8).solve(targets)
+    h = sol.segment(0.0)  # h(t) on [0, T]
     assert sol.residual_max <= 1e-10
     for k in range(3):
-        val, _ = quad(lambda t: math.exp(rates[k] * t) * sol.value(t), 0.0, 0.8, limit=300)
+        val, _ = quad(lambda t: math.exp(rates[k] * t) * h.value(t), 0.0, 0.8, limit=300)
         assert val == pytest.approx(targets[k], abs=1e-9)
 
 
@@ -41,8 +42,9 @@ def test_moment_solver_with_unstable_rates_shift():
     sol = MomentSolver(rates, 0.5).solve(targets)
     assert sol.c0 == pytest.approx(4.5)
     assert sol.residual_max <= 1e-9
+    h = sol.segment(0.0)  # h(t) on [0, T]
     for k in range(3):
-        val, _ = quad(lambda t: math.exp(rates[k] * t) * sol.value(t), 0.0, 0.5, limit=300)
+        val, _ = quad(lambda t: math.exp(rates[k] * t) * h.value(t), 0.0, 0.5, limit=300)
         assert val == pytest.approx(targets[k], abs=1e-8)
 
 
@@ -54,7 +56,8 @@ def test_moment_linearity():
     s1, s2 = solver.solve(t1), solver.solve(t2)
     s12 = solver.solve(2.0 * t1 + 3.0 * t2)
     tgrid = np.linspace(0, 0.6, 7)
-    assert np.allclose(s12.value(tgrid), 2 * s1.value(tgrid) + 3 * s2.value(tgrid), rtol=1e-10)
+    h1, h2, h12 = (s.segment(0.0).value(tgrid) for s in (s1, s2, s12))
+    assert np.allclose(h12, 2 * h1 + 3 * h2, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +138,7 @@ def test_free_decay_pattern_zero_control():
     u0 = np.zeros(16)
     u0[1] = 2.0
     state = state_1d(spec, 1, coeffs=u0)
-    end = evolve_free(state, 0.5)
+    end = evolve_controlled(state, None, (0.0, 0.5))
     lam2 = spec.x_rates(1)[1]
     assert end.coeffs[1] == pytest.approx(2.0 * math.exp(lam2 * 0.5), rel=1e-13)
     assert np.count_nonzero(end.coeffs) == 1

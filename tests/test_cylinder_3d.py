@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kscontrol.lebeau_robbiano import BoundaryGamma, InternalPoint, mass_matrix, run_lr
-from kscontrol.modal import evolve_free, state_nd
+from kscontrol.modal import evolve_controlled, state_nd
 from kscontrol.pointwise import PointSpec
 from kscontrol.spectrum import Box, External, SpectrumSpec
 
@@ -28,7 +28,7 @@ def test_3d_free_decay_single_mode():
     spec = spec_3d()
     c = np.zeros((6, 6))
     c[1, 2] = 1.0
-    v = evolve_free(state_nd(spec, c), 0.01)
+    v = evolve_controlled(state_nd(spec, c), None, (0.0, 0.01))
     assert v.coeffs[1, 2] == pytest.approx(math.exp(spec.rate_matrix()[1, 2] * 0.01), rel=1e-12)
 
 
@@ -99,7 +99,7 @@ def test_external_tensor_run_works():
 def test_external_disables_gramian_mode():
     # an External spectrum has no eigenfunctions: whatever needs them meets
     # the one Box gate of the spec
-    from kscontrol.modal import evaluate_physical, nonlinear_rhs, project_initial
+    from kscontrol.modal import nonlinear_rhs
 
     spec = ext_spec()
     needs_box = "needs a Box cross-section"
@@ -110,11 +110,7 @@ def test_external_disables_gramian_mode():
     with pytest.raises(ValueError, match=needs_box):
         run_lr(c, 1.0, spec, BoundaryGamma(omega=(0.3, 1.2)), rho=0.5, beta=4)
     with pytest.raises(ValueError, match=needs_box):
-        project_initial(lambda x, y: np.sin(x) * np.sin(y), spec)
-    with pytest.raises(ValueError, match=needs_box):
         nonlinear_rhs(state_nd(spec, c))
-    with pytest.raises(ValueError, match=needs_box):
-        evaluate_physical(state_nd(spec, c), 16, [16])
 
 
 def test_external_nonlinear_needs_box():
@@ -148,20 +144,3 @@ def test_3d_internal_gramian_subomega():
         rho=0.4, beta=4,
     )
     assert res.final_rel_norm <= 1e-6
-
-
-def test_3d_callable_projection_single_mode():
-    from kscontrol.modal import project_initial
-
-    spec = spec_3d(K_x=3, J_y=4)
-    s = math.sqrt(2.0 / math.pi)
-
-    def u0(x, y1, y2):
-        return (s * np.sin(2 * x)) * (s * np.sin(y1)) * (s * np.sin(2 * y2))
-
-    st = project_initial(u0, spec)
-    # tuple (1, 2) sits at the sorted position of mu = 1 + 4 = 5
-    j_target = spec.mu_tuples.index((1, 2)) + 1
-    expect = np.zeros((3, 4))
-    expect[1, j_target - 1] = 1.0
-    assert np.allclose(st.coeffs, expect, atol=1e-10)

@@ -8,17 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from kscontrol.errors import QuadratureUnderResolved
 from kscontrol.modal import (
     ControlStepper,
     ModalSource,
-    adjoint_solution,
     evolve_controlled,
-    evolve_free,
     nonlinear_rhs,
     observation,
     observe,
-    project_initial,
     state_1d,
     state_nd,
     x_gain,
@@ -49,6 +45,11 @@ def piecewise_constant(grid, values, **kw):
     return [ControlSignal(LegendreSegment(t0=t0, t1=t1, coeffs=np.asarray(v, dtype=float)[None]),
                           **kw)
             for t0, t1, v in zip(grid[:-1], grid[1:], values)]
+
+
+def free(state, dt):
+    """The free flow of ``state`` over dt: `evolve_controlled` without a control."""
+    return evolve_controlled(state, None, (state.time, state.time + dt))
 
 
 def evolve_windows(state, signals):
@@ -179,11 +180,15 @@ def test_state_norm_below_the_squaring_floor():
     assert tiny.norm == pytest.approx(1e-200 * state_nd(spec, c).norm, rel=1e-15, abs=0.0)
 
 
-def test_evolve_free_identity():
+def test_free_flow_identity_and_reversed_window():
     spec = spec_1d()
     u = state_1d(spec, 1, coeffs=np.arange(1.0, 9.0))
-    v = evolve_free(u, 0.0)
+    v = free(u, 0.0)
     assert np.array_equal(u.coeffs, v.coeffs)
+    with pytest.raises(ValueError, match=r"window \(0.0, -0.25\) needs t0 <= t1"):
+        evolve_controlled(u, None, (0.0, -0.25))
+    with pytest.raises(ValueError, match=r"window \(0.0, nan\)"):
+        evolve_controlled(u, None, (0.0, math.nan))
 
 
 def test_single_mode_decay_rate():
@@ -192,7 +197,7 @@ def test_single_mode_decay_rate():
     c[2] = 1.0
     u = state_1d(spec, 1, coeffs=c)
     dt = 1e-3
-    v = evolve_free(u, dt)
+    v = free(u, dt)
     rate = math.log(abs(v.coeffs[2])) / dt
     assert rate == pytest.approx(spec.x_rates(1)[2], rel=1e-12)
 
@@ -201,8 +206,8 @@ def test_semigroup_composition():
     spec = spec_2d()
     rng = np.random.default_rng(0)
     u = state_nd(spec, rng.standard_normal((6, 6)) * 1e-2)
-    a = evolve_free(evolve_free(u, 0.013), 0.027)
-    b = evolve_free(u, 0.040)
+    a = free(free(u, 0.013), 0.027)
+    b = free(u, 0.040)
     assert np.allclose(a.coeffs, b.coeffs, rtol=1e-12, atol=1e-300)
 
 
@@ -211,8 +216,8 @@ def test_semigroup_composition():
 def test_semigroup_property_hypothesis(dt1, dt2):
     spec = spec_1d(K_x=4)
     u = state_1d(spec, 1, coeffs=np.array([1.0, -0.5, 0.25, 0.1]))
-    a = evolve_free(evolve_free(u, dt1), dt2)
-    b = evolve_free(u, dt1 + dt2)
+    a = free(free(u, dt1), dt2)
+    b = free(u, dt1 + dt2)
     assert np.allclose(a.coeffs, b.coeffs, rtol=1e-12)
 
 
@@ -225,7 +230,7 @@ def test_zero_control_reduces_to_free():
     u = state_1d(spec, 1, coeffs=np.ones(8))
     sigs = piecewise_constant(np.linspace(0, 0.5, 11), np.zeros(10))
     v = evolve_windows(u, sigs)
-    w = evolve_free(u, 0.5)
+    w = free(u, 0.5)
     assert np.allclose(v.coeffs, w.coeffs, rtol=1e-14)
 
 
@@ -371,7 +376,7 @@ def test_stepper_advance_walks_consecutive_signals():
     for stepper, (a, b) in zip(steppers, [(0.27, 0.3), (0.3, 0.33)]):
         step = u.coeffs * np.exp(u.rates * (b - a)) + stepper.step_forcing(a, b)
         assert np.array_equal(stepper.advance(u.coeffs, a, b), step)
-    evolved = evolve_windows(u.copy(), sigs)
+    evolved = evolve_windows(u, sigs)
     grid = np.union1d(np.linspace(0.0, 0.5, 8), [0.3])
     walked = u.coeffs
     for a, b in zip(grid[:-1], grid[1:]):
@@ -383,9 +388,9 @@ def test_stepper_advance_walks_consecutive_signals():
 
 def test_stepper_without_control_is_the_free_flow():
     spec = spec_2d()
-    u = state_nd(spec, np.random.default_rng(6).standard_normal((6, 6)))
+    u = state_nd(spec, np.random.default_rng(6).standard_normal((6, 6)), time=0.5)
     stepper = ControlStepper(u, None)
-    assert np.array_equal(stepper.advance(u.coeffs, 0.5, 0.75), evolve_free(u, 0.25).coeffs)
+    assert np.array_equal(stepper.advance(u.coeffs, 0.5, 0.75), free(u, 0.25).coeffs)
 
 
 def test_evolve_controlled_records_within_1e_12():
@@ -406,19 +411,12 @@ def test_evolve_controlled_records_within_1e_12():
 # adjoint and observations
 # ---------------------------------------------------------------------------
 
-def test_adjoint_terminal_value():
-    spec = spec_1d()
-    rates = spec.x_rates(1)
-    phi_T = np.arange(1.0, 9.0)
-    assert np.allclose(adjoint_solution(phi_T, 1.0, 1.0, rates), phi_T)
-
-
 def test_adjoint_single_mode_observation():
     spec = spec_1d(mu=1.0, K_x=4)
     rates = spec.x_rates(1, 4)
     phi_T = np.array([0.0, 1.0, 0.0, 0.0])
     t, T = 0.3, 1.0
-    phi = adjoint_solution(phi_T, t, T, rates)
+    phi = phi_T * np.exp(rates * (T - t))  # the adjoint state at t
     obs = observation(phi, spec)
     expect = math.sqrt(2.0 / math.pi) * (2.0 / math.pi) * 2.0 * 0.0 + \
         math.sqrt(2.0 / math.pi) * (2 * math.pi / math.pi) * math.exp(rates[1] * (T - t))
@@ -430,9 +428,9 @@ def test_adjoint_parseval_norm():
     rng = np.random.default_rng(1)
     phi_T = rng.standard_normal((6, 6))
     rates = spec.rate_matrix()
-    phi0 = adjoint_solution(phi_T, 0.0, 0.25, rates)
+    phi0 = state_nd(spec, phi_T * np.exp(rates * 0.25))  # the adjoint state at 0, T = 0.25
     expect = math.sqrt(float(np.sum(np.exp(2 * rates * 0.25) * phi_T**2)))
-    assert np.linalg.norm(phi0) == pytest.approx(expect, rel=1e-12)
+    assert phi0.norm == pytest.approx(expect, rel=1e-12)
 
 
 def test_observe_trace_series():
@@ -466,7 +464,7 @@ def test_duality_boundary_1d_random():
         sigs = piecewise_constant(grid, qvals)
         u = state_1d(spec, 1, coeffs=v0)
         vT = evolve_windows(u, sigs)
-        phi0 = adjoint_solution(phi_T, 0.0, T, rates)
+        phi0 = phi_T * np.exp(rates * T)  # the adjoint state at 0
         # int q phi_x(t,0) dt, exact per piecewise-constant sample
         w = math.sqrt(2.0 / math.pi) * np.arange(1, 9) * math.pi / math.pi
         integral = 0.0
@@ -495,7 +493,7 @@ def test_duality_pointwise_1d_random():
         sigs = piecewise_constant(grid, hvals, x0=x0)
         u = state_1d(spec, 1, coeffs=v0)
         vT = evolve_windows(u, sigs)
-        phi0 = adjoint_solution(phi_T, 0.0, T, rates)
+        phi0 = phi_T * np.exp(rates * T)  # the adjoint state at 0
         integral = 0.0
         for i in range(16):
             t0, t1 = grid[i], grid[i + 1]
@@ -552,60 +550,23 @@ def test_dissipation_bound_random_states():
         c[:, J:] = rng.standard_normal((6, 8 - J))
         u = state_nd(spec, c)
         dt = 0.05
-        v = evolve_free(u, dt)
+        v = free(u, dt)
         assert v.norm <= math.exp(lam_y * dt) * u.norm * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# projection of initial data
+# Parseval
 # ---------------------------------------------------------------------------
 
-def test_project_single_tensor_mode():
-    spec = spec_2d(K_x=4, J_y=4)
-
-    def u0(x, y):
-        return (
-            math.sqrt(2.0 / math.pi) * np.sin(x) * math.sqrt(2.0 / math.pi) * np.sin(y)
-        )
-
-    st_ = project_initial(u0, spec)
-    expect = np.zeros((4, 4))
-    expect[0, 0] = 1.0
-    assert np.allclose(st_.coeffs, expect, atol=1e-12)
-
-
-def test_project_zero():
-    spec = spec_2d(K_x=3, J_y=3)
-    st_ = project_initial(lambda x, y: np.zeros_like(x), spec)
-    assert np.allclose(st_.coeffs, 0.0)
-
-
-def test_project_polynomial_closed_form():
-    # u0 = x(a-x) y(b-y) on a=b=pi: per-axis sine integrals are
-    # int x(pi-x) sin(kx) dx = 2 (1 - (-1)^k)/k^3
-    spec = spec_2d(K_x=5, J_y=5)
-    st_ = project_initial(lambda x, y: x * (math.pi - x) * y * (math.pi - y), spec)
-    axis = np.array(
-        [math.sqrt(2.0 / math.pi) * 2.0 * (1 - (-1) ** k) / k**3 for k in range(1, 6)]
-    )
-    expect = np.outer(axis, axis)
-    assert np.allclose(st_.coeffs, expect, atol=1e-10)
-
-
-def test_project_underresolved_raises():
-    spec = spec_2d(K_x=6, J_y=4)
-    with pytest.raises(QuadratureUnderResolved):
-        project_initial(lambda x, y: x * y, spec, n_points=4)
-
-
 def test_parseval_consistency_physical_norm():
-    from kscontrol.modal import evaluate_physical
-
     spec = spec_2d(K_x=5, J_y=5)
     rng = np.random.default_rng(2)
     u = state_nd(spec, rng.standard_normal((5, 5)))
-    vals, wx, wy = evaluate_physical(u, 64, [64])
-    quad_norm = math.sqrt(float(np.sum(vals**2 * np.outer(wx, wy))))
+    # u on a 64 x 64 midpoint grid of (0, pi)^2, from the orthonormal sine rows
+    nodes = (np.arange(64) + 0.5) * math.pi / 64
+    S = math.sqrt(2.0 / math.pi) * np.sin(np.outer(np.arange(1, 6), nodes))
+    vals = S.T @ u.coeffs @ S
+    quad_norm = math.sqrt(float(np.sum(vals**2)) * (math.pi / 64) ** 2)
     assert quad_norm == pytest.approx(u.norm, rel=1e-8)
 
 
@@ -655,13 +616,6 @@ def test_nonlinear_rhs_quadratic_homogeneity():
     assert np.allclose(f2, 4.0 * f1, rtol=1e-10, atol=1e-14)
 
 
-def test_nonlinear_rhs_underresolved():
-    spec = spec_2d(K_x=6, J_y=4)
-    u = state_nd(spec)
-    with pytest.raises(QuadratureUnderResolved):
-        nonlinear_rhs(u, grid_resolution=4)
-
-
 def test_nonlinear_rhs_3d_single_mode():
     spec = SpectrumSpec(a="pi", nu=0, cross_section=Box(["pi", "pi"]), K_x=3, J_y=4)
     c = np.zeros((3, 4))
@@ -674,14 +628,10 @@ def test_nonlinear_rhs_3d_single_mode():
     assert np.all(np.isfinite(got))
 
 
-@pytest.mark.parametrize("dims, grid_resolution", [
-    (["pi"], None),
-    (["pi", "pi/2"], None),
-    (["pi"], 40),
-], ids=["one-axis", "two-axis", "explicit-grid"])
-def test_nonlinear_rhs_cached_operator_matches_fresh_spec(dims, grid_resolution):
-    # the operator is built once per (spec, grid_resolution); repeated calls on
-    # one spec must equal the first call on a new spec bit for bit
+@pytest.mark.parametrize("dims", [["pi"], ["pi", "pi/2"]], ids=["one-axis", "two-axis"])
+def test_nonlinear_rhs_cached_operator_matches_fresh_spec(dims):
+    # the operator is built once per spec; repeated calls on one spec must
+    # equal the first call on a new spec bit for bit
     def make():
         return SpectrumSpec(a="pi", nu=0, cross_section=Box(dims), K_x=5, J_y=6)
 
@@ -689,8 +639,8 @@ def test_nonlinear_rhs_cached_operator_matches_fresh_spec(dims, grid_resolution)
     rng = np.random.default_rng(12)
     for _ in range(3):
         c = 0.1 * rng.standard_normal((5, 6))
-        got = nonlinear_rhs(state_nd(spec, c), grid_resolution=grid_resolution)
-        fresh = nonlinear_rhs(state_nd(make(), c), grid_resolution=grid_resolution)
+        got = nonlinear_rhs(state_nd(spec, c))
+        fresh = nonlinear_rhs(state_nd(make(), c))
         assert np.array_equal(got, fresh)
 
 
@@ -752,7 +702,7 @@ def test_controlled_evolution_refuses_critical_parameter():
     with pytest.raises(CriticalParameter):
         verify_null(u.coeffs, sigp, 0.5, crit, 1)
     # free flow at a critical parameter stays available (counterexample needs it)
-    evolve_free(u, 0.1)
+    free(u, 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from kscontrol.nonlinear import (
     WeightPair,
     controlled_solve_with_source,
     default_p,
-    estimate_radius,
     fit_cost_constant,
     fixed_point,
     nonlinear_simulate,
@@ -249,26 +248,6 @@ def test_r_guess_gate():
     with pytest.raises(NoContraction) as exc:
         fixed_point(c, 1.0, spec, BoundaryGamma(None), r_guess=0.1, verify=False)
     assert exc.value.reason == "radius"
-
-
-@pytest.mark.slow
-def test_estimate_radius_brackets_boundary():
-    # measured at nu=0, K=8: scale 16 converges in 76 iterations, while the
-    # ratio test fires at 32 and 64, so with a cap of 100 every probe
-    # (1, 4, 16, 64, then the bisection midpoint 32) is decided by the
-    # ratio test or by convergence, never by the cap
-    spec = spec_2d()
-    r = estimate_radius(1.0, spec, BoundaryGamma(None), scale0=1.0, n_bisect=1,
-                        beta=4, max_iter=100)
-    assert 16.0 <= r < 32.0
-
-
-def test_estimate_radius_refuses_to_read_the_cap_as_a_radius():
-    # scale 1 needs 9 iterations: a cap of 5 decides nothing about contraction
-    spec = spec_2d()
-    with pytest.raises(NoContraction, match="raise max_iter") as exc:
-        estimate_radius(1.0, spec, BoundaryGamma(None), scale0=1.0, beta=4, max_iter=5)
-    assert exc.value.reason == "cap"
 
 
 def _c10a_case():

@@ -1,8 +1,17 @@
+import ast
+import collections
 import importlib.util
 import math
 import pathlib
+import re
 
-TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
+PACKAGE = ROOT / "src" / "kscontrol"
+
+#: definitions in the package that no program code reads, each with the
+#: one-line reason it stays: {name: reason}
+UNREAD_ALLOWED = {}
 
 
 def _artifact_diff():
@@ -40,3 +49,41 @@ def test_artifact_diff_verdicts_compare_the_linear_and_moment_residuals():
     lines = ad._verdict_moves(base, moved)
     assert len(lines) == 2
     assert "linear_final_rel" in lines[0] and "report.moment_residual_max" in lines[1]
+
+
+def _definitions(tree):
+    """(name, line) of every function, class and method, nested ones too."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [(node.name, node.lineno) for node in ast.walk(tree) if isinstance(node, kinds)]
+
+
+def _words(text):
+    """How often each whole word occurs in ``text``."""
+    return collections.Counter(re.findall(r"\w+", text))
+
+
+def test_every_package_definition_is_read_outside_the_tests():
+    # a definition is read if its name appears as a whole word in the program
+    # outside its own def/class line: in the package (leaving out the
+    # re-exports of __init__.py), the demos, the tools or the benchmark
+    defs = {}  # name -> [(file, line text of a def/class of that name)]
+    texts = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for name, line in _definitions(ast.parse(text)):
+            if not name.startswith("__"):
+                defs.setdefault(name, []).append((f"{path.name}:{line}", lines[line - 1]))
+        if path.name != "__init__.py":
+            texts.append(text)
+    texts += [path.read_text() for path in [*sorted((ROOT / "demos").rglob("*.py")),
+                                            *sorted(TOOLS.rglob("*.py")),
+                                            *sorted((ROOT / "perfbench").glob("*.py"))]]
+    program = _words("\n".join(texts))
+    unread = sorted(
+        f"{name} ({', '.join(where for where, _ in sites)})" for name, sites in defs.items()
+        if name not in UNREAD_ALLOWED
+        and program[name] <= _words("\n".join(line for _, line in sites))[name]
+    )
+    assert unread == [], f"defined in src/ but read only by tests: {unread}"
+    assert all(reason.strip() for reason in UNREAD_ALLOWED.values())
