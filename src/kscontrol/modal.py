@@ -187,11 +187,12 @@ class ControlStepper:
       the segment's coefficients, so a step starting at t0 costs the scale
       vector e^{b (t0 + rho h - r)} (rho = 1 for growing b, else 0; entries
       <= 1 under the reference discipline of `signals`) and one
-      matrix-vector product.  A Legendre segment takes `forcing`.  On the
-      ``nonlinear-tensor`` benchmark (2-core VM, reference CPU speed) a
-      replay on `forcing` alone has a median ``wall_s`` of 0.62 s, one on
-      the block 0.39 s, against 0.77 s for a replay that called
-      `evolve_controlled` per step.
+      matrix-vector product.  A Legendre segment takes `forcing`.  When
+      the block was introduced, the ``nonlinear-tensor`` benchmark (2-core
+      VM, reference CPU speed) had a median ``wall_s`` of 0.77 s with a
+      replay that called `evolve_controlled` per step, 0.62 s on `forcing`
+      alone and 0.39 s on the block; with the later speedups of the other
+      layers and of `rhs_operator` it is 0.184 s.
     """
 
     def __init__(self, state: ModalState, control: Optional[ControlSignal]):
@@ -410,46 +411,61 @@ def _sine_projection_matrix(K: int, length: float, nodes: np.ndarray, weights: n
 
 
 class _RhsOperator(NamedTuple):
-    """The matrices of `nonlinear_rhs` on one spec and midpoint grid."""
+    """The read-only matrices of `nonlinear_rhs` on one spec and midpoint grid.
 
-    x_cos_T: np.ndarray      # (nx, K_x): d/dx rows at the x nodes
-    x_sin_T: np.ndarray      # (nx, K_x): sine rows at the x nodes
-    y_sine: np.ndarray       # (J_y, NY): y basis on the y grid
-    y_derivs: list           # per box axis i, (J_y, NY): d/dy_i of the y basis
-    proj_x: np.ndarray       # (K_x, nx)
-    proj_y_T: np.ndarray     # (NY, J_y)
+    A call costs 2 + 2 * (number of box axes) + 2 products, each its own
+    `np.dot` (the dgemm of ``@`` with less dispatch).  Each square is taken
+    in place in the array `np.dot` just returned, and the -1/2 of the term
+    sits in ``neg_half_proj_x``: scaling by a power of two is exact, so this
+    has the bits of ``proj_x @ (-0.5 * grad_sq) @ proj_y_T`` unless a
+    product falls in the subnormal range.  The products are not stacked
+    into one wider product: OpenBLAS blocks a wider operand differently and
+    rounds it differently in the last bit.
+    """
+
+    x_cos_T: np.ndarray          # (nx, K_x): d/dx rows at the x nodes
+    x_sin_T: np.ndarray          # (nx, K_x): sine rows at the x nodes
+    y_sine: np.ndarray           # (J_y, NY): y basis on the y grid
+    y_derivs: tuple              # per box axis i, (J_y, NY): d/dy_i of the y basis
+    neg_half_proj_x: np.ndarray  # (K_x, nx): -1/2 times the x projection
+    proj_y_T: np.ndarray         # (NY, J_y)
 
     def __call__(self, U: np.ndarray) -> np.ndarray:
         """The projected quadratic term of a (K_x, J_y) coefficient array."""
-        ux = self.x_cos_T @ (U @ self.y_sine)  # (nx, NY)
-        grad_sq = ux * ux
+        dot = np.dot
+        grad_sq = dot(self.x_cos_T, dot(U, self.y_sine))  # (nx, NY): u_x, squared next
+        grad_sq *= grad_sq
         for Pd in self.y_derivs:
-            uyi = self.x_sin_T @ (U @ Pd)
-            grad_sq = grad_sq + uyi * uyi
-        f = -0.5 * grad_sq  # (nx, NY)
-        return self.proj_x @ f @ self.proj_y_T
+            uyi = dot(self.x_sin_T, dot(U, Pd))
+            uyi *= uyi
+            grad_sq += uyi
+        return dot(dot(self.neg_half_proj_x, grad_sq), self.proj_y_T)
 
 
 def _rhs_operator(spec: SpectrumSpec) -> _RhsOperator:
     x, *y_axes = _axis_rows(spec)
     y_sines = [ax.S for ax in y_axes]
     # d/dy_i: derivative rows on axis i, sine rows on the others
-    y_derivs = [spec.tuple_tensor(y_sines[:axis] + [ax.C] + y_sines[axis + 1:])
-                for axis, ax in enumerate(y_axes)]
+    y_derivs = tuple(spec.tuple_tensor(y_sines[:axis] + [ax.C] + y_sines[axis + 1:])
+                     for axis, ax in enumerate(y_axes))
     proj_y = spec.tuple_tensor([
         _sine_projection_matrix(ax.S.shape[0], ax.length, ax.nodes, ax.weights) for ax in y_axes
     ])
-    return _RhsOperator(
+    op = _RhsOperator(
         x_cos_T=x.C.T, x_sin_T=x.S.T, y_sine=spec.tuple_tensor(y_sines), y_derivs=y_derivs,
-        proj_x=_sine_projection_matrix(spec.K_x, x.length, x.nodes, x.weights),
+        neg_half_proj_x=-0.5 * _sine_projection_matrix(spec.K_x, x.length, x.nodes, x.weights),
         proj_y_T=proj_y.T,
     )
+    for arr in (op.x_cos_T, op.x_sin_T, op.y_sine, *op.y_derivs, op.neg_half_proj_x, op.proj_y_T):
+        arr.flags.writeable = False
+    return op
 
 
 def rhs_operator(spec: SpectrumSpec) -> _RhsOperator:
-    """The grid matrices of `nonlinear_rhs`, built once per spec.  Calling the
-    result on a coefficient array is the array-level core of `nonlinear_rhs`:
-    no state copy, no validation."""
+    """The grid matrices of `nonlinear_rhs`, built once per spec and
+    read-only.  Calling the result on a coefficient array is the array-level
+    core of `nonlinear_rhs`: no state copy, no validation; the array is
+    only read."""
     return spec.cached("nonlinear_rhs", lambda: _rhs_operator(spec))
 
 

@@ -146,15 +146,6 @@ class PointSpec:
         z = mp.mpf(1) / 3
         return z + mp.fsum(mp.mpf(10) ** (-36 * mp.factorial(n)) for n in range(1, depth + 1))
 
-    def label(self) -> str:
-        if self.kind == "liouville":
-            return f"liouville:{self.data[0]}:depth{self.data[1]}"
-        if self.kind == "algebraic":
-            return f"algebraic:{list(self.data[0])}:root{self.data[1]}"
-        if self.kind == "rational":
-            return f"rational:{self.data[0]}"
-        return f"real:{self.data[0]}"
-
 
 def _real_fraction(text: str) -> Fraction:
     """The exact fraction a `real` point's string spells.  ValueError past the

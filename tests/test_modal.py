@@ -15,6 +15,7 @@ from kscontrol.modal import (
     nonlinear_rhs,
     observation,
     observe,
+    rhs_operator,
     state_1d,
     state_nd,
     x_gain,
@@ -642,6 +643,49 @@ def test_nonlinear_rhs_cached_operator_matches_fresh_spec(dims):
         got = nonlinear_rhs(state_nd(spec, c))
         fresh = nonlinear_rhs(state_nd(make(), c))
         assert np.array_equal(got, fresh)
+
+
+def _rhs_by_matmul(op, U):
+    """The quadratic term with `@`: two products per gradient component and
+    two for the projection, -1/2 applied to the squared gradient first."""
+    proj_x = -2.0 * op.neg_half_proj_x
+    ux = op.x_cos_T @ (U @ op.y_sine)
+    grad_sq = ux * ux
+    for Pd in op.y_derivs:
+        uyi = op.x_sin_T @ (U @ Pd)
+        grad_sq = grad_sq + uyi * uyi
+    return proj_x @ (-0.5 * grad_sq) @ op.proj_y_T
+
+
+@pytest.mark.parametrize("box, K_x, J_y", [(["pi"], 16, 16), (["pi/2"], 16, 16),
+                                           (["pi", "pi"], 16, 8)],
+                         ids=["pi-pi", "pi-half-pi", "3d-pi-pi"])
+def test_rhs_operator_has_the_bits_of_the_matmul_formula(box, K_x, J_y):
+    # the kernel's in-place squares and folded -1/2 are exact rewrites: equal
+    # bits on inputs from 1e-8 to 1e3 (the folded -1/2 is not exact on
+    # subnormal products, so the scales stay well above them)
+    spec = SpectrumSpec(a="pi", nu=0, cross_section=Box(box), K_x=K_x, J_y=J_y)
+    op = rhs_operator(spec)
+    rng = np.random.default_rng(28)
+    inputs = [np.zeros((K_x, J_y))] + [
+        10.0 ** rng.uniform(-8.0, 3.0) * rng.standard_normal((K_x, J_y)) for _ in range(200)
+    ]
+    for U in inputs:
+        assert np.array_equal(op(U), _rhs_by_matmul(op, U))
+
+
+def test_rhs_operator_is_read_only_and_leaves_its_input_alone():
+    spec = SpectrumSpec(a="pi", nu=0, cross_section=Box(["pi", "pi/2"]), K_x=5, J_y=6)
+    op = rhs_operator(spec)
+    for arr in (op.x_cos_T, op.x_sin_T, op.y_sine, *op.y_derivs, op.neg_half_proj_x,
+                op.proj_y_T):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+    U = np.random.default_rng(5).standard_normal((5, 6))
+    before = U.copy()
+    op(U)
+    assert np.array_equal(U, before)
+    assert U.flags.writeable
 
 
 def test_rate_matrix_read_only_and_equal_to_fresh_build():

@@ -191,7 +191,16 @@ ORACLE_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("point", ORACLE_POINTS, ids=PointSpec.label)
+def _label(point):
+    """A readable test id: the point's kind and data."""
+    if point.kind == "liouville":
+        return f"liouville:{point.data[0]}:depth{point.data[1]}"
+    if point.kind == "algebraic":
+        return f"algebraic:{list(point.data[0])}:root{point.data[1]}"
+    return f"{point.kind}:{point.data[0]}"
+
+
+@pytest.mark.parametrize("point", ORACLE_POINTS, ids=_label)
 def test_exact_scan_matches_accumulating_oracle(point):
     k_max = 2000
     rep = minimal_time_estimate(point, math.pi, k_max=k_max)
