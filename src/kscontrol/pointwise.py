@@ -196,29 +196,36 @@ def _neg_log_sin_scan(ratio: Fraction, k_max: int):
     k, and D = min(r, Q - r) makes D/Q the exact distance from k P/Q to the
     nearest integer; D = 0 means the sine vanishes.  Away from resonances
     (D/Q > 1e-8) a double-precision sine of the correctly rounded D/Q
-    suffices; near them the logarithm is taken in mp at 128 bits
-    (|log sin(pi d)| = |log(pi d)| + O(d^2)).
+    suffices; near them the logarithm is taken at 128 bits
+    (|log sin(pi d)| = |log(pi d)| + O(d^2)) through mpmath's `libmp`
+    kernels, with no mpf object per k: D/Q, pi, their product and its log
+    are each rounded to nearest at 128 bits, then once to a double, the
+    bits ``-float(mp.log(mp.pi * mp.fdiv(D, Q)))`` gives under
+    ``mp.workprec(128)``.
     """
-    import mpmath as mp
+    from mpmath.libmp import (from_int, mpf_div, mpf_log, mpf_mul, mpf_pi, round_nearest,
+                              to_float)
 
     P, Q = ratio.numerator, ratio.denominator
     near = Q // 10**8  # D > near  <=>  D/Q > 1e-8
-    with mp.workprec(Q.bit_length()):
-        q = mp.mpf(Q)  # exact, converted once: mp.fdiv(D, q) rounds D/Q once
+    half = Q // 2  # r <= half  <=>  2 r <= Q
+    q = from_int(Q)  # exact, converted once: mpf_div rounds D/Q once
+    pi = mpf_pi(128, round_nearest)
     out = np.empty(k_max)
     r = 0
-    with mp.workprec(128):
-        for k in range(1, k_max + 1):
-            r += P
-            if r >= Q:
-                r -= Q
-            D = r if 2 * r <= Q else Q - r
-            if D == 0:
-                raise RationalPoint(f"sin(k pi x0/a) vanishes exactly at k={k}")
-            if D > near:
-                out[k - 1] = -math.log(math.sin(math.pi * (D / Q)))
-            else:
-                out[k - 1] = -float(mp.log(mp.pi * mp.fdiv(D, q)))
+    for k in range(1, k_max + 1):
+        r += P
+        if r >= Q:
+            r -= Q
+        D = r if r <= half else Q - r
+        if D == 0:
+            raise RationalPoint(f"sin(k pi x0/a) vanishes exactly at k={k}")
+        if D > near:
+            out[k - 1] = -math.log(math.sin(math.pi * (D / Q)))
+        else:
+            d = mpf_div(from_int(D), q, 128, round_nearest)
+            log_pi_d = mpf_log(mpf_mul(pi, d, 128, round_nearest), 128, round_nearest)
+            out[k - 1] = -to_float(log_pi_d, rnd=round_nearest)
     return out
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import fields
@@ -91,14 +92,18 @@ def run_scenario(scenario: Scenario, out_dir=None, seed=None):
 
 def _task_spectrum(sc: Scenario, seed, run_dir, manifest):
     spec = sc.spec
+    js = range(1, spec.J_y + 1)
+    y_shifts = [spec.y_shift(j) for j in js]
     write_csv(os.path.join(run_dir, "cross_section.csv"), ["j", "mu", "lambda_y"],
-              [(j, spec.mu(j), spec.y_shift(j)) for j in range(1, spec.J_y + 1)])
-    rows = []
-    for j, totals in enumerate(spec.rate_matrix().T.tolist(), start=1):
-        for k, (lam_x, total) in enumerate(zip(spec.x_rates(j).tolist(), totals), start=1):
-            rows.append((k, j, lam_x, spec.y_shift(j), total))
+              [js, [spec.mu(j) for j in js], y_shifts])
+    # one row per mode, k fastest: the columns of the (J_y, K_x) tables, raveled
     write_csv(os.path.join(run_dir, "modes.csv"),
-              ["k", "j", "lambda_x", "lambda_y_shift", "total"], rows)
+              ["k", "j", "lambda_x", "lambda_y_shift", "total"],
+              [np.tile(np.arange(1, spec.K_x + 1), spec.J_y),
+               np.repeat(np.arange(1, spec.J_y + 1), spec.K_x),
+               np.concatenate([spec.x_rates(j) for j in js]),
+               np.repeat(y_shifts, spec.K_x),
+               spec.rate_matrix().T.ravel()])
     manifest["verdict"] = _verdict(spec)
     for name, fn in (("n0", n0_index), ("K0", K0_index)):
         try:
@@ -128,7 +133,7 @@ def _task_biortho(sc: Scenario, seed, run_dir, manifest):
     with open(os.path.join(run_dir, "family.json"), "w", encoding="utf-8") as fh:
         fh.write(fam.to_json())
     write_csv(os.path.join(run_dir, "norms.csv"), ["k", "exponent", "norm"],
-              [(k + 1, fam.exponents[k], fam.norm(k)) for k in range(K)])
+              [range(1, K + 1), fam.exponents[:K], [fam.norm(k) for k in range(K)]])
     manifest["residual_max"] = fam.residual_max
     manifest["gram_condition"] = fam.gram_condition
     manifest["c0"] = shift
@@ -164,7 +169,7 @@ def _task_minimal_time(sc: Scenario, seed, run_dir, manifest):
     est = minimal_time_estimate(p["point"], sc.spec.a_float, p["k_max"])
     write_csv(os.path.join(run_dir, "sequence.csv"),
               ["k", "neg_log_sin", "s", "running_max"],
-              list(zip(est.k, est.neg_log_sin, est.s, est.running_max)))
+              [est.k, est.neg_log_sin, est.s, est.running_max])
     manifest["T0_hat"] = est.T0_hat
     manifest["T0_argmax"] = est.T0_argmax
     manifest["T0_tail"] = est.T0_tail
@@ -239,9 +244,10 @@ def _task_nonlinear(sc: Scenario, seed, run_dir, manifest):
         tol=p["tol"], max_iter=p["max_iter"], rho=p["rho"], beta=p["beta"], weights=weights,
         r_guess=p["r_guess"], sim_steps=p["sim_steps"],
     )
+    n = len(res.deltas)  # row i + 1 carries ratios[i - 1]: NaN on row 1 and past the ratios
+    ratios = ([math.nan] + list(res.ratios) + [math.nan] * n)[:n]
     write_csv(os.path.join(run_dir, "iterations.csv"), ["n", "delta_F", "ratio"],
-              [(i + 1, d, res.ratios[i - 1] if 1 <= i <= len(res.ratios) else float("nan"))
-               for i, d in enumerate(res.deltas)])
+              [range(1, n + 1), res.deltas, ratios])
     write_json(os.path.join(run_dir, "verification.json"), {
         "iterations": res.iterations,
         "ratios": res.ratios,

@@ -1,13 +1,15 @@
 """Deterministic CSV/JSON writers for run artifacts.
 
 Floats are rendered with repr-faithful %.17g so identical runs are
-byte-identical; dict keys are sorted.  Each array file (trace, observation,
-control) is one template applied once with ``%`` to all of its values: each
-time stamp is formatted once per file (``%.17g``, or ``%d`` for an integer
-time column) and joined with literal per-row suffixes such as
-``",3,2,%.17g"`` that carry the index columns.  The small row tables go
-through `write_csv`, which formats field by field with `fmt`.  Both give the
-same bytes for the same values.  Layouts:
+byte-identical; dict keys are sorted.  Every CSV is written by templates
+applied with ``%`` to many values at once, so no field is formatted on its
+own.  An array file (trace, observation, control) is one template: it
+formats each time stamp once (``%.17g``, or ``%d`` for an integer time
+column) and joins it with literal per-row suffixes such as
+``",3,2,%.17g"`` that carry the index columns.  A row table (`write_csv`:
+modes, cross section, sequence, norms, iterations) repeats one row template
+such as ``"%d,%.17g,%.17g\n"``, ``%d`` for an integer column, over blocks
+of ROWS_PER_WRITE rows.  Layouts:
 
 * state/trace CSV: ``t,k,j,coeff`` long format (j=0 for 1-D states)
 * observation CSV: ``t,norm,obs_boundary[,obs_point]``
@@ -16,23 +18,36 @@ same bytes for the same values.  Layouts:
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 
 import numpy as np
 
 
-def fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % float(x)
+#: `write_csv` formats this many rows per ``%``, so a long table never holds
+#: all of its values as Python objects at once
+ROWS_PER_WRITE = 1024
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, columns):
+    """``header``, then row i of the equal-length ``columns`` on line i + 1.
+
+    An integer column is written with ``%d``, any other with ``%.17g``: one
+    row template, repeated once per row and applied with ``%`` to the values
+    in file order, ROWS_PER_WRITE rows at a time.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns of unequal lengths {[len(c) for c in columns]}")
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        for lo in range(0, n, ROWS_PER_WRITE):
+            rows = zip(*(c[lo:lo + ROWS_PER_WRITE].tolist() for c in columns))
+            fh.write((row * min(ROWS_PER_WRITE, n - lo)) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def write_json(path, obj):
@@ -48,11 +63,11 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, float) and (np.isnan(obj) or np.isinf(obj)):
+    if isinstance(obj, np.floating):
+        obj = float(obj)  # then the non-finite rule below, as for a Python float
+    if isinstance(obj, float) and not math.isfinite(obj):
         return str(obj)
     return obj
 
@@ -63,9 +78,7 @@ def _write_rows(path, header, times, suffixes, values):
     Each time is formatted once (``%d`` for an integer dtype, else
     ``%.17g``) and prefixed to every suffix, a literal such as
     ``",3,2,%.17g"``; the file is then applied once with ``%`` to
-    ``values.ravel()``, one value per line in file order.  ``%`` makes the
-    conversion `fmt` makes field by field, so the bytes are the same as
-    `write_csv`'s.
+    ``values.ravel()``, one value per line in file order.
     """
     times = np.asarray(times)
     stamp = "%d" if times.dtype.kind in "iu" else "%.17g"

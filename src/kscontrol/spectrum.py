@@ -388,12 +388,13 @@ def critical_set_check(spec: SpectrumSpec, search_bound: Optional[int] = None) -
             pair = _exact_pair(two_mu_minus_nu, spec._a_exact.pi_over_length_squared(), k_hi)
             if pair is not None:
                 return CriticalVerdict("critical", j, *pair, 0.0)
-        for k in range(1, k_hi + 1):
-            for l in range(k + 1, k_hi + 1):
-                cand = 2.0 * mu + pi2 * (k * k + l * l) / a2
-                dist = abs(nu - cand)
-                if dist <= tol and dist < best.distance:
-                    best = CriticalVerdict("near", j, k, l, dist)
+        # every pair k < l in scan order (k outer), 0-based; the first nearest
+        # pair within tol, and only a strictly nearer one in a later slice
+        ks, ls = np.triu_indices(k_hi, 1)
+        dist = np.abs(nu - (2.0 * mu + pi2 * ((ks + 1) ** 2 + (ls + 1) ** 2) / a2))
+        i = int(np.argmin(dist))
+        if dist[i] <= tol and dist[i] < best.distance:
+            best = CriticalVerdict("near", j, int(ks[i]) + 1, int(ls[i]) + 1, float(dist[i]))
     return best
 
 

@@ -188,6 +188,9 @@ ORACLE_POINTS = [
     PointSpec.liouville("classic10", depth=6),
     PointSpec.real("0.4142135623730950488016887242096980785696718753"),
     PointSpec.real("0.1000001"),  # distance 1e-6 at k = 10, just on the double-sine side
+    # Q = 5 * 10^33, not a power of two: k = 3m lies 2m * 10^-34 from an
+    # integer, so every third k takes the 128-bit logarithm
+    PointSpec.real("0.3333333333333333333333333333333334"),
 ]
 
 

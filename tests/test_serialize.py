@@ -1,18 +1,22 @@
-"""The array writers against a field-by-field oracle.
+"""The CSV writers against a field-by-field oracle, and the JSON writer.
 
-Each array file is written as one template, each time stamp formatted once,
-applied to all of its values at once; the oracle below formats every field
-on its own, the way the row tables are written (`fmt`), and the two must
-give the same bytes.
+Each CSV is written by templates applied to many values at once (an array
+file formats each time stamp once, a row table repeats one row template);
+the oracle below formats every field on its own, ``%d`` for an
+integer and ``%.17g`` for anything else, and the two must give the same
+bytes.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from kscontrol import serialize
 from kscontrol.modal import Trace
-from kscontrol.serialize import write_control_csv, write_observation_csv, write_trace_csv
+from kscontrol.serialize import (write_control_csv, write_csv, write_json, write_observation_csv,
+                                 write_trace_csv)
 
 # ints, signed zeros, non-finite values, the extremes of the double range and
 # magnitudes from 1e-30 to 1e4, several of which %.16g would round
@@ -160,3 +164,54 @@ def test_empty_trace_writes_the_header_alone(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(path, Trace(times=np.zeros(0), coeffs=np.zeros((0, 4))))
     assert path.read_bytes() == b"t,k,j,coeff\n"
+
+
+# --- row tables -------------------------------------------------------------
+
+def _row_table_cases():
+    n = len(VALUES)
+    ints = np.arange(n) - n // 2
+    yield "special", ["k", "x", "y"], [ints, VALUES, _cycle(n, shift=7)]
+    # a Python range, a list of floats and a float array, as `runner` passes them
+    yield "mixed", ["n", "delta_F", "ratio"], [range(1, 6), [0.5, 1e-300, 2.0 / 3.0, 0.0, -0.0],
+                                               np.array([math.nan, 0.25, 0.1, math.nan, math.inf])]
+    yield "int-only", ["j"], [np.array([0, -1, 2**62, np.iinfo(np.int64).min])]
+    # integers past 2^53, which %.17g would round
+    yield "uint", ["k", "v"], [np.array([0, 2**63 + 1, 2**64 - 1], dtype=np.uint64),
+                               np.float32([0.1, -0.0, math.inf])]
+    yield "empty", ["n", "delta_F", "ratio"], [range(1, 1), [], np.zeros(0)]
+
+
+@pytest.mark.parametrize("rows_per_write", [None, 1, 7], ids=["default", "1-row", "7-rows"])
+@pytest.mark.parametrize("header,columns", [case[1:] for case in _row_table_cases()],
+                         ids=[case[0] for case in _row_table_cases()])
+def test_row_table_matches_per_field_formatting(tmp_path, monkeypatch, header, columns,
+                                                rows_per_write):
+    if rows_per_write is not None:  # whole, single-row and partial last writes
+        monkeypatch.setattr(serialize, "ROWS_PER_WRITE", rows_per_write)
+    path = tmp_path / "table.csv"
+    write_csv(path, header, columns)
+    # the oracle takes the values one row at a time, as Python scalars of the
+    # column's own type (an element of an integer array is an integer)
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    assert path.read_bytes() == _csv(header, rows)
+
+
+def test_row_table_refuses_columns_of_unequal_lengths(tmp_path):
+    with pytest.raises(ValueError, match="unequal"):
+        write_csv(tmp_path / "table.csv", ["a", "b"], [[1, 2], [0.5]])
+
+
+def _strict_json(path):
+    def refuse(token):
+        raise ValueError(f"bare {token} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_json_writes_non_finite_numpy_floats_as_python_floats_are(tmp_path):
+    path = tmp_path / "manifest.json"
+    write_json(path, {"a": np.float64("nan"), "b": float("nan"), "c": np.float32("inf"),
+                      "d": [np.float64("-inf"), -math.inf], "e": np.float64(0.1),
+                      "f": np.array([1.5, math.nan])})
+    assert _strict_json(path) == {"a": "nan", "b": "nan", "c": "inf", "d": ["-inf", "-inf"],
+                                  "e": 0.1, "f": [1.5, "nan"]}

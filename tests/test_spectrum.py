@@ -377,6 +377,58 @@ def test_critical_set_at_the_nu_bound_matches_pair_loop():
     assert first == (452, 892)
 
 
+def _pair_loop_near(spec):
+    """The float side of the scan one pair at a time: (kind, j, k, l, distance)
+    of the first nearest candidate within tol, slices in order, and how many
+    pairs lie at exactly that distance."""
+    nu, a2, pi2 = spec.nu_float, spec.a_float**2, math.pi**2
+    tol = spec.crit_tol * max(1.0, abs(nu))
+    best, ties = ("clear", 0, 0, 0, math.inf), 0
+    for j in range(1, len(spec.mus) + 1):
+        mu = spec.mu(j)
+        rem = nu + tol - 2.0 * mu
+        if rem < 5.0 * pi2 / a2:
+            break
+        k_hi = int(math.floor(math.sqrt(rem * a2 / pi2))) + 1
+        for k in range(1, k_hi + 1):
+            for l in range(k + 1, k_hi + 1):
+                dist = abs(nu - (2.0 * mu + pi2 * (k * k + l * l) / a2))
+                if dist <= tol and dist < best[4]:
+                    best, ties = ("near", j, k, l, dist), 0
+                ties += dist == best[4]
+    return best, ties
+
+
+_FLOAT_LENGTHS = [math.pi, math.pi / 2, 1.0, 1.5, 2.0, 3.0 * math.pi / 2]
+
+
+def test_critical_set_float_side_matches_pair_loop():
+    # float lengths and nu, so only the tolerance decides; nu sits within
+    # 10 tol of a candidate, and whole candidates (a = pi on pi boxes) repeat
+    # across pairs (65 = 1 + 64 = 16 + 49) and across slices ((1, 2), (2, 1))
+    rng = np.random.default_rng(29)
+    cases = [(math.pi, [math.pi, math.pi], 4.0 + 65.0 + 1e-13, 1e-9),
+             (math.pi, [math.pi, math.pi], 10.0 + 5.0, 1e-9),
+             (math.pi, [math.pi], 7.0 - 3e-10, 1e-9)]
+    for _ in range(120):
+        a = _FLOAT_LENGTHS[int(rng.integers(0, len(_FLOAT_LENGTHS)))]
+        sides = [_FLOAT_LENGTHS[i] for i in rng.integers(0, len(_FLOAT_LENGTHS), rng.integers(1, 3))]
+        spec = SpectrumSpec(a=a, nu=0.0, cross_section=Box(sides), K_x=4, J_y=6)
+        j, k, l = int(rng.integers(1, 7)), *sorted(rng.choice(np.arange(1, 9), 2, replace=False))
+        tol = float(10.0 ** rng.integers(-9, -2))
+        aim = 2.0 * spec.mu(j) + math.pi**2 * (k * k + l * l) / a**2
+        cases.append((a, sides, aim + float(rng.uniform(-10.0, 10.0)) * tol * max(1.0, aim), tol))
+    hits = ties = 0
+    for a, sides, nu, tol in cases:
+        spec = SpectrumSpec(a=a, nu=nu, cross_section=Box(sides), K_x=4, J_y=6, crit_tol=tol)
+        want, n_ties = _pair_loop_near(spec)
+        v = critical_set_check(spec)
+        assert (v.kind, v.j, v.k, v.l, v.distance) == want, (a, sides, nu, tol)
+        hits += want[0] == "near"
+        ties += n_ties > 1
+    assert hits >= 20 and ties >= 3, (hits, ties)
+
+
 # ---------------------------------------------------------------------------
 # thresholds
 # ---------------------------------------------------------------------------

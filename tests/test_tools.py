@@ -51,6 +51,18 @@ def test_artifact_diff_verdicts_compare_the_linear_and_moment_residuals():
     assert "linear_final_rel" in lines[0] and "report.moment_residual_max" in lines[1]
 
 
+def test_artifact_diff_verdicts_compare_the_scanned_minimal_time():
+    ad = _artifact_diff()
+    base = {"T0_hat": 0.6180339887, "report": {"T0_hat": 0.6180339887}}
+    assert ad._verdict_moves(base, base) == []
+    assert ad._verdict_moves(base, {**base, "T0_hat": 0.6180339887 + 1e-13}) == []
+    (line,) = ad._verdict_moves(base, {**base, "T0_hat": 0.6180339887 + 1e-11})
+    assert line.startswith("verdict T0_hat:")
+    # a run that loses its minimal time (an earlier exit) moves it too
+    (line,) = ad._verdict_moves(base, {})
+    assert "T0_hat" in line and "None" in line
+
+
 def _definitions(tree):
     """(name, line, is_method) of every function, class and method, nested
     ones too; a method is a function defined directly in a class body."""

@@ -21,8 +21,9 @@ else 1.
 
 With ``--verdicts``, a change that moves artifacts on purpose is checked
 for equal verdicts instead: it exits 0 when every run has equal exit codes
-and each closed-loop residual of its manifest (`VERDICT_KEYS`) moves by at
-most `VERDICT_ATOL`, still listing every artifact that differs.
+and each closed-loop residual and scanned minimal time of its manifest
+(`VERDICT_KEYS`) moves by at most `VERDICT_ATOL`, still listing every
+artifact that differs.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ import tempfile
 
 IGNORED = {"timings.json"}
 # the closed-loop residuals, relative to the initial norm, that judge a run,
-# and the moment residual that a 1-D synthesis certifies
+# the moment residual that a 1-D synthesis certifies, and the scanned minimal
+# time that the minimal-time gate and the benchmark's minimal-time check read
 VERDICT_KEYS = ("final_rel_norm", "linear_final_rel", "nonlinear_final_rel",
-                "report.final_rel_enforced", "report.moment_residual_max")
+                "report.final_rel_enforced", "report.moment_residual_max", "T0_hat")
 VERDICT_ATOL = 1e-12
 
 
@@ -180,8 +182,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2],
                         help="benchmark seeds (default: 1 2)")
     parser.add_argument("--verdicts", action="store_true",
-                        help=f"pass on equal exit codes and closed-loop residuals "
-                             f"within {VERDICT_ATOL:g}, though artifacts differ")
+                        help=f"pass on equal exit codes, and closed-loop residuals and "
+                             f"minimal times within {VERDICT_ATOL:g}, though artifacts differ")
     args = parser.parse_args(argv)
     runs = differing = failing = 0
     with tempfile.TemporaryDirectory(prefix="artifact-diff-") as tmp:
