@@ -4,7 +4,7 @@ States are modal coefficient arrays in the orthonormal sine basis: a vector
 (K,) for 1-D problems, a matrix (K_x, J_y) on the cylinder.  The linear flow
 is diagonal, so every evolution step is an exact exponential update; a
 control enters through the closed-form Duhamel integral of its analytic
-segment.
+segment, evaluated for all of an evolution's pieces in one pass.
 Sources are piecewise linear in time and integrated exactly by phi1/phi2
 updates.
 
@@ -177,9 +177,11 @@ class ControlStepper:
     mode integrals are cached per distinct step length h.  Two forcings of a
     step inside the signal's window:
 
-    * `forcing` evaluates the segment's `mode_duhamel` at the step's absolute
-      times, then applies ``mass`` and the gain.  `evolve_controlled` uses
-      it, so syntheses keep their arithmetic bit for bit.
+    * `forcing` evaluates the segment's `mode_duhamel` at the absolute times
+      of an array of pieces, then applies ``mass`` and the gain.
+      `evolve_controlled` takes all of its pieces through one call, and each
+      piece has the bits of the per-piece formula, so syntheses keep their
+      arithmetic bit for bit.
     * `step_forcing`, the closed-loop replay's, also caches an exponential
       segment's Duhamel block per h, with step-anchored references: each
       exponential is referenced to the step's start if it decays and to the
@@ -209,18 +211,28 @@ class ControlStepper:
         """e^{lam h}, cached per step length."""
         return self._cached(("grow", h), lambda: np.exp(self.rates * h))
 
-    def forcing(self, t0: float, t1: float) -> np.ndarray:
+    def forcing(self, t0s, t1s) -> np.ndarray:
         """int_{t0}^{t1} e^{lam (t1 - s)} (modal input of the control)(s) ds
-        over a step inside the window, evaluated at absolute times."""
+        for each piece [t0, t1] of ``t0s``, ``t1s`` inside the window,
+        evaluated at absolute times: (P,) + rates.shape, or rates.shape for
+        scalar piece ends.  The segment's `mode_duhamel` takes every piece in
+        one call; ``mass`` is contracted piece by piece, so each piece has
+        the bits of a call on that piece alone."""
         seg, lam = self.control.segment, self.rates
+        t0, t1 = np.atleast_1d(t0s), np.atleast_1d(t1s)
         if isinstance(seg, LegendreSegment):
             duh = seg.mode_duhamel(self._lam, t0, t1, integrals=self._legendre_integrals)
         else:
-            duh = seg.mode_duhamel(self._lam, t0, t1)  # (M,) or (M, R)
-        if duh.ndim == 1:
-            return duh.reshape(lam.shape) * (self._x_gain if lam.ndim == 1 else self._x_gain[:, None])
-        duh3 = duh.reshape(lam.shape + (duh.shape[1],))
-        return np.einsum("kjr,rj->kj", duh3, self._mass) * self._x_gain[:, None]
+            duh = seg.mode_duhamel(self._lam, t0, t1)  # (P, M) or (P, M, R)
+        pieces = (len(duh),) + lam.shape
+        if duh.ndim == 2:
+            out = duh.reshape(pieces) * (self._x_gain if lam.ndim == 1 else self._x_gain[:, None])
+        else:
+            out = np.empty(pieces)
+            for i, d in enumerate(duh.reshape(pieces + (duh.shape[2],))):
+                out[i] = np.einsum("kjr,rj->kj", d, self._mass)
+            out *= self._x_gain[:, None]
+        return out if np.ndim(t0s) else out[0]
 
     def step_forcing(self, t0: float, t1: float) -> np.ndarray:
         """The same integral by the step-anchored block of an exponential
@@ -296,13 +308,14 @@ def evolve_controlled(
 
     The window is cut at every source time and record time, and each piece
     is one exact update: diagonal flow, the closed-form Duhamel integral of
-    the control's segment through one `ControlStepper` built for this call,
-    and the phi1/phi2 update of the source.  Returns the end state, or
-    ``(state, Trace)`` when ``record`` times are given; a breakpoint within
-    1e-12 of a record time is recorded.  The control's segment must cover
-    the window: a control over several windows is evolved one signal at a
-    time.  ``state`` itself is left unchanged.  A window that ends before it
-    starts, or at nan, raises ValueError.
+    the control's segment, and the phi1/phi2 update of the source.  The
+    Duhamel integrals of all pieces come from one `ControlStepper.forcing`
+    call, on one stepper built for this call, before the first step.
+    Returns the end state, or ``(state, Trace)`` when ``record`` times are
+    given; a breakpoint within 1e-12 of a record time is recorded.  The
+    control's segment must cover the window: a control over several windows
+    is evolved one signal at a time.  ``state`` itself is left unchanged.  A
+    window that ends before it starts, or at nan, raises ValueError.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t0 <= t1:  # also refuses a nan end
@@ -317,12 +330,14 @@ def evolve_controlled(
     keep = _recorded(pts, record) if record is not None else None
     lam = state.rates
     coeffs = state.coeffs
+    if control is not None:
+        forcings = stepper.forcing(pts[:-1], pts[1:])
     rec_c = [coeffs.copy()] if keep is not None and keep[0] else []
     for i, (a, b) in enumerate(zip(pts[:-1], pts[1:])):
         delta = b - a
         coeffs = coeffs * stepper.growth(delta)
         if control is not None:
-            coeffs = coeffs + stepper.forcing(a, b)
+            coeffs = coeffs + forcings[i]
         if source is not None:
             f0, f1 = source.value_at(a), source.value_at(b)
             z = lam * delta

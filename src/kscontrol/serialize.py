@@ -3,13 +3,15 @@
 Floats are rendered with repr-faithful %.17g so identical runs are
 byte-identical; dict keys are sorted.  Every CSV is written by templates
 applied with ``%`` to many values at once, so no field is formatted on its
-own.  An array file (trace, observation, control) is one template: it
-formats each time stamp once (``%.17g``, or ``%d`` for an integer time
-column) and joins it with literal per-row suffixes such as
-``",3,2,%.17g"`` that carry the index columns.  A row table (`write_csv`:
-modes, cross section, sequence, norms, iterations) repeats one row template
-such as ``"%d,%.17g,%.17g\n"``, ``%d`` for an integer column, over blocks
-of ROWS_PER_WRITE rows.  Layouts:
+own.  An array file (trace, observation, control) formats each time stamp
+once (``%.17g``, or ``%d`` for an integer time column) and joins it with
+literal per-row suffixes such as ``",3,2,%.17g"`` that carry the index
+columns, one template per block of whole time stamps.  A row table
+(`write_csv`: modes, cross section, sequence, norms, iterations) repeats
+one row template such as ``"%d,%.17g,%.17g\n"``, ``%d`` for an integer
+column.  Both write blocks of about ROWS_PER_WRITE lines, so a long file
+never holds all of its values as Python objects, nor all of its text, at
+once.  Layouts:
 
 * state/trace CSV: ``t,k,j,coeff`` long format (j=0 for 1-D states)
 * observation CSV: ``t,norm,obs_boundary[,obs_point]``
@@ -26,8 +28,8 @@ import os
 import numpy as np
 
 
-#: `write_csv` formats this many rows per ``%``, so a long table never holds
-#: all of its values as Python objects at once
+#: the writers format about this many lines per ``%``, so a long file never
+#: holds all of its values as Python objects at once
 ROWS_PER_WRITE = 1024
 
 
@@ -77,16 +79,23 @@ def _write_rows(path, header, times, suffixes, values):
 
     Each time is formatted once (``%d`` for an integer dtype, else
     ``%.17g``) and prefixed to every suffix, a literal such as
-    ``",3,2,%.17g"``; the file is then applied once with ``%`` to
-    ``values.ravel()``, one value per line in file order.
+    ``",3,2,%.17g"``.  The file is written in blocks of whole time stamps,
+    about ROWS_PER_WRITE lines each (at least one time stamp): a block's
+    template is applied with ``%`` to its run of ``values.ravel()``, one
+    value per line in file order.
     """
     times = np.asarray(times)
     stamp = "%d" if times.dtype.kind in "iu" else "%.17g"
     lines = ["", *(suffix + "\n" for suffix in suffixes)]
-    template = "".join((stamp % t).join(lines) for t in times.tolist())
+    flat = np.ravel(values)
+    width = flat.size // len(times) if len(times) else 0   # values per time stamp
+    per = max(1, ROWS_PER_WRITE // len(suffixes))          # time stamps per block
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write(template % tuple(np.ravel(values).tolist()))
+        for lo in range(0, len(times), per):
+            block = times[lo:lo + per].tolist()
+            template = "".join((stamp % t).join(lines) for t in block)
+            fh.write(template % tuple(flat[lo * width:(lo + len(block)) * width].tolist()))
 
 
 def write_trace_csv(path, trace):

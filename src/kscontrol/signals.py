@@ -3,10 +3,10 @@
 Every control is one segment on its window: a sum of exponentials (moment
 method) or a Legendre series (Gramian steering).  A run that controls over
 several windows keeps one signal per window.  Closed-loop verification
-integrates the segment against the modal flow in closed form, so the only
-numerical error downstream of a synthesis is the linear-algebra residual of
-the synthesis itself.  Export samples `ControlSignal.value_at` on a uniform
-grid.
+integrates the segment against the modal flow in closed form, over an array
+of pieces in one call (`mode_duhamel`), so the only numerical error
+downstream of a synthesis is the linear-algebra residual of the synthesis
+itself.  Export samples `ControlSignal.value_at` on a uniform grid.
 
 Overflow discipline: every stored exponential carries its own reference time
 (window start for decaying terms, window end for growing ones) so evaluation
@@ -30,6 +30,12 @@ from numpy.polynomial import legendre as npleg
 # gives  d/dt u_k = lambda_k u_k - sqrt(2/a) (k pi / a) q(t).
 S_BOUNDARY = -1.0
 
+#: `ExpSegment.mode_duhamel` evaluates `exp_sum_integral` over chunks of
+#: pieces of at most about this many (piece, mode, exponential) entries: a
+#: chunk's temporaries (32 KB each) stay in cache and off the process's
+#: peak; a piece of more entries is a chunk of its own
+PIECE_BATCH_ELEMENTS = 2**12
+
 
 def phi1(z):
     """(e^z - 1)/z with the removable singularity filled."""
@@ -50,28 +56,35 @@ def phi2(z):
     return np.where(small, series, out)
 
 
-def exp_sum_integral(lam, exps, refs, t0: float, t1: float):
-    """int_{t0}^{t1} e^{lam (t1 - s)} e^{b (s - r)} ds for each (lam, b) pair.
+def exp_sum_integral(lam, exps, refs, t0s, t1s):
+    """int_{t0}^{t1} e^{lam (t1 - s)} e^{b (s - r)} ds for each (lam, b) pair
+    and each piece [t0, t1] of ``t0s``, ``t1s``.
 
-    ``lam`` has shape (M,), ``exps``/``refs`` shape (E,).  Returns (M, E).
+    ``lam`` has shape (M,), ``exps``/``refs`` shape (E,), ``t0s``/``t1s``
+    shape (P,).  Returns (P, M, E), or (M, E) for scalar piece ends.
     Evaluated in the end-anchored form (f(t1) - f(t0)) / (b - lam) with a
     series fallback near b = lam; f stays bounded because the stored
-    references keep each exponent nonpositive on the window.
+    references keep each exponent nonpositive on the window.  Every entry is
+    elementwise arithmetic, so its bits do not depend on the other pieces.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    b = np.asarray(exps, dtype=float)[None, :]
-    r = np.asarray(refs, dtype=float)[None, :]
-    lamc = lam[:, None]
+    b = np.asarray(exps, dtype=float)[None, None, :]
+    r = np.asarray(refs, dtype=float)[None, None, :]
+    t0 = np.asarray(t0s, dtype=float).reshape(-1, 1, 1)
+    t1 = np.asarray(t1s, dtype=float).reshape(-1, 1, 1)
+    lamc = lam[None, :, None]
     delta = t1 - t0
     g1 = b * (t1 - r)                      # exponent of f at t1
     g0 = lamc * delta + b * (t0 - r)       # exponent of f at t0
-    diff = (b - lamc) * delta
+    gap = b - lamc
+    diff = gap * delta
     small = np.abs(diff) < 1e-6
-    denom = np.where(small, 1.0, b - lamc)
+    denom = np.where(small, 1.0, gap)
     main = (np.exp(g1) - np.exp(g0)) / denom
     # series: e^{g0} * delta * (1 + d/2 + d^2/6), d = (b - lam) delta
     series = np.exp(g0) * delta * (1.0 + diff / 2.0 + diff * diff / 6.0)
-    return np.where(small, series, main)
+    out = np.where(small, series, main)
+    return out if np.ndim(t0s) else out[0]
 
 
 def _exp_gram_block(exps, refs, t0: float, t1: float) -> np.ndarray:
@@ -224,13 +237,26 @@ class ExpSegment:
         out = self.basis(np.atleast_1d(np.asarray(t, dtype=float))) @ self.coeffs
         return out if np.ndim(t) else out[0]
 
-    def mode_duhamel(self, lam, t0: float, t1: float):
-        """Duhamel integrals int e^{lam (t1-s)} value(s) ds over [t0, t1].
+    def mode_duhamel(self, lam, t0s, t1s):
+        """Duhamel integrals int e^{lam (t1-s)} value(s) ds over each piece
+        [t0, t1] of ``t0s``, ``t1s``.
 
-        Returns (M,) for scalar signals, (M, R) for row signals.
+        Returns (P, M) for scalar signals, (P, M, R) for row signals, without
+        the leading P for scalar piece ends.  `exp_sum_integral` runs on
+        chunks of at most about PIECE_BATCH_ELEMENTS entries (at least one
+        piece); each piece's product with the coefficients is its own 2-D
+        product, so a piece has the same bits in any chunk.
         """
-        block = exp_sum_integral(lam, self.exponents, self.refs, t0, t1)
-        return block @ self.coeffs
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        t0, t1 = np.atleast_1d(t0s), np.atleast_1d(t1s)
+        per = max(1, PIECE_BATCH_ELEMENTS // (len(lam) * len(self.exponents)))
+        out = np.empty((len(t0), len(lam)) + self.coeffs.shape[1:])
+        for lo in range(0, len(t0), per):
+            block = exp_sum_integral(lam, self.exponents, self.refs,
+                                     t0[lo:lo + per], t1[lo:lo + per])
+            for i, piece in enumerate(block, lo):
+                np.matmul(piece, self.coeffs, out=out[i])
+        return out if np.ndim(t0s) else out[0]
 
     def time_gram(self) -> np.ndarray:
         """(E, E) Gram matrix of the exponentials in L2(t0, t1)."""
@@ -254,33 +280,41 @@ class LegendreSegment:
         out = self.basis(np.atleast_1d(np.asarray(t, dtype=float))) @ self.coeffs
         return out if np.ndim(t) else out[0]
 
-    def mode_duhamel(self, lam, t0: float, t1: float, integrals=None):
-        """Duhamel integrals int e^{lam (t1-s)} value(s) ds over [t0, t1].
+    def mode_duhamel(self, lam, t0s, t1s, integrals=None):
+        """Duhamel integrals int e^{lam (t1-s)} value(s) ds over each piece
+        [t0, t1] of ``t0s``, ``t1s``: (P, M) or (P, M, R), without the
+        leading P for scalar piece ends.
 
         ``integrals(degree, delta)``, when given, returns
         `legendre_mode_integrals` of ``lam``; a caller stepping many pieces
         of equal length passes a cached one.  The polynomials restricted to
-        [t0, t1] are re-expanded in the Legendre basis of [t0, t1] (exact,
-        degree-preserving) and integrated there, whether or not [t0, t1] is
+        a piece are re-expanded in the Legendre basis of the piece (exact,
+        degree-preserving) and integrated there, whether or not the piece is
         the whole window.
         """
         deg = self.coeffs.shape[0] - 1
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
         if integrals is None:
             integrals = functools.partial(legendre_mode_integrals, lam)
-        R = self._restriction_matrix(t0, t1)
-        I = integrals(deg, t1 - t0)
-        return I @ (R @ self.coeffs)
+        t0, t1 = np.atleast_1d(t0s), np.atleast_1d(t1s)
+        out = np.empty((len(t0), len(lam)) + self.coeffs.shape[1:])
+        pieces = zip(self._restriction_matrices(t0, t1), (t1 - t0).tolist())
+        for i, (R, h) in enumerate(pieces):
+            out[i] = integrals(deg, h) @ (R @ self.coeffs)
+        return out if np.ndim(t0s) else out[0]
 
-    def _restriction_matrix(self, t0: float, t1: float) -> np.ndarray:
-        """R[q, p]: coefficient of P_q on [t0, t1] in P_p restricted from the window."""
+    def _restriction_matrices(self, t0s: np.ndarray, t1s: np.ndarray) -> list:
+        """Per piece [t0, t1], R[q, p]: the coefficient of P_q on [t0, t1] in
+        P_p restricted from the window.  The Gauss nodes of every piece go
+        through one `legvander`; each piece keeps its own 2-D products."""
         deg = self.coeffs.shape[0] - 1
         nodes, wts, Vq = _gauss_legendre(deg)   # Vq: (n, P) values of child P_q
-        s = t0 + (t1 - t0) * (nodes + 1.0) / 2.0
+        s = t0s[:, None] + (t1s - t0s)[:, None] * (nodes + 1.0) / 2.0
         tau_parent = 2.0 * (s - self.t0) / (self.t1 - self.t0) - 1.0
-        Vp = npleg.legvander(tau_parent, deg)   # (n, P) values of parent P_p
-        q = np.arange(deg + 1)
+        Vp = npleg.legvander(tau_parent, deg)   # (pieces, n, P) values of parent P_p
         # c_{qp} = (2q+1)/2 int P_p(tau(s)) P_q(tau') dtau'
-        return ((2.0 * q[:, None] + 1.0) / 2.0) * (Vq.T @ (wts[:, None] * Vp))
+        scale = (2.0 * np.arange(deg + 1)[:, None] + 1.0) / 2.0
+        return [scale * (Vq.T @ (wts[:, None] * V)) for V in Vp]
 
     def time_gram(self) -> np.ndarray:
         """(P, P) Gram matrix of P_0..P_{P-1} in L2(t0, t1): diag((t1 - t0)/(2p + 1))."""

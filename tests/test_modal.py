@@ -1,13 +1,16 @@
 import functools
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import legendre as npleg
 from scipy.integrate import quad
 
+from kscontrol import signals
 from kscontrol.modal import (
     ControlStepper,
     ModalSource,
@@ -24,6 +27,7 @@ from kscontrol.signals import (
     ControlSignal,
     ExpSegment,
     LegendreSegment,
+    gauss_legendre,
     legendre_mode_integrals,
     phi1,
     phi2,
@@ -313,12 +317,37 @@ def _stepper_case(nd: bool, segment):
     return state, sig, x_gain(spec, count=state.coeffs.shape[0]), mass
 
 
+def _piece_duhamel(seg, lam, t0, t1):
+    """The Duhamel integrals of one segment over one piece [t0, t1], written
+    out for that piece alone: the end-anchored exponential block with its
+    series branch, or the Legendre restriction to the piece and the mode
+    integrals of its length."""
+    if isinstance(seg, ExpSegment):
+        b, r, lamc = seg.exponents[None, :], seg.refs[None, :], lam[:, None]
+        delta = t1 - t0
+        g1 = b * (t1 - r)
+        g0 = lamc * delta + b * (t0 - r)
+        diff = (b - lamc) * delta
+        small = np.abs(diff) < 1e-6
+        main = (np.exp(g1) - np.exp(g0)) / np.where(small, 1.0, b - lamc)
+        series = np.exp(g0) * delta * (1.0 + diff / 2.0 + diff * diff / 6.0)
+        return np.where(small, series, main) @ seg.coeffs
+    deg = seg.coeffs.shape[0] - 1
+    nodes, wts = gauss_legendre(deg + 1)
+    s = t0 + (t1 - t0) * (nodes + 1.0) / 2.0
+    Vp = npleg.legvander(2.0 * (s - seg.t0) / (seg.t1 - seg.t0) - 1.0, deg)
+    q = np.arange(deg + 1)
+    R = ((2.0 * q[:, None] + 1.0) / 2.0) * (npleg.legvander(nodes, deg).T @ (wts[:, None] * Vp))
+    return legendre_mode_integrals(lam, deg, t1 - t0) @ (R @ seg.coeffs)
+
+
 def _parent_forcing(state, sig, gain, mass, t0, t1):
-    """The per-piece formula: mode_duhamel at absolute times, then mass, then the gain."""
+    """The per-piece formula: the piece's Duhamel integrals at absolute times,
+    then mass, then the gain."""
     lam = state.rates
-    duh = sig.segment.mode_duhamel(lam.ravel(), t0, t1)
+    duh = _piece_duhamel(sig.segment, lam.ravel(), t0, t1)
     if mass is None:
-        return duh * gain
+        return duh.reshape(lam.shape) * (gain if lam.ndim == 1 else gain[:, None])
     return np.einsum("kjr,rj->kj", duh.reshape(lam.shape + (mass.shape[0],)), mass) * gain[:, None]
 
 
@@ -361,6 +390,62 @@ def test_stepper_legendre_segment_matches_per_piece_formula(nd):
         assert np.array_equal(stepper.forcing(a, b), want)
         got = stepper.step_forcing(a, b)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _batch_cases(nd):
+    """`_stepper_case` of an exponential segment with decaying, growing and
+    near-rate exponents (b within 1e-9 of a rate takes the series branch,
+    2e-6 above one takes either branch by the piece's length), then of a
+    Legendre segment."""
+    rng = np.random.default_rng(13)
+    lam = (spec_2d().rate_matrix() if nd else spec_1d().x_rates(1)).ravel()
+    t0, t1 = 0.25, 0.8
+    exps = np.array([-900.0, -40.0, -0.2, 0.0, 0.7, 150.0, lam[1], lam[4] + 1e-9, lam[-1] - 3e-10,
+                     lam[2] + 2e-6])
+    rows = (4,) if nd else ()
+    for seg in (ExpSegment(t0, t1, exps, np.where(exps > 0, t1, t0),
+                           rng.standard_normal((len(exps),) + rows)),
+                LegendreSegment(t0, t1, rng.standard_normal((7,) + rows))):
+        yield _stepper_case(nd, seg)
+
+
+@pytest.mark.parametrize("nd", [False, True], ids=["1d", "nd"])
+def test_stepper_forcing_batch_matches_the_per_piece_formula(nd, monkeypatch):
+    # every piece of one call, the whole window and partial spans alike, has
+    # the bits of the per-piece formula, whatever the chunks of pieces are
+    rng = np.random.default_rng(15)
+    for state, sig, gain, mass in _batch_cases(nd):
+        seg = sig.segment
+        grid = np.union1d(rng.uniform(seg.t0, seg.t1, 40), [seg.t0, seg.t1])
+        spans = np.array(_random_steps(rng, seg.t0, seg.t1))  # overlapping partial spans
+        entries = state.rates.size * 10  # (mode, exponential) entries of a piece
+        for t0s, t1s in ((grid[:-1], grid[1:]), (spans[:, 0], spans[:, 1])):
+            want = np.array([_parent_forcing(state, sig, gain, mass, a, b)
+                             for a, b in zip(t0s, t1s)])
+            # one piece per chunk, three, the default, all pieces in one chunk
+            for elements in (1, 3 * entries, signals.PIECE_BATCH_ELEMENTS, len(t0s) * entries):
+                monkeypatch.setattr(signals, "PIECE_BATCH_ELEMENTS", elements)
+                assert np.array_equal(ControlStepper(state, sig).forcing(t0s, t1s), want)
+
+
+@pytest.mark.parametrize("nd", [False, True], ids=["1d", "nd"])
+def test_evolve_controlled_matches_the_per_piece_loop(nd):
+    # the closed loop over record times, with every forcing taken in one
+    # pass, has the bits of a loop that evaluates each piece on its own
+    rng = np.random.default_rng(14)
+    for state, sig, gain, mass in _batch_cases(nd):
+        state = replace(state, coeffs=rng.standard_normal(state.coeffs.shape), time=0.25)
+        record = np.linspace(0.25, 0.8, 17)
+        end, trace = evolve_controlled(state, sig, (0.25, 0.8), record=record)
+        coeffs, walked = state.coeffs, [state.coeffs]
+        for a, b in zip(record[:-1], record[1:]):
+            coeffs = coeffs * np.exp(state.rates * (b - a))
+            coeffs = coeffs + _parent_forcing(state, sig, gain, mass, a, b)
+            walked.append(coeffs)
+        assert np.array_equal(trace.coeffs, np.array(walked))
+        assert np.array_equal(end.coeffs, coeffs)
+        # an empty window takes no piece and leaves the state as it is
+        assert np.array_equal(evolve_controlled(state, sig, (0.25, 0.25)).coeffs, state.coeffs)
 
 
 def test_stepper_advance_walks_consecutive_signals():

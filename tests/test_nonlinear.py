@@ -235,9 +235,17 @@ def test_last_bits_of_the_synthesis_change_no_picard_verdict(monkeypatch):
     spec, c = _unstable_case()
     scales = (1, 100, 1000)
     before = [_picard_outcome(s * c, spec) for s in scales]
-    monkeypatch.setattr(ControlStepper, "forcing", ControlStepper.step_forcing)
+    anchored = []
+
+    def step_anchored(self, t0s, t1s):
+        # `evolve_controlled` asks for every piece of a call at once
+        anchored.append(len(t0s))
+        return np.array([self.step_forcing(a, b) for a, b in zip(t0s, t1s)])
+
+    monkeypatch.setattr(ControlStepper, "forcing", step_anchored)
     spec, _ = _unstable_case()  # a fresh spec: no moment solver carried over
     after = [_picard_outcome(s * c, spec) for s in scales]
+    assert sum(anchored) > 0  # the syntheses ran on the step-anchored block
     assert before == after == [("tol", None), ("floor", None), (None, "ratio")]
 
 

@@ -9,6 +9,7 @@ bytes.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,46 @@ def test_empty_trace_writes_the_header_alone(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(path, Trace(times=np.zeros(0), coeffs=np.zeros((0, 4))))
     assert path.read_bytes() == b"t,k,j,coeff\n"
+
+
+@pytest.mark.parametrize("rows_per_write", [None, 1, 7], ids=["default", "1-row", "7-rows"])
+def test_array_files_span_several_blocks(tmp_path, monkeypatch, rows_per_write):
+    # an array file is written in blocks of whole time stamps, about
+    # ROWS_PER_WRITE lines each: several full blocks and a partial last one,
+    # and with fewer lines per block than per time stamp, one stamp a block
+    if rows_per_write is not None:
+        monkeypatch.setattr(serialize, "ROWS_PER_WRITE", rows_per_write)
+    n = 150
+    trace = Trace(times=np.linspace(-0.5, 7.0, n), coeffs=_cycle((n, 3, 7), shift=8))
+    series = {"t": np.linspace(0.0, 1.0, 2600), "norm": _cycle(2600, shift=9),
+              "boundary": _cycle(2600, shift=10), "point": _cycle(2600, shift=11)}
+    signal = _Sampled(0.125, 0.75, (4,), shift=12)
+    files = [("trace.csv", lambda p: write_trace_csv(p, trace), _trace_oracle(trace)),
+             ("observations.csv", lambda p: write_observation_csv(p, series),
+              _observation_oracle(series)),
+             ("control.csv", lambda p: write_control_csv(p, signal, n_samples=700),
+              _control_oracle(signal, 700))]
+    for name, write, oracle in files:
+        write(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == oracle
+        assert oracle.count(b"\n") > 2 * 1024  # three blocks or more at the default
+
+
+def test_array_file_memory_is_bounded_by_the_block(tmp_path):
+    # a 2.3 MB trace file: formatted whole, its template, value tuple and
+    # text peaked at 6.2 MB of Python allocations; a block holds about
+    # ROWS_PER_WRITE lines
+    rng = np.random.default_rng(16)
+    trace = Trace(times=np.linspace(0.0, 1.0, 257), coeffs=rng.standard_normal((257, 16, 16)))
+    path = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        write_trace_csv(path, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 2_000_000
+    assert peak < 1_000_000
 
 
 # --- row tables -------------------------------------------------------------
