@@ -49,4 +49,4 @@ c[0, 0] = 1.0
 c[2, 3] = -0.4
 res_i = run_lr(c, 1.0, spec, InternalPoint(point=point, omega=None))
 print(f"\ninterior actuation at x0/a = sqrt(2)-1 (full cross-section): "
-      f"final {res_i.final_rel_norm:.2e} via a direct per-slice moment solve")
+      f"final {res_i.final_rel_norm:.2e} via one per-slice moment window over [0, T]")

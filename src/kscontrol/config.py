@@ -224,7 +224,7 @@ def _geometry(v, path, spec, params):
 
 def _require_full_section_fits(omega, spec, path):
     """Actuation on the whole cross-section solves one moment problem per slice
-    over all K_x x-modes (tensor phases, or the direct interior solve), so
+    over all K_x x-modes (tensor phases, the interior one-window run too), so
     K_x is bounded by the biorthogonal family size."""
     _require(omega is not None or spec.K_x <= K_BIO_MAX, path,
              f"actuation on the whole cross-section needs domain.K_x <= {K_BIO_MAX} "

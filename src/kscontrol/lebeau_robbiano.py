@@ -19,8 +19,11 @@ Active phases come in two flavors:
   parametrization with exact mode integrals.
 
 Internal actuation at {x0} x omega uses the same machinery with the pointwise
-x-gain; for omega = Omega_y the per-slice moment problems are solved directly
-on the full horizon (no windowing), gated by the minimal-time estimate.
+x-gain, and every interior run passes `minimal_time_gate` on T first.  For
+omega = Omega_y it is a single tensor window: its active span is the whole
+horizon [0, T] (a moment problem through the point's gain needs a horizon
+above the minimal time, which the short windows T_k would not have), so it
+has no schedule, no passive span and no coast.
 """
 
 from __future__ import annotations
@@ -190,11 +193,6 @@ def _overlap_tables(axes) -> list:
 # active phases
 # ---------------------------------------------------------------------------
 
-def _window_free_end(state: ModalState, window, source) -> np.ndarray:
-    """End-of-window coefficients under zero control (source included)."""
-    return evolve_controlled(state, None, window, source=source).coeffs
-
-
 def active_phase_tensor(
     state: ModalState,
     window: tuple,
@@ -202,53 +200,40 @@ def active_phase_tensor(
     gamma: int,
     source: Optional[ModalSource] = None,
     t_final: Optional[float] = None,
+    x0: Optional[float] = None,
 ) -> ControlSignal:
-    """Per-slice boundary moment controls assembled into one y-expanded signal.
+    """Per-slice moment controls assembled into one y-expanded signal.
 
     Decoupling: with the control expanded in the cross-section eigenbasis,
     each y-mode j <= gamma sees an independent 1-D problem whose rates are
-    column j of `SpectrumSpec.rate_matrix`, the rates the flow evolves.
+    column j of `SpectrumSpec.rate_matrix`, the rates the flow evolves.  Row
+    j - 1 of the signal is the control that, through the x-gain of the
+    actuator at ``x0`` (None: the boundary), steers slice j's free end state
+    to zero over ``window``; rows are the first gamma cross-section modes
+    themselves (identity mass).  The solver of each (slice, window length)
+    is built once per spec: Picard iterations repeat the same windows.
     Slices whose free end state is (or will be, by ``t_final``, under their
-    own dissipation) negligible are skipped: controlling them is the
-    dissipation's job, and their clustered rate families are exactly the
-    numerically hostile ones.
+    own dissipation) below 1e-12 of the scale are skipped: controlling them
+    is the dissipation's job, and their clustered rate families are exactly
+    the numerically hostile ones.
     """
     require_clear(spec)
     t0, t1 = float(window[0]), float(window[1])
-    gamma_eff = min(gamma, spec.J_y)
+    W = t1 - t0
+    rows = min(gamma, spec.J_y)
     horizon_left = max((t_final if t_final is not None else t1) - t1, 0.0)
-    end_free = _window_free_end(state, window, source)
+    end_free = evolve_controlled(state, None, window, source=source).coeffs
     scale = max(state.norm, coeff_norm(end_free), 1e-300)
-    slices = []
-    for j in range(1, gamma_eff + 1):
+    gains = x_gain(spec, x0)
+    exps, refs, blocks = [], [], []
+    for j in range(1, rows + 1):
         # content that dies on its own by t_final needs no moment solve
         slice_norm = coeff_norm(end_free[:, j - 1])
         slowest = float(np.max(spec.rate_matrix()[:, j - 1]))
         log_at_final = (math.log(slice_norm) if slice_norm > 0 else -math.inf) \
             + min(slowest, 0.0) * horizon_left
-        if log_at_final > math.log(1e-12 * scale):
-            slices.append(j)
-    return _slice_moment_control(end_free, slices, spec, (t0, t1), gamma_eff)
-
-
-def _slice_moment_control(end_free: np.ndarray, slices, spec: SpectrumSpec,
-                          window: tuple, rows: int,
-                          x0: Optional[float] = None) -> ControlSignal:
-    """Per-slice moment solutions assembled into one y-expanded control.
-
-    Row j - 1 (j in ``slices``) is the control that, through the x-gain of
-    the actuator at ``x0`` (None: the boundary), steers slice j's free end
-    state ``end_free[:, j - 1]`` to zero over ``window``; the other rows are
-    zero.  Rows are the first ``rows`` cross-section modes themselves
-    (identity mass).  The solver of each (slice, window length), on column
-    j of `SpectrumSpec.rate_matrix`, is built once per spec: Picard
-    iterations repeat the same windows.
-    """
-    t0, t1 = window
-    W = t1 - t0
-    gains = x_gain(spec, x0)
-    exps, refs, blocks = [], [], []
-    for j in slices:
+        if log_at_final <= math.log(1e-12 * scale):
+            continue
         solver = spec.cached(("moment_solver", j, W),
                              lambda: MomentSolver(spec.rate_matrix()[:, j - 1], W))
         sol = solver.solve(-end_free[:, j - 1] / gains)
@@ -320,7 +305,7 @@ def active_phase_gramian(
     A = np.einsum("k,lj,kjp->kjlp", x_gain(spec, x0), M[:, :gamma_eff], I3)
     A = A.reshape(n_killed, rows * P)
 
-    end_free = _window_free_end(state, window, source)
+    end_free = evolve_controlled(state, None, window, source=source).coeffs
     b = -end_free[:, :gamma_eff].ravel()
     scale = max(state.norm, coeff_norm(b), 1e-300)
 
@@ -426,28 +411,30 @@ def run_lr(
 ) -> LRRunResult:
     """Steer u0 to (truncated) rest at time T under the given actuation.
 
-    Dispatches on geometry: boundary actuation runs the Lebeau-Robbiano
-    alternation (tensor phases for the full cross-section, Gramian phases
-    otherwise); interior actuation on the full cross-section is a direct
-    per-slice pointwise moment solve on [0, T] behind `minimal_time_gate`,
-    and on a strict subset it runs Gramian windows with the
-    pointwise gain.  The ``trace`` holds the run once at each ``record`` time.
+    One window loop serves every geometry: each window runs its active phase
+    (tensor on the full cross-section, Gramian on a strict omega), then its
+    passive span under the dissipation certificate, and a terminal coast
+    ends the run at T.  Interior actuation passes `minimal_time_gate` on T
+    and acts through the pointwise gain; on the full cross-section it is the
+    one window (0, T) with no schedule, whose active span ends at T.  The
+    ``trace`` holds the run once at each ``record`` time.
     """
     require_clear(spec)
     state = u0 if isinstance(u0, ModalState) else state_nd(spec, u0)
     u0_norm = state.norm
 
-    if isinstance(geometry, InternalPoint) and geometry.omega is None:
-        return _run_internal_direct(state, T, spec, geometry, source, record, u0_norm)
-
     x0 = None
     if isinstance(geometry, InternalPoint):
-        x0 = minimal_time_gate(geometry.point, spec).x0_over_a * spec.a_float
-
-    rho = rho if rho is not None else default_rho(spec)
-    beta = beta if beta is not None else default_beta(spec)
-    schedule = build_schedule(T, rho, beta, spec)
-    tensor = isinstance(geometry, BoundaryGamma) and geometry.omega is None
+        x0 = minimal_time_gate(geometry.point, spec, T).x0_over_a * spec.a_float
+    tensor = geometry.omega is None
+    if tensor and x0 is not None:
+        schedule = None
+        windows = [LRWindow(index=0, a_k=0.0, T_k=T, gamma=spec.J_y)]
+    else:
+        rho = rho if rho is not None else default_rho(spec)
+        beta = beta if beta is not None else default_beta(spec)
+        schedule = build_schedule(T, rho, beta, spec)
+        windows = schedule.windows
 
     spans = _Spans(record)
     window_norms = [state.norm]
@@ -455,12 +442,12 @@ def run_lr(
     controls = []
     gram_reports = []
     kill_residuals = []
-    for w in schedule.windows:
+    for w in windows:
         t_mid = w.a_k + w.T_k
         gamma_eff = min(w.gamma, spec.J_y)
         if tensor:
             sig = active_phase_tensor(
-                state, (w.a_k, t_mid), spec, w.gamma, source=source, t_final=T
+                state, (w.a_k, t_mid), spec, w.gamma, source=source, t_final=T, x0=x0
             )
         else:
             sig, rep = active_phase_gramian(
@@ -472,18 +459,19 @@ def run_lr(
         kill_residuals.append(killed / max(u0_norm, 1e-300))
         controls.append(sig)
         control_norms.append(sig.norm_l2())
-        # passive span with the dissipation certificate on the high component
-        high_before = coeff_norm(state.coeffs[:, gamma_eff:])
-        state = spans.evolve(state, None, (t_mid, w.a_k + 2 * w.T_k), source)
-        _certify_dissipation(spec, gamma_eff, high_before, state.coeffs, w.T_k, source)
+        if t_mid < T:  # a window whose active span ends at T has no passive span
+            # passive span with the dissipation certificate on the high component
+            high_before = coeff_norm(state.coeffs[:, gamma_eff:])
+            state = spans.evolve(state, None, (t_mid, w.a_k + 2 * w.T_k), source)
+            _certify_dissipation(spec, gamma_eff, high_before, state.coeffs, w.T_k, source)
         window_norms.append(state.norm)
     if state.time < T - 1e-12:
         state = spans.evolve(state, None, (state.time, T), source)
         window_norms.append(state.norm)
 
     total = math.sqrt(sum(c * c for c in control_norms))
-    slope = _decay_fit(schedule, window_norms, spec)
-    obs_fit = _observability_fit(schedule, gram_reports, spec) if gram_reports else None
+    slope = None if schedule is None else _decay_fit(schedule, window_norms, spec)
+    obs_fit = _observability_fit(gram_reports, spec) if gram_reports else None
     return LRRunResult(
         schedule=schedule,
         window_norms=window_norms,
@@ -500,27 +488,6 @@ def run_lr(
     )
 
 
-def _run_internal_direct(state, T, spec, geometry, source, record, u0_norm) -> LRRunResult:
-    """Interior actuation on the full cross-section: direct per-slice moments."""
-    x0 = minimal_time_gate(geometry.point, spec, T).x0_over_a * spec.a_float
-    end_free = _window_free_end(state, (0.0, T), source)
-    scale = max(state.norm, coeff_norm(end_free), 1e-300)
-    slices = [j for j in range(1, spec.J_y + 1) if coeff_norm(end_free[:, j - 1]) > 1e-10 * scale]
-    sig = _slice_moment_control(end_free, slices, spec, (0.0, T), spec.J_y, x0=x0)
-    spans = _Spans(record)
-    end = spans.evolve(state, sig, (0.0, T), source)
-    return LRRunResult(
-        schedule=None,
-        window_norms=[u0_norm, end.norm],
-        window_control_norms=[sig.norm_l2()],
-        total_control_norm=sig.norm_l2(),
-        final_norm=end.norm,
-        final_rel_norm=end.norm / max(u0_norm, 1e-300),
-        controls=[sig],
-        trace=spans.trace(),
-    )
-
-
 def _decay_fit(schedule: LRSchedule, window_norms, spec: SpectrumSpec):
     """Slope of log ||u(a_{k+1})|| against 2^(k (4/(N-1) - rho)) (shape check)."""
     xs, ys = [], []
@@ -534,7 +501,7 @@ def _decay_fit(schedule: LRSchedule, window_norms, spec: SpectrumSpec):
     return line_fit(xs, ys)[0]
 
 
-def _observability_fit(schedule: LRSchedule, reports, spec: SpectrumSpec):
+def _observability_fit(reports, spec: SpectrumSpec):
     """log(1/min_eig) against sqrt(mu_gamma): spectral-inequality shape check."""
     xs, ys = [], []
     for rep in reports:

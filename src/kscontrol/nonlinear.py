@@ -11,10 +11,11 @@ Weights: rho_0(t) = exp(-p C / ((q-1)(T-t))) on the state/control and
 rho_F(t) = exp(-(1+p) q^2 C / ((q-1)(T-t))) on the source, with
 1 < q < sqrt(2) and p > q^2/(2-q^2) so that rho_0^2 = o(rho_F): quadratic
 images of weighted-bounded states stay weighted-bounded.  C is the control
-cost constant; it is not derivable from theory alone here, so the module
-takes the empirical value fitted from frequency-splitting runs
-(`fit_cost_constant`).  The Picard map itself does not depend on the
-weights; rho_F weights the source increment that measures contraction.
+cost constant; it is not derivable from theory alone here, so `WeightPair`
+takes the fixed default DEFAULT_C_COST = 0.5 unless given one, for instance
+the empirical value `fit_cost_constant` fits from frequency-splitting runs.
+The Picard map itself does not depend on the weights; rho_F weights the
+source increment that measures contraction.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .modal import (
     rhs_operator,
     state_nd,
 )
+from .signals import phi1, phi2
 from .spectrum import SpectrumSpec, line_fit, require_clear
 
 WEIGHT_FLOOR = 1e-280
@@ -410,8 +412,6 @@ def nonlinear_simulate(
 
 
 def _etd_run(u0, controls, T, spec, n_steps):
-    from .signals import phi1, phi2
-
     state = state_nd(spec, np.asarray(u0, dtype=float))
     lam = state.rates
     rhs = rhs_operator(spec)
@@ -429,6 +429,7 @@ def _etd_run(u0, controls, T, spec, n_steps):
         sig = controls[k]
         cover[(sig.t_start - 1e-12 <= starts) & (ends <= sig.t_end + 1e-12)] = k
 
+    free = ControlStepper(state, None)  # shared by every step no signal covers
     steps = {}  # step length h -> (h phi1(lam h), h phi2(lam h))
     u = state.coeffs
     norms = [coeff_norm(u)]
@@ -440,7 +441,7 @@ def _etd_run(u0, controls, T, spec, n_steps):
         hp1, hp2 = steps[h]
         if k != current:
             # the walk is monotone, so a signal's steps are consecutive
-            stepper = ControlStepper(state, controls[k] if k >= 0 else None)
+            stepper = free if k < 0 else ControlStepper(state, controls[k])
             current = k
         lc = stepper.advance(u, t0, t1)
         N0 = rhs(u)

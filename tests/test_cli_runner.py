@@ -524,6 +524,18 @@ def test_gramian_window_at_the_float_floor_is_steered(tmp_path):
     assert manifest["kill_residuals"][1] > 0.0
 
 
+def test_strict_omega_interior_run_below_the_minimal_time_exits_4(tmp_path):
+    # the Gramian windows of an interior control on a strict omega pass the
+    # same minimal-time gate as the whole-section run (T0_hat ~ 1.0 here)
+    cfg = _demo("control_nd.json", "control_nd.geometry", {"internal": {
+        "point": {"liouville": "quartic_anchor3"}, "omega": [0.3, 1.2]}})
+    cfg["control_nd"]["T"] = 0.5
+    rc, manifest = _run_demo(tmp_path, cfg)
+    assert rc == 4
+    assert manifest["status"] == "error"
+    assert manifest["error"]["exit_code"] == 4
+
+
 def test_gramian_report_records_the_rank_of_the_steering_solve(tmp_path):
     # the solve has K_x gamma rows (the killed modes) and 2 K_x gamma columns
     # (gamma control rows of 2 K_x Legendre polynomials each)

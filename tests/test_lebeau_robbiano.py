@@ -322,6 +322,22 @@ def test_run_lr_internal_full_omega_direct():
     assert res.schedule is None  # direct solve, no windowing
 
 
+def test_run_lr_internal_full_omega_solves_every_slice_the_tensor_rule_keeps():
+    # slice 2's free end is about 3.6e-12 of the scale: above the tensor
+    # phase's 1e-12 cut, so it is solved (a 1e-10 cut would leave it at 3.4e-12)
+    spec = spec_2d(K_x=16, J_y=16)
+    c = np.zeros((16, 16))
+    c[0, 0] = 1.0
+    c[1, 0] = 0.5
+    c[2, 3] = -0.4
+    c[0, 1] = -0.3
+    point = PointSpec.algebraic([1, 2, -1], root_index=0)
+    res = run_lr(c, 1.0, spec, InternalPoint(point=point, omega=None))
+    assert res.final_rel_norm <= 1e-15
+    # one window killing every mode: its kill residual is the final norm
+    assert res.kill_residuals == [res.final_rel_norm]
+
+
 def test_run_lr_internal_below_minimal_time_refused():
     from kscontrol.errors import BelowMinimalTime
 

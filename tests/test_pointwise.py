@@ -326,7 +326,10 @@ def test_interior_paths_refuse_at_the_same_horizon_with_the_same_message():
     c[0, 0] = 1.0
     with pytest.raises(BelowMinimalTime) as on_cylinder:
         run_lr(c, T, spec, InternalPoint(point, None))
+    with pytest.raises(BelowMinimalTime) as on_strict_omega:
+        run_lr(c, T, spec, InternalPoint(point, (0.3, 1.2)))
     assert str(on_cylinder.value) == str(on_slice.value)
+    assert str(on_strict_omega.value) == str(on_slice.value)
     assert "minimal-time gate refuses synthesis" in str(on_slice.value)
 
 
