@@ -21,7 +21,6 @@ biorthogonality residual.
 from __future__ import annotations
 
 import decimal
-import json
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -117,19 +116,6 @@ class BiorthogonalFamily:
         """L2(0, T) norm of q_m: ||q_m||^2 = (G^{-1})[m, m], the diagonal of
         the 60-digit inverse rounded once to a double."""
         return math.sqrt(float(self.coeffs[m, m]))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "exponents": self.exponents.tolist(),
-                "T": self.horizon,
-                "coeffs": self.coeffs.tolist(),
-                "residual_max": self.residual_max,
-                "gram_condition": self.gram_condition,
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def _gram_mp(lam, T):

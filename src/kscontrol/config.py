@@ -215,20 +215,10 @@ def _geometry(v, path, spec, params):
     _require(isinstance(g, dict), f"{path}.{kind}", "must be an object")
     _known_keys(g, {"omega"} if kind == "boundary" else {"point", "omega"}, f"{path}.{kind}")
     omega = _omega(g.get("omega"), f"{path}.{kind}.omega", spec)
-    _require_full_section_fits(omega, spec, path)
     if kind == "boundary":
         return BoundaryGamma(omega=omega)
     _require("point" in g, f"{path}.internal.point", "missing required field")
     return InternalPoint(point=parse_point(g["point"], f"{path}.internal.point"), omega=omega)
-
-
-def _require_full_section_fits(omega, spec, path):
-    """Actuation on the whole cross-section solves one moment problem per slice
-    over all K_x x-modes (tensor phases, the interior one-window run too), so
-    K_x is bounded by the biorthogonal family size."""
-    _require(omega is not None or spec.K_x <= K_BIO_MAX, path,
-             f"actuation on the whole cross-section needs domain.K_x <= {K_BIO_MAX} "
-             f"(K_bio_max), got K_x={spec.K_x}; give an omega or lower K_x")
 
 
 def _schedule(name, base):
@@ -392,9 +382,19 @@ def parse_config_dict(raw: dict) -> Scenario:
                  f"{ln_max:.6g}")
         _require(fastest * T <= MAX_RATE, f"{section}.T" if T >= fastest else fastest_field,
                  f"T times the fastest rate {fastest:.3g} exceeds {MAX_RATE:.0e}")
-    if "geometry" in _FIELDS[section] and raw.get(section, {}).get("geometry") is None:
-        # the default geometry is the whole cross-section, so K_x is what is wrong
-        _require_full_section_fits(None, spec, "domain.K_x")
+    geometry = params.get("geometry")
+    if geometry is not None and geometry.omega is None:
+        # actuation on the whole cross-section, given or by default, solves one
+        # moment problem per slice over all K_x x-modes (tensor phases, the
+        # interior one-window run too): the bound is on K_x, so K_x is named
+        _require(spec.K_x <= K_BIO_MAX, "domain.K_x",
+                 f"actuation on the whole cross-section needs K_x <= {K_BIO_MAX} "
+                 f"(K_bio_max), got K_x={spec.K_x}; give an omega or lower K_x")
+        if isinstance(geometry, InternalPoint):  # one window (0, T), no schedule
+            for name in ("rho", "beta"):
+                _require(params[name] is None, f"{section}.{name}",
+                         "an interior control on the whole cross-section runs one window "
+                         "with no schedule, so it reads no rho or beta; remove the field")
     if task == "nonlinear":  # q_w, p and C_cost become the one WeightPair the task uses
         try:
             weights = {k: params.pop(k) for k in ("p", "q_w", "C_cost")}

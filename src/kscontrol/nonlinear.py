@@ -147,14 +147,6 @@ def source_grid(T: float, weights: WeightPair) -> np.ndarray:
     return np.unique(np.round(pts, 12))
 
 
-@dataclass
-class SourceSolveResult:
-    """The run (its ``trace`` holds the record times) and ||q(t)|| along them."""
-
-    lr: LRRunResult
-    control_norm_series: tuple
-
-
 def controlled_solve_with_source(
     u0: np.ndarray,
     source: Optional[ModalSource],
@@ -164,7 +156,7 @@ def controlled_solve_with_source(
     rho: Optional[float] = None,
     beta: Optional[int] = None,
     weights: Optional[WeightPair] = None,
-) -> SourceSolveResult:
+) -> LRRunResult:
     """Null-controlled solve with the source integrated exactly per window.
 
     Reduces to a plain frequency-splitting run for zero source.  The window
@@ -175,22 +167,8 @@ def controlled_solve_with_source(
     require_clear(spec)
     geometry = geometry if geometry is not None else BoundaryGamma(None)
     weights = weights if weights is not None else WeightPair(T=T)
-    res = run_lr(u0, T, spec, geometry, rho=rho, beta=beta, source=source,
-                 record=source_grid(T, weights))
-    ct = res.trace.times
-    return SourceSolveResult(lr=res, control_norm_series=(ct, _control_norm_series(res, ct)))
-
-
-def _control_norm_series(res: LRRunResult, times: np.ndarray) -> np.ndarray:
-    """||q(t)||_{L2(control region)} sampled along the run's controls."""
-    out = np.zeros_like(times)
-    for sig in res.controls:
-        inside = (times >= sig.t_start - 1e-12) & (times <= sig.t_end + 1e-12)
-        if not np.any(inside):
-            continue
-        sq = sig._row_square(sig.value_at(times[inside]))
-        out[inside] = np.sqrt(np.maximum(sq, 0.0))
-    return out
+    return run_lr(u0, T, spec, geometry, rho=rho, beta=beta, source=source,
+                  record=source_grid(T, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +184,6 @@ class FixedPointResult:
     controls: list = field(repr=False, default_factory=list)
     linear_final_rel: float = math.nan
     nonlinear_final_rel: float = math.nan
-    weights: WeightPair = None
     #: "tol" (delta < tol * delta_0) or "floor" (stalled at the rounding floor)
     stop_reason: str = "tol"
     #: the rounding-floor estimate of the last iteration (see `_source_delta`)
@@ -269,8 +246,8 @@ def fixed_point(
             solve = controlled_solve_with_source(
                 u0, source, T, spec, geometry, rho=rho, beta=beta, weights=weights
             )
-            f_vals = np.array([nonlinear_rhs(state_nd(spec, c)) for c in solve.lr.trace.coeffs])
-            new_source = ModalSource(times=solve.lr.trace.times.copy(), values=f_vals)
+            f_vals = np.array([nonlinear_rhs(state_nd(spec, c)) for c in solve.trace.coeffs])
+            new_source = ModalSource(times=solve.trace.times.copy(), values=f_vals)
             delta, floor = _source_delta(new_source, source, weights, spec)
             if not (math.isfinite(delta) and np.all(np.isfinite(f_vals))):
                 raise FloatingPointError("Picard source or increment is not finite")
@@ -310,17 +287,16 @@ def fixed_point(
 
     nonlinear_rel = math.nan
     if verify:
-        sim = nonlinear_simulate(u0, solve.lr.controls, T, spec, n_steps=sim_steps)
+        sim = nonlinear_simulate(u0, solve.controls, T, spec, n_steps=sim_steps)
         nonlinear_rel = sim["final_rel_norm"]
     return FixedPointResult(
         converged=True,
         iterations=len(deltas),
         deltas=deltas,
         ratios=ratios,
-        controls=solve.lr.controls,
-        linear_final_rel=solve.lr.final_rel_norm,
+        controls=solve.controls,
+        linear_final_rel=solve.final_rel_norm,
         nonlinear_final_rel=nonlinear_rel,
-        weights=weights,
         stop_reason=stop,
         delta_floor=floor,
     )
@@ -455,6 +431,5 @@ def _etd_run(u0, controls, T, spec, n_steps):
     return {
         "final_norm": norms[-1],
         "final_rel_norm": norms[-1] / u0n,
-        "final_coeffs": u,
         "norm_series": (grid, np.array(norms)),
     }

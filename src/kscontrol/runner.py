@@ -130,8 +130,9 @@ def _task_biortho(sc: Scenario, seed, run_dir, manifest):
     lam = -sc.spec.x_rates(j, K)
     shift = c0_shift(-lam)
     fam = build_family(lam + shift, T)
-    with open(os.path.join(run_dir, "family.json"), "w", encoding="utf-8") as fh:
-        fh.write(fam.to_json())
+    write_json(os.path.join(run_dir, "family.json"),
+               {"exponents": fam.exponents, "T": fam.horizon, "coeffs": fam.coeffs,
+                "residual_max": fam.residual_max, "gram_condition": fam.gram_condition})
     write_csv(os.path.join(run_dir, "norms.csv"), ["k", "exponent", "norm"],
               [range(1, K + 1), fam.exponents[:K], [fam.norm(k) for k in range(K)]])
     manifest["residual_max"] = fam.residual_max
@@ -206,8 +207,7 @@ def _task_control_nd(sc: Scenario, seed, run_dir, manifest):
                  record=np.linspace(0.0, T, 65))
     if res.trace is not None:
         write_trace_csv(os.path.join(run_dir, "trace.csv"), res.trace)
-    for i, sig in enumerate(res.controls):
-        write_control_csv(os.path.join(run_dir, f"control_{i:02d}.csv"), sig, n_samples=256)
+    _write_controls(run_dir, res.controls)
     manifest["schedule"] = (
         None if res.schedule is None else {
             "rho": res.schedule.rho, "beta": res.schedule.beta,
@@ -234,6 +234,13 @@ def _task_control_nd(sc: Scenario, seed, run_dir, manifest):
         ]
 
 
+def _write_controls(run_dir, controls):
+    """Both cylinder tasks' controls, signal i as control_{i:02d}.csv: 257 times
+    of its window, one row per (time, y-mode)."""
+    for i, sig in enumerate(controls):
+        write_control_csv(os.path.join(run_dir, f"control_{i:02d}.csv"), sig, n_samples=256)
+
+
 def _task_nonlinear(sc: Scenario, seed, run_dir, manifest):
     from .nonlinear import fixed_point
 
@@ -244,6 +251,7 @@ def _task_nonlinear(sc: Scenario, seed, run_dir, manifest):
         tol=p["tol"], max_iter=p["max_iter"], rho=p["rho"], beta=p["beta"], weights=weights,
         r_guess=p["r_guess"], sim_steps=p["sim_steps"],
     )
+    _write_controls(run_dir, res.controls)
     n = len(res.deltas)  # row i + 1 carries ratios[i - 1]: NaN on row 1 and past the ratios
     ratios = ([math.nan] + list(res.ratios) + [math.nan] * n)[:n]
     write_csv(os.path.join(run_dir, "iterations.csv"), ["n", "delta_F", "ratio"],

@@ -1,17 +1,17 @@
 """Deterministic CSV/JSON writers for run artifacts.
 
 Floats are rendered with repr-faithful %.17g so identical runs are
-byte-identical; dict keys are sorted.  Every CSV is written by templates
-applied with ``%`` to many values at once, so no field is formatted on its
-own.  An array file (trace, observation, control) formats each time stamp
-once (``%.17g``, or ``%d`` for an integer time column) and joins it with
-literal per-row suffixes such as ``",3,2,%.17g"`` that carry the index
-columns, one template per block of whole time stamps.  A row table
-(`write_csv`: modes, cross section, sequence, norms, iterations) repeats
-one row template such as ``"%d,%.17g,%.17g\n"``, ``%d`` for an integer
-column.  Both write blocks of about ROWS_PER_WRITE lines, so a long file
-never holds all of its values as Python objects, nor all of its text, at
-once.  Layouts:
+byte-identical; dict keys are sorted.  Every CSV goes through one engine,
+`_write_rows`, which applies templates with ``%`` to many values at once,
+so no field is formatted on its own.  Each line is a stamp, formatted once
+per stamp (``%.17g``, or ``%d`` for an integer column), followed by a
+literal suffix such as ``",3,2,%.17g"``.  An array file (trace,
+observation, control) stamps its time and has one suffix per index row; a
+row table (`write_csv`: modes, cross section, sequence, norms, iterations)
+stamps its first column and writes the other columns as its one suffix,
+``%d`` for an integer column.  The engine writes blocks of about
+ROWS_PER_WRITE lines, so a long file never holds all of its values as
+Python objects, nor all of its text, at once.  Layouts:
 
 * state/trace CSV: ``t,k,j,coeff`` long format (j=0 for 1-D states)
 * observation CSV: ``t,norm,obs_boundary[,obs_point]``
@@ -20,7 +20,6 @@ once.  Layouts:
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -36,20 +35,19 @@ ROWS_PER_WRITE = 1024
 def write_csv(path, header, columns):
     """``header``, then row i of the equal-length ``columns`` on line i + 1.
 
-    An integer column is written with ``%d``, any other with ``%.17g``: one
-    row template, repeated once per row and applied with ``%`` to the values
-    in file order, ROWS_PER_WRITE rows at a time.
+    The first column stamps each line and the others form its one suffix,
+    through `_write_rows`.  An integer column is written with ``%d``, any
+    other with ``%.17g``.
     """
-    columns = [np.asarray(c) for c in columns]
-    n = len(columns[0])
-    if any(len(c) != n for c in columns):
+    first, *rest = (np.asarray(c) for c in columns)
+    if any(len(c) != len(first) for c in rest):
         raise ValueError(f"columns of unequal lengths {[len(c) for c in columns]}")
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, n, ROWS_PER_WRITE):
-            rows = zip(*(c[lo:lo + ROWS_PER_WRITE].tolist() for c in columns))
-            fh.write((row * min(ROWS_PER_WRITE, n - lo)) % tuple(itertools.chain.from_iterable(rows)))
+    # columns of several dtypes go in as Python scalars: a common numpy dtype
+    # would turn integers beside a float column into floats
+    one_dtype = len({c.dtype for c in rest}) == 1
+    values = np.column_stack(rest) if one_dtype else np.array(rest, dtype=object).T
+    suffix = "".join(",%d" if c.dtype.kind in "iu" else ",%.17g" for c in rest)
+    _write_rows(path, header, first, [suffix], values)
 
 
 def write_json(path, obj):

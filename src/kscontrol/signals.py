@@ -331,7 +331,8 @@ class ControlSignal:
     N-D signals carry row data: the segment's value is the row vector (R,)
     of coefficients of the first R cross-section modes restricted to the
     control region, and ``mass[r, j]`` maps row coefficients to y-modal
-    gains, so ``mass[:, :R]`` is the rows' Gram matrix `row_gram`.
+    gains, so ``mass[:, :R]`` is the rows' Gram matrix: their inner
+    products in L2(control region).
     """
 
     segment: object
@@ -346,11 +347,6 @@ class ControlSignal:
             raise ValueError("control values must be finite")
 
     @property
-    def row_gram(self) -> Optional[np.ndarray]:
-        """L2(control region) inner products of the rows; None without a mass."""
-        return None if self.mass is None else self.mass[:, :self.mass.shape[0]]
-
-    @property
     def t_start(self) -> float:
         return float(self.segment.t0)
 
@@ -361,19 +357,13 @@ class ControlSignal:
     def norm_l2(self) -> float:
         """L2 norm over the window, in closed form: with G the segment's
         `time_gram` and C its coefficients (E,) or (E, R), the square root of
-        the sum of row_gram * (C^T G C), row_gram the identity without a mass."""
+        the sum of mass[:, :R] * (C^T G C), the rows' Gram matrix being the
+        identity without a mass."""
         seg = self.segment
         C = seg.coeffs.reshape(len(seg.coeffs), -1)
         inner = C.T @ seg.time_gram() @ C
-        rows = np.eye(len(inner)) if self.row_gram is None else self.row_gram
+        rows = np.eye(len(inner)) if self.mass is None else self.mass[:, :len(inner)]
         return math.sqrt(max(float(np.sum(rows * inner)), 0.0))
-
-    def _row_square(self, vals):
-        if vals.ndim == 1:
-            return vals**2
-        if self.row_gram is None:
-            return np.sum(vals**2, axis=1)
-        return np.einsum("sr,rq,sq->s", vals, self.row_gram, vals)
 
     def value_at(self, t):
         """Evaluate the control at times t, each within 1e-12 of the window.

@@ -452,7 +452,8 @@ def n0_index(spec: SpectrumSpec) -> int:
 
 
 def K0_index(spec: SpectrumSpec) -> int:
-    """min{k : mu_k > nu}."""
+    """min{j : mu_j > nu}, a cross-section index j (the lowest cutoff of the
+    frequency-splitting schedule lies above it)."""
     for j in range(1, len(spec.mus) + 1):
         if spec.mu(j) > spec.nu_float:
             return j

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import mpmath as mp
 import numpy as np
@@ -16,7 +17,10 @@ from kscontrol.biorthogonal import (
     cost_fit,
     gram_matrix,
 )
+from kscontrol.config import parse_config_dict
 from kscontrol.errors import DuplicateRate, IllConditioned
+from kscontrol.runner import run_scenario
+from kscontrol.serialize import write_json
 
 
 def ks_exponents(K, mu=1.0, nu=0.0, a=math.pi):
@@ -203,14 +207,23 @@ def test_k_bio_max_enforced():
         build_family(np.arange(1.0, 27.0) ** 4, T=1.0)
 
 
-def test_json_roundtrip():
-    fam = build_family([1.0, 16.0], T=1.0)
-    d = json.loads(fam.to_json())
-    assert np.array_equal(np.asarray(d["coeffs"]), fam.coeffs)
+def test_json_roundtrip(tmp_path):
+    # the biortho task writes family.json with write_json; the exponents and
+    # horizon it holds rebuild the family, whose fields it holds exactly
+    sc = parse_config_dict({"task": "biortho", "biortho": {"j": 2, "K": 6, "T": 0.5}, "domain": {
+        "a": "pi", "nu": 0, "cross_section": {"box": ["pi"]}, "K_x": 8, "J_y": 4}})
+    _, run_dir = run_scenario(sc, out_dir=str(tmp_path / "runs"))
+    written = (pathlib.Path(run_dir) / "family.json").read_bytes()
+    d = json.loads(written)
+    fam = build_family(d["exponents"], T=d["T"])
     assert np.array_equal(np.asarray(d["exponents"]), fam.exponents)
-    assert d["T"] == fam.horizon
+    assert np.array_equal(np.asarray(d["coeffs"]), fam.coeffs)
     assert d["residual_max"] == fam.residual_max
     assert d["gram_condition"] == fam.gram_condition
+    write_json(tmp_path / "family.json", {
+        "exponents": fam.exponents, "T": fam.horizon, "coeffs": fam.coeffs,
+        "residual_max": fam.residual_max, "gram_condition": fam.gram_condition})
+    assert written == (tmp_path / "family.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kscontrol.cli import main as cli_main
 from kscontrol.config import _FIELDS, ConfigError, parse_config_dict
-from kscontrol.lebeau_robbiano import default_rho
+from kscontrol.lebeau_robbiano import build_schedule, default_rho
 from kscontrol.runner import run_scenario
 from kscontrol.serialize import hash_dir
 from kscontrol.spectrum import critical_set_check
@@ -333,15 +333,23 @@ BAD_INPUTS = [
     ("root_index-beyond-roots", _demo("minimal_time.json", _POINT,
                                       {"algebraic": [1, 2, -1], "root_index": 5}),
      f"{_POINT}.root_index"),
-    # actuation on the whole cross-section solves for all K_x x-modes per slice
-    ("tensor-K_x-beyond-family", _whole_section("control_nd", {"boundary": {}}),
-     "control_nd.geometry"),
+    # actuation on the whole cross-section solves for all K_x x-modes per slice:
+    # the bound names K_x, whether the geometry is given or the default
+    ("tensor-K_x-beyond-family", _whole_section("control_nd", {"boundary": {}}), "domain.K_x"),
     ("nonlinear-tensor-K_x-beyond-family",
-     _whole_section("nonlinear", {"boundary": {"omega": None}}), "nonlinear.geometry"),
+     _whole_section("nonlinear", {"boundary": {"omega": None}}), "domain.K_x"),
     ("internal-direct-K_x-beyond-family",
      _whole_section("control_nd", {"internal": {"point": {"algebraic": [1, 2, -1]}}}),
-     "control_nd.geometry"),
+     "domain.K_x"),
     ("default-geometry-K_x-beyond-family", _whole_section("control_nd", None), "domain.K_x"),
+    # the interior run on the whole cross-section is one window with no schedule
+    ("internal-whole-section-rho", _demo("control_nd_interior.json", "control_nd.rho", 0.5),
+     "control_nd.rho"),
+    ("internal-whole-section-beta", _demo("control_nd_interior.json", "control_nd.beta", 4),
+     "control_nd.beta"),
+    ("nonlinear-internal-whole-section-beta",
+     _demo("nonlinear.json", "nonlinear.geometry", {"internal": {"point": {"rational": "1/3"}}}),
+     "nonlinear.beta"),
     # the nonlinear term needs the eigenfunctions of a box
     ("nonlinear-on-external", _demo("nonlinear.json", "domain.cross_section",
                                     {"external": [j * j for j in range(1, 17)]}),
@@ -424,6 +432,9 @@ BAD_VALUES = st.one_of(
 
 
 @given(target=st.sampled_from(FIELD_TARGETS), value=BAD_VALUES)
+# a K_x past K_bio_max that passes its own bound, on a geometry given as the
+# whole cross-section
+@example(target=("control_nd_interior.json", "domain", "K_x"), value=4096)
 @settings(max_examples=200, deadline=None)
 def test_one_bad_field_parses_or_names_its_path(target, value):
     name, section, key = target
@@ -447,8 +458,16 @@ def _load_fuzz_configs():
 
 
 _FUZZ = _load_fuzz_configs()
+#: the demo configs that the 200 seeded cases below are drawn from.  A config
+#: added to the pool would change the draw, and with it the id of nearly every
+#: case; each later config gets its own seeded draw instead.
+SEEDED_POOL = ("control_1d.json", "control_nd.json", "control_point.json", "minimal_time.json",
+               "nonlinear.json", "nonlinear_3d.json", "nonlinear_omega.json", "simulate.json",
+               "simulate_slice.json")
 # the inputs that once ended in a traceback or a silent inf, then seeded mutations
-FUZZ_CASES = _FUZZ.fixed_cases() + _FUZZ.mutations(seed=1, count=200)
+FUZZ_CASES = _FUZZ.fixed_cases() + _FUZZ.mutations(seed=1, count=200, names=SEEDED_POOL)
+for _name in sorted({p.name for p in DEMO_CONFIGS.glob("*.json")} - set(SEEDED_POOL)):
+    FUZZ_CASES += _FUZZ.mutations(seed=1, count=20, names=[_name])
 
 
 @pytest.mark.parametrize("task, cfg", [c[1:] for c in FUZZ_CASES], ids=[c[0] for c in FUZZ_CASES])
@@ -501,6 +520,28 @@ def test_strict_omega_nonlinear_config_meets_c10a(tmp_path, name):
     assert ver["stop_reason"] == "tol"
     assert ver["ratios"] and all(r < 0.9 for r in ver["ratios"])
     assert ver["nonlinear_final_rel"] <= 1e-5
+
+
+def test_nonlinear_run_writes_its_controls_as_control_nd_does(tmp_path):
+    # one control_XX.csv per Lebeau-Robbiano window of the converged run: 257
+    # times of the window's active span, one row per cross-section mode it kills
+    sc = parse_config_dict(json.loads((DEMO_CONFIGS / "nonlinear.json").read_text()))
+    p = sc.params
+    windows = build_schedule(p["T"], default_rho(sc.spec), p["beta"], sc.spec).windows
+    files = []
+    for sub in ("r1", "r2"):
+        _, run_dir = run_scenario(sc, out_dir=str(tmp_path / sub))
+        files.append({f.name: f.read_bytes() for f in sorted(pathlib.Path(run_dir).glob("control_*"))})
+    assert files[0] == files[1]
+    assert list(files[0]) == [f"control_{w.index:02d}.csv" for w in windows]
+    for w, text in zip(windows, files[0].values()):
+        header, *lines = text.decode().splitlines()
+        assert header == "t,j,value"
+        rows = [line.split(",") for line in lines]
+        times = sorted({float(r[0]) for r in rows})
+        assert len(rows) == 257 * w.gamma and len(times) == 257
+        assert times[0] == w.a_k and times[-1] == pytest.approx(w.a_k + w.T_k, abs=1e-15)
+        assert [int(r[1]) for r in rows[:2 * w.gamma]] == 2 * list(range(1, w.gamma + 1))
 
 
 def _run_demo(tmp_path, cfg):

@@ -68,8 +68,8 @@ def test_zero_source_reduces_to_run_lr():
     c[0, 0] = 1.0
     plain = run_lr(c, 1.0, spec, BoundaryGamma(None), beta=4)
     sol = controlled_solve_with_source(c, None, 1.0, spec, BoundaryGamma(None), beta=4)
-    assert sol.lr.final_rel_norm == pytest.approx(plain.final_rel_norm, abs=1e-12)
-    assert sol.lr.total_control_norm == pytest.approx(plain.total_control_norm, rel=1e-12)
+    assert sol.final_rel_norm == pytest.approx(plain.final_rel_norm, abs=1e-12)
+    assert sol.total_control_norm == pytest.approx(plain.total_control_norm, rel=1e-12)
 
 
 def test_early_pulse_source_still_nulled():
@@ -83,7 +83,7 @@ def test_early_pulse_source_still_nulled():
     vals[pulse, 1, 1] = 0.3
     src = ModalSource(times=times, values=vals)
     sol = controlled_solve_with_source(c, src, 1.0, spec, BoundaryGamma(None), beta=4)
-    assert sol.lr.final_rel_norm <= 1e-6
+    assert sol.final_rel_norm <= 1e-6
 
 
 def test_superposition_of_initial_data_and_source():
@@ -105,9 +105,9 @@ def test_superposition_of_initial_data_and_source():
         2.0 * c1 + 3.0 * c2, s12, 1.0, spec, BoundaryGamma(None), beta=4
     )
     # linearity of the end state residual (superposition of runs vs combined run)
-    e1 = r1.lr.trace.coeffs[-1]
-    e2 = r2.lr.trace.coeffs[-1]
-    e12 = r12.lr.trace.coeffs[-1]
+    e1 = r1.trace.coeffs[-1]
+    e2 = r2.trace.coeffs[-1]
+    e12 = r12.trace.coeffs[-1]
     assert np.linalg.norm(e12 - 2.0 * e1 - 3.0 * e2) <= 1e-8
 
 

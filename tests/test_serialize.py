@@ -220,6 +220,9 @@ def _row_table_cases():
     # integers past 2^53, which %.17g would round
     yield "uint", ["k", "v"], [np.array([0, 2**63 + 1, 2**64 - 1], dtype=np.uint64),
                                np.float32([0.1, -0.0, math.inf])]
+    # past 2^53 beside a float column, as the j column of modes.csv sits
+    yield "int-beside-float", ["k", "j", "v"], [range(3), np.array([1, 2**62 + 1, -2**63]),
+                                                np.array([0.5, math.nan, -0.0])]
     yield "empty", ["n", "delta_F", "ratio"], [range(1, 1), [], np.zeros(0)]
 
 

@@ -63,6 +63,13 @@ def test_artifact_diff_verdicts_compare_the_scanned_minimal_time():
     assert "T0_hat" in line and "None" in line
 
 
+def test_artifact_diff_marks_a_file_only_one_run_wrote():
+    ad = _artifact_diff()
+    base, head = {"manifest.json": "1", "old.csv": "2"}, {"manifest.json": "3", "new.csv": "4"}
+    assert [ad._marked(name, base, head) for name in ("manifest.json", "new.csv", "old.csv")] == [
+        "manifest.json", "new.csv (added)", "old.csv (removed)"]
+
+
 def _definitions(tree):
     """(name, line, is_method) of every function, class and method, nested
     ones too; a method is a function defined directly in a class body."""

@@ -8,8 +8,9 @@ benchmark workload at each seed, read from HEAD_TREE's
 ``perfbench/workloads.py``.  Both trees get the same config file, each with
 its own ``--out``, one process per run and the BLAS pool at one thread
 unless OPENBLAS_NUM_THREADS is set.  For each run it prints both exit codes
-and the artifacts whose bytes differ; ``timings.json`` is left out, being
-the one artifact a rerun may change.  When ``manifest.json`` differs, it
+and the artifacts whose bytes differ, a file that only one run wrote marked
+``added`` or ``removed``; ``timings.json`` is left out, being the one
+artifact a rerun may change.  When ``manifest.json`` differs, it
 also prints each changed scalar leaf (``path: base -> head``) and, for each
 changed list of numbers, its largest relative change; for each differing
 CSV, how many of its numeric fields changed and the largest relative
@@ -83,6 +84,12 @@ def _run(tree, cfg_path, task, out):
                 elif name.endswith(".csv"):
                     csvs[name] = data.decode()
     return proc.returncode, digests, manifest, csvs
+
+
+def _marked(name, base, head):
+    """``name``, marked ``(added)`` or ``(removed)`` when only the head or only
+    the base run wrote it; ``base`` and ``head`` hold the names each wrote."""
+    return name + (" (added)" if name not in base else " (removed)" if name not in head else "")
 
 
 def _is_number(x):
@@ -199,7 +206,8 @@ def main(argv=None) -> int:
             moves = _verdict_moves(man_a, man_b) if args.verdicts else []
             passed = (rc_a == rc_b and not moves) if args.verdicts else same
             runs, differing, failing = runs + 1, differing + (not same), failing + (not passed)
-            what = "differ: " + ", ".join(changed) if changed else f"{len(a)} artifacts identical"
+            what = ("differ: " + ", ".join(_marked(name, a, b) for name in changed) if changed
+                    else f"{len(a)} artifacts identical")
             print(f"{'same' if same else 'DIFF'} {label:<48} exit {rc_a} {rc_b}  {what}", flush=True)
             if "manifest.json" in changed and man_a is not None and man_b is not None:
                 for line in _manifest_changes(man_a, man_b):

@@ -98,13 +98,14 @@ def fixed_cases(tree=HERE) -> list:
     return out
 
 
-def mutations(seed: int, count: int, tree=HERE) -> list:
-    """(label, task, config) of ``count`` seeded mutations: a demo config with
-    one or two fields, neither inside the other, replaced from POOL.  The task
-    is the demo's, whatever the mutation did to the config's own."""
+def mutations(seed: int, count: int, tree=HERE, names=None) -> list:
+    """(label, task, config) of ``count`` seeded mutations: a demo config, one
+    of ``names`` (default: every one, sorted), with one or two fields, neither
+    inside the other, replaced from POOL.  The task is the demo's, whatever
+    the mutation did to the config's own."""
     rng = random.Random(seed)
     demos = demo_configs(tree)
-    names = sorted(demos)
+    names = sorted(demos) if names is None else list(names)
     out = []
     for i in range(count):
         name = rng.choice(names)
