@@ -38,7 +38,7 @@ print(f"  nonincreasing in T: {scan['monotone_in_T']}")
 
 print("\nthe critical counterexample at nu = 7 (= 2 mu_1 + 1^2 + 2^2):")
 crit = SpectrumSpec(a="pi", nu=7, cross_section=Box(["pi"]), K_x=8, J_y=4)
-ce = critical_counterexample(crit, T=1.0, x0=1.0)
+ce = critical_counterexample(crit, T=1.0)
 print(f"  colliding pair (k,l) = ({ce.k0},{ce.l0}), common rate {ce.rate}")
 print(f"  boundary observation sup over 1000 samples: {ce.observation_max:.2e}")
 print(f"  norm grows at the exact rate (error {ce.growth_rate_error:.1e}) while unseen")

@@ -58,7 +58,6 @@ class SynthesisReport:
     gram_condition: float
     c0: float
     K_trunc: int
-    targets: np.ndarray = field(repr=False, default=None)
     T0_hat: Optional[float] = None
     threshold: Optional[float] = None
 
@@ -74,9 +73,9 @@ def synthesize_boundary_control(
 
     Returns ``(ControlSignal, SynthesisReport)``.  The control is
     ``q(t) = h(T - t)`` on [0, T] with h the analytic moment solution.  The
-    report's ``targets`` are the per-mode moment targets
-    -e^{lambda_k T} u0_k / g_k; with the frozen boundary sign these are
-    positive multiples a^(3/2)/(sqrt(2) k pi) e^{lambda_k T} u0_k.
+    per-mode moment targets are -e^{lambda_k T} u0_k / g_k; with the frozen
+    boundary sign these are positive multiples
+    a^(3/2)/(sqrt(2) k pi) e^{lambda_k T} u0_k.
     """
     require_clear(spec)
     return _synthesize_1d(u0, T, spec, j, K_trunc)
@@ -89,7 +88,7 @@ def _synthesize_1d(u0, T: float, spec: SpectrumSpec, j: int, K_trunc: int,
     The actuator is ``x0``: the boundary when None, else the point, whose
     x-modal gain `x_gain` gives.  Returns ``(control, SynthesisReport)``: the
     physical control q(t) = h(T - t) on [0, T], and the report with the
-    targets and the free-decay energy of the modes above K_trunc.
+    free-decay energy of the modes above K_trunc.
     """
     u0 = np.asarray(u0, dtype=float)
     K_trunc = min(K_trunc, len(u0))
@@ -105,7 +104,6 @@ def _synthesize_1d(u0, T: float, spec: SpectrumSpec, j: int, K_trunc: int,
         gram_condition=sol.family.gram_condition,
         c0=sol.c0,
         K_trunc=K_trunc,
-        targets=sol.targets,
     )
     return control, report
 
@@ -201,13 +199,9 @@ class Counterexample:
     j: int
     k0: int
     l0: int
-    u0: np.ndarray
     rate: float
-    rate_collision_error: float
     observation_max: float
-    min_norm: float
     growth_rate_error: float
-    pointwise_weight: Optional[float]
     trace: Trace = field(repr=False, default=None)
 
 
@@ -215,23 +209,20 @@ def critical_counterexample(
     spec: SpectrumSpec,
     T: float = 1.0,
     n_samples: int = 1000,
-    x0: Optional[float] = None,
 ) -> Counterexample:
     """The invariant solution at an exactly critical parameter.
 
     With rates colliding at (k0, l0), the initial state
     psi_{k0} - (k0/l0) psi_{l0} has identically vanishing boundary
     observation v_x(t, 0) while its norm evolves at the exact common rate
-    k0^2 l0^2 pi^4 / a^4.  The pointwise analogue swaps the weight for
-    sin(k0 pi x0/a)/sin(l0 pi x0/a).
+    k0^2 l0^2 pi^4 / a^4.  The pointwise analogue at x0 swaps the weight
+    k0/l0 for sin(k0 pi x0/a)/sin(l0 pi x0/a).
     """
     verdict = critical_set_check(spec)
     if verdict.kind != "critical":
         raise NotCritical(f"verdict is {verdict.kind}; counterexample needs exact criticality")
     j, k0, l0 = verdict.j, verdict.k, verdict.l
-    rates = spec.x_rates(j, l0)
-    lam_k, lam_l = float(rates[k0 - 1]), float(rates[l0 - 1])
-    expected = (k0 * l0) ** 2 * math.pi**4 / spec.a_float**4
+    lam_k = float(spec.x_rates(j, l0)[k0 - 1])
     K = max(spec.K_x, l0)
     u0 = np.zeros(K)
     u0[k0 - 1] = 1.0
@@ -243,21 +234,11 @@ def critical_counterexample(
     obs_max = float(np.max(np.abs(series["boundary"])))
     norms = trace.norms()
     growth = (math.log(norms[-1]) - math.log(norms[0])) / (times[-1] - times[0])
-    weight = None
-    if x0 is not None:
-        sk = math.sin(k0 * math.pi * x0 / spec.a_float)
-        sl = math.sin(l0 * math.pi * x0 / spec.a_float)
-        weight = sk / sl
-    scale = max(1.0, abs(lam_k))
-    collision_err = max(abs(lam_k - lam_l), abs(lam_k - expected)) / scale
     return Counterexample(
-        j=j, k0=k0, l0=l0, u0=u0,
+        j=j, k0=k0, l0=l0,
         rate=lam_k,
-        rate_collision_error=collision_err,
         observation_max=obs_max,
-        min_norm=float(np.min(norms)),
         growth_rate_error=abs(growth - lam_k),
-        pointwise_weight=weight,
         trace=trace,
     )
 

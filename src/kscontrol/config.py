@@ -33,7 +33,7 @@ from .nonlinear import (
     MIN_SIM_STEPS,
     WeightPair,
 )
-from .pointwise import DEFAULT_K_MAX, DEFAULT_MARGIN, LIOUVILLE_RULES, MAX_ALGEBRAIC_DEGREE
+from .pointwise import DEFAULT_K_MAX, LIOUVILLE_RULES, MAX_ALGEBRAIC_DEGREE
 from .pointwise import MAX_LIOUVILLE_DEPTH, PointSpec
 from .spectrum import DEFAULT_CRIT_TOL, DEFAULT_J_Y, DEFAULT_K_X, MAX_K_MAX, MAX_MODES, MAX_SIM_STEPS
 from .spectrum import MAX_NU_SCALE, MAX_TRACE_ROWS, Box, External, SpectrumSpec
@@ -261,25 +261,19 @@ _FIELDS = {
         "crit_tol": (_positive, DEFAULT_CRIT_TOL),
     },
     "spectrum": {},
-    "critical_set": {"search_bound": (_integer(), None)},
+    "critical_set": {},
     "biortho": {"j": _J, "K": (_integer(1, K_BIO_MAX), 10), "T": (_positive, 0.5)},
     "control_1d": _SLICE_CONTROL,
-    "control_point": {
-        **_SLICE_CONTROL,
-        "point": (parse_point, REQUIRED),
-        "margin": (_number(0.0), DEFAULT_MARGIN),
-    },
+    "control_point": {**_SLICE_CONTROL, "point": (parse_point, REQUIRED)},
     "minimal_time": {"point": (parse_point, REQUIRED), "k_max": (_integer(1, MAX_K_MAX), DEFAULT_K_MAX)},
     "control_nd": _SPLITTING,
     "nonlinear": {
         **_SPLITTING,
         "q_w": (_number(), DEFAULT_Q),
-        "p": (_number(), None),
         "C_cost": (_number(), DEFAULT_C_COST),
         "tol": (_positive, 1e-6),
         "max_iter": (_integer(), DEFAULT_MAX_ITER),
         "sim_steps": (_integer(MIN_SIM_STEPS, MAX_SIM_STEPS), DEFAULT_SIM_STEPS),
-        "r_guess": (_positive, None),
     },
     "simulate": {
         "j": (_J[0], None),  # unset: the run is on the cylinder
@@ -395,9 +389,9 @@ def parse_config_dict(raw: dict) -> Scenario:
                 _require(params[name] is None, f"{section}.{name}",
                          "an interior control on the whole cross-section runs one window "
                          "with no schedule, so it reads no rho or beta; remove the field")
-    if task == "nonlinear":  # q_w, p and C_cost become the one WeightPair the task uses
+    if task == "nonlinear":  # q_w and C_cost become the one WeightPair the task uses
         try:
-            weights = {k: params.pop(k) for k in ("p", "q_w", "C_cost")}
+            weights = {k: params.pop(k) for k in ("q_w", "C_cost")}
             params["weights"] = WeightPair(T=params["T"], **weights)
         except ValueError as exc:  # WeightPair's messages start with the field name
             raise ConfigError(f"{section}.{re.match(r'[A-Za-z_]+', str(exc))[0]}", str(exc))

@@ -47,10 +47,9 @@ class NoContraction(KSControlError):
     """Fixed-point iteration did not converge.
 
     ``reason`` says which test stopped it: ``"ratio"`` when the contraction
-    ratios exceed 0.9 three times in a row (initial data too large),
-    ``"radius"`` when ``||u0||`` exceeds a given ``r_guess``, and ``"cap"``
-    when ``max_iter`` runs out; the last alone does not show a loss of
-    contraction.
+    ratios exceed 0.9 three times in a row (initial data too large), and
+    ``"cap"`` when ``max_iter`` runs out; the latter alone does not show a
+    loss of contraction.
     """
 
     exit_code = 6

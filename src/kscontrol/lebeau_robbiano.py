@@ -389,7 +389,6 @@ class LRRunResult:
     window_norms: list          # ||u(a_k)|| including the final time
     window_control_norms: list
     total_control_norm: float
-    final_norm: float
     final_rel_norm: float
     controls: list = field(repr=False, default_factory=list)
     gramian_reports: list = field(default_factory=list)
@@ -477,7 +476,6 @@ def run_lr(
         window_norms=window_norms,
         window_control_norms=control_norms,
         total_control_norm=total,
-        final_norm=state.norm,
         final_rel_norm=state.norm / max(u0_norm, 1e-300),
         controls=controls,
         gramian_reports=gram_reports,

@@ -189,12 +189,7 @@ class ControlStepper:
       the segment's coefficients, so a step starting at t0 costs the scale
       vector e^{b (t0 + rho h - r)} (rho = 1 for growing b, else 0; entries
       <= 1 under the reference discipline of `signals`) and one
-      matrix-vector product.  A Legendre segment takes `forcing`.  When
-      the block was introduced, the ``nonlinear-tensor`` benchmark (2-core
-      VM, reference CPU speed) had a median ``wall_s`` of 0.77 s with a
-      replay that called `evolve_controlled` per step, 0.62 s on `forcing`
-      alone and 0.39 s on the block; with the later speedups of the other
-      layers and of `rhs_operator` it is 0.184 s.
+      matrix-vector product.  A Legendre segment takes `forcing`.
     """
 
     def __init__(self, state: ModalState, control: Optional[ControlSignal]):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biorthogonal import BiorthogonalFamily, build_family
+from .errors import IllConditioned
 from .signals import ControlSignal, ExpSegment
 from .spectrum import c0_shift
 
@@ -94,8 +95,6 @@ class MomentSolver:
         conditioning (the ill-conditioned directions pair with exponentially
         dead targets).
         """
-        from .errors import IllConditioned
-
         m = np.asarray(targets, dtype=float)
         if m.shape != self.rates.shape:
             raise ValueError("rates and targets must have equal length")

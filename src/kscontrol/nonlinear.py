@@ -62,25 +62,24 @@ def default_p(q_w: float = DEFAULT_Q) -> float:
 
 @dataclass
 class WeightPair:
-    """Vanishing weights on [0, T]; ``p=None`` takes `default_p` of ``q_w``.
+    """Vanishing weights on [0, T] with p = `default_p` of ``q_w``.
 
     Each ValueError message starts with the name of the field it rejects."""
 
     T: float
-    p: Optional[float] = None
     q_w: float = DEFAULT_Q
     C_cost: float = DEFAULT_C_COST
 
     def __post_init__(self):
         if not 1.0 < self.q_w < math.sqrt(2.0):
             raise ValueError(f"q_w={self.q_w} outside (1, sqrt(2))")
-        if self.p is None:
-            self.p = default_p(self.q_w)
-        threshold = self.q_w**2 / (2.0 - self.q_w**2)
-        if not self.p > threshold:
-            raise ValueError(f"p={self.p} must exceed q^2/(2-q^2) = {threshold:.4g}")
         if not self.C_cost > 0:
             raise ValueError("C_cost must be positive")
+
+    @property
+    def p(self) -> float:
+        """`default_p` of ``q_w``, above the threshold q^2/(2-q^2) by construction."""
+        return default_p(self.q_w)
 
     @property
     def _rhoF_coef(self) -> float:
@@ -177,7 +176,9 @@ def controlled_solve_with_source(
 
 @dataclass
 class FixedPointResult:
-    converged: bool
+    """A converged Picard run; `fixed_point` raises NoContraction instead of
+    returning an unconverged one."""
+
     iterations: int
     deltas: list
     ratios: list
@@ -200,7 +201,6 @@ def fixed_point(
     rho: Optional[float] = None,
     beta: Optional[int] = None,
     weights: Optional[WeightPair] = None,
-    r_guess: Optional[float] = None,
     verify: bool = True,
     sim_steps: int = DEFAULT_SIM_STEPS,
 ) -> FixedPointResult:
@@ -213,8 +213,7 @@ def fixed_point(
     floor F_hat of `_source_delta` the ratios scatter around 1 whatever the
     data, so a ratio above 0.9 taken at delta <= F_hat ends the run as
     converged (``"floor"``), and only ratios taken above F_hat count for the
-    ratio test.  Besides the up-front ``r_guess`` gate (reason
-    ``"radius"``), NoContraction is raised in two ways.  The ratio test fires
+    ratio test.  NoContraction is raised in two ways.  The ratio test fires
     after three consecutive ratios above 0.9 (reason ``"ratio"``): the data
     is outside the local regime.  Exhausting ``max_iter`` also raises
     NoContraction (reason ``"cap"``), even when every ratio is well below
@@ -231,11 +230,6 @@ def fixed_point(
     geometry = geometry if geometry is not None else BoundaryGamma(None)
     weights = weights if weights is not None else WeightPair(T=T)
     u0 = np.asarray(u0, dtype=float)
-    if r_guess is not None and coeff_norm(u0) > r_guess:
-        raise NoContraction(
-            f"||u0|| = {coeff_norm(u0):.3e} exceeds the locality radius {r_guess:.3e}",
-            "radius",
-        )
     source = None
     prev_delta = None
     delta0 = None
@@ -290,7 +284,6 @@ def fixed_point(
         sim = nonlinear_simulate(u0, solve.controls, T, spec, n_steps=sim_steps)
         nonlinear_rel = sim["final_rel_norm"]
     return FixedPointResult(
-        converged=True,
         iterations=len(deltas),
         deltas=deltas,
         ratios=ratios,

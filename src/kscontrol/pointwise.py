@@ -267,18 +267,18 @@ def minimal_time_estimate(point: PointSpec, a: float = math.pi,
     )
 
 
-def minimal_time_gate(point: PointSpec, spec: SpectrumSpec, T: Optional[float] = None,
-                      margin: float = DEFAULT_MARGIN) -> MinimalTimeReport:
+def minimal_time_gate(point: PointSpec, spec: SpectrumSpec,
+                      T: Optional[float] = None) -> MinimalTimeReport:
     """The one minimal-time gate of interior control at ``point``.
 
     Returns the `minimal_time_estimate` to DEFAULT_K_MAX, scanned once per
     (spec, point) however many syntheses, certificates and runs share them;
     it raises RationalPoint for a rational x0/a.  Given ``T``, it refuses
-    T <= (1 + margin) T0_hat with BelowMinimalTime.
+    T <= (1 + DEFAULT_MARGIN) T0_hat with BelowMinimalTime.
     """
     estimate = spec.cached(("minimal_time", point),
                            lambda: minimal_time_estimate(point, spec.a_float))
-    threshold = (1.0 + margin) * estimate.T0_hat
+    threshold = (1.0 + DEFAULT_MARGIN) * estimate.T0_hat
     if T is not None and T <= threshold:
         raise BelowMinimalTime(
             f"T={T} <= (1+margin) T0_hat = {threshold:.6g}; minimal-time gate refuses synthesis"
@@ -293,30 +293,28 @@ def synthesize_point_control(
     spec: SpectrumSpec,
     j: int,
     K_trunc: int = DEFAULT_K_TRUNC,
-    margin: float = DEFAULT_MARGIN,
 ):
     """Pointwise control nulling modes k <= K_trunc for T above the gate.
 
-    The gate (`minimal_time_gate`) is T > (1 + margin) T0_hat; at or below
+    The gate (`minimal_time_gate`) is T > (1 + DEFAULT_MARGIN) T0_hat; at or below
     it the synthesis is refused with BelowMinimalTime (see
     `negative_certificate` for the witness).  Nothing is claimed about T
     exactly at the minimal time.  Returns ``(ControlSignal,
-    SynthesisReport)``; the report's ``targets`` are
-    -e^{lambda_k T} u0_k / (sqrt(2/a) sin(k pi x0/a)), and it carries the
-    gate's ``T0_hat`` and ``threshold``.
+    SynthesisReport)``: the moment targets are
+    -e^{lambda_k T} u0_k / (sqrt(2/a) sin(k pi x0/a)), and the report
+    carries the gate's ``T0_hat`` and ``threshold``.
     """
     require_clear(spec)
-    estimate = minimal_time_gate(point, spec, T, margin)
+    estimate = minimal_time_gate(point, spec, T)
     control, report = _synthesize_1d(u0, T, spec, j, K_trunc, x0=estimate.x0_over_a * spec.a_float)
     return control, replace(report, T0_hat=estimate.T0_hat,
-                            threshold=(1.0 + margin) * estimate.T0_hat)
+                            threshold=(1.0 + DEFAULT_MARGIN) * estimate.T0_hat)
 
 
 @dataclass
 class BlowupWitness:
     k: np.ndarray
     log10_ratio: np.ndarray
-    ratio_cap: np.ndarray  # ratios clipped at float range for reporting
     T: float
     T0_hat: float
 
@@ -345,12 +343,9 @@ def negative_certificate(
     lam = spec.x_rates(j, int(ks[-1]))[witnesses]
     # log ratio = 2 lambda_k T + 2 (-log|sin|)
     log_ratio = 2.0 * lam * T + 2.0 * estimate.neg_log_sin[witnesses]
-    log10_ratio = log_ratio / math.log(10.0)
-    ratio = np.where(log10_ratio < 300, np.power(10.0, np.minimum(log10_ratio, 300)), np.inf)
     return BlowupWitness(
         k=ks.astype(int),
-        log10_ratio=log10_ratio,
-        ratio_cap=ratio,
+        log10_ratio=log_ratio / math.log(10.0),
         T=T,
         T0_hat=estimate.T0_hat,
     )

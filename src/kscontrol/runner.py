@@ -27,11 +27,16 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
+from .biorthogonal import build_family
 from .boundary_1d import synthesize_boundary_control, verify_null
 from .config import Scenario
-from .errors import KSControlError, NoContraction, NotFinite, ThresholdBeyondTruncation
+from .errors import BelowMinimalTime, KSControlError, NoContraction, NotFinite
+from .errors import ThresholdBeyondTruncation
 from .lebeau_robbiano import run_lr
 from .modal import evolve_controlled, observe, state_1d, state_nd
+from .nonlinear import fixed_point
+from .pointwise import minimal_time_estimate, minimal_time_gate, negative_certificate
+from .pointwise import synthesize_point_control
 from .serialize import write_control_csv, write_csv, write_json, write_observation_csv, write_trace_csv
 from .spectrum import Box, K0_index, c0_shift, critical_set_check, n0_index, weyl_fit
 
@@ -77,7 +82,7 @@ def run_scenario(scenario: Scenario, out_dir=None, seed=None):
         manifest["status"] = "error"
         manifest["error"] = {"type": type(exc).__name__, "message": str(exc),
                              "exit_code": exc.exit_code}
-        if isinstance(exc, NoContraction):  # the ratio test, the max_iter cap or r_guess
+        if isinstance(exc, NoContraction):  # the ratio test or the max_iter cap
             manifest["error"]["reason"] = exc.reason
         raise
     finally:
@@ -114,18 +119,16 @@ def _task_spectrum(sc: Scenario, seed, run_dir, manifest):
         manifest["weyl_fit"] = weyl_fit(spec)
 
 
-def _verdict(spec, search_bound=None) -> dict:
-    v = critical_set_check(spec, search_bound)
+def _verdict(spec) -> dict:
+    v = critical_set_check(spec)
     return {"kind": v.kind, "j": v.j, "k": v.k, "l": v.l, "distance": v.distance}
 
 
 def _task_critical_set(sc: Scenario, seed, run_dir, manifest):
-    manifest["verdict"] = _verdict(sc.spec, sc.params["search_bound"])
+    manifest["verdict"] = _verdict(sc.spec)
 
 
 def _task_biortho(sc: Scenario, seed, run_dir, manifest):
-    from .biorthogonal import build_family
-
     j, K, T = sc.params["j"], sc.params["K"], sc.params["T"]
     lam = -sc.spec.x_rates(j, K)
     shift = c0_shift(-lam)
@@ -149,8 +152,8 @@ def _task_control_1d(sc: Scenario, seed, run_dir, manifest):
 
 def _closed_loop_1d(sc: Scenario, run_dir, control, rep) -> dict:
     """Both 1-D tasks' tail: control.csv, the verdict of `verify_null`, the closed
-    loop at 129 times as trace.csv, and the report (every SynthesisReport field
-    but ``targets``, and the verdict's ``final_rel_enforced`` and ``final_rel_all``)."""
+    loop at 129 times as trace.csv, and the report (every SynthesisReport field,
+    and the verdict's ``final_rel_enforced`` and ``final_rel_all``)."""
     p, spec = sc.params, sc.spec
     j, T, u0 = p["j"], p["T"], p["u0_modes"]
     write_control_csv(os.path.join(run_dir, "control.csv"), control)
@@ -158,14 +161,12 @@ def _closed_loop_1d(sc: Scenario, run_dir, control, rep) -> dict:
     _, trace = evolve_controlled(state_1d(spec, j, coeffs=u0), control, (0.0, T),
                                  record=np.linspace(0.0, T, 129))
     write_trace_csv(os.path.join(run_dir, "trace.csv"), trace)
-    report = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "targets"}
+    report = {f.name: getattr(rep, f.name) for f in fields(rep)}
     report.update(final_rel_enforced=out.rel_final_enforced, final_rel_all=out.rel_final_all)
     return report
 
 
 def _task_minimal_time(sc: Scenario, seed, run_dir, manifest):
-    from .pointwise import minimal_time_estimate
-
     p = sc.params
     est = minimal_time_estimate(p["point"], sc.spec.a_float, p["k_max"])
     write_csv(os.path.join(run_dir, "sequence.csv"),
@@ -180,15 +181,12 @@ def _task_minimal_time(sc: Scenario, seed, run_dir, manifest):
 
 
 def _task_control_point(sc: Scenario, seed, run_dir, manifest):
-    from .errors import BelowMinimalTime
-    from .pointwise import minimal_time_gate, negative_certificate, synthesize_point_control
-
     p, spec = sc.params, sc.spec
     j, T = p["j"], p["T"]
     manifest["T0_hat"] = minimal_time_gate(p["point"], spec).T0_hat
     try:
         control, rep = synthesize_point_control(p["u0_modes"], T, p["point"], spec, j,
-                                                K_trunc=p["K_trunc"], margin=p["margin"])
+                                                K_trunc=p["K_trunc"])
     except BelowMinimalTime:
         try:
             w = negative_certificate(p["point"], spec, j, T)
@@ -242,14 +240,12 @@ def _write_controls(run_dir, controls):
 
 
 def _task_nonlinear(sc: Scenario, seed, run_dir, manifest):
-    from .nonlinear import fixed_point
-
     p = sc.params
     weights = p["weights"]
     res = fixed_point(
         p["u0_modes"], p["T"], sc.spec, p["geometry"],
         tol=p["tol"], max_iter=p["max_iter"], rho=p["rho"], beta=p["beta"], weights=weights,
-        r_guess=p["r_guess"], sim_steps=p["sim_steps"],
+        sim_steps=p["sim_steps"],
     )
     _write_controls(run_dir, res.controls)
     n = len(res.deltas)  # row i + 1 carries ratios[i - 1]: NaN on row 1 and past the ratios

@@ -20,6 +20,7 @@ Python objects, nor all of its text, at once.  Layouts:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -30,6 +31,9 @@ import numpy as np
 #: the writers format about this many lines per ``%``, so a long file never
 #: holds all of its values as Python objects at once
 ROWS_PER_WRITE = 1024
+#: `hash_file` reads this many bytes at a time, so a long trace is never
+#: held whole
+HASH_BLOCK = 1 << 20
 
 
 def write_csv(path, header, columns):
@@ -126,11 +130,11 @@ def write_control_csv(path, signal, n_samples: int = 1024):
 
 
 def hash_file(path) -> str:
-    import hashlib
-
+    """sha256 hex digest of the file, read in HASH_BLOCK-byte blocks."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
+        for block in iter(lambda: fh.read(HASH_BLOCK), b""):
+            h.update(block)
     return h.hexdigest()
 
 

@@ -35,6 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    CriticalParameter,
     DuplicateRate,
     IndexOutOfRange,
     ThresholdBeyondTruncation,
@@ -352,8 +353,8 @@ class CriticalVerdict:
         return self.kind in ("critical", "near")
 
 
-def critical_set_check(spec: SpectrumSpec, search_bound: Optional[int] = None) -> CriticalVerdict:
-    """Exhaustive scan of critical values <= nu + tol.
+def critical_set_check(spec: SpectrumSpec) -> CriticalVerdict:
+    """Exhaustive scan of critical values <= nu + tol over every slice.
 
     Exact (rational) inputs give an exact Critical/Clear decision; floats are
     classified Near when within ``crit_tol`` (relative to max(1, |nu|)).
@@ -370,10 +371,8 @@ def critical_set_check(spec: SpectrumSpec, search_bound: Optional[int] = None) -
                 and all(b is not None for b in box_dims))
 
     best = CriticalVerdict("clear")
-    j_cap = search_bound if search_bound is not None else spec.J_y
-    j_cap = min(j_cap, len(spec.mus))
     # smallest x-part is pi^2 (1+4)/a^2, so only small j can produce candidates
-    for j in range(1, j_cap + 1):
+    for j in range(1, len(spec.mus) + 1):
         mu = spec.mu(j)
         rem = nu + tol - 2.0 * mu
         if rem < 5.0 * pi2 / a2:
@@ -424,10 +423,8 @@ def _exact_pair(v: ExactScalar, c: ExactScalar, k_hi: int) -> Optional[tuple]:
 def require_clear(spec: SpectrumSpec):
     """Raise CriticalParameter unless the verdict is Clear.
 
-    The verdict at the default search bound is computed once per spec.
+    The verdict is computed once per spec.
     """
-    from .errors import CriticalParameter
-
     verdict = spec.cached("critical_verdict", lambda: critical_set_check(spec))
     if verdict.blocks_synthesis:
         raise CriticalParameter(

@@ -299,11 +299,12 @@ def test_c10a_nonlinear_convergence_and_verification():
     res = fixed_point(u0, 1.0, spec, BoundaryGamma(None), beta=4, sim_steps=1000)
     dt = time.perf_counter() - t0
     ratios_ok = all(r < 0.9 for r in res.ratios) and all(r < 0.5 for r in res.ratios[:2])
-    ok = res.converged and ratios_ok and res.nonlinear_final_rel <= 1e-5 and dt < 600
+    stopped = res.stop_reason in ("tol", "floor")
+    ok = stopped and ratios_ok and res.nonlinear_final_rel <= 1e-5 and dt < 600
     report(10, ok,
            f"(a) converged in {res.iterations} iterations, ratios {['%.1e' % r for r in res.ratios[:3]]}, "
            f"nonlinear closed loop {res.nonlinear_final_rel:.2e} <= 1e-5, {dt:.0f}s")
-    assert res.converged
+    assert stopped
     assert ratios_ok
     assert res.nonlinear_final_rel <= 1e-5
     assert dt < 600
@@ -328,11 +329,11 @@ def test_c10b_hundredfold_triggers_nocontraction_as_stated():
     u0[0, 0] = 1e-3
     res = fixed_point(100.0 * u0, 1.0, spec, BoundaryGamma(None), beta=4, sim_steps=1000,
                       max_iter=MAX_ITER)
-    ok = res.converged and res.nonlinear_final_rel <= 1e-5
+    ok = res.stop_reason in ("tol", "floor") and res.nonlinear_final_rel <= 1e-5
     report(10, ok, f"(b) x100 converged in {res.iterations} iterations, first ratio "
                    f"{res.ratios[0]:.2e}, nonlinear closed loop {res.nonlinear_final_rel:.2e} "
                    "<= 1e-5")
-    assert res.converged
+    assert res.stop_reason in ("tol", "floor")
     assert res.nonlinear_final_rel <= 1e-5
 
     def attempt(scale):

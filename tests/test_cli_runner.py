@@ -48,6 +48,10 @@ def test_unknown_field_rejected_with_path():
     with pytest.raises(ConfigError) as exc:
         parse_config_dict({"task": "spectrum", "domain": base_domain(bogus=1)})
     assert "domain.bogus" in str(exc.value)
+    for _, cfg, field in UNKNOWN_FIELDS:
+        with pytest.raises(ConfigError) as exc:
+            parse_config_dict(cfg)
+        assert str(exc.value) == f"{field}: unknown field"
 
 
 def test_unknown_task_rejected():
@@ -129,8 +133,7 @@ def test_critical_parameter_exit_code(tmp_path):
     assert manifest["error"]["exit_code"] == 3
 
 
-@pytest.mark.parametrize("override, reason", [({"max_iter": 1}, "cap"),
-                                              ({"r_guess": 1e-6}, "radius")])
+@pytest.mark.parametrize("override, reason", [({"max_iter": 1}, "cap")])
 def test_no_contraction_manifest_records_reason(tmp_path, override, reason):
     from kscontrol.errors import NoContraction
 
@@ -295,7 +298,18 @@ def _whole_section(section, geometry):
     return cfg
 
 
+# fields no run reads are not fields: each is refused as unknown
+UNKNOWN_FIELDS = [
+    ("margin-unknown", _demo("control_point.json", "control_point.margin", 0.1),
+     "control_point.margin"),
+    ("search_bound-unknown",
+     {"task": "critical-set", "domain": base_domain(), "critical_set": {"search_bound": 4}},
+     "critical_set.search_bound"),
+    ("r_guess-unknown", _demo("nonlinear.json", "nonlinear.r_guess", 1.0), "nonlinear.r_guess"),
+    ("p-unknown", _demo("nonlinear.json", "nonlinear.p", 2.0), "nonlinear.p"),
+]
 BAD_INPUTS = [
+    *UNKNOWN_FIELDS,
     ("K_trunc-too-large", _demo("control_1d.json", "control_1d.K_trunc", 30), "control_1d.K_trunc"),
     ("K_trunc-fraction", _demo("control_1d.json", "control_1d.K_trunc", 8.5), "control_1d.K_trunc"),
     ("j-string", _demo("control_1d.json", "control_1d.j", "1"), "control_1d.j"),

@@ -129,7 +129,7 @@ def test_3d_nonlinear_fixed_point():
     u0 = np.zeros((4, 4))
     u0[0, 0] = 1e-3
     res = fixed_point(u0, 1.0, spec, BoundaryGamma(None), rho=0.4, beta=4, sim_steps=1000)
-    assert res.converged
+    assert res.stop_reason in ("tol", "floor")
     assert res.nonlinear_final_rel <= 1e-5
 
 

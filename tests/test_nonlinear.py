@@ -31,8 +31,6 @@ def spec_2d(nu=0, K=8):
 def test_weight_parameter_validation():
     with pytest.raises(ValueError):
         WeightPair(T=1.0, q_w=1.5)  # q >= sqrt(2)
-    with pytest.raises(ValueError):
-        WeightPair(T=1.0, p=1.0, q_w=1.2)  # p below threshold
     w = WeightPair(T=1.0)
     assert w.p > w.q_w**2 / (2 - w.q_w**2)
 
@@ -45,9 +43,10 @@ def test_weight_default_p_follows_q_w():
 
 
 def test_weight_displayed_forms_pointwise():
-    w = WeightPair(T=2.0, p=3.0, q_w=1.2, C_cost=0.7)
+    w = WeightPair(T=2.0, q_w=1.2, C_cost=0.7)
+    p = default_p(1.2)
     for t in (0.0, 0.5, 1.3, 1.9):
-        expectF = math.exp(-(1 + 3.0) * 1.2**2 * 0.7 / ((1.2 - 1.0) * (2.0 - t)))
+        expectF = math.exp(-(1 + p) * 1.2**2 * 0.7 / ((1.2 - 1.0) * (2.0 - t)))
         assert w.rhoF(t) == pytest.approx(expectF, rel=1e-12)
     assert w.rhoF(2.0) == 0.0
 
@@ -118,7 +117,7 @@ def test_superposition_of_initial_data_and_source():
 def test_fixed_point_zero_data():
     spec = spec_2d()
     res = fixed_point(np.zeros((8, 8)), 1.0, spec, BoundaryGamma(None), beta=4, verify=False)
-    assert res.converged
+    assert res.stop_reason in ("tol", "floor")
     assert res.iterations == 1
     assert all(sig.norm_l2() <= 1e-14 for sig in res.controls)
 
@@ -128,7 +127,7 @@ def test_fixed_point_small_data_converges_and_verifies():
     c = np.zeros((8, 8))
     c[0, 0] = 1e-3
     res = fixed_point(c, 1.0, spec, BoundaryGamma(None), beta=4, sim_steps=1000)
-    assert res.converged
+    assert res.stop_reason in ("tol", "floor")
     assert all(r < 0.9 for r in res.ratios)
     assert all(r < 0.5 for r in res.ratios[:2])
     assert res.nonlinear_final_rel <= 1e-5
@@ -187,7 +186,7 @@ def _picard_outcome(u0, spec):
         res = fixed_point(u0, 1.0, spec, BoundaryGamma(None), verify=False, max_iter=24)
     except NoContraction as exc:
         return None, exc.reason
-    assert res.converged
+    assert res.stop_reason in ("tol", "floor")
     return res.stop_reason, None
 
 
@@ -209,7 +208,7 @@ def test_fixed_point_hundredfold_dichotomy_with_unstable_mode(monkeypatch):
     assert all(r < 0.5 for r in res.ratios[:3])
 
     res = fixed_point(100 * c, 1.0, spec, BoundaryGamma(None), verify=False, max_iter=24)
-    assert res.converged and res.stop_reason == "floor"
+    assert res.stop_reason == "floor"
     assert res.ratios[-1] > 0.9 and res.deltas[-1] <= res.delta_floor
     assert all(r < 0.5 for r in res.ratios[3:12])
 
@@ -247,15 +246,6 @@ def test_last_bits_of_the_synthesis_change_no_picard_verdict(monkeypatch):
     after = [_picard_outcome(s * c, spec) for s in scales]
     assert sum(anchored) > 0  # the syntheses ran on the step-anchored block
     assert before == after == [("tol", None), ("floor", None), (None, "ratio")]
-
-
-def test_r_guess_gate():
-    spec = spec_2d()
-    c = np.zeros((8, 8))
-    c[0, 0] = 0.5
-    with pytest.raises(NoContraction) as exc:
-        fixed_point(c, 1.0, spec, BoundaryGamma(None), r_guess=0.1, verify=False)
-    assert exc.value.reason == "radius"
 
 
 def _c10a_case():
@@ -425,7 +415,7 @@ def test_replay_matches_reference_loop(case):
     elif case == "gramian":
         # the controls of a Picard fixed point on Gramian windows
         res = fixed_point(u0, 1.0, spec, BoundaryGamma((0.3, 1.2)), beta=4, verify=False)
-        assert res.converged
+        assert res.stop_reason in ("tol", "floor")
         controls = res.controls
     else:
         controls = _two_segment_controls(spec)

@@ -8,6 +8,7 @@ import pytest
 from kscontrol.boundary_1d import synthesize_boundary_control, verify_null
 from kscontrol.errors import BelowMinimalTime, NoWitnessFound, RationalPoint
 from kscontrol.lebeau_robbiano import InternalPoint, run_lr
+from kscontrol.modal import evolve_controlled, state_1d
 from kscontrol.pointwise import (
     DEFAULT_K_MAX,
     DEFAULT_MARGIN,
@@ -258,11 +259,14 @@ def test_point_targets_and_gate_on_the_synthesis_report(est_sqrt2):
     spec = spec_box_pi()
     u0 = np.linspace(1.0, -0.5, 16)
     T = 0.1
-    _, rep = synthesize_point_control(u0, T, SQRT2_MINUS_1, spec, 1, K_trunc=8)
+    control, rep = synthesize_point_control(u0, T, SQRT2_MINUS_1, spec, 1, K_trunc=8)
     k = np.arange(1, 9)
     gain = math.sqrt(2.0 / math.pi) * np.sin(k * math.pi * (math.sqrt(2.0) - 1.0))
     expect = -np.exp((-(k**4) - 2.0 * k**2) * T) * u0[:8] / gain
-    np.testing.assert_allclose(rep.targets, expect, rtol=1e-12, atol=0)
+    # the moments the control meets: the closed loop from zero data over the gain
+    zero = state_1d(spec, 1, coeffs=np.zeros(16))
+    moments = evolve_controlled(zero, control, (0.0, T)).coeffs[:8] / gain
+    assert np.max(np.abs(moments - expect)) <= 1e-12 * np.max(np.abs(expect))
     assert rep.T0_hat == est_sqrt2.T0_hat
     assert rep.threshold == (1.0 + DEFAULT_MARGIN) * est_sqrt2.T0_hat
     _, boundary = synthesize_boundary_control(u0, T, spec, 1, K_trunc=8)
@@ -350,7 +354,6 @@ def test_blowup_witness_liouville(est_liouville):
     assert 3 in w.k
     i = list(w.k).index(3)
     assert w.log10_ratio[i] >= 10.0
-    assert w.ratio_cap[i] >= 1e10
 
 
 def test_no_witness_for_algebraic():

@@ -7,6 +7,7 @@ integer and ``%.17g`` for anything else, and the two must give the same
 bytes.
 """
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -16,8 +17,8 @@ import pytest
 
 from kscontrol import serialize
 from kscontrol.modal import Trace
-from kscontrol.serialize import (write_control_csv, write_csv, write_json, write_observation_csv,
-                                 write_trace_csv)
+from kscontrol.serialize import (HASH_BLOCK, hash_file, write_control_csv, write_csv, write_json,
+                                 write_observation_csv, write_trace_csv)
 
 # ints, signed zeros, non-finite values, the extremes of the double range and
 # magnitudes from 1e-30 to 1e4, several of which %.16g would round
@@ -259,3 +260,17 @@ def test_json_writes_non_finite_numpy_floats_as_python_floats_are(tmp_path):
                       "f": np.array([1.5, math.nan])})
     assert _strict_json(path) == {"a": "nan", "b": "nan", "c": "inf", "d": ["-inf", "-inf"],
                                   "e": 0.1, "f": [1.5, "nan"]}
+
+
+def test_hash_file_reads_a_file_of_several_blocks_in_blocks(tmp_path):
+    data = np.random.default_rng(3).bytes(4 * HASH_BLOCK + 123)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        digest = hash_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert peak < 2.5 * HASH_BLOCK  # a block and its successor, never the whole file

@@ -12,6 +12,11 @@ PACKAGE = ROOT / "src" / "kscontrol"
 #: definitions in the package that no program code reads, each with the
 #: one-line reason it stays: {name: reason}
 UNREAD_ALLOWED = {}
+#: result classes whose fields the program reads all at once, not by name,
+#: each with the one-line reason: {class name: reason}
+FIELDS_READ_WHOLE = {
+    "SynthesisReport": "runner writes every field into the manifest through dataclasses.fields",
+}
 
 
 def _artifact_diff():
@@ -85,6 +90,28 @@ def _words(text):
     return collections.Counter(re.findall(r"\w+", text))
 
 
+def _program_texts():
+    """The program outside the tests: the package (leaving out the re-exports
+    of __init__.py), the demos, the tools and the benchmark."""
+    paths = [*(p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"),
+             *sorted((ROOT / "demos").rglob("*.py")), *sorted(TOOLS.rglob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py"))]
+    return [path.read_text() for path in paths]
+
+
+def _record_fields(tree):
+    """{class name: annotated field names} of every ``@dataclass`` and ``NamedTuple``."""
+    def name(node):  # dataclass, dataclasses.dataclass, dataclass(...) and the like
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    return {node.name: [item.target.id for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and ("dataclass" in map(name, node.decorator_list)
+                 or "NamedTuple" in map(name, node.bases))}
+
+
 def test_every_package_definition_is_read_outside_the_tests():
     # a definition is read if its name appears as a whole word in the program
     # outside its own def/class line: in the package (leaving out the
@@ -93,7 +120,6 @@ def test_every_package_definition_is_read_outside_the_tests():
     # there as ``.name``
     defs = {}  # name -> [(file, line text of a def/class of that name)]
     methods = set()
-    texts = []
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text()
         lines = text.splitlines()
@@ -102,11 +128,7 @@ def test_every_package_definition_is_read_outside_the_tests():
                 defs.setdefault(name, []).append((f"{path.name}:{line}", lines[line - 1]))
                 if is_method:
                     methods.add(name)
-        if path.name != "__init__.py":
-            texts.append(text)
-    texts += [path.read_text() for path in [*sorted((ROOT / "demos").rglob("*.py")),
-                                            *sorted(TOOLS.rglob("*.py")),
-                                            *sorted((ROOT / "perfbench").glob("*.py"))]]
+    texts = _program_texts()
     program = _words("\n".join(texts))
     attributes = set(re.findall(r"\.(\w+)", "\n".join(texts)))
     unread = sorted(
@@ -117,3 +139,18 @@ def test_every_package_definition_is_read_outside_the_tests():
     )
     assert unread == [], f"defined in src/ but read only by tests: {unread}"
     assert all(reason.strip() for reason in UNREAD_ALLOWED.values())
+
+
+def test_every_result_field_is_read_outside_the_tests():
+    # a field of a dataclass or NamedTuple is read if ``.name`` occurs in the
+    # program outside the tests (the texts of the definition guard above),
+    # unless its class is read whole
+    attributes = set(re.findall(r"\.(\w+)", "\n".join(_program_texts())))
+    records = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        records.update(_record_fields(ast.parse(path.read_text())))
+    assert set(FIELDS_READ_WHOLE) <= set(records)
+    unread = sorted(f"{cls}.{name}" for cls, names in records.items()
+                    if cls not in FIELDS_READ_WHOLE for name in names if name not in attributes)
+    assert unread == [], f"result fields no program code reads: {unread}"
+    assert all(reason.strip() for reason in FIELDS_READ_WHOLE.values())
